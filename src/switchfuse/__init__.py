@@ -23,6 +23,7 @@ from .descriptors import (
     load_descriptor_set,
     raw_match_score,
     save_descriptor_set,
+    similarity_block,
     similarity_vector,
 )
 from .evaluation import (

@@ -9,7 +9,6 @@ require an explicit ``--seed``; there is no wall-clock seeding.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -21,6 +20,7 @@ from .datasets import (
     load_config,
     load_manifest,
     manifest_ground_truth,
+    read_json,
 )
 from .descriptors import raw_match_score
 from .errors import InvalidInputError, SwitchFuseError
@@ -33,8 +33,7 @@ def _load_runtime(args):
 
 
 def cmd_synth(args) -> int:
-    with open(args.spec) as fh:
-        doc = json.load(fh)
+    doc = read_json(args.spec)
     try:
         profiles = [
             synthetic.TechniqueProfile(

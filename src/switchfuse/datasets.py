@@ -12,15 +12,19 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .descriptors import (
     BUILTIN_DIMS,
     DescriptorSet,
     SimilarityVector,
     compute_descriptor,
     load_descriptor_set,
+    read_descriptor_header,
+    similarity_block,
     similarity_vector,
 )
-from .errors import InvalidInputError, UnknownTechniqueError
+from .errors import FormatError, InvalidInputError, UnknownTechniqueError
 from .evaluation import GroundTruth
 from .pgm import load_pgm
 
@@ -48,10 +52,18 @@ class DatasetManifest:
     base_dir: Path = Path(".")
 
 
+def read_json(path):
+    """Parse one JSON file; malformed text raises ``FormatError``."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise FormatError(f"{path}: malformed JSON: {exc}") from exc
+
+
 def load_manifest(path) -> DatasetManifest:
     path = Path(path)
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     try:
         bindings = {}
         for tid, spec in doc["techniques"].items():
@@ -112,8 +124,7 @@ def load_config(path, threshold_override: float | None = None):
     threshold (posterior must strictly exceed it)."""
     from .switching import TripartiteConfig, UnitConfig
 
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     try:
         units = tuple(
             UnitConfig(label=u["label"], techniques=tuple(u["techniques"]))
@@ -141,8 +152,7 @@ def save_config(config, path) -> None:
 
 
 def load_ground_truth_file(path, reference_count: int) -> GroundTruth:
-    with open(path) as fh:
-        doc = json.load(fh)
+    doc = read_json(path)
     sets = [set(map(int, s)) for s in doc["accepted"]]
     return GroundTruth.from_sets(sets, reference_count)
 
@@ -160,35 +170,45 @@ def save_ground_truth_file(gt: GroundTruth, path) -> None:
 class DatasetRuntime:
     """Serves similarity vectors for (query, technique) pairs of a manifest.
 
-    Descriptor sets are loaded once; built-in query descriptors are computed
-    lazily and cached.  Read-only after construction, safe to share.
+    SFDESC1 headers are checked on construction.  A technique's descriptor
+    payloads are read on its first similarity request, which computes its
+    whole query x reference block; only the block is kept and later requests
+    return its rows.  Built-in query descriptors are computed lazily per
+    query and cached.
     """
 
     def __init__(self, manifest: DatasetManifest):
         self.manifest = manifest
+        self._blocks: dict[str, np.ndarray] = {}
         self._ref_sets: dict[str, DescriptorSet] = {}
-        self._query_sets: dict[str, DescriptorSet] = {}
         self._query_image_cache: dict[tuple[int, str], SimilarityVector] = {}
         for tid, binding in manifest.bindings.items():
             if binding.kind == "sfdesc":
-                refs = load_descriptor_set(
-                    manifest.base_dir / binding.references_path, tid
+                self._check_shapes(
+                    tid,
+                    read_descriptor_header(manifest.base_dir / binding.queries_path),
+                    read_descriptor_header(
+                        manifest.base_dir / binding.references_path
+                    ),
                 )
-                queries = load_descriptor_set(
-                    manifest.base_dir / binding.queries_path, tid
-                )
-                if refs.count != manifest.reference_count:
-                    raise InvalidInputError(
-                        f"{tid}: reference descriptor count {refs.count} != "
-                        f"{manifest.reference_count}"
-                    )
-                if queries.count != manifest.query_count:
-                    raise InvalidInputError(
-                        f"{tid}: query descriptor count {queries.count} != "
-                        f"{manifest.query_count}"
-                    )
-                self._ref_sets[tid] = refs
-                self._query_sets[tid] = queries
+
+    def _check_shapes(self, tid: str, query_shape, ref_shape) -> None:
+        """(count, dim) of a technique's query and reference descriptors
+        against the manifest and each other."""
+        if ref_shape[0] != self.reference_count:
+            raise InvalidInputError(
+                f"{tid}: reference descriptor count {ref_shape[0]} != "
+                f"{self.reference_count}"
+            )
+        if query_shape[0] != self.query_count:
+            raise InvalidInputError(
+                f"{tid}: query descriptor count {query_shape[0]} != "
+                f"{self.query_count}"
+            )
+        if query_shape[1] != ref_shape[1]:
+            raise InvalidInputError(
+                f"{tid}: query dim {query_shape[1]} != reference dim {ref_shape[1]}"
+            )
 
     @property
     def query_count(self) -> int:
@@ -207,9 +227,15 @@ class DatasetRuntime:
             raise UnknownTechniqueError(
                 f"technique {technique_id!r} not bound in manifest"
             )
+        if not 0 <= query_index < self.query_count:
+            raise InvalidInputError(
+                f"query index {query_index} outside 0..{self.query_count - 1}"
+            )
         if binding.kind == "sfdesc":
-            query = self._query_sets[technique_id].row(query_index)
-            return similarity_vector(query, self._ref_sets[technique_id])
+            block = self._blocks.get(technique_id)
+            if block is None:
+                block = self._sfdesc_block(binding)
+            return SimilarityVector(technique_id, block[query_index])
         key = (query_index, technique_id)
         cached = self._query_image_cache.get(key)
         if cached is not None:
@@ -225,9 +251,19 @@ class DatasetRuntime:
         self._query_image_cache[key] = sim
         return sim
 
-    def _builtin_ref_set(self, binding: TechniqueBinding) -> DescriptorSet:
-        import numpy as np
+    def _sfdesc_block(self, binding: TechniqueBinding) -> np.ndarray:
+        tid = binding.technique_id
+        base = self.manifest.base_dir
+        refs = load_descriptor_set(base / binding.references_path, tid)
+        queries = load_descriptor_set(base / binding.queries_path, tid)
+        # the files may have been replaced since their headers were checked
+        self._check_shapes(tid, queries.matrix.shape, refs.matrix.shape)
+        block = similarity_block(queries.matrix, refs.matrix)
+        block.setflags(write=False)
+        self._blocks[tid] = block
+        return block
 
+    def _builtin_ref_set(self, binding: TechniqueBinding) -> DescriptorSet:
         tid = binding.technique_id
         if tid not in self._ref_sets:
             rows = []

@@ -8,6 +8,7 @@ defined to have similarity 0 against anything.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -98,9 +99,6 @@ class DescriptorSet:
     @property
     def count(self) -> int:
         return self.matrix.shape[0]
-
-    def row(self, i: int) -> DescriptorVector:
-        return DescriptorVector(self.technique_id, self.matrix[i])
 
 
 @dataclass(frozen=True)
@@ -222,21 +220,39 @@ def save_descriptor_set(dset: DescriptorSet, path) -> None:
         fh.write(payload.tobytes())
 
 
+def _read_header(fh, path) -> tuple[int, int]:
+    """Check an open SFDESC1 file's magic, counts and size; return
+    (count, dim) with the file positioned at the payload."""
+    head = fh.read(16)
+    if len(head) < 16 or head[:8] != SFDESC_MAGIC:
+        raise FormatError(f"{path}: not an SFDESC1 file")
+    count, dim = struct.unpack_from("<II", head, 8)
+    if count == 0 or dim == 0:
+        raise EmptySetError(f"{path}: empty descriptor set (count={count}, dim={dim})")
+    payload = os.fstat(fh.fileno()).st_size - 16
+    if payload != 4 * count * dim:
+        raise FormatError(
+            f"{path}: payload size {payload} bytes, expected {4 * count * dim}"
+        )
+    return count, dim
+
+
+def read_descriptor_header(path) -> tuple[int, int]:
+    """(count, dim) of an SFDESC1 file, checked without reading its payload."""
+    with open(path, "rb") as fh:
+        return _read_header(fh, path)
+
+
 def load_descriptor_set(path, technique_id: str | None = None) -> DescriptorSet:
     """Read an SFDESC1 file; values come back bit-exact as stored."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:8] != SFDESC_MAGIC:
-        raise FormatError(f"{path}: not an SFDESC1 file")
-    count, dim = struct.unpack_from("<II", blob, 8)
-    if count == 0 or dim == 0:
-        raise EmptySetError(f"{path}: empty descriptor set (count={count}, dim={dim})")
-    expected = 16 + 4 * count * dim
-    if len(blob) != expected:
+        count, dim = _read_header(fh, path)
+        payload = fh.read()
+    if len(payload) != 4 * count * dim:  # the file changed while being read
         raise FormatError(
-            f"{path}: payload size {len(blob) - 16} bytes, expected {expected - 16}"
+            f"{path}: payload size {len(payload)} bytes, expected {4 * count * dim}"
         )
-    matrix = np.frombuffer(blob, dtype="<f4", offset=16).reshape(count, dim)
+    matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
     matrix = matrix.astype(np.float64)
     if not np.all(np.isfinite(matrix)):
         raise DataError(f"{path}: non-finite descriptor values")
@@ -265,6 +281,26 @@ def similarity_vector(query: DescriptorVector, refs: DescriptorSet) -> Similarit
     dots = refs.matrix @ query.values
     scores = np.where(rn > 0.0, dots / (np.where(rn > 0.0, rn, 1.0) * qn), 0.0)
     return SimilarityVector(refs.technique_id, scores)
+
+
+def similarity_block(queries, refs) -> np.ndarray:
+    """Cosine similarity of every query row against every reference row.
+
+    Returns the Q x R block from one matrix product; an entry whose query or
+    reference row has zero norm is 0, as in ``similarity_vector``.
+    """
+    queries = np.asarray(queries, dtype=np.float64)
+    refs = np.asarray(refs, dtype=np.float64)
+    if queries.ndim != 2 or refs.ndim != 2 or queries.shape[1] != refs.shape[1]:
+        raise InvalidInputError(
+            f"query block {queries.shape} does not match reference block "
+            f"{refs.shape}"
+        )
+    qn = np.linalg.norm(queries, axis=1)
+    rn = np.linalg.norm(refs, axis=1)
+    dots = queries @ refs.T
+    norms = qn[:, None] * rn[None, :]
+    return np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0.0)
 
 
 def raw_match_score(sim: SimilarityVector) -> MatchScore:

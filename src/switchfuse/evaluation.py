@@ -109,6 +109,10 @@ def score_predictions(outcomes, ground_truth: GroundTruth, method: str = "") -> 
         raise InvalidInputError(
             f"{len(outcomes)} outcomes for {ground_truth.query_count} queries"
         )
+    if [o.query_index for o in outcomes] != list(range(len(outcomes))):
+        raise InvalidInputError(
+            f"outcome query indices must be 0..{len(outcomes) - 1}, each once"
+        )
     rescored = tuple(
         QueryOutcome(
             query_index=o.query_index,

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -223,3 +224,54 @@ def test_timestamp_suppression(pipeline_dir):
         assert run_cli(*args) == 0
         first = (d / "p.csv").read_text().splitlines()[0]
         assert first.startswith("#") == expect_comment
+
+
+def _synth_and_calibrate(d):
+    run_cli("synth", "--spec", d / "spec.json", "--seed", 5, "--out", d / "data")
+    run_cli(
+        "calibrate",
+        "--manifest", d / "data" / "calib_manifest.json",
+        "--config", d / "config.json",
+        "--out", d / "store.sfcal",
+    )
+
+
+@pytest.mark.parametrize("command", ["synth", "calibrate", "run"])
+def test_malformed_json_reports_format_error(pipeline_dir, capsys, command):
+    d = pipeline_dir
+    _synth_and_calibrate(d)
+    bad = d / "bad.json"
+    bad.write_text('{"query_count": 4, "units": [')
+    eval_args = ["--config", bad, "--store", d / "store.sfcal", "--out", d / "p.csv"]
+    argv = {
+        "synth": ["synth", "--spec", bad, "--seed", 1, "--out", d / "x"],
+        "calibrate": ["calibrate", "--manifest", bad, "--config",
+                      d / "config.json", "--out", d / "s.sfcal"],
+        "run": ["run", "--manifest", d / "data" / "eval_manifest.json", *eval_args],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("SF-FORMAT") and str(bad) in err
+
+
+def test_non_finite_query_payload_fails_run(pipeline_dir, capsys):
+    d = pipeline_dir
+    _synth_and_calibrate(d)
+    manifest = load_manifest(d / "data" / "eval_manifest.json")
+    # "a" is the first unit's primary, so every query asks for it
+    path = manifest.base_dir / manifest.bindings["a"].queries_path
+    blob = bytearray(path.read_bytes())
+    blob[16:20] = struct.pack("<f", float("nan"))
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    rc = run_cli(
+        "run",
+        "--manifest", d / "data" / "eval_manifest.json",
+        "--config", d / "config.json",
+        "--store", d / "store.sfcal",
+        "--out", d / "p.csv",
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("SF-DATA")
+    assert not (d / "p.csv").exists()

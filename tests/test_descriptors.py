@@ -15,6 +15,7 @@ from switchfuse import (
     load_descriptor_set,
     raw_match_score,
     save_descriptor_set,
+    similarity_block,
     similarity_vector,
 )
 from switchfuse.descriptors import BUILTIN_DIMS, SFDESC_MAGIC, cosine_similarity
@@ -127,6 +128,25 @@ def test_similarity_dim_mismatch():
     refs = DescriptorSet("t", 3, np.zeros((2, 3)))
     with pytest.raises(InvalidInputError):
         similarity_vector(DescriptorVector("t", [1.0, 0.0]), refs)
+
+
+def test_similarity_block_matches_scalar_oracle():
+    rng = np.random.default_rng(31)
+    queries = rng.normal(size=(7, 5))
+    refs = rng.normal(size=(4, 5)) * [[1e-3], [1.0], [50.0], [1.0]]
+    queries[2] = 0.0
+    refs[1] = 0.0
+    block = similarity_block(queries, refs)
+    assert block.shape == (7, 4)
+    for i, q in enumerate(queries):
+        for j, r in enumerate(refs):
+            assert abs(block[i, j] - cosine_similarity(q, r)) <= 1e-12
+    assert np.all(block[2] == 0.0) and np.all(block[:, 1] == 0.0)
+
+
+def test_similarity_block_dim_mismatch():
+    with pytest.raises(InvalidInputError):
+        similarity_block(np.ones((2, 3)), np.ones((4, 2)))
 
 
 @given(finite_vec, finite_vec)

@@ -61,6 +61,13 @@ class TestScorePredictions:
         with pytest.raises(InvalidInputError):
             score_predictions([outcome(0, 0, 0.5, False)], gt)
 
+    @pytest.mark.parametrize("indices", [(0, 0), (1, 1), (0, 2), (-1, 0)])
+    def test_query_indices_must_cover_each_query_once(self, indices):
+        gt = GroundTruth.from_sets([{0}, {0}], 2)
+        outs = [outcome(q, 0, 0.5, False) for q in indices]
+        with pytest.raises(InvalidInputError):
+            score_predictions(outs, gt)
+
 
 class TestPrCurve:
     def test_perfect_matcher(self):
