@@ -9,7 +9,6 @@ from .calibration import (
     build_store,
     calibrate_pair,
     calibrate_technique,
-    likelihood,
     load_store,
     save_store,
 )

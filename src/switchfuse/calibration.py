@@ -69,6 +69,15 @@ class LikelihoodHistogram:
         idx = int(self.bin_count * (score - self.lo) / (self.hi - self.lo))
         return min(max(idx, 0), self.bin_count - 1)
 
+    def bin_indices(self, scores: np.ndarray) -> np.ndarray:
+        """``bin_index`` of every score in a finite float64 array."""
+        with np.errstate(over="ignore"):
+            # the expression of ``bin_index``; a score at or below lo gives
+            # a quotient <= 0 and one at or above hi a quotient >= B - 1
+            # (or inf), so clipping reproduces its edge clamps
+            quotient = self.bin_count * (scores - self.lo) / (self.hi - self.lo)
+        return np.clip(quotient, 0, self.bin_count - 1).astype(np.int64)
+
     def mass(self, score: float, hypothesis: str) -> float:
         """Smoothed probability of the bin containing ``score``."""
         counts = self._counts(hypothesis)
@@ -78,7 +87,9 @@ class LikelihoodHistogram:
         return (counts[idx] + a) / (total + a * self.bin_count)
 
     def masses(self, hypothesis: str) -> np.ndarray:
-        """Smoothed mass of every bin; sums to 1 when alpha > 0 or counts > 0."""
+        """Smoothed mass of every bin; sums to 1 when alpha > 0 or counts > 0.
+
+        Entry ``i`` equals ``mass`` of a score in bin ``i`` bit for bit."""
         counts = self._counts(hypothesis)
         a = self.smoothing_alpha
         return (counts + a) / (counts.sum() + a * self.bin_count)
@@ -89,6 +100,23 @@ class LikelihoodHistogram:
         if hypothesis == MISMATCH:
             return self.counts_mismatched
         raise InvalidInputError(f"unknown hypothesis {hypothesis!r}")
+
+
+@dataclass(frozen=True)
+class MassTable:
+    """A histogram compiled for block lookups: its binning and both smoothed
+    mass vectors, so ``matched[h.bin_indices(s)]`` equals ``h.mass(s, MATCH)``."""
+
+    histogram: LikelihoodHistogram
+    matched: np.ndarray
+    mismatched: np.ndarray
+
+    @classmethod
+    def of(cls, hist: LikelihoodHistogram) -> "MassTable":
+        # an unsmoothed histogram without counts gives NaN masses, which
+        # the switching loop reports as undefined evidence
+        with np.errstate(invalid="ignore"):
+            return cls(hist, hist.masses(MATCH), hist.masses(MISMATCH))
 
 
 @dataclass(frozen=True)
@@ -107,10 +135,6 @@ class PairCalibration:
     primary_id: str
     candidate_id: str
     histogram: LikelihoodHistogram
-
-
-def likelihood(hist: LikelihoodHistogram, score: float, hypothesis: str) -> float:
-    return hist.mass(score, hypothesis)
 
 
 def _score_range(scores: np.ndarray) -> tuple[float, float]:
@@ -260,6 +284,25 @@ def build_store(
                 paired, a, b, bins=bins, alpha=alpha, min_samples=min_samples
             )
     return store
+
+
+def collect_run(runtime, technique_ids) -> dict[str, list[tuple[float, bool]]]:
+    """Per-technique (match score, correct) observations over every query of
+    a runtime, in query order: the maximum of the query's similarity row
+    (first maximum on ties) and whether the runtime's ground truth accepts
+    that reference.  The result feeds ``build_store``."""
+    truth = runtime.ground_truth()
+    queries = np.arange(runtime.query_count)
+    run = {}
+    for tid in technique_ids:
+        rows = runtime.similarity_rows(tid, queries)
+        best = rows.argmax(axis=1)
+        scores = rows[queries, best]
+        run[tid] = [
+            (score, truth.is_correct(q, ref))
+            for q, (score, ref) in enumerate(zip(scores.tolist(), best.tolist()))
+        ]
+    return run
 
 
 def _pack_str(s: str) -> bytes:

@@ -22,7 +22,6 @@ from .datasets import (
     manifest_ground_truth,
     read_json,
 )
-from .descriptors import raw_match_score
 from .errors import InvalidInputError, SwitchFuseError
 from .fusion import FusionParams
 
@@ -65,17 +64,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    # alpha 0 leaves empty bins with zero likelihood, so one query landing in
+    # such a bin would end a later run with SF-EVIDENCE
+    if not args.alpha > 0:
+        raise InvalidInputError(f"--alpha must be > 0, got {args.alpha}")
     runtime = _load_runtime(args)
     config = load_config(args.config, args.threshold)
-    gt = runtime.ground_truth()
     techniques = config.all_techniques()
-    run: dict[str, list[tuple[float, bool]]] = {tid: [] for tid in techniques}
-    for q in range(runtime.query_count):
-        for tid in techniques:
-            ms = raw_match_score(runtime.similarity(q, tid))
-            run[tid].append((ms.value, gt.is_correct(q, ms.best_index)))
     store = cal.build_store(
-        run,
+        cal.collect_run(runtime, techniques),
         techniques,
         bins=args.bins,
         alpha=args.alpha,

@@ -153,7 +153,16 @@ def save_config(config, path) -> None:
 
 def load_ground_truth_file(path, reference_count: int) -> GroundTruth:
     doc = read_json(path)
-    sets = [set(map(int, s)) for s in doc["accepted"]]
+    accepted = doc.get("accepted") if isinstance(doc, dict) else None
+    try:
+        if not isinstance(accepted, list):
+            raise TypeError("no 'accepted' list")
+        sets = [set(map(int, s)) for s in accepted]
+    except (TypeError, ValueError) as exc:
+        raise FormatError(
+            f"{path}: ground truth needs an 'accepted' list of reference-index "
+            f"lists ({exc})"
+        ) from exc
     return GroundTruth.from_sets(sets, reference_count)
 
 
@@ -167,21 +176,38 @@ def save_ground_truth_file(gt: GroundTruth, path) -> None:
         fh.write("\n")
 
 
-class DatasetRuntime:
-    """Serves similarity vectors for (query, technique) pairs of a manifest.
+def query_positions(query_indices, query_count: int) -> np.ndarray:
+    """Query indices as a 1-D int64 array, each checked to lie in
+    0..query_count-1."""
+    idx = np.asarray(query_indices)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise InvalidInputError("query indices must be a 1-D integer sequence")
+    idx = idx.astype(np.int64, copy=False)
+    if idx.size and (idx.min() < 0 or idx.max() >= query_count):
+        bad = idx[(idx < 0) | (idx >= query_count)][0]
+        raise InvalidInputError(
+            f"query index {bad} outside 0..{query_count - 1}"
+        )
+    return idx
 
-    SFDESC1 headers are checked on construction.  A technique's descriptor
-    payloads are read on its first similarity request, which computes its
+
+class DatasetRuntime:
+    """Serves similarity rows for (technique, queries) of a manifest.
+
+    SFDESC1 headers are checked on construction.  A technique's query
+    payload is read on its first similarity request, which computes its
     whole query x reference block; only the block is kept and later requests
-    return its rows.  Built-in query descriptors are computed lazily per
-    query and cached.
+    return its rows.  A reference file is read, and its row norms computed,
+    once per runtime however many techniques bind it.  Built-in query
+    descriptors are computed lazily per (query, technique) and cached.
     """
 
     def __init__(self, manifest: DatasetManifest):
         self.manifest = manifest
         self._blocks: dict[str, np.ndarray] = {}
+        self._references: dict[Path, tuple[np.ndarray, np.ndarray]] = {}
         self._ref_sets: dict[str, DescriptorSet] = {}
-        self._query_image_cache: dict[tuple[int, str], SimilarityVector] = {}
+        self._builtin_rows: dict[tuple[int, str], np.ndarray] = {}
         for tid, binding in manifest.bindings.items():
             if binding.kind == "sfdesc":
                 self._check_shapes(
@@ -221,47 +247,68 @@ class DatasetRuntime:
     def technique_ids(self) -> list[str]:
         return list(self.manifest.bindings)
 
-    def similarity(self, query_index: int, technique_id: str) -> SimilarityVector:
+    def similarity_rows(self, technique_id: str, query_indices) -> np.ndarray:
+        """Read-only (len(query_indices), reference_count) block of cosine
+        similarities, one row per listed query."""
         binding = self.manifest.bindings.get(technique_id)
         if binding is None:
             raise UnknownTechniqueError(
                 f"technique {technique_id!r} not bound in manifest"
             )
-        if not 0 <= query_index < self.query_count:
-            raise InvalidInputError(
-                f"query index {query_index} outside 0..{self.query_count - 1}"
-            )
+        queries = query_positions(query_indices, self.query_count)
         if binding.kind == "sfdesc":
             block = self._blocks.get(technique_id)
             if block is None:
                 block = self._sfdesc_block(binding)
-            return SimilarityVector(technique_id, block[query_index])
-        key = (query_index, technique_id)
-        cached = self._query_image_cache.get(key)
-        if cached is not None:
-            return cached
-        refs = self._builtin_ref_set(binding)
-        image = load_pgm(
-            self.manifest.base_dir / self.manifest.query_images[query_index]
+            rows = block[queries]
+        elif len(queries):
+            rows = np.stack([self._builtin_row(binding, q) for q in queries.tolist()])
+        else:
+            rows = np.empty((0, self.reference_count))
+        rows.setflags(write=False)
+        return rows
+
+    def similarity(self, query_index: int, technique_id: str) -> SimilarityVector:
+        """One query's row of ``similarity_rows``."""
+        return SimilarityVector(
+            technique_id, self.similarity_rows(technique_id, [query_index])[0]
         )
-        query = compute_descriptor(image, binding.builtin)
-        sim = SimilarityVector(
-            technique_id, similarity_vector(query, refs).scores
-        )
-        self._query_image_cache[key] = sim
-        return sim
 
     def _sfdesc_block(self, binding: TechniqueBinding) -> np.ndarray:
         tid = binding.technique_id
         base = self.manifest.base_dir
-        refs = load_descriptor_set(base / binding.references_path, tid)
+        refs, ref_norms = self._reference_rows(base / binding.references_path)
         queries = load_descriptor_set(base / binding.queries_path, tid)
         # the files may have been replaced since their headers were checked
-        self._check_shapes(tid, queries.matrix.shape, refs.matrix.shape)
-        block = similarity_block(queries.matrix, refs.matrix)
+        self._check_shapes(tid, queries.matrix.shape, refs.shape)
+        block = similarity_block(queries.matrix, refs, ref_norms=ref_norms)
         block.setflags(write=False)
         self._blocks[tid] = block
         return block
+
+    def _reference_rows(self, path: Path) -> tuple[np.ndarray, np.ndarray]:
+        """A reference file's matrix and row norms, read once per runtime."""
+        cached = self._references.get(path)
+        if cached is None:
+            matrix = load_descriptor_set(path).matrix
+            cached = self._references[path] = (
+                matrix,
+                np.linalg.norm(matrix, axis=1),
+            )
+        return cached
+
+    def _builtin_row(self, binding: TechniqueBinding, query_index: int) -> np.ndarray:
+        key = (query_index, binding.technique_id)
+        row = self._builtin_rows.get(key)
+        if row is None:
+            refs = self._builtin_ref_set(binding)
+            image = load_pgm(
+                self.manifest.base_dir / self.manifest.query_images[query_index]
+            )
+            query = compute_descriptor(image, binding.builtin)
+            row = similarity_vector(query, refs).scores
+            self._builtin_rows[key] = row
+        return row
 
     def _builtin_ref_set(self, binding: TechniqueBinding) -> DescriptorSet:
         tid = binding.technique_id

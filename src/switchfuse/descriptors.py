@@ -283,11 +283,13 @@ def similarity_vector(query: DescriptorVector, refs: DescriptorSet) -> Similarit
     return SimilarityVector(refs.technique_id, scores)
 
 
-def similarity_block(queries, refs) -> np.ndarray:
+def similarity_block(queries, refs, ref_norms=None) -> np.ndarray:
     """Cosine similarity of every query row against every reference row.
 
     Returns the Q x R block from one matrix product; an entry whose query or
     reference row has zero norm is 0, as in ``similarity_vector``.
+    ``ref_norms`` are the reference row norms when the caller keeps them
+    across blocks.
     """
     queries = np.asarray(queries, dtype=np.float64)
     refs = np.asarray(refs, dtype=np.float64)
@@ -297,7 +299,7 @@ def similarity_block(queries, refs) -> np.ndarray:
             f"{refs.shape}"
         )
     qn = np.linalg.norm(queries, axis=1)
-    rn = np.linalg.norm(refs, axis=1)
+    rn = np.linalg.norm(refs, axis=1) if ref_norms is None else ref_norms
     dots = queries @ refs.T
     norms = qn[:, None] * rn[None, :]
     return np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0.0)

@@ -2,26 +2,24 @@
 
 ``run_method`` drives four method families over a dataset runtime: the full
 switch-then-fuse pipeline, a pooled switch-only baseline, fuse-everything,
-and single-technique matching.
+and single-technique matching.  Every family handles all queries at once,
+reading whole blocks of similarity rows from the runtime.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .calibration import CalibrationStore
-from .descriptors import raw_match_score
 from .errors import InvalidInputError
-from .fusion import FusionParams, best_match, fuse, normalize
+from .fusion import FusionParams, best_matches, normalize_rows
 from .switching import (
-    SelectedTechniques,
-    SimilarityCache,
+    SwitchingTables,
     TripartiteConfig,
-    UnitConfig,
-    run_tripartite,
-    select_technique,
+    UnitDecision,
+    select_block,
 )
 
 
@@ -74,7 +72,7 @@ class QueryOutcome:
     predicted: int
     confidence: float
     correct: bool
-    decisions: SelectedTechniques | None = None
+    decisions: tuple[UnitDecision, ...] | None = None  # switch-fuse, unit order
 
 
 @dataclass(frozen=True)
@@ -172,29 +170,54 @@ def with_pr_points(report: EvaluationReport) -> EvaluationReport:
     )
 
 
-def _switch_fuse_outcome(query, runtime, config, store, params):
-    selected = run_tripartite(
-        config, lambda tid: runtime.similarity(query, tid), store
-    )
-    normalized = [
-        normalize(selected.similarity_cache[tid], params)
-        for tid in selected.selected_ids()
-    ]
-    idx, conf = best_match(fuse(normalized, params))
-    return idx, conf, selected
+def _unit_decisions(unit, block) -> list[UnitDecision]:
+    """Per-query decisions of one unit.  Posteriors come from per-bin
+    tables, so decisions repeat; equal ones share one immutable object."""
+    made: dict[tuple, UnitDecision] = {}
+    out = []
+    for key in zip(
+        block.selected.tolist(), block.posterior.tolist(), block.fallback.tolist()
+    ):
+        decision = made.get(key)
+        if decision is None:
+            t, posterior, fallback = key
+            decision = made[key] = UnitDecision(
+                unit.label, unit.techniques[t], posterior, fallback
+            )
+        out.append(decision)
+    return out
 
 
-@dataclass(frozen=True)
-class _PooledUnit:
-    # SwitchHit-style pool: union of all unit techniques, first unit's
-    # primary leading, otherwise first-appearance order; exempt from the
-    # per-unit size cap that applies to configured units
-    label: str
-    techniques: tuple[str, ...]
+def _picked_rows(runtime, pool, choice):
+    """(queries, their similarity rows) for each technique of ``pool``
+    that some query picked; ``choice`` holds each query's index into it."""
+    for i, tid in enumerate(pool):
+        queries = np.flatnonzero(choice == i)
+        if len(queries):
+            yield queries, runtime.similarity_rows(tid, queries)
 
 
-def _pooled_unit(config: TripartiteConfig) -> _PooledUnit:
-    return _PooledUnit(label="pooled", techniques=tuple(config.all_techniques()))
+def _best_raw(runtime, pool, choice):
+    """Each query's best reference and score under its picked technique."""
+    predicted = np.empty(len(choice), dtype=np.int64)
+    confidence = np.empty(len(choice))
+    for queries, rows in _picked_rows(runtime, pool, choice):
+        predicted[queries], confidence[queries] = best_matches(rows, 1)
+    return predicted, confidence
+
+
+def _best_fused(runtime, picks, params: FusionParams):
+    """Min-max normalise and sum each query's picked similarity rows, one
+    contributor at a time in order, then take the best reference.
+
+    ``picks`` holds one (technique pool, per-query index into it) pair per
+    contributor; only one technique's rows are held normalised at a time.
+    """
+    total = np.zeros((runtime.query_count, runtime.reference_count))
+    for pool, choice in picks:
+        for queries, rows in _picked_rows(runtime, pool, choice):
+            total[queries] += normalize_rows(rows, params)
+    return best_matches(total, len(picks))
 
 
 def run_method(
@@ -208,49 +231,59 @@ def run_method(
     """Evaluate one method family over every query of a dataset runtime.
 
     ``method`` is ``switch-fuse``, ``switch-only``, ``fuse-all`` or
-    ``single:<technique_id>``.  The runtime provides ``query_count`` and
-    ``similarity(query_index, technique_id)``.
+    ``single:<technique_id>``.  The runtime provides ``query_count``,
+    ``reference_count`` and ``similarity_rows(technique_id, queries)``.
+    Switch-only runs one unit pooling every configured technique, first
+    unit's primary leading, exempt from the eight-technique unit cap.
     """
-    outcomes = []
+    n = runtime.query_count
+    everyone = np.zeros(n, dtype=np.int64)  # every query picks pool entry 0
+    decisions = [None] * n
+    if method in ("switch-fuse", "switch-only"):
+        if store is None:
+            raise InvalidInputError(f"{method} requires a calibration store")
+        tables = SwitchingTables(store)
+
+        def match_scores(tid, queries):
+            return runtime.similarity_rows(tid, queries).max(axis=1)
+
+        pools = (
+            [unit.techniques for unit in config.units]
+            if method == "switch-fuse"
+            else [tuple(config.all_techniques())]
+        )
+        blocks = [
+            select_block(pool, match_scores, tables, config.posterior_threshold, n)
+            for pool in pools
+        ]
     if method == "switch-fuse":
-        if store is None:
-            raise InvalidInputError("switch-fuse requires a calibration store")
-        for q in range(runtime.query_count):
-            idx, conf, selected = _switch_fuse_outcome(
-                q, runtime, config, store, params
-            )
-            outcomes.append(QueryOutcome(q, idx, conf, False, selected))
+        predicted, confidence = _best_fused(
+            runtime, [(b.techniques, b.selected) for b in blocks], params
+        )
+        decisions = list(
+            zip(*(_unit_decisions(u, b) for u, b in zip(config.units, blocks)))
+        )
     elif method == "switch-only":
-        if store is None:
-            raise InvalidInputError("switch-only requires a calibration store")
-        pool = _pooled_unit(config)
-        for q in range(runtime.query_count):
-            cache = SimilarityCache(lambda tid, q=q: runtime.similarity(q, tid))
-            decision = select_technique(
-                pool,
-                lambda tid: raw_match_score(cache.get(tid)),
-                store,
-                config.posterior_threshold,
-            )
-            ms = raw_match_score(cache.get(decision.selected_technique))
-            outcomes.append(QueryOutcome(q, ms.best_index, ms.value, False))
+        predicted, confidence = _best_raw(
+            runtime, blocks[0].techniques, blocks[0].selected
+        )
     elif method == "fuse-all":
-        techniques = config.all_techniques()
-        for q in range(runtime.query_count):
-            normalized = [
-                normalize(runtime.similarity(q, tid), params) for tid in techniques
-            ]
-            idx, conf = best_match(fuse(normalized, params))
-            outcomes.append(QueryOutcome(q, idx, conf, False))
+        predicted, confidence = _best_fused(
+            runtime, [((tid,), everyone) for tid in config.all_techniques()], params
+        )
     elif method.startswith("single:"):
         tid = method.split(":", 1)[1]
         if tid not in config.all_techniques():
             raise InvalidInputError(f"technique {tid!r} not in configuration")
-        for q in range(runtime.query_count):
-            ms = raw_match_score(runtime.similarity(q, tid))
-            outcomes.append(QueryOutcome(q, ms.best_index, ms.value, False))
+        predicted, confidence = _best_raw(runtime, (tid,), everyone)
     else:
         raise InvalidInputError(f"unknown method {method!r}")
+    outcomes = [
+        QueryOutcome(q, p, c, False, d)
+        for q, (p, c, d) in enumerate(
+            zip(predicted.tolist(), confidence.tolist(), decisions)
+        )
+    ]
     report = score_predictions(outcomes, ground_truth, method=method)
     return with_pr_points(report)
 

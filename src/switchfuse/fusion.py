@@ -1,4 +1,9 @@
-"""Min-max normalization of similarity vectors and summation fusion."""
+"""Min-max normalization of similarity vectors and summation fusion.
+
+``normalize_rows`` and ``best_matches`` work on blocks of rows, one query
+per row; ``normalize``, ``fuse`` and ``best_match`` are their per-query
+forms, kept as the oracle the block forms are tested against.
+"""
 
 from __future__ import annotations
 
@@ -72,3 +77,21 @@ def best_match(fused: FusedVector) -> tuple[int, float]:
     idx = int(np.argmax(fused.values))
     confidence = float(fused.values[idx]) / len(fused.contributing)
     return idx, confidence
+
+
+def normalize_rows(rows: np.ndarray, params: FusionParams = FusionParams()) -> np.ndarray:
+    """``normalize`` applied to every row of a 2-D block, bit for bit; a
+    constant row maps to all zeros."""
+    lo = rows.min(axis=1, keepdims=True)
+    span = rows.max(axis=1, keepdims=True) - lo
+    constant = span == 0.0
+    values = (rows - lo) / np.where(constant, 1.0, span) - params.epsilon
+    values[constant[:, 0]] = 0.0
+    return values
+
+
+def best_matches(fused: np.ndarray, contributors: int) -> tuple[np.ndarray, np.ndarray]:
+    """``best_match`` of every row of a fused block: the argmax (lowest index
+    on ties) and its value divided by the contributor count."""
+    idx = fused.argmax(axis=1)
+    return idx, fused[np.arange(len(fused)), idx] / contributors

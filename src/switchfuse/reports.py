@@ -52,13 +52,9 @@ def write_predictions(outcomes, path, timestamp: bool = True) -> None:
     rows = []
     for o in outcomes:
         if o.decisions is not None:
-            selected = "|".join(o.decisions.selected_ids())
-            posteriors = "|".join(
-                f"{d.selected_posterior:.9f}" for d in o.decisions.decisions
-            )
-            fallbacks = "|".join(
-                "1" if d.fallback_used else "0" for d in o.decisions.decisions
-            )
+            selected = "|".join(d.selected_technique for d in o.decisions)
+            posteriors = "|".join(f"{d.selected_posterior:.9f}" for d in o.decisions)
+            fallbacks = "|".join("1" if d.fallback_used else "0" for d in o.decisions)
         else:
             selected = posteriors = fallbacks = ""
         rows.append(
@@ -81,15 +77,20 @@ def read_predictions(path) -> list[QueryOutcome]:
     if header != expected:
         raise FormatError(f"{path}: unexpected predictions header {header}")
     out = []
-    for row in rows:
-        out.append(
-            QueryOutcome(
-                query_index=int(row[0]),
-                predicted=int(row[1]),
-                confidence=float(row[2]),
-                correct=False,
+    for number, row in enumerate(rows, start=1):
+        try:
+            if len(row) != len(expected):
+                raise ValueError(f"{len(row)} fields, expected {len(expected)}")
+            out.append(
+                QueryOutcome(
+                    query_index=int(row[0]),
+                    predicted=int(row[1]),
+                    confidence=float(row[2]),
+                    correct=False,
+                )
             )
-        )
+        except ValueError as exc:
+            raise FormatError(f"{path}: predictions row {number}: {exc}") from exc
     return out
 
 

@@ -21,8 +21,10 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.stats import multivariate_normal, norm
 
+from .calibration import collect_run
+from .datasets import query_positions, save_ground_truth_file
 from .descriptors import DescriptorSet, SimilarityVector, save_descriptor_set
-from .errors import InvalidInputError, InvalidSpecError
+from .errors import InvalidInputError, InvalidSpecError, UnknownTechniqueError
 from .evaluation import GroundTruth
 from .pgm import save_pgm
 
@@ -56,11 +58,6 @@ class SyntheticDataset:
     sims: dict[str, np.ndarray]  # (query_count, reference_count) per technique
     true_refs: np.ndarray  # int, per query
     seed: int
-
-    def similarity(self, query_index: int, technique_id: str) -> SimilarityVector:
-        return SimilarityVector(
-            technique_id, self.sims[technique_id][query_index]
-        )
 
     def ground_truth(self) -> GroundTruth:
         return GroundTruth.from_sets(
@@ -215,8 +212,23 @@ class SubsetRuntime:
     def reference_count(self) -> int:
         return self.dataset.reference_count
 
+    def similarity_rows(self, technique_id: str, query_indices) -> np.ndarray:
+        """Read-only block of the listed subset queries' similarity rows."""
+        sims = self.dataset.sims.get(technique_id)
+        if sims is None:
+            raise UnknownTechniqueError(f"technique {technique_id!r} not in dataset")
+        positions = query_positions(query_indices, self.query_count)
+        rows = sims[self.indices[positions]]
+        if not np.all(np.isfinite(rows)):
+            raise InvalidInputError("similarity scores must be finite")
+        rows.setflags(write=False)
+        return rows
+
     def similarity(self, query_index: int, technique_id: str) -> SimilarityVector:
-        return self.dataset.similarity(int(self.indices[query_index]), technique_id)
+        """One query's row of ``similarity_rows``."""
+        return SimilarityVector(
+            technique_id, self.similarity_rows(technique_id, [query_index])[0]
+        )
 
     def ground_truth(self) -> GroundTruth:
         return GroundTruth.from_sets(
@@ -229,14 +241,7 @@ def calibration_run(
     dataset: SyntheticDataset, query_indices
 ) -> dict[str, list[tuple[float, bool]]]:
     """Per-technique (match score, correct) observations over a query subset."""
-    run: dict[str, list[tuple[float, bool]]] = {tid: [] for tid in dataset.technique_ids}
-    for q in np.asarray(query_indices, dtype=np.int64):
-        truth = int(dataset.true_refs[q])
-        for tid in dataset.technique_ids:
-            row = dataset.sims[tid][q]
-            best = int(np.argmax(row))
-            run[tid].append((float(row[best]), best == truth))
-    return run
+    return collect_run(SubsetRuntime(dataset, query_indices), dataset.technique_ids)
 
 
 def export_dataset(
@@ -291,8 +296,6 @@ def export_dataset(
     gt = GroundTruth.from_sets(
         [{int(dataset.true_refs[i])} for i in indices], refs
     )
-    from .datasets import save_ground_truth_file
-
     save_ground_truth_file(gt, out_dir / gt_file)
 
     manifest = {

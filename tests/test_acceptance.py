@@ -30,7 +30,6 @@ from switchfuse.calibration import (
     LikelihoodHistogram,
     TechniqueCalibration,
     build_store,
-    likelihood,
 )
 from switchfuse.cli import main as cli_main
 from switchfuse.descriptors import MatchScore
@@ -91,8 +90,8 @@ def test_criterion_1_bayes_oracle_equivalence():
             score = float(rng.uniform(-1.5, 1.5))
             fast = posterior_match(
                 prior,
-                likelihood(hist, score, MATCH),
-                likelihood(hist, score, MISMATCH),
+                hist.mass(score, MATCH),
+                hist.mass(score, MISMATCH),
             )
             slow = brute_force_posterior(prior, hist, score)
             assert abs(fast - slow) <= 1e-9

@@ -11,7 +11,6 @@ from switchfuse import (
     build_store,
     calibrate_pair,
     calibrate_technique,
-    likelihood,
     load_store,
     save_store,
 )
@@ -59,9 +58,9 @@ def test_laplace_smoothing_hand_value():
     # 0.1 mismatched x5, 0.9 matched x5, 2 bins, alpha 1
     samples = [(0.1, False)] * 5 + [(0.9, True)] * 5
     calib = calibrate_technique(samples, "t", bins=2, alpha=1.0)
-    hi_bin_mass = likelihood(calib.histogram, 0.9, MATCH)
+    hi_bin_mass = calib.histogram.mass(0.9, MATCH)
     assert hi_bin_mass == pytest.approx(6.0 / 7.0)
-    assert likelihood(calib.histogram, 0.1, MATCH) == pytest.approx(1.0 / 7.0)
+    assert calib.histogram.mass(0.1, MATCH) == pytest.approx(1.0 / 7.0)
 
 
 def test_too_few_samples():
@@ -93,14 +92,14 @@ def test_pair_hand_values():
     # 0.2 with candidate mismatched x4, 0.8 with candidate matched x4
     samples = [(0.2, False)] * 4 + [(0.8, True)] * 4
     pair = calibrate_pair(samples, "a", "b", bins=2, alpha=1.0, min_samples=8)
-    assert likelihood(pair.histogram, 0.8, MATCH) == pytest.approx(5.0 / 6.0)
-    assert likelihood(pair.histogram, 0.8, MISMATCH) == pytest.approx(1.0 / 6.0)
+    assert pair.histogram.mass(0.8, MATCH) == pytest.approx(5.0 / 6.0)
+    assert pair.histogram.mass(0.8, MISMATCH) == pytest.approx(1.0 / 6.0)
 
 
 def test_likelihood_uniform_when_empty():
     hist = uniform_hist(bins=20)
     for score in (-5.0, 0.0, 0.33, 2.0):
-        assert likelihood(hist, score, MATCH) == pytest.approx(1.0 / 20.0)
+        assert hist.mass(score, MATCH) == pytest.approx(1.0 / 20.0)
 
 
 def test_likelihood_edge_clamping():
@@ -111,8 +110,8 @@ def test_likelihood_edge_clamping():
         counts_matched=np.array([3, 1]),
         counts_mismatched=np.zeros(2, dtype=np.int64),
     )
-    assert likelihood(hist, -10.0, MATCH) == likelihood(hist, 0.0, MATCH)
-    assert likelihood(hist, 10.0, MATCH) == likelihood(hist, 1.0, MATCH)
+    assert hist.mass(-10.0, MATCH) == hist.mass(0.0, MATCH)
+    assert hist.mass(10.0, MATCH) == hist.mass(1.0, MATCH)
 
 
 def test_likelihood_hand_value():
@@ -123,13 +122,13 @@ def test_likelihood_hand_value():
         counts_matched=np.array([3, 1]),
         counts_mismatched=np.zeros(2, dtype=np.int64),
     )
-    assert likelihood(hist, 0.25, MATCH) == pytest.approx(4.0 / 6.0)
+    assert hist.mass(0.25, MATCH) == pytest.approx(4.0 / 6.0)
 
 
 def test_likelihood_non_finite_rejected():
     hist = uniform_hist()
     with pytest.raises(InvalidInputError):
-        likelihood(hist, float("nan"), MATCH)
+        hist.mass(float("nan"), MATCH)
 
 
 @given(samples_strategy)
@@ -143,8 +142,8 @@ def test_masses_sum_to_one(samples):
 def test_likelihood_strictly_positive(samples):
     calib = calibrate_technique(samples, "t")
     for score in (-10.0, 0.0, 0.5, 10.0):
-        assert likelihood(calib.histogram, score, MATCH) > 0.0
-        assert likelihood(calib.histogram, score, MISMATCH) > 0.0
+        assert calib.histogram.mass(score, MATCH) > 0.0
+        assert calib.histogram.mass(score, MISMATCH) > 0.0
 
 
 @given(samples_strategy, st.randoms(use_true_random=False))

@@ -4,9 +4,11 @@ import struct
 import numpy as np
 import pytest
 
+from switchfuse.calibration import build_store, collect_run, save_store
 from switchfuse.cli import main
-from switchfuse.datasets import load_config, load_manifest
-from switchfuse.errors import InvalidInputError
+from switchfuse.datasets import DatasetRuntime, load_config, load_manifest
+from switchfuse.errors import InvalidInputError, UndefinedEvidenceError
+from switchfuse.switching import run_tripartite
 
 
 def write_spec(path, ids_rates, query_count=80, reference_count=30):
@@ -275,3 +277,70 @@ def test_non_finite_query_payload_fails_run(pipeline_dir, capsys):
     assert rc == 1
     assert capsys.readouterr().err.startswith("SF-DATA")
     assert not (d / "p.csv").exists()
+
+
+@pytest.mark.parametrize("alpha", ["0", "-0.5", "nan"])
+def test_calibrate_rejects_nonpositive_alpha(tmp_path, capsys, alpha):
+    # the manifest does not exist: the check comes before any data is read
+    config = tmp_path / "config.json"
+    write_config(config, [["a"]])
+    rc = run_cli(
+        "calibrate",
+        "--manifest", tmp_path / "missing.json",
+        "--config", config,
+        "--out", tmp_path / "s.sfcal",
+        "--alpha", alpha,
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("SF-INPUT")
+    assert not (tmp_path / "s.sfcal").exists()
+
+
+def test_unsmoothed_store_fails_run_on_an_empty_bin(pipeline_dir, capsys):
+    d = pipeline_dir
+    _synth_and_calibrate(d)
+    config = load_config(d / "config.json")
+    techniques = config.all_techniques()
+    calib = DatasetRuntime(load_manifest(d / "data" / "calib_manifest.json"))
+    store = build_store(collect_run(calib, techniques), techniques, alpha=0.0)
+    save_store(store, d / "alpha0.sfcal")
+    runtime = DatasetRuntime(load_manifest(d / "data" / "eval_manifest.json"))
+    failing = set()
+    for q in range(runtime.query_count):
+        try:
+            run_tripartite(config, lambda tid, q=q: runtime.similarity(q, tid), store)
+        except UndefinedEvidenceError:
+            failing.add(q)
+    assert failing
+    capsys.readouterr()
+    rc = run_cli(
+        "run",
+        "--manifest", d / "data" / "eval_manifest.json",
+        "--config", d / "config.json",
+        "--store", d / "alpha0.sfcal",
+        "--out", d / "p.csv",
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("SF-EVIDENCE: query ")
+    assert int(err.split()[2].rstrip(":")) in failing
+    assert not (d / "p.csv").exists()
+
+
+def test_short_predictions_row_reports_format_error(pipeline_dir, capsys):
+    d = pipeline_dir
+    run_cli("synth", "--spec", d / "spec.json", "--seed", 5, "--out", d / "data")
+    preds = d / "preds.csv"
+    preds.write_text(
+        "query,predicted,confidence,selected,posteriors,fallbacks\n0,1\n"
+    )
+    capsys.readouterr()
+    rc = run_cli(
+        "evaluate",
+        "--predictions", preds,
+        "--manifest", d / "data" / "eval_manifest.json",
+        "--out", d / "report",
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("SF-FORMAT") and str(preds) in err and "row 1" in err

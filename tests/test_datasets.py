@@ -1,12 +1,16 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from switchfuse import datasets
-from switchfuse.calibration import build_store
-from switchfuse.datasets import DatasetRuntime, load_manifest
+from switchfuse.calibration import build_store, collect_run, save_store
+from switchfuse.cli import main as cli_main
+from switchfuse.datasets import DatasetRuntime, load_manifest, save_config
 from switchfuse.errors import FormatError, InvalidInputError
 from switchfuse.evaluation import run_method
-from switchfuse.switching import TripartiteConfig, UnitConfig
+from switchfuse.switching import TripartiteConfig, UnitConfig, run_tripartite
 from switchfuse.synthetic import (
     TechniqueProfile,
     calibration_run,
@@ -69,9 +73,9 @@ def test_block_kernel_runs_once_per_technique_across_methods(
     calls = []
     kernel = datasets.similarity_block
 
-    def counted(queries, refs):
+    def counted(*args, **kwargs):
         calls.append(1)
-        return kernel(queries, refs)
+        return kernel(*args, **kwargs)
 
     monkeypatch.setattr(datasets, "similarity_block", counted)
     manifest_path, store = score_dataset
@@ -94,3 +98,76 @@ def test_truncated_sfdesc_fails_at_construction(score_dataset):
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(FormatError):
         DatasetRuntime(manifest)
+
+
+def test_each_descriptor_file_is_read_once(score_dataset, monkeypatch):
+    # every technique binds the same reference file
+    reads = []
+    load = datasets.load_descriptor_set
+
+    def counted(path, *args, **kwargs):
+        reads.append(Path(path).name)
+        return load(path, *args, **kwargs)
+
+    monkeypatch.setattr(datasets, "load_descriptor_set", counted)
+    manifest_path, store = score_dataset
+    runtime = DatasetRuntime(load_manifest(manifest_path))
+    config = TripartiteConfig(units=(UnitConfig("u0", TECHNIQUES),))
+    for method in ["switch-fuse", "fuse-all"] + [f"single:{t}" for t in TECHNIQUES]:
+        run_method(method, runtime, config, store, runtime.ground_truth())
+    assert sorted(reads) == sorted(
+        ["eval_refs.sfdesc"] + [f"eval_queries_{t}.sfdesc" for t in TECHNIQUES]
+    )
+
+
+def test_builtin_extraction_stays_lazy(tmp_path, monkeypatch):
+    """``run`` computes a built-in descriptor only for the references of a
+    technique some query visits and for each visited (query, technique)."""
+    splits = {}
+    for split, seed in (("calib", 5), ("eval", 6)):
+        refs, queries = generate_image_dataset(12, seed=seed, size=32)
+        splits[split] = export_image_dataset(refs, queries, tmp_path / split, split)
+    config = TripartiteConfig(
+        units=(UnitConfig("u0", ("intensity_hist", "tiny_patch", "hog")),)
+    )
+    techniques = config.all_techniques()
+    calib = DatasetRuntime(load_manifest(splits["calib"]))
+    store = build_store(collect_run(calib, techniques), techniques)
+    save_store(store, tmp_path / "store.sfcal")
+    save_config(config, tmp_path / "config.json")
+
+    oracle = DatasetRuntime(load_manifest(splits["eval"]))
+    visited = set()
+    for q in range(oracle.query_count):
+        run_tripartite(
+            config, lambda tid, q=q: visited.add((q, tid)) or oracle.similarity(q, tid), store
+        )
+    used = {tid for _, tid in visited}
+    expected = len(visited) + oracle.reference_count * len(used)
+    assert expected < len(techniques) * (oracle.query_count + oracle.reference_count)
+
+    calls = []
+    compute = datasets.compute_descriptor
+
+    def counted(image, technique):
+        calls.append(technique)
+        return compute(image, technique)
+
+    monkeypatch.setattr(datasets, "compute_descriptor", counted)
+    argv = [
+        "run", "--manifest", splits["eval"], "--config", tmp_path / "config.json",
+        "--store", tmp_path / "store.sfcal", "--out", tmp_path / "p.csv",
+    ]
+    assert cli_main([str(a) for a in argv]) == 0
+    assert len(calls) == expected
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"reference_count": 3}, {"accepted": 5}, {"accepted": [1, 2]}, [[0]]],
+)
+def test_ground_truth_file_needs_accepted_lists(tmp_path, doc):
+    path = tmp_path / "gt.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError, match="gt.json"):
+        datasets.load_ground_truth_file(path, 3)

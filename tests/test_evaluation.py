@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -14,7 +16,10 @@ from switchfuse import (
     score_predictions,
 )
 from switchfuse.calibration import build_store
+from switchfuse.descriptors import raw_match_score
 from switchfuse.errors import InvalidInputError
+from switchfuse.fusion import best_match, fuse, normalize
+from switchfuse.switching import run_tripartite, select_technique
 from switchfuse.synthetic import (
     SubsetRuntime,
     TechniqueProfile,
@@ -170,7 +175,7 @@ class TestRunMethod:
         gt = runtime.ground_truth()
         rep = run_method("single:b", runtime, config, None, gt)
         for o in rep.outcomes:
-            row = runtime.similarity(o.query_index, "b").scores
+            row = runtime.similarity_rows("b", [o.query_index])[0]
             assert o.predicted == int(np.argmax(row))
 
     def test_unknown_method(self):
@@ -201,6 +206,79 @@ class TestRunMethod:
         config = TripartiteConfig(units=(UnitConfig("u", ("a",)),))
         with pytest.raises(InvalidInputError):
             run_method("switch-fuse", runtime, config, None, runtime.ground_truth())
+
+
+def scalar_outcome(method, runtime, config, store, q):
+    """One query through the per-query oracle functions: (predicted,
+    confidence, per-unit (technique, posterior, fallback) or None)."""
+
+    def sim(tid):
+        return runtime.similarity(q, tid)
+
+    if method == "switch-fuse":
+        selected = run_tripartite(config, sim, store)
+        fused = fuse(
+            normalize(selected.similarity_cache[tid])
+            for tid in selected.selected_ids()
+        )
+        idx, conf = best_match(fused)
+        units = [
+            (d.selected_technique, d.selected_posterior, d.fallback_used)
+            for d in selected.decisions
+        ]
+        return idx, conf, units
+    if method == "switch-only":
+        pool = SimpleNamespace(
+            label="pooled", techniques=tuple(config.all_techniques())
+        )
+        decision = select_technique(
+            pool,
+            lambda tid: raw_match_score(sim(tid)),
+            store,
+            config.posterior_threshold,
+        )
+        ms = raw_match_score(sim(decision.selected_technique))
+        return ms.best_index, ms.value, None
+    if method == "fuse-all":
+        fused = fuse(normalize(sim(tid)) for tid in config.all_techniques())
+        return (*best_match(fused), None)
+    ms = raw_match_score(sim(method.split(":", 1)[1]))
+    return ms.best_index, ms.value, None
+
+
+@pytest.mark.parametrize("threshold", [0.5, 0.75])
+def test_every_method_matches_scalar_oracle(threshold):
+    ds, store, runtime = small_synthetic()
+    config = TripartiteConfig(
+        units=(
+            UnitConfig("u0", ("a", "b")),
+            UnitConfig("u1", ("c", "d", "a")),
+            UnitConfig("u2", ("b",)),
+        ),
+        posterior_threshold=threshold,
+    )
+    gt = runtime.ground_truth()
+    methods = ["switch-fuse", "switch-only", "fuse-all"] + [
+        f"single:{t}" for t in "abcd"
+    ]
+    fallbacks = 0
+    for method in methods:
+        report = run_method(method, runtime, config, store, gt)
+        for o in report.outcomes:
+            idx, conf, units = scalar_outcome(
+                method, runtime, config, store, o.query_index
+            )
+            assert (o.predicted, o.confidence) == (idx, conf), method
+            if units is None:
+                assert o.decisions is None
+                continue
+            got = [
+                (d.selected_technique, d.selected_posterior, d.fallback_used)
+                for d in o.decisions
+            ]
+            assert got == units
+            fallbacks += sum(f for _, _, f in units)
+    assert fallbacks > 0
 
 
 def test_compare_deltas():

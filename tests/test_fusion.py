@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from switchfuse import (
+    FusedVector,
     FusionParams,
     SimilarityVector,
     best_match,
@@ -12,6 +13,7 @@ from switchfuse import (
     normalize,
 )
 from switchfuse.errors import InvalidInputError
+from switchfuse.fusion import best_matches, normalize_rows
 
 score_vec = arrays(
     np.float64,
@@ -164,3 +166,18 @@ def test_single_fusion_matches_raw_argmax(scores):
     fused_idx, _ = best_match(fuse([normalize(sim)]))
     if scores.max() > scores.min():
         assert fused_idx == raw_match_score(sim).best_index
+
+
+def test_block_forms_match_scalar_oracle():
+    rng = np.random.default_rng(41)
+    rows = rng.uniform(-1, 1, size=(40, 12))
+    rows[:5] = 0.25  # constant rows map to zeros
+    rows[5:10, 3] = rows[5:10, 7] = 2.0  # tied maxima
+    rows[10:15] = np.round(rows[10:15], 1)
+    block = normalize_rows(rows)
+    for row, got in zip(rows, block):
+        assert np.array_equal(got, normalize(SimilarityVector("t", row)).values)
+    fused = block + normalize_rows(rows[::-1])
+    idx, conf = best_matches(fused, 2)
+    for q, row in enumerate(fused):
+        assert (idx[q], conf[q]) == best_match(FusedVector(row, ("s", "t")))
