@@ -16,13 +16,11 @@ import numpy as np
 
 from .descriptors import (
     BUILTIN_DIMS,
-    DescriptorSet,
     SimilarityVector,
     compute_descriptor,
     load_descriptor_set,
     read_descriptor_header,
     similarity_block,
-    similarity_vector,
 )
 from .errors import FormatError, InvalidInputError, UnknownTechniqueError
 from .evaluation import GroundTruth
@@ -191,23 +189,32 @@ def query_positions(query_indices, query_count: int) -> np.ndarray:
     return idx
 
 
+# most built-in query descriptors extracted and scored as one block
+_SCORE_CHUNK = 64
+
+
 class DatasetRuntime:
     """Serves similarity rows for (technique, queries) of a manifest.
 
     SFDESC1 headers are checked on construction.  A technique's query
     payload is read on its first similarity request, which computes its
     whole query x reference block; only the block is kept and later requests
-    return its rows.  A reference file is read, and its row norms computed,
-    once per runtime however many techniques bind it.  Built-in query
-    descriptors are computed lazily per (query, technique) and cached.
+    return its rows.  Reference descriptors and their row norms are built
+    once per runtime: a reference file is read once however many techniques
+    bind it, and a built-in descriptor is extracted from the reference
+    images on its technique's first request.  Built-in query descriptors are
+    extracted lazily, only for the (query, technique) pairs requested; each
+    request scores its not yet scored queries in blocks of at most
+    ``_SCORE_CHUNK`` rows.  Images are decoded afresh for every descriptor,
+    never kept.
     """
 
     def __init__(self, manifest: DatasetManifest):
         self.manifest = manifest
         self._blocks: dict[str, np.ndarray] = {}
-        self._references: dict[Path, tuple[np.ndarray, np.ndarray]] = {}
-        self._ref_sets: dict[str, DescriptorSet] = {}
-        self._builtin_rows: dict[tuple[int, str], np.ndarray] = {}
+        self._scored: dict[str, np.ndarray] = {}  # built-in: rows filled in
+        # reference file path or built-in name -> (matrix, row norms)
+        self._references: dict[object, tuple[np.ndarray, np.ndarray]] = {}
         for tid, binding in manifest.bindings.items():
             if binding.kind == "sfdesc":
                 self._check_shapes(
@@ -260,11 +267,9 @@ class DatasetRuntime:
             block = self._blocks.get(technique_id)
             if block is None:
                 block = self._sfdesc_block(binding)
-            rows = block[queries]
-        elif len(queries):
-            rows = np.stack([self._builtin_row(binding, q) for q in queries.tolist()])
         else:
-            rows = np.empty((0, self.reference_count))
+            block = self._builtin_block(binding, queries)
+        rows = block[queries]
         rows.setflags(write=False)
         return rows
 
@@ -276,9 +281,13 @@ class DatasetRuntime:
 
     def _sfdesc_block(self, binding: TechniqueBinding) -> np.ndarray:
         tid = binding.technique_id
-        base = self.manifest.base_dir
-        refs, ref_norms = self._reference_rows(base / binding.references_path)
-        queries = load_descriptor_set(base / binding.queries_path, tid)
+        path = self.manifest.base_dir / binding.references_path
+        refs, ref_norms = self._reference_rows(
+            path, lambda: load_descriptor_set(path).matrix
+        )
+        queries = load_descriptor_set(
+            self.manifest.base_dir / binding.queries_path, tid
+        )
         # the files may have been replaced since their headers were checked
         self._check_shapes(tid, queries.matrix.shape, refs.shape)
         block = similarity_block(queries.matrix, refs, ref_norms=ref_norms)
@@ -286,43 +295,55 @@ class DatasetRuntime:
         self._blocks[tid] = block
         return block
 
-    def _reference_rows(self, path: Path) -> tuple[np.ndarray, np.ndarray]:
-        """A reference file's matrix and row norms, read once per runtime."""
-        cached = self._references.get(path)
+    def _builtin_block(self, binding: TechniqueBinding, queries) -> np.ndarray:
+        """A built-in technique's query x reference block with the rows of
+        ``queries`` scored; rows of other queries may be unset."""
+        tid = binding.technique_id
+        block = self._blocks.get(tid)
+        if block is None:
+            block = self._blocks[tid] = np.empty(
+                (self.query_count, self.reference_count)
+            )
+            self._scored[tid] = np.zeros(self.query_count, dtype=bool)
+        scored = self._scored[tid]
+        todo = np.unique(queries[~scored[queries]])
+        if len(todo):
+            refs, ref_norms = self._reference_rows(
+                binding.builtin,
+                lambda: self._builtin_descriptors(
+                    binding.builtin, self.manifest.reference_images
+                ),
+            )
+            # equal chunks bound the memory the descriptors take at once
+            for chunk in np.array_split(todo, -(-len(todo) // _SCORE_CHUNK)):
+                descriptors = self._builtin_descriptors(
+                    binding.builtin,
+                    [self.manifest.query_images[q] for q in chunk.tolist()],
+                )
+                block[chunk] = similarity_block(descriptors, refs, ref_norms=ref_norms)
+                scored[chunk] = True
+        return block
+
+    def _reference_rows(self, key, load) -> tuple[np.ndarray, np.ndarray]:
+        """The reference matrix ``load()`` returns, and its row norms, built
+        once per runtime for each ``key`` (a reference file or a built-in
+        descriptor)."""
+        cached = self._references.get(key)
         if cached is None:
-            matrix = load_descriptor_set(path).matrix
-            cached = self._references[path] = (
+            matrix = load()
+            cached = self._references[key] = (
                 matrix,
                 np.linalg.norm(matrix, axis=1),
             )
         return cached
 
-    def _builtin_row(self, binding: TechniqueBinding, query_index: int) -> np.ndarray:
-        key = (query_index, binding.technique_id)
-        row = self._builtin_rows.get(key)
-        if row is None:
-            refs = self._builtin_ref_set(binding)
-            image = load_pgm(
-                self.manifest.base_dir / self.manifest.query_images[query_index]
-            )
-            query = compute_descriptor(image, binding.builtin)
-            row = similarity_vector(query, refs).scores
-            self._builtin_rows[key] = row
-        return row
-
-    def _builtin_ref_set(self, binding: TechniqueBinding) -> DescriptorSet:
-        tid = binding.technique_id
-        if tid not in self._ref_sets:
-            rows = []
-            for rel in self.manifest.reference_images:
-                image = load_pgm(self.manifest.base_dir / rel)
-                rows.append(compute_descriptor(image, binding.builtin).values)
-            self._ref_sets[tid] = DescriptorSet(
-                technique_id=tid,
-                dim=BUILTIN_DIMS[binding.builtin],
-                matrix=np.asarray(rows),
-            )
-        return self._ref_sets[tid]
+    def _builtin_descriptors(self, builtin: str, images) -> np.ndarray:
+        """One row of built-in descriptor ``builtin`` per listed image."""
+        out = np.empty((len(images), BUILTIN_DIMS[builtin]))
+        for row, rel in zip(out, images):
+            image = load_pgm(self.manifest.base_dir / rel)
+            row[:] = compute_descriptor(image, builtin).values
+        return out
 
     def ground_truth(self) -> GroundTruth:
         return manifest_ground_truth(self.manifest)

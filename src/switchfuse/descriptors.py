@@ -8,11 +8,13 @@ defined to have similarity 0 against anything.
 
 from __future__ import annotations
 
+import functools
 import os
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DataError,
@@ -128,9 +130,11 @@ class MatchScore:
     best_index: int
 
 
-def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize with pixel-center sampling and clamped borders."""
-    in_h, in_w = img.shape
+@functools.lru_cache(maxsize=64)
+def _resize_plan(in_h: int, in_w: int, out_h: int, out_w: int):
+    """Flat gather indices of the four neighbours of every output pixel
+    (top-left, top-right, bottom-left, bottom-right) and the bilinear
+    weights, for ``_resize_bilinear``."""
     ys = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
     xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
     y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
@@ -139,9 +143,19 @@ def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     x1 = np.minimum(x0 + 1, in_w - 1)
     fy = np.clip(ys - y0, 0.0, 1.0)[:, None]
     fx = np.clip(xs - x0, 0.0, 1.0)[None, :]
-    top = img[np.ix_(y0, x0)] * (1 - fx) + img[np.ix_(y0, x1)] * fx
-    bot = img[np.ix_(y1, x0)] * (1 - fx) + img[np.ix_(y1, x1)] * fx
-    return top * (1 - fy[:, 0])[:, None] + bot * fy[:, 0][:, None]
+    rows = (y0[:, None] * in_w, y1[:, None] * in_w)
+    index = np.stack([r + c[None, :] for r in rows for c in (x0, x1)])
+    plan = (index, 1 - fx, fx, 1 - fy, fy)
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
+    """Bilinear resize with pixel-center sampling and clamped borders."""
+    index, wx0, wx1, wy0, wy1 = _resize_plan(*img.shape, out_h, out_w)
+    tl, tr, bl, br = np.take(img, index)
+    return (tl * wx0 + tr * wx1) * wy0 + (bl * wx0 + br * wx1) * wy1
 
 
 def _gradients(img: np.ndarray):
@@ -150,6 +164,15 @@ def _gradients(img: np.ndarray):
     gx = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
     gy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
     return gx, gy
+
+
+_HOG_CELLS = _HOG_RESIZE // _HOG_CELL
+# first histogram slot of each pixel's cell in the flat (cell_y, cell_x, bin)
+# histogram
+_HOG_CELL_SLOT = (
+    (np.arange(_HOG_RESIZE) // _HOG_CELL)[:, None] * _HOG_CELLS
+    + (np.arange(_HOG_RESIZE) // _HOG_CELL)[None, :]
+) * _HOG_BINS
 
 
 def _hog(img: np.ndarray) -> np.ndarray:
@@ -165,21 +188,21 @@ def _hog(img: np.ndarray) -> np.ndarray:
     k0 = k0 % _HOG_BINS
     k1 = (k0 + 1) % _HOG_BINS
 
-    n_cells = _HOG_RESIZE // _HOG_CELL
-    hist = np.zeros((n_cells, n_cells, _HOG_BINS))
-    cy = np.arange(_HOG_RESIZE) // _HOG_CELL
-    cell_y = np.repeat(cy, _HOG_RESIZE).reshape(_HOG_RESIZE, _HOG_RESIZE)
-    cell_x = cell_y.T
-    np.add.at(hist, (cell_y, cell_x, k0), mag * (1.0 - frac))
-    np.add.at(hist, (cell_y, cell_x, k1), mag * frac)
+    # all k0 votes, then all k1 votes, in pixel order: the summation order
+    # of two successive np.add.at calls
+    slots = np.concatenate([(_HOG_CELL_SLOT + k0).ravel(), (_HOG_CELL_SLOT + k1).ravel()])
+    votes = np.concatenate([(mag * (1.0 - frac)).ravel(), (mag * frac).ravel()])
+    hist = np.bincount(slots, votes, minlength=_HOG_CELLS * _HOG_CELLS * _HOG_BINS)
+    hist = hist.reshape(_HOG_CELLS, _HOG_CELLS, _HOG_BINS)
 
-    n_blocks = n_cells - _HOG_BLOCK + 1
-    out = np.empty((n_blocks, n_blocks, _HOG_BLOCK * _HOG_BLOCK * _HOG_BINS))
-    for by in range(n_blocks):
-        for bx in range(n_blocks):
-            block = hist[by : by + _HOG_BLOCK, bx : bx + _HOG_BLOCK].ravel()
-            norm = np.linalg.norm(block)
-            out[by, bx] = block / norm if norm > 0 else 0.0
+    # (by, bx, bin, dy, dx) windows -> one (dy, dx, bin) row per block
+    windows = sliding_window_view(hist, (_HOG_BLOCK, _HOG_BLOCK), axis=(0, 1))
+    blocks = windows.transpose(0, 1, 3, 4, 2).reshape(
+        -1, _HOG_BLOCK * _HOG_BLOCK * _HOG_BINS
+    )
+    # a stacked dot product, summed as np.linalg.norm sums a 1-D vector
+    norms = np.sqrt(np.matmul(blocks[:, None, :], blocks[:, :, None]))[:, 0]
+    out = np.divide(blocks, norms, out=np.zeros_like(blocks), where=norms > 0)
     return out.ravel()
 
 
@@ -190,9 +213,16 @@ def _tiny_patch(img: np.ndarray) -> np.ndarray:
     return patch / norm if norm > 0 else np.zeros_like(patch)
 
 
+_HIST_BINS = 64
+
+
 def _intensity_hist(img: np.ndarray) -> np.ndarray:
-    counts, _ = np.histogram(img.ravel(), bins=64, range=(0.0, 1.0))
-    return counts / img.size
+    """64 equal bins over [0, 1], the last one closed, divided by the pixel
+    count.  Scaling by 64 is exact and the edges k/64 are exact, so the bin
+    index is the truncated product: the counts ``np.histogram`` gives."""
+    index = (img.ravel() * _HIST_BINS).astype(np.intp)
+    np.minimum(index, _HIST_BINS - 1, out=index)  # 1.0 joins the last bin
+    return np.bincount(index, minlength=_HIST_BINS) / img.size
 
 
 def compute_descriptor(image: ImageGray, technique: str) -> DescriptorVector:
@@ -261,11 +291,16 @@ def load_descriptor_set(path, technique_id: str | None = None) -> DescriptorSet:
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
+    """Cosine of two vectors, 0 if either is zero.  Each vector is first
+    divided by its largest magnitude, so that squaring tiny entries cannot
+    underflow the norm (|a| below about 1e-154 otherwise loses precision)."""
+    scale_a = np.max(np.abs(a), initial=0.0)
+    scale_b = np.max(np.abs(b), initial=0.0)
+    if scale_a == 0.0 or scale_b == 0.0:
         return 0.0
-    return float(np.dot(a, b) / (na * nb))
+    a = a / scale_a
+    b = b / scale_b
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
 def similarity_vector(query: DescriptorVector, refs: DescriptorSet) -> SimilarityVector:

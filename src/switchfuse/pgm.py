@@ -40,6 +40,8 @@ def load_pgm(path) -> ImageGray:
         width, height, maxval = int(width), int(height), int(maxval)
     except ValueError as exc:
         raise FormatError(f"{path}: bad PGM header") from exc
+    if width < 0 or height < 0:
+        raise FormatError(f"{path}: negative PGM size {width}x{height}")
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
     pos += 1  # single whitespace after maxval

@@ -49,22 +49,31 @@ def _read_csv_rows(path):
 
 def write_predictions(outcomes, path, timestamp: bool = True) -> None:
     """One row per query with the full switching trace summary."""
+    # queries share equal unit decisions as one object, so each object is
+    # formatted once; the cache holds it, which keeps its id unique
+    formatted: dict[int, tuple] = {}
     rows = []
     for o in outcomes:
-        if o.decisions is not None:
-            selected = "|".join(d.selected_technique for d in o.decisions)
-            posteriors = "|".join(f"{d.selected_posterior:.9f}" for d in o.decisions)
-            fallbacks = "|".join("1" if d.fallback_used else "0" for d in o.decisions)
-        else:
-            selected = posteriors = fallbacks = ""
+        parts = []
+        for d in o.decisions or ():
+            texts = formatted.get(id(d))
+            if texts is None:
+                texts = formatted[id(d)] = (
+                    d.selected_technique,
+                    f"{d.selected_posterior:.9f}",
+                    "1" if d.fallback_used else "0",
+                    d,
+                )
+            parts.append(texts)
+        selected, posteriors, fallbacks, _ = zip(*parts) if parts else ("",) * 4
         rows.append(
             [
                 o.query_index,
                 o.predicted,
                 f"{o.confidence:.9f}",
-                selected,
-                posteriors,
-                fallbacks,
+                "|".join(selected),
+                "|".join(posteriors),
+                "|".join(fallbacks),
             ]
         )
     header = ["query", "predicted", "confidence", "selected", "posteriors", "fallbacks"]

@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -8,8 +9,16 @@ from switchfuse import datasets
 from switchfuse.calibration import build_store, collect_run, save_store
 from switchfuse.cli import main as cli_main
 from switchfuse.datasets import DatasetRuntime, load_manifest, save_config
+from switchfuse.descriptors import (
+    BUILTIN_DIMS,
+    DescriptorSet,
+    ImageGray,
+    compute_descriptor,
+    similarity_vector,
+)
 from switchfuse.errors import FormatError, InvalidInputError
 from switchfuse.evaluation import run_method
+from switchfuse.pgm import load_pgm
 from switchfuse.switching import TripartiteConfig, UnitConfig, run_tripartite
 from switchfuse.synthetic import (
     TechniqueProfile,
@@ -160,6 +169,84 @@ def test_builtin_extraction_stays_lazy(tmp_path, monkeypatch):
     ]
     assert cli_main([str(a) for a in argv]) == 0
     assert len(calls) == expected
+
+
+@pytest.fixture
+def image_manifest(tmp_path):
+    refs, queries = generate_image_dataset(6, seed=23, size=24)
+    # a constant query: its tiny_patch and hog vectors have zero norm
+    queries[2] = ImageGray.from_array(np.full((24, 24), 0.5))
+    return load_manifest(export_image_dataset(refs, queries, tmp_path, "img"))
+
+
+@pytest.mark.parametrize("chunk", [2, 64])
+def test_builtin_rows_match_scalar_oracle(image_manifest, monkeypatch, chunk):
+    monkeypatch.setattr(datasets, "_SCORE_CHUNK", chunk)
+    m = image_manifest
+    runtime = DatasetRuntime(m)
+
+    def descriptor(rel, tid):
+        return compute_descriptor(load_pgm(m.base_dir / rel), tid)
+
+    for tid, dim in BUILTIN_DIMS.items():
+        refs = DescriptorSet(
+            tid, dim, np.stack([descriptor(r, tid).values for r in m.reference_images])
+        )
+        # overlapping, repeated and out-of-order requests
+        for block in ([4, 1, 4], list(range(m.query_count)), [2]):
+            rows = runtime.similarity_rows(tid, block)
+            assert rows.shape == (len(block), m.reference_count)
+            assert not rows.flags.writeable
+            for q, row in zip(block, rows):
+                want = similarity_vector(descriptor(m.query_images[q], tid), refs)
+                assert np.max(np.abs(row - want.scores)) <= 1e-12
+
+
+def test_builtin_zero_norm_query_scores_zero(image_manifest):
+    runtime = DatasetRuntime(image_manifest)
+    for tid in ("tiny_patch", "hog"):
+        assert np.all(runtime.similarity_rows(tid, [2, 2]) == 0.0)
+    assert np.all(runtime.similarity_rows("intensity_hist", [2]) > 0.0)
+
+
+def test_builtin_descriptors_extracted_once(tmp_path, monkeypatch):
+    splits = {}
+    for split, seed in (("calib", 5), ("eval", 6)):
+        refs, queries = generate_image_dataset(12, seed=seed, size=32)
+        splits[split] = load_manifest(
+            export_image_dataset(refs, queries, tmp_path / split, split)
+        )
+    config = TripartiteConfig(
+        units=(
+            UnitConfig("u0", ("hog", "tiny_patch")),
+            UnitConfig("u1", ("tiny_patch", "intensity_hist")),
+        )
+    )
+    techniques = config.all_techniques()
+    store = build_store(collect_run(DatasetRuntime(splits["calib"]), techniques), techniques)
+
+    calls = Counter()
+    compute = datasets.compute_descriptor
+
+    def counted(image, technique):
+        calls[technique] += 1
+        return compute(image, technique)
+
+    monkeypatch.setattr(datasets, "compute_descriptor", counted)
+    n = 12  # queries and references alike
+    runtime = DatasetRuntime(splits["eval"])
+    for block in ([0], [3, 1], list(range(n)), [11, 0]):
+        runtime.similarity_rows("hog", block)
+    assert calls == {"hog": 2 * n}
+
+    calls.clear()
+    runtime = DatasetRuntime(splits["eval"])
+    methods = ["switch-fuse", "switch-only", "fuse-all"] + [
+        f"single:{t}" for t in techniques
+    ]
+    for method in methods:
+        run_method(method, runtime, config, store, runtime.ground_truth())
+    assert calls == {tid: 2 * n for tid in techniques}
 
 
 @pytest.mark.parametrize(

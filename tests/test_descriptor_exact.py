@@ -1,0 +1,158 @@
+"""Bit-exact pins of the built-in descriptor kernels.
+
+The oracles below are the earlier straightforward implementations: four
+``np.ix_`` gathers for the resize, two ``np.add.at`` votes and a Python loop
+over blocks for HOG, and ``np.histogram`` for the intensity histogram.  The
+production kernels must reproduce them bit for bit, not merely within a
+tolerance, so that stored descriptors and every score derived from them stay
+byte-stable.
+"""
+
+import numpy as np
+import pytest
+
+from switchfuse import ImageGray, compute_descriptor
+from switchfuse.descriptors import _hog, _intensity_hist, _resize_bilinear
+
+
+def oracle_resize(img, out_h, out_w):
+    in_h, in_w = img.shape
+    ys = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
+    y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    fy = np.clip(ys - y0, 0.0, 1.0)[:, None]
+    fx = np.clip(xs - x0, 0.0, 1.0)[None, :]
+    top = img[np.ix_(y0, x0)] * (1 - fx) + img[np.ix_(y0, x1)] * fx
+    bot = img[np.ix_(y1, x0)] * (1 - fx) + img[np.ix_(y1, x1)] * fx
+    return top * (1 - fy[:, 0])[:, None] + bot * fy[:, 0][:, None]
+
+
+def oracle_hog(img):
+    img = oracle_resize(img, 64, 64)
+    padded = np.pad(img, 1, mode="edge")
+    gx = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
+    gy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
+    mag = np.hypot(gx, gy)
+    theta = np.degrees(np.arctan2(gy, gx)) % 180.0
+    pos = theta / (180.0 / 9) - 0.5
+    k0 = np.floor(pos).astype(int)
+    frac = pos - k0
+    k0 = k0 % 9
+    k1 = (k0 + 1) % 9
+    hist = np.zeros((8, 8, 9))
+    cy = np.arange(64) // 8
+    cell_y = np.repeat(cy, 64).reshape(64, 64)
+    cell_x = cell_y.T
+    np.add.at(hist, (cell_y, cell_x, k0), mag * (1.0 - frac))
+    np.add.at(hist, (cell_y, cell_x, k1), mag * frac)
+    out = np.empty((7, 7, 36))
+    for by in range(7):
+        for bx in range(7):
+            block = hist[by : by + 2, bx : bx + 2].ravel()
+            norm = np.linalg.norm(block)
+            out[by, bx] = block / norm if norm > 0 else 0.0
+    return out.ravel()
+
+
+def oracle_intensity_hist(img):
+    counts, _ = np.histogram(img.ravel(), bins=64, range=(0.0, 1.0))
+    return counts / img.size
+
+
+def assert_bits_equal(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def random_images():
+    rng = np.random.default_rng(2024)
+    shapes = [(16, 16), (17, 33), (33, 17), (64, 64), (48, 80), (120, 90), (300, 200)]
+    for shape in shapes:
+        yield rng.uniform(size=shape)
+    # 8-bit images, as decoded from PGM files
+    for shape in [(160, 160), (37, 161)]:
+        yield rng.integers(0, 256, size=shape) / 255.0
+
+
+def flat_images():
+    for value in (0.0, 0.5, 1.0, 3 / 64):
+        for shape in [(16, 16), (40, 25)]:
+            yield np.full(shape, value)
+
+
+@pytest.mark.parametrize("out_shape", [(64, 64), (16, 16), (7, 30), (90, 13)])
+def test_resize_bit_exact(out_shape):
+    for img in list(random_images()) + list(flat_images()):
+        assert_bits_equal(_resize_bilinear(img, *out_shape), oracle_resize(img, *out_shape))
+
+
+def test_resize_plan_is_shared_read_only():
+    img = np.random.default_rng(3).uniform(size=(20, 30))
+    first = _resize_bilinear(img, 16, 16)
+    again = _resize_bilinear(img, 16, 16)
+    assert_bits_equal(first, again)
+    first[0, 0] = -1.0  # the result is the caller's, not the cached plan
+    assert_bits_equal(_resize_bilinear(img, 16, 16), again)
+
+
+def test_hog_bit_exact():
+    for img in list(random_images()) + list(flat_images()):
+        assert_bits_equal(_hog(img), oracle_hog(img))
+
+
+def test_hog_edges_and_zero_blocks_bit_exact():
+    # a few edges on a flat field: most blocks have zero norm
+    img = np.zeros((40, 56))
+    img[:, 30:] = 1.0
+    img[10:12, 5:9] = 0.25
+    assert_bits_equal(_hog(img), oracle_hog(img))
+    assert np.any(_hog(img) == 0.0) and np.any(_hog(img) != 0.0)
+
+
+def edge_values():
+    """Every bin edge k/64 and one float step either side, within [0, 1]."""
+    edges = np.arange(65) / 64.0
+    values = np.concatenate(
+        [edges, np.nextafter(edges, -1.0), np.nextafter(edges, 2.0)]
+    )
+    return np.clip(values, 0.0, 1.0)
+
+
+def test_intensity_hist_bit_exact_on_bin_edges():
+    values = edge_values()
+    img = np.resize(values, (16, 13))  # 208 pixels, every edge value present
+    assert_bits_equal(_intensity_hist(img), oracle_intensity_hist(img))
+    for v in values:
+        flat = np.full((16, 16), v)
+        assert_bits_equal(_intensity_hist(flat), oracle_intensity_hist(flat))
+
+
+def test_intensity_hist_bit_exact_on_images():
+    for img in list(random_images()) + list(flat_images()):
+        assert_bits_equal(_intensity_hist(img), oracle_intensity_hist(img))
+
+
+def oracle_tiny_patch(img):
+    patch = oracle_resize(img, 16, 16).ravel()
+    patch = patch - patch.mean()
+    norm = np.linalg.norm(patch)
+    return patch / norm if norm > 0 else np.zeros_like(patch)
+
+
+ORACLES = {
+    "hog": oracle_hog,
+    "tiny_patch": oracle_tiny_patch,
+    "intensity_hist": oracle_intensity_hist,
+}
+
+
+@pytest.mark.parametrize("technique", sorted(ORACLES))
+def test_compute_descriptor_bit_exact(technique):
+    images = [np.random.default_rng(8).uniform(size=(16, 16))]
+    images += list(flat_images()) + [np.resize(edge_values(), (20, 20))]
+    for img in images:
+        got = compute_descriptor(ImageGray.from_array(img), technique).values
+        assert_bits_equal(got, ORACLES[technique](img))
