@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Compare the output bytes of two switchfuse source trees on one dataset.
+
+For each ``src`` root, runs ``calibrate -> run -> evaluate -> compare`` with
+``--no-timestamp`` through the real CLI, each command in its own
+``python -m switchfuse.cli`` subprocess with that root on ``PYTHONPATH``.
+Then prints ``identical`` or ``differs`` for every output file (the SFCAL
+store, the predictions CSV, the ``evaluate`` CSVs and ``comparison.csv``),
+with the first differing byte offset, and exits 1 on any difference or
+failed command::
+
+    python scripts/diff_outputs.py OLD/src NEW/src \\
+        --calib-manifest calib_manifest.json \\
+        --eval-manifest eval_manifest.json --config config.json
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+
+def run_pipeline(src: Path, args, out: Path) -> None:
+    """All four commands against ``src``; raises on a failed command."""
+    common = ["--no-timestamp"]
+    commands = [
+        ["calibrate", "--manifest", args.calib_manifest, "--config", args.config,
+         "--out", out / "store.sfcal"],
+        ["run", "--manifest", args.eval_manifest, "--config", args.config,
+         "--store", out / "store.sfcal", "--out", out / "preds.csv", *common],
+        ["evaluate", "--predictions", out / "preds.csv",
+         "--manifest", args.eval_manifest, "--out", out / "report", *common],
+        ["compare", "--manifest", args.eval_manifest, "--config", args.config,
+         "--store", out / "store.sfcal", "--out", out / "compare", *common],
+    ]
+    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
+    for argv in commands:
+        proc = subprocess.run(
+            [sys.executable, "-m", "switchfuse.cli", *map(str, argv)],
+            env=env,
+            capture_output=True,
+            text=True,
+        )
+        if proc.returncode != 0:
+            raise RuntimeError(
+                f"{src}: {argv[0]} exited {proc.returncode}: {proc.stderr.strip()}"
+            )
+
+
+def first_difference(a: bytes, b: bytes) -> int | None:
+    """Offset of the first differing byte, or None when equal."""
+    if a == b:
+        return None
+    for i, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return i
+    return min(len(a), len(b))
+
+
+def compare_trees(left: Path, right: Path) -> bool:
+    """Print one line per output file; True when every file is identical."""
+    names = sorted(
+        {p.relative_to(root) for root in (left, right) for p in root.rglob("*") if p.is_file()}
+    )
+    same = True
+    for name in names:
+        a, b = left / name, right / name
+        if not (a.exists() and b.exists()):
+            print(f"differs    {name}: only in {'left' if a.exists() else 'right'}")
+            same = False
+            continue
+        offset = first_difference(a.read_bytes(), b.read_bytes())
+        if offset is None:
+            print(f"identical  {name}")
+        else:
+            print(f"differs    {name}: first difference at byte {offset}")
+            same = False
+    return same
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("left", type=Path, help="first src root")
+    parser.add_argument("right", type=Path, help="second src root")
+    parser.add_argument("--calib-manifest", required=True)
+    parser.add_argument("--eval-manifest", required=True)
+    parser.add_argument("--config", required=True)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [Path(tmp) / "left", Path(tmp) / "right"]
+        try:
+            for src, out in zip((args.left, args.right), outs):
+                out.mkdir()
+                run_pipeline(src, args, out)
+        except RuntimeError as exc:
+            print(exc, file=sys.stderr)
+            return 1
+        return 0 if compare_trees(*outs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -28,10 +28,13 @@ from .descriptors import (
 from .evaluation import (
     EvaluationReport,
     GroundTruth,
+    Outcomes,
     QueryOutcome,
     compare,
     pr_curve,
+    pr_points,
     run_method,
+    score_outcomes,
     score_predictions,
 )
 from .fusion import FusionParams, FusedVector, NormalizedVector, best_match, fuse, normalize

@@ -167,20 +167,25 @@ def _build_histogram(
     )
 
 
-def _check_samples(samples, min_samples):
-    if len(samples) < min_samples:
-        raise InsufficientDataError(
-            f"{len(samples)} samples, need at least {min_samples}"
+def _check_samples(scores, flags, min_samples):
+    scores = np.asarray(scores, dtype=np.float64)
+    flags = np.asarray(flags, dtype=bool)
+    if scores.ndim != 1 or flags.shape != scores.shape:
+        raise InvalidInputError(
+            f"scores {scores.shape} and flags {flags.shape} must be aligned 1-D arrays"
         )
-    scores = np.asarray([s for s, _ in samples], dtype=np.float64)
-    flags = np.asarray([bool(m) for _, m in samples])
+    if len(scores) < min_samples:
+        raise InsufficientDataError(
+            f"{len(scores)} samples, need at least {min_samples}"
+        )
     if not np.all(np.isfinite(scores)):
         raise InvalidInputError("calibration scores must be finite")
     return scores, flags
 
 
 def calibrate_technique(
-    samples,
+    scores,
+    correct,
     technique_id: str = "",
     bins: int = DEFAULT_BINS,
     alpha: float = DEFAULT_ALPHA,
@@ -188,23 +193,25 @@ def calibrate_technique(
 ) -> TechniqueCalibration:
     """Estimate a technique's prior and likelihood histogram.
 
-    ``samples`` is a sequence of (score, matched) observations.  The prior is
-    the matched frequency clamped to [0.01, 0.99]; the histogram spans the
-    observed score range widened by 1% per side.
+    ``scores[i]`` and ``correct[i]`` are one observation: a match score and
+    whether that match was correct.  The prior is the matched frequency
+    clamped to [0.01, 0.99]; the histogram spans the observed score range
+    widened by 1% per side.
     """
-    scores, flags = _check_samples(samples, min_samples)
+    scores, flags = _check_samples(scores, correct, min_samples)
     prior = float(np.clip(flags.mean(), *PRIOR_CLAMP))
     hist = _build_histogram(scores, flags, bins, alpha)
     return TechniqueCalibration(
         technique_id=technique_id,
         prior_match=prior,
         histogram=hist,
-        sample_count=len(samples),
+        sample_count=len(scores),
     )
 
 
 def calibrate_pair(
-    samples,
+    primary_scores,
+    candidate_correct,
     primary_id: str,
     candidate_id: str,
     bins: int = DEFAULT_BINS,
@@ -213,9 +220,9 @@ def calibrate_pair(
 ) -> PairCalibration:
     """Histogram the primary's scores split by the candidate's outcome.
 
-    ``samples`` is a sequence of (primary_score, candidate_matched).
+    ``primary_scores[i]`` and ``candidate_correct[i]`` belong to one query.
     """
-    scores, flags = _check_samples(samples, min_samples)
+    scores, flags = _check_samples(primary_scores, candidate_correct, min_samples)
     hist = _build_histogram(scores, flags, bins, alpha)
     return PairCalibration(
         primary_id=primary_id, candidate_id=candidate_id, histogram=hist
@@ -247,7 +254,7 @@ class CalibrationStore:
 
 
 def build_store(
-    run: dict[str, list[tuple[float, bool]]],
+    run: dict[str, tuple[np.ndarray, np.ndarray]],
     technique_ids,
     bins: int = DEFAULT_BINS,
     alpha: float = DEFAULT_ALPHA,
@@ -255,40 +262,38 @@ def build_store(
 ) -> CalibrationStore:
     """Build a full store from a calibration run.
 
-    ``run`` maps technique id to its per-query (score, correct) observations,
-    index-aligned across techniques.  Pair calibrations are built for every
-    ordered pair of techniques so any pool composition (per-unit or pooled
-    baselines) finds its pair data.
+    ``run`` maps technique id to its (scores, correct) columns, one row per
+    query, index-aligned across techniques.  Pair calibrations are built for
+    every ordered pair of techniques so any pool composition (per-unit or
+    pooled baselines) finds its pair data.
     """
     store = CalibrationStore()
     technique_ids = list(technique_ids)
     for tid in technique_ids:
         if tid not in run:
             raise IncompleteCalibrationError(f"run is missing technique {tid!r}")
-    lengths = {len(run[tid]) for tid in technique_ids}
+    lengths = {len(column) for tid in technique_ids for column in run[tid]}
     if len(lengths) > 1:
-        raise InvalidInputError("per-technique sample lists must be aligned")
+        raise InvalidInputError("per-technique sample columns must be aligned")
     for tid in technique_ids:
+        scores, correct = run[tid]
         store.techniques[tid] = calibrate_technique(
-            run[tid], tid, bins=bins, alpha=alpha, min_samples=min_samples
+            scores, correct, tid, bins=bins, alpha=alpha, min_samples=min_samples
         )
     for a in technique_ids:
         for b in technique_ids:
             if a == b:
                 continue
-            paired = [
-                (score_a, matched_b)
-                for (score_a, _), (_, matched_b) in zip(run[a], run[b])
-            ]
             store.pairs[(a, b)] = calibrate_pair(
-                paired, a, b, bins=bins, alpha=alpha, min_samples=min_samples
+                run[a][0], run[b][1], a, b,
+                bins=bins, alpha=alpha, min_samples=min_samples,
             )
     return store
 
 
-def collect_run(runtime, technique_ids) -> dict[str, list[tuple[float, bool]]]:
-    """Per-technique (match score, correct) observations over every query of
-    a runtime, in query order: the maximum of the query's similarity row
+def collect_run(runtime, technique_ids) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per-technique (match scores, correct) columns over every query of a
+    runtime, in query order: the maximum of the query's similarity row
     (first maximum on ties) and whether the runtime's ground truth accepts
     that reference.  The result feeds ``build_store``."""
     truth = runtime.ground_truth()
@@ -297,11 +302,7 @@ def collect_run(runtime, technique_ids) -> dict[str, list[tuple[float, bool]]]:
     for tid in technique_ids:
         rows = runtime.similarity_rows(tid, queries)
         best = rows.argmax(axis=1)
-        scores = rows[queries, best]
-        run[tid] = [
-            (score, truth.is_correct(q, ref))
-            for q, (score, ref) in enumerate(zip(scores.tolist(), best.tolist()))
-        ]
+        run[tid] = (rows[queries, best], truth.correct(best))
     return run
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import calibration as cal
 from . import evaluation as ev
-from . import reports, synthetic
+from . import reports
 from .datasets import (
     DatasetRuntime,
     load_config,
@@ -32,6 +32,9 @@ def _load_runtime(args):
 
 
 def cmd_synth(args) -> int:
+    # scipy is imported with the generator, so only ``synth`` pays for it
+    from . import synthetic
+
     doc = read_json(args.spec)
     try:
         profiles = [
@@ -102,9 +105,10 @@ def cmd_run(args) -> int:
 
 def cmd_evaluate(args) -> int:
     ground_truth = manifest_ground_truth(load_manifest(args.manifest))
-    outcomes = reports.read_predictions(args.predictions)
-    report = ev.with_pr_points(
-        ev.score_predictions(outcomes, ground_truth, method="switch-fuse")
+    report = ev.score_outcomes(
+        *reports.read_predictions(args.predictions),
+        ground_truth,
+        method="switch-fuse",
     )
     out_dir = Path(args.out)
     paths = reports.write_report_csvs(

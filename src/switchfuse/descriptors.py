@@ -65,6 +65,18 @@ class ImageGray:
             raise InvalidInputError("expected a 2-D intensity array")
         return cls(width=arr.shape[1], height=arr.shape[0], pixels=arr)
 
+    @classmethod
+    def _from_unit_pixels(cls, pixels: np.ndarray) -> "ImageGray":
+        """Wrap a 2-D float64 array whose values are finite and in [0, 1] by
+        construction, such as decoded 8-bit data, without scanning them."""
+        if pixels.ndim != 2 or pixels.dtype != np.float64:
+            raise InvalidInputError("expected a 2-D float64 intensity array")
+        image = object.__new__(cls)
+        object.__setattr__(image, "width", pixels.shape[1])
+        object.__setattr__(image, "height", pixels.shape[0])
+        object.__setattr__(image, "pixels", pixels)
+        return image
+
 
 @dataclass(frozen=True)
 class DescriptorVector:

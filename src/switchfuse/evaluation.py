@@ -3,12 +3,17 @@
 ``run_method`` drives four method families over a dataset runtime: the full
 switch-then-fuse pipeline, a pooled switch-only baseline, fuse-everything,
 and single-technique matching.  Every family handles all queries at once,
-reading whole blocks of similarity rows from the runtime.
+reading whole blocks of similarity rows from the runtime, and its per-query
+records stay columns (``Outcomes``) through scoring and the PR sweep.
+``QueryOutcome``, ``score_predictions`` and ``pr_curve`` are the per-query
+oracle of ``score_outcomes`` and ``pr_points``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -36,6 +41,11 @@ class GroundTruth:
                 raise InvalidInputError(f"query {i} has no acceptable reference")
             if any(r < 0 or r >= self.reference_count for r in refs):
                 raise InvalidInputError(f"query {i} references out of range")
+        # every accepted (query, reference) pair as one integer, for ``correct``
+        counts = np.fromiter(map(len, self.accepted), np.int64, self.query_count)
+        refs = np.fromiter(chain.from_iterable(self.accepted), np.int64, counts.sum())
+        starts = np.arange(self.query_count, dtype=np.int64) * self.reference_count
+        object.__setattr__(self, "_keys", np.repeat(starts, counts) + refs)
 
     @property
     def query_count(self) -> int:
@@ -43,6 +53,18 @@ class GroundTruth:
 
     def is_correct(self, query: int, predicted: int) -> bool:
         return predicted in self.accepted[query]
+
+    def correct(self, predicted) -> np.ndarray:
+        """``is_correct`` of every query at once: ``predicted[i]`` is query
+        i's predicted reference.  Out-of-range references are never correct."""
+        predicted = np.asarray(predicted, dtype=np.int64)
+        if predicted.shape != (self.query_count,):
+            raise InvalidInputError(
+                f"{predicted.shape} predictions for {self.query_count} queries"
+            )
+        in_range = (predicted >= 0) & (predicted < self.reference_count)
+        keys = np.arange(self.query_count) * self.reference_count + predicted
+        return in_range & np.isin(keys, self._keys)
 
     @classmethod
     def from_sets(cls, sets, reference_count: int) -> "GroundTruth":
@@ -76,12 +98,42 @@ class QueryOutcome:
 
 
 @dataclass(frozen=True)
+class Outcomes:
+    """Per-query records as parallel columns; row i is query i.
+
+    ``decisions`` holds each query's ``UnitDecision`` tuple, in unit order,
+    for switch-fuse, and is None for methods that do not switch per unit.
+    """
+
+    predicted: np.ndarray  # int64
+    confidence: np.ndarray  # float64
+    correct: np.ndarray  # bool
+    decisions: tuple[tuple[UnitDecision, ...] | None, ...] | None = None
+
+    def __post_init__(self):
+        columns = {
+            "predicted": np.asarray(self.predicted, dtype=np.int64),
+            "confidence": np.asarray(self.confidence, dtype=np.float64),
+            "correct": np.asarray(self.correct, dtype=bool),
+        }
+        n = len(columns["predicted"])
+        for name, column in columns.items():
+            if column.shape != (n,):
+                raise InvalidInputError(f"{name} must be a 1-D column of {n} rows")
+            object.__setattr__(self, name, column)
+        if self.decisions is not None:
+            if len(self.decisions) != n:
+                raise InvalidInputError(f"decisions must have {n} rows")
+            object.__setattr__(self, "decisions", tuple(self.decisions))
+
+
+@dataclass(frozen=True)
 class EvaluationReport:
     method: str
     accuracy: float
     correct_count: int
     query_count: int
-    outcomes: tuple[QueryOutcome, ...]
+    outcomes: Outcomes | tuple[QueryOutcome, ...]  # tuple from score_predictions
     pr_points: tuple[tuple[float, float, float], ...] = ()  # (precision, recall, threshold)
 
 
@@ -140,6 +192,8 @@ def pr_curve(outcomes) -> list[tuple[float, float, float]]:
     outcomes = list(outcomes)
     if not outcomes:
         raise InvalidInputError("no outcomes to sweep")
+    if not all(math.isfinite(o.confidence) for o in outcomes):
+        raise InvalidInputError("confidences must be finite")
     total = len(outcomes)
     ranked = sorted(outcomes, key=lambda o: -o.confidence)
     points = []
@@ -158,15 +212,84 @@ def pr_curve(outcomes) -> list[tuple[float, float, float]]:
     return points
 
 
-def with_pr_points(report: EvaluationReport) -> EvaluationReport:
-    pts = tuple(pr_curve(report.outcomes))
+def pr_points(confidence, correct) -> list[tuple[float, float, float]]:
+    """``pr_curve`` over columns, equal to it point for point.
+
+    Rank by descending confidence (stable, as ``sorted``), count hits
+    cumulatively, and close a point at the last row of each run of equal
+    confidences, with the run's first confidence as its threshold.  The
+    divisions are the loop's, on the same integers.
+    """
+    confidence = np.asarray(confidence, dtype=np.float64)
+    correct = np.asarray(correct, dtype=bool)
+    if confidence.ndim != 1 or correct.shape != confidence.shape:
+        raise InvalidInputError("confidence and correct must be aligned 1-D columns")
+    if not len(confidence):
+        raise InvalidInputError("no outcomes to sweep")
+    if not np.all(np.isfinite(confidence)):
+        raise InvalidInputError("confidences must be finite")
+    order = np.argsort(-confidence, kind="stable")
+    ranked = confidence[order]
+    hits = np.cumsum(correct[order])
+    last = np.flatnonzero(np.append(ranked[1:] != ranked[:-1], True))
+    first = np.append(0, last[:-1] + 1)
+    hits = hits[last]
+    return list(
+        zip(
+            (hits / (last + 1)).tolist(),
+            (hits / len(ranked)).tolist(),
+            ranked[first].tolist(),
+        )
+    )
+
+
+def score_outcomes(
+    queries,
+    predicted,
+    confidence,
+    ground_truth: GroundTruth,
+    method: str = "",
+    decisions=None,
+) -> EvaluationReport:
+    """Score per-query columns: row j is query ``queries[j]``'s prediction.
+
+    The query indices must be exactly 0..Q-1, each once, and every predicted
+    reference must lie in 0..R-1.  The report holds the rows in query order,
+    with their correctness, accuracy and PR points.
+    """
+    queries = np.asarray(queries, dtype=np.int64)
+    predicted = np.asarray(predicted, dtype=np.int64)
+    confidence = np.asarray(confidence, dtype=np.float64)
+    count = ground_truth.query_count
+    if not queries.shape == predicted.shape == confidence.shape == (count,):
+        raise InvalidInputError(f"{len(queries)} outcomes for {count} queries")
+    order = np.argsort(queries, kind="stable")
+    if not np.array_equal(queries[order], np.arange(count)):
+        raise InvalidInputError(
+            f"outcome query indices must be 0..{count - 1}, each once"
+        )
+    predicted = predicted[order]
+    outside = (predicted < 0) | (predicted >= ground_truth.reference_count)
+    if outside.any():
+        q = int(np.argmax(outside))
+        raise InvalidInputError(
+            f"query {q}: predicted reference {predicted[q]} outside "
+            f"0..{ground_truth.reference_count - 1}"
+        )
+    if decisions is not None:
+        decisions = tuple(decisions[j] for j in order.tolist())
+    outcomes = Outcomes(
+        predicted, confidence[order], ground_truth.correct(predicted), decisions
+    )
+    points = tuple(pr_points(outcomes.confidence, outcomes.correct))
+    correct = int(outcomes.correct.sum())
     return EvaluationReport(
-        method=report.method,
-        accuracy=report.accuracy,
-        correct_count=report.correct_count,
-        query_count=report.query_count,
-        outcomes=report.outcomes,
-        pr_points=pts,
+        method=method,
+        accuracy=correct / count,
+        correct_count=correct,
+        query_count=count,
+        outcomes=outcomes,
+        pr_points=points,
     )
 
 
@@ -238,7 +361,7 @@ def run_method(
     """
     n = runtime.query_count
     everyone = np.zeros(n, dtype=np.int64)  # every query picks pool entry 0
-    decisions = [None] * n
+    decisions = None
     if method in ("switch-fuse", "switch-only"):
         if store is None:
             raise InvalidInputError(f"{method} requires a calibration store")
@@ -260,7 +383,7 @@ def run_method(
         predicted, confidence = _best_fused(
             runtime, [(b.techniques, b.selected) for b in blocks], params
         )
-        decisions = list(
+        decisions = tuple(
             zip(*(_unit_decisions(u, b) for u, b in zip(config.units, blocks)))
         )
     elif method == "switch-only":
@@ -278,14 +401,9 @@ def run_method(
         predicted, confidence = _best_raw(runtime, (tid,), everyone)
     else:
         raise InvalidInputError(f"unknown method {method!r}")
-    outcomes = [
-        QueryOutcome(q, p, c, False, d)
-        for q, (p, c, d) in enumerate(
-            zip(predicted.tolist(), confidence.tolist(), decisions)
-        )
-    ]
-    report = score_predictions(outcomes, ground_truth, method=method)
-    return with_pr_points(report)
+    return score_outcomes(
+        np.arange(n), predicted, confidence, ground_truth, method, decisions
+    )
 
 
 def compare(reports, baseline_method: str = "switch-fuse") -> ComparisonReport:

@@ -49,7 +49,7 @@ def load_pgm(path) -> ImageGray:
     if len(data) != width * height:
         raise FormatError(f"{path}: truncated PGM payload")
     arr = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
-    return ImageGray(width=width, height=height, pixels=arr / 255.0)
+    return ImageGray._from_unit_pixels(arr / 255.0)
 
 
 def save_pgm(image: ImageGray, path) -> None:

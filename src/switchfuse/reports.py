@@ -10,12 +10,18 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import os
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 
+import numpy as np
+
 from .errors import FormatError
-from .evaluation import ComparisonReport, EvaluationReport, QueryOutcome
+from .evaluation import ComparisonReport, EvaluationReport, Outcomes
+
+_INT64 = range(-(2**63), 2**63)
 
 
 def _atomic_write_text(path, text: str) -> None:
@@ -47,15 +53,21 @@ def _read_csv_rows(path):
     return header, list(reader)
 
 
-def write_predictions(outcomes, path, timestamp: bool = True) -> None:
+def write_predictions(outcomes: Outcomes, path, timestamp: bool = True) -> None:
     """One row per query with the full switching trace summary."""
     # queries share equal unit decisions as one object, so each object is
     # formatted once; the cache holds it, which keeps its id unique
     formatted: dict[int, tuple] = {}
     rows = []
-    for o in outcomes:
+    for query, (predicted, confidence, decisions) in enumerate(
+        zip(
+            outcomes.predicted.tolist(),
+            outcomes.confidence.tolist(),
+            outcomes.decisions or repeat(None),
+        )
+    ):
         parts = []
-        for d in o.decisions or ():
+        for d in decisions or ():
             texts = formatted.get(id(d))
             if texts is None:
                 texts = formatted[id(d)] = (
@@ -68,9 +80,9 @@ def write_predictions(outcomes, path, timestamp: bool = True) -> None:
         selected, posteriors, fallbacks, _ = zip(*parts) if parts else ("",) * 4
         rows.append(
             [
-                o.query_index,
-                o.predicted,
-                f"{o.confidence:.9f}",
+                query,
+                predicted,
+                f"{confidence:.9f}",
                 "|".join(selected),
                 "|".join(posteriors),
                 "|".join(fallbacks),
@@ -80,27 +92,33 @@ def write_predictions(outcomes, path, timestamp: bool = True) -> None:
     _atomic_write_text(path, _csv_text(header, rows, timestamp))
 
 
-def read_predictions(path) -> list[QueryOutcome]:
+def read_predictions(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (query, predicted, confidence) columns of a predictions CSV, in
+    file order: int64, int64 and finite float64."""
     header, rows = _read_csv_rows(path)
     expected = ["query", "predicted", "confidence", "selected", "posteriors", "fallbacks"]
     if header != expected:
         raise FormatError(f"{path}: unexpected predictions header {header}")
-    out = []
+    queries, predicted, confidence = [], [], []
     for number, row in enumerate(rows, start=1):
         try:
             if len(row) != len(expected):
                 raise ValueError(f"{len(row)} fields, expected {len(expected)}")
-            out.append(
-                QueryOutcome(
-                    query_index=int(row[0]),
-                    predicted=int(row[1]),
-                    confidence=float(row[2]),
-                    correct=False,
-                )
-            )
+            q, p, c = int(row[0]), int(row[1]), float(row[2])
+            if q not in _INT64 or p not in _INT64:
+                raise ValueError("index does not fit in 64 bits")
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite confidence {row[2]!r}")
         except ValueError as exc:
             raise FormatError(f"{path}: predictions row {number}: {exc}") from exc
-    return out
+        queries.append(q)
+        predicted.append(p)
+        confidence.append(c)
+    return (
+        np.array(queries, dtype=np.int64),
+        np.array(predicted, dtype=np.int64),
+        np.array(confidence, dtype=np.float64),
+    )
 
 
 def write_report_csvs(
@@ -138,13 +156,20 @@ def write_report_csvs(
     paths["pr_points"] = pr
 
     outcomes = out_dir / f"{tag}_outcomes.csv"
+    columns = report.outcomes
     _atomic_write_text(
         outcomes,
         _csv_text(
             ["query", "predicted", "confidence", "correct"],
             [
-                [o.query_index, o.predicted, f"{o.confidence:.9f}", int(o.correct)]
-                for o in report.outcomes
+                [q, p, f"{c:.9f}", int(ok)]
+                for q, (p, c, ok) in enumerate(
+                    zip(
+                        columns.predicted.tolist(),
+                        columns.confidence.tolist(),
+                        columns.correct.tolist(),
+                    )
+                )
             ],
             timestamp,
         ),

@@ -239,8 +239,8 @@ class SubsetRuntime:
 
 def calibration_run(
     dataset: SyntheticDataset, query_indices
-) -> dict[str, list[tuple[float, bool]]]:
-    """Per-technique (match score, correct) observations over a query subset."""
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Per-technique (match scores, correct) columns over a query subset."""
     return collect_run(SubsetRuntime(dataset, query_indices), dataset.technique_ids)
 
 

@@ -14,13 +14,23 @@ from switchfuse import (
     load_store,
     save_store,
 )
-from switchfuse.calibration import MATCH, MISMATCH, SFCAL_MAGIC
+from switchfuse.calibration import MATCH, MISMATCH, SFCAL_MAGIC, collect_run
+from switchfuse.descriptors import raw_match_score
 from switchfuse.errors import (
     FormatError,
     IncompleteCalibrationError,
     InsufficientDataError,
     InvalidInputError,
 )
+from switchfuse.synthetic import SubsetRuntime, TechniqueProfile, generate
+
+def columns(samples):
+    """(score, flag) tuples as the (scores, flags) arrays the API takes."""
+    return (
+        np.array([s for s, _ in samples], dtype=np.float64),
+        np.array([bool(m) for _, m in samples]),
+    )
+
 
 samples_strategy = st.lists(
     st.tuples(st.floats(-1, 1, allow_nan=False), st.booleans()),
@@ -42,22 +52,22 @@ def uniform_hist(bins=20, alpha=1.0):
 
 def test_prior_frequency():
     samples = [(0.5, True)] * 7 + [(0.4, False)] * 3
-    calib = calibrate_technique(samples, "t")
+    calib = calibrate_technique(*columns(samples), "t")
     assert calib.prior_match == pytest.approx(0.7)
     assert calib.sample_count == 10
 
 
 def test_prior_clamped():
-    calib = calibrate_technique([(0.5, True)] * 10, "t")
+    calib = calibrate_technique(*columns([(0.5, True)] * 10), "t")
     assert calib.prior_match == 0.99
-    calib = calibrate_technique([(0.5, False)] * 10, "t")
+    calib = calibrate_technique(*columns([(0.5, False)] * 10), "t")
     assert calib.prior_match == 0.01
 
 
 def test_laplace_smoothing_hand_value():
     # 0.1 mismatched x5, 0.9 matched x5, 2 bins, alpha 1
     samples = [(0.1, False)] * 5 + [(0.9, True)] * 5
-    calib = calibrate_technique(samples, "t", bins=2, alpha=1.0)
+    calib = calibrate_technique(*columns(samples), "t", bins=2, alpha=1.0)
     hi_bin_mass = calib.histogram.mass(0.9, MATCH)
     assert hi_bin_mass == pytest.approx(6.0 / 7.0)
     assert calib.histogram.mass(0.1, MATCH) == pytest.approx(1.0 / 7.0)
@@ -65,24 +75,24 @@ def test_laplace_smoothing_hand_value():
 
 def test_too_few_samples():
     with pytest.raises(InsufficientDataError):
-        calibrate_technique([(0.5, True)] * 9, "t")
+        calibrate_technique(*columns([(0.5, True)] * 9), "t")
 
 
 def test_degenerate_range_fallback():
-    calib = calibrate_technique([(0.3, True)] * 10, "t")
+    calib = calibrate_technique(*columns([(0.3, True)] * 10), "t")
     assert calib.histogram.lo == pytest.approx(-0.2)
     assert calib.histogram.hi == pytest.approx(0.8)
 
 
 def test_pair_all_candidate_matched_uniform_mismatch_side():
-    pair = calibrate_pair([(0.5, True)] * 12, "a", "b", bins=4, alpha=1.0)
+    pair = calibrate_pair(*columns([(0.5, True)] * 12), "a", "b", bins=4, alpha=1.0)
     masses = pair.histogram.masses(MISMATCH)
     assert np.allclose(masses, 0.25)
 
 
 def test_pair_symmetric_samples():
     samples = [(0.2, True), (0.2, False), (0.8, True), (0.8, False)] * 3
-    pair = calibrate_pair(samples, "a", "b", bins=2)
+    pair = calibrate_pair(*columns(samples), "a", "b", bins=2)
     assert np.allclose(
         pair.histogram.masses(MATCH), pair.histogram.masses(MISMATCH)
     )
@@ -91,7 +101,7 @@ def test_pair_symmetric_samples():
 def test_pair_hand_values():
     # 0.2 with candidate mismatched x4, 0.8 with candidate matched x4
     samples = [(0.2, False)] * 4 + [(0.8, True)] * 4
-    pair = calibrate_pair(samples, "a", "b", bins=2, alpha=1.0, min_samples=8)
+    pair = calibrate_pair(*columns(samples), "a", "b", bins=2, alpha=1.0, min_samples=8)
     assert pair.histogram.mass(0.8, MATCH) == pytest.approx(5.0 / 6.0)
     assert pair.histogram.mass(0.8, MISMATCH) == pytest.approx(1.0 / 6.0)
 
@@ -133,14 +143,14 @@ def test_likelihood_non_finite_rejected():
 
 @given(samples_strategy)
 def test_masses_sum_to_one(samples):
-    calib = calibrate_technique(samples, "t")
+    calib = calibrate_technique(*columns(samples), "t")
     for hyp in (MATCH, MISMATCH):
         assert calib.histogram.masses(hyp).sum() == pytest.approx(1.0, abs=1e-9)
 
 
 @given(samples_strategy)
 def test_likelihood_strictly_positive(samples):
-    calib = calibrate_technique(samples, "t")
+    calib = calibrate_technique(*columns(samples), "t")
     for score in (-10.0, 0.0, 0.5, 10.0):
         assert calib.histogram.mass(score, MATCH) > 0.0
         assert calib.histogram.mass(score, MISMATCH) > 0.0
@@ -150,8 +160,8 @@ def test_likelihood_strictly_positive(samples):
 def test_permutation_invariance(samples, rnd):
     shuffled = list(samples)
     rnd.shuffle(shuffled)
-    a = calibrate_technique(samples, "t")
-    b = calibrate_technique(shuffled, "t")
+    a = calibrate_technique(*columns(samples), "t")
+    b = calibrate_technique(*columns(shuffled), "t")
     assert a.prior_match == b.prior_match
     assert np.array_equal(a.histogram.counts_matched, b.histogram.counts_matched)
     assert np.array_equal(
@@ -163,9 +173,9 @@ def test_permutation_invariance(samples, rnd):
 def _random_run(rng, techniques, n=40):
     run = {}
     for tid in techniques:
-        run[tid] = [
-            (float(rng.uniform(-1, 1)), bool(rng.random() < 0.5)) for _ in range(n)
-        ]
+        run[tid] = columns(
+            [(float(rng.uniform(-1, 1)), bool(rng.random() < 0.5)) for _ in range(n)]
+        )
     return run
 
 
@@ -185,6 +195,61 @@ def test_build_store_missing_technique():
     run = _random_run(rng, ["a"])
     with pytest.raises(IncompleteCalibrationError):
         build_store(run, ["a", "b"])
+
+
+def tuple_list_store(runtime, techniques):
+    """The store built the per-query way: (score, correct) tuples from each
+    query's scalar best match, and each pair's tuples zipped from two
+    techniques' lists."""
+    truth = runtime.ground_truth()
+    samples = {}
+    for tid in techniques:
+        samples[tid] = []
+        for q in range(runtime.query_count):
+            best = raw_match_score(runtime.similarity(q, tid))
+            samples[tid].append((best.value, truth.is_correct(q, best.best_index)))
+    store = CalibrationStore()
+    for tid in techniques:
+        store.techniques[tid] = calibrate_technique(*columns(samples[tid]), tid)
+    for a in techniques:
+        for b in techniques:
+            if a != b:
+                paired = [(s, m) for (s, _), (_, m) in zip(samples[a], samples[b])]
+                store.pairs[(a, b)] = calibrate_pair(*columns(paired), a, b)
+    return store
+
+
+def test_collected_store_matches_tuple_list_store(tmp_path):
+    techniques = ["a", "b", "c"]
+    ds = generate(
+        [TechniqueProfile(t, r, 0.75, 0.08, 0.45, 0.08)
+         for t, r in zip(techniques, (0.6, 0.5, 0.4))],
+        120, 30, seed=17,
+    )
+    runtime = SubsetRuntime(ds, np.arange(0, 120, 2))
+    save_store(build_store(collect_run(runtime, techniques), techniques), tmp_path / "a")
+    save_store(tuple_list_store(runtime, techniques), tmp_path / "b")
+    assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "scores, flags",
+    [([0.5] * 12, [True] * 11), (np.zeros((12, 1)), [True] * 12)],
+)
+def test_sample_columns_must_be_aligned_1d(scores, flags):
+    with pytest.raises(InvalidInputError):
+        calibrate_technique(scores, flags, "t")
+
+
+def test_build_store_rejects_misaligned_techniques():
+    run = {"a": columns([(0.5, True)] * 12), "b": columns([(0.5, True)] * 11)}
+    with pytest.raises(InvalidInputError):
+        build_store(run, ["a", "b"])
+
+
+def test_non_finite_calibration_score_rejected():
+    with pytest.raises(InvalidInputError):
+        calibrate_technique([0.5] * 11 + [math.nan], [True] * 12, "t")
 
 
 def test_store_lookup_errors():

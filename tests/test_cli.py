@@ -1,5 +1,9 @@
 import json
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ from switchfuse.cli import main
 from switchfuse.datasets import DatasetRuntime, load_config, load_manifest
 from switchfuse.errors import InvalidInputError, UndefinedEvidenceError
 from switchfuse.switching import run_tripartite
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_spec(path, ids_rates, query_count=80, reference_count=30):
@@ -344,3 +350,84 @@ def test_short_predictions_row_reports_format_error(pipeline_dir, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("SF-FORMAT") and str(preds) in err and "row 1" in err
+
+
+def _predictions_csv(path, query_count, edit=None):
+    """A valid predictions CSV for ``query_count`` queries; ``edit`` maps a
+    row index to that row's replacement fields (query, predicted, confidence)."""
+    rows = {q: (q, 0, 0.5) for q in range(query_count)}
+    rows.update(edit or {})
+    lines = ["query,predicted,confidence,selected,posteriors,fallbacks"]
+    lines += [f"{q},{p},{c},,," for q, p, c in rows.values()]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [
+        ("duplicate_query", "SF-INPUT"),
+        ("nan_confidence", "SF-FORMAT"),
+        ("inf_confidence", "SF-FORMAT"),
+        ("negative_predicted", "SF-INPUT"),
+        ("predicted_past_references", "SF-INPUT"),
+        ("predicted_past_int64", "SF-FORMAT"),
+        ("compare_store_missing_technique", "SF-CALIBRATION"),
+    ],
+)
+def test_bad_input_per_command(pipeline_dir, capsys, case, code):
+    d = pipeline_dir
+    _synth_and_calibrate(d)
+    manifest = d / "data" / "eval_manifest.json"
+    if case.startswith("compare"):
+        # a store calibrated without "c", which the second unit uses
+        write_config(d / "ab.json", [["a", "b"]])
+        assert run_cli("calibrate", "--manifest", d / "data" / "calib_manifest.json",
+                       "--config", d / "ab.json", "--out", d / "ab.sfcal") == 0
+        argv = ["compare", "--manifest", manifest, "--config", d / "config.json",
+                "--store", d / "ab.sfcal", "--out", d / "cmp"]
+    else:
+        edit = {
+            "duplicate_query": (1, 0, 0.5),
+            "nan_confidence": (2, 0, "nan"),
+            "inf_confidence": (2, 0, "-inf"),
+            "negative_predicted": (2, -5, 0.5),
+            "predicted_past_references": (2, 10**9, 0.5),
+            "predicted_past_int64": (2, 2**63, 0.5),
+        }[case]
+        preds = d / "preds.csv"
+        _predictions_csv(preds, load_manifest(manifest).query_count, {2: edit})
+        argv = ["evaluate", "--predictions", preds, "--manifest", manifest,
+                "--out", d / "report"]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(code) and "Traceback" not in err
+    if code == "SF-FORMAT":
+        assert str(d / "preds.csv") in err and "row 3" in err
+
+
+def test_cli_import_leaves_scipy_out():
+    # scipy is only needed by ``synth``; every other command skips its import
+    code = "import sys, switchfuse.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_diff_outputs_same_root_is_identical(pipeline_dir):
+    d = pipeline_dir
+    run_cli("synth", "--spec", d / "spec.json", "--seed", 5, "--out", d / "data")
+    src = ROOT / "src"
+    out = subprocess.run(
+        [sys.executable, ROOT / "scripts" / "diff_outputs.py", src, src,
+         "--calib-manifest", d / "data" / "calib_manifest.json",
+         "--eval-manifest", d / "data" / "eval_manifest.json",
+         "--config", d / "config.json"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 6 and all(ln.startswith("identical") for ln in lines)

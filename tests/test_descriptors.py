@@ -99,6 +99,17 @@ def test_image_invariants_enforced():
         ImageGray(width=4, height=4, pixels=np.zeros((3, 4)))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 1.5])
+def test_public_image_constructors_scan_every_pixel(bad):
+    # load_pgm skips the scan for decoded 8-bit data; these two keep it
+    pixels = np.zeros((16, 16))
+    pixels[7, 3] = bad
+    with pytest.raises(InvalidInputError):
+        ImageGray(width=16, height=16, pixels=pixels)
+    with pytest.raises(InvalidInputError):
+        ImageGray.from_array(pixels)
+
+
 def test_similarity_identical_and_orthogonal():
     refs = DescriptorSet("t", 2, np.array([[1.0, 0.0], [0.0, 1.0]]))
     sim = similarity_vector(DescriptorVector("t", [1.0, 0.0]), refs)
@@ -262,3 +273,16 @@ def test_pgm_round_trip(tmp_path):
     loaded = load_pgm(path)
     assert loaded.width == 17 and loaded.height == 20
     assert np.allclose(loaded.pixels, img.pixels, atol=1e-12)
+
+
+def test_pgm_decode_equals_checked_image(tmp_path):
+    from switchfuse.pgm import load_pgm
+
+    raw = np.arange(256, dtype=np.uint8).reshape(16, 16)[:, ::-1]
+    path = tmp_path / "ramp.pgm"
+    path.write_bytes(b"P5\n16 16\n255\n" + raw.tobytes())
+    loaded = load_pgm(path)
+    checked = ImageGray.from_array(raw / 255.0)
+    assert (loaded.width, loaded.height) == (checked.width, checked.height)
+    assert loaded.pixels.dtype == np.float64
+    assert np.array_equal(loaded.pixels, checked.pixels)

@@ -1,8 +1,9 @@
+import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from switchfuse import (
@@ -12,7 +13,9 @@ from switchfuse import (
     UnitConfig,
     compare,
     pr_curve,
+    pr_points,
     run_method,
+    score_outcomes,
     score_predictions,
 )
 from switchfuse.calibration import build_store
@@ -30,6 +33,22 @@ from switchfuse.synthetic import (
 
 def outcome(q, predicted, confidence, correct):
     return QueryOutcome(q, predicted, confidence, correct)
+
+
+def query_outcomes(outcomes) -> list[QueryOutcome]:
+    """An ``Outcomes`` record's rows as the oracle's per-query objects."""
+    decisions = outcomes.decisions or [None] * len(outcomes.predicted)
+    return [
+        QueryOutcome(q, p, c, ok, d)
+        for q, (p, c, ok, d) in enumerate(
+            zip(
+                outcomes.predicted.tolist(),
+                outcomes.confidence.tolist(),
+                outcomes.correct.tolist(),
+                decisions,
+            )
+        )
+    ]
 
 
 class TestScorePredictions:
@@ -72,6 +91,117 @@ class TestScorePredictions:
         outs = [outcome(q, 0, 0.5, False) for q in indices]
         with pytest.raises(InvalidInputError):
             score_predictions(outs, gt)
+
+
+def score_columns(outs, gt):
+    return score_outcomes(
+        [o.query_index for o in outs],
+        [o.predicted for o in outs],
+        [o.confidence for o in outs],
+        gt,
+    )
+
+
+class TestScoreOutcomes:
+    @pytest.mark.parametrize("indices", [(0, 0), (1, 1), (0, 2), (-1, 0), (0,)])
+    def test_query_indices_must_cover_each_query_once(self, indices):
+        gt = GroundTruth.from_sets([{0}, {0}], 2)
+        outs = [outcome(q, 0, 0.5, False) for q in indices]
+        with pytest.raises(InvalidInputError):
+            score_columns(outs, gt)
+
+    @pytest.mark.parametrize("predicted", [-5, 3, 10**9])
+    def test_predicted_reference_must_be_in_range(self, predicted):
+        gt = GroundTruth.from_sets([{0}, {2}], 3)
+        outs = [outcome(0, 0, 0.5, False), outcome(1, predicted, 0.5, False)]
+        with pytest.raises(InvalidInputError, match=f"query 1.*{predicted}"):
+            score_columns(outs, gt)
+
+    def test_rows_come_back_in_query_order(self):
+        gt = GroundTruth.from_sets([{0}, {1}, {2}], 3)
+        outs = [outcome(2, 2, 0.1, False), outcome(0, 1, 0.3, False),
+                outcome(1, 1, 0.2, False)]
+        rep = score_columns(outs, gt)
+        assert rep.outcomes.predicted.tolist() == [1, 1, 2]
+        assert rep.outcomes.confidence.tolist() == [0.3, 0.2, 0.1]
+        assert rep.outcomes.correct.tolist() == [False, True, True]
+
+    @pytest.mark.parametrize("truth", ["window", "explicit"])
+    @given(seed=st.integers(0, 2**32 - 1), queries=st.integers(1, 40))
+    def test_matches_score_predictions(self, truth, seed, queries):
+        rng = np.random.default_rng(seed)
+        refs = int(rng.integers(1, 12))
+        if truth == "window":
+            gt = GroundTruth.from_window(queries, max(refs, queries), k=1)
+        else:
+            gt = GroundTruth.from_sets(
+                [set(rng.choice(refs, int(rng.integers(1, refs + 1))).tolist())
+                 for _ in range(queries)],
+                refs,
+            )
+        order = rng.permutation(queries).tolist()
+        predicted = rng.integers(0, gt.reference_count, queries).tolist()
+        confidence = rng.choice([0.0, -0.0, 0.25, 0.5, 0.75], queries).tolist()
+        outs = [outcome(q, p, c, False) for q, p, c in zip(order, predicted, confidence)]
+        want = score_predictions(outs, gt, "m")
+        got = score_columns(outs, gt)
+        assert (got.accuracy, got.correct_count, got.query_count) == (
+            want.accuracy, want.correct_count, want.query_count
+        )
+        assert got.outcomes.predicted.tolist() == [o.predicted for o in want.outcomes]
+        assert repr(got.outcomes.confidence.tolist()) == repr(
+            [o.confidence for o in want.outcomes]
+        )
+        assert got.outcomes.correct.tolist() == [o.correct for o in want.outcomes]
+        assert repr(got.pr_points) == repr(tuple(pr_curve(want.outcomes)))
+
+    def test_ground_truth_correct_matches_is_correct(self):
+        gt = GroundTruth.from_sets([{0, 2}, {1}, {4}], 5)
+        predicted = [2, 4, 4]
+        assert gt.correct(predicted).tolist() == [
+            gt.is_correct(q, p) for q, p in enumerate(predicted)
+        ]
+        # 6 and -3 land on other queries' accepted keys unless range-checked
+        assert gt.correct([6, -3, 10**12]).tolist() == [False, False, False]
+        with pytest.raises(InvalidInputError):
+            gt.correct([0, 1])
+
+
+confidences = st.one_of(
+    st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(-2, 2, allow_nan=False)
+)
+
+
+class TestPrPoints:
+    @given(
+        st.lists(st.tuples(confidences, st.booleans()), min_size=1, max_size=50),
+        st.sampled_from([None, True, False]),  # mixed, all correct, all wrong
+    )
+    @example([(1.0, True), (1.0, False), (0.5, True)], None)  # tie at the top
+    @example([(0.0, True), (-0.0, False), (-0.0, True), (0.0, False)], None)
+    @example([(-0.0, False), (0.0, True)], None)
+    @example([(0.3, True)], None)
+    def test_equals_pr_curve_oracle(self, raw, flag):
+        if flag is not None:
+            raw = [(c, flag) for c, _ in raw]
+        outs = [outcome(i, 0, c, ok) for i, (c, ok) in enumerate(raw)]
+        got = pr_points([c for c, _ in raw], [ok for _, ok in raw])
+        # repr tells -0.0 from 0.0, which the threshold column prints
+        assert repr(got) == repr(pr_curve(outs))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_confidence_rejected(self, bad):
+        outs = [outcome(0, 0, 0.5, True), outcome(1, 0, bad, False)]
+        with pytest.raises(InvalidInputError):
+            pr_curve(outs)
+        with pytest.raises(InvalidInputError):
+            pr_points([0.5, bad], [True, False])
+
+    def test_empty_or_misaligned_rejected(self):
+        with pytest.raises(InvalidInputError):
+            pr_points([], [])
+        with pytest.raises(InvalidInputError):
+            pr_points([0.5, 0.25], [True])
 
 
 class TestPrCurve:
@@ -152,7 +282,7 @@ class TestRunMethod:
         preds = {}
         for method in ("switch-fuse", "switch-only", "fuse-all", "single:a"):
             rep = run_method(method, runtime, config, store, gt)
-            preds[method] = [o.predicted for o in rep.outcomes]
+            preds[method] = rep.outcomes.predicted.tolist()
         assert (
             preds["switch-fuse"]
             == preds["switch-only"]
@@ -174,9 +304,9 @@ class TestRunMethod:
         config = TripartiteConfig(units=(UnitConfig("u", ("a", "b")),))
         gt = runtime.ground_truth()
         rep = run_method("single:b", runtime, config, None, gt)
-        for o in rep.outcomes:
-            row = runtime.similarity_rows("b", [o.query_index])[0]
-            assert o.predicted == int(np.argmax(row))
+        for q, predicted in enumerate(rep.outcomes.predicted.tolist()):
+            row = runtime.similarity_rows("b", [q])[0]
+            assert predicted == int(np.argmax(row))
 
     def test_unknown_method(self):
         ds, store, runtime = small_synthetic()
@@ -196,9 +326,7 @@ class TestRunMethod:
         gt = runtime.ground_truth()
         r1 = run_method("switch-fuse", runtime, config, store, gt)
         r2 = run_method("switch-fuse", runtime, config, store, gt)
-        assert [o.predicted for o in r1.outcomes] == [
-            o.predicted for o in r2.outcomes
-        ]
+        assert r1.outcomes.predicted.tolist() == r2.outcomes.predicted.tolist()
         assert r1.pr_points == r2.pr_points
 
     def test_switch_fuse_requires_store(self):
@@ -264,7 +392,8 @@ def test_every_method_matches_scalar_oracle(threshold):
     fallbacks = 0
     for method in methods:
         report = run_method(method, runtime, config, store, gt)
-        for o in report.outcomes:
+        assert report.pr_points == tuple(pr_curve(query_outcomes(report.outcomes)))
+        for o in query_outcomes(report.outcomes):
             idx, conf, units = scalar_outcome(
                 method, runtime, config, store, o.query_index
             )

@@ -43,10 +43,7 @@ def sfdesc_bytes(count=3, dim=4):
 @pytest.fixture(scope="module")
 def sfcal_blob(tmp_path_factory):
     rng = np.random.default_rng(5)
-    run = {
-        tid: list(zip(rng.uniform(size=40).tolist(), (rng.uniform(size=40) < 0.5).tolist()))
-        for tid in ("a", "b")
-    }
+    run = {tid: (rng.uniform(size=40), rng.uniform(size=40) < 0.5) for tid in ("a", "b")}
     path = tmp_path_factory.mktemp("sfcal") / "store.sfcal"
     save_store(build_store(run, ["a", "b"], bins=4), path)
     return path.read_bytes()

@@ -4,7 +4,7 @@ import io
 import pytest
 
 from switchfuse.calibration import build_store
-from switchfuse.evaluation import QueryOutcome, run_method
+from switchfuse.evaluation import Outcomes, QueryOutcome, run_method
 from switchfuse.reports import read_predictions, write_predictions
 from switchfuse.switching import TripartiteConfig, UnitConfig, UnitDecision
 from switchfuse.synthetic import (
@@ -14,6 +14,18 @@ from switchfuse.synthetic import (
     generate,
     split_calibration_eval,
 )
+
+from .test_evaluation import query_outcomes
+
+
+def as_columns(outcomes) -> Outcomes:
+    """Per-query objects (queries 0..n-1, in order) as one ``Outcomes``."""
+    return Outcomes(
+        [o.predicted for o in outcomes],
+        [o.confidence for o in outcomes],
+        [o.correct for o in outcomes],
+        tuple(o.decisions for o in outcomes),
+    )
 
 
 def oracle_predictions_text(outcomes) -> str:
@@ -53,7 +65,7 @@ def test_predictions_match_row_formatting_with_shared_decisions(tmp_path):
         QueryOutcome(7, 0, 1.5, False, ()),
     ]
     path = tmp_path / "p.csv"
-    write_predictions(outcomes, path, timestamp=False)
+    write_predictions(as_columns(outcomes), path, timestamp=False)
     assert path.read_text() == oracle_predictions_text(outcomes)
 
 
@@ -78,7 +90,7 @@ def test_switch_fuse_predictions_match_row_formatting(tmp_path, threshold):
     report = run_method("switch-fuse", runtime, config, store, runtime.ground_truth())
     path = tmp_path / "p.csv"
     write_predictions(report.outcomes, path, timestamp=False)
-    assert path.read_text() == oracle_predictions_text(report.outcomes)
-    assert [o.query_index for o in read_predictions(path)] == list(
+    assert path.read_text() == oracle_predictions_text(query_outcomes(report.outcomes))
+    assert read_predictions(path)[0].tolist() == list(
         range(len(eval_idx))
     )
