@@ -17,12 +17,13 @@ from . import evaluation as ev
 from . import reports
 from .datasets import (
     DatasetRuntime,
+    json_number,
     load_config,
     load_manifest,
     manifest_ground_truth,
     read_json,
 )
-from .errors import InvalidInputError, SwitchFuseError
+from .errors import FormatError, InvalidInputError, SwitchFuseError
 from .fusion import FusionParams
 
 
@@ -31,29 +32,63 @@ def _load_runtime(args):
     return DatasetRuntime(manifest)
 
 
+# numeric fields of a spec profile, in ``TechniqueProfile`` order
+_PROFILE_NUMBERS = ("correct_rate", "mean_m", "sd_m", "mean_mm", "sd_mm")
+
+
+def _spec_key(doc: dict, key: str, path):
+    try:
+        return doc[key]
+    except KeyError:
+        raise InvalidInputError(f"{path}: spec missing key {key!r}") from None
+
+
+def _load_spec(path):
+    """(profiles, query count, reference count, calibration fraction) of a
+    synthetic spec JSON.  A document of the wrong shape raises
+    ``FormatError`` naming the path."""
+    from .synthetic import TechniqueProfile
+
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: spec must be a JSON object")
+    profiles = _spec_key(doc, "profiles", path)
+    if not (isinstance(profiles, list) and all(isinstance(p, dict) for p in profiles)):
+        raise FormatError(f"{path}: 'profiles' must be a list of objects")
+    parsed = []
+    for p in profiles:
+        tid = _spec_key(p, "technique_id", path)
+        overlaps = p.get("overlaps", {})
+        if not (isinstance(tid, str) and isinstance(overlaps, dict)):
+            raise FormatError(
+                f"{path}: a profile needs a string 'technique_id' and an "
+                "object 'overlaps'"
+            )
+        where = f"{path}: {tid}"
+        numbers = [
+            json_number(_spec_key(p, k, path), f"{where}: {k!r}")
+            for k in _PROFILE_NUMBERS
+        ]
+        overlaps = {
+            k: json_number(v, f"{where}: overlap {k!r}") for k, v in overlaps.items()
+        }
+        parsed.append(TechniqueProfile(tid, *numbers, overlaps=overlaps))
+    counts = [_spec_key(doc, k, path) for k in ("query_count", "reference_count")]
+    if not all(isinstance(c, int) and not isinstance(c, bool) for c in counts):
+        raise FormatError(
+            f"{path}: 'query_count' and 'reference_count' must be integers"
+        )
+    fraction = json_number(
+        doc.get("calibration_fraction", 0.5), f"{path}: 'calibration_fraction'"
+    )
+    return parsed, counts[0], counts[1], fraction
+
+
 def cmd_synth(args) -> int:
     # scipy is imported with the generator, so only ``synth`` pays for it
     from . import synthetic
 
-    doc = read_json(args.spec)
-    try:
-        profiles = [
-            synthetic.TechniqueProfile(
-                technique_id=p["technique_id"],
-                correct_rate=float(p["correct_rate"]),
-                mean_m=float(p["mean_m"]),
-                sd_m=float(p["sd_m"]),
-                mean_mm=float(p["mean_mm"]),
-                sd_mm=float(p["sd_mm"]),
-                overlaps={k: float(v) for k, v in p.get("overlaps", {}).items()},
-            )
-            for p in doc["profiles"]
-        ]
-        query_count = int(doc["query_count"])
-        reference_count = int(doc["reference_count"])
-    except KeyError as exc:
-        raise InvalidInputError(f"{args.spec}: spec missing key {exc}") from exc
-    fraction = float(doc.get("calibration_fraction", 0.5))
+    profiles, query_count, reference_count, fraction = _load_spec(args.spec)
     dataset = synthetic.generate(profiles, query_count, reference_count, args.seed)
     calib_idx, eval_idx = synthetic.split_calibration_eval(
         dataset, fraction, args.seed
@@ -71,7 +106,18 @@ def cmd_calibrate(args) -> int:
     # such a bin would end a later run with SF-EVIDENCE
     if not args.alpha > 0:
         raise InvalidInputError(f"--alpha must be > 0, got {args.alpha}")
+    if args.min_samples < 1:
+        raise InvalidInputError(f"--min-samples must be >= 1, got {args.min_samples}")
     runtime = _load_runtime(args)
+    # each histogram has one sample per calibration query; bounding the bins
+    # by that count (or the default, for small sets) keeps a huge --bins from
+    # allocating its counts
+    most_bins = max(runtime.query_count, cal.DEFAULT_BINS)
+    if not 1 <= args.bins <= most_bins:
+        raise InvalidInputError(
+            f"--bins must lie in 1..{most_bins}, the larger of the calibration "
+            f"query count and {cal.DEFAULT_BINS}, got {args.bins}"
+        )
     config = load_config(args.config, args.threshold)
     techniques = config.all_techniques()
     store = cal.build_store(
@@ -131,6 +177,11 @@ def cmd_compare(args) -> int:
     config = load_config(args.config, args.threshold)
     store = cal.load_store(args.store)
     gt = runtime.ground_truth()
+    # fuse-all and the single-technique methods read every row, so each
+    # technique is scored as one whole block before any method runs
+    everyone = range(runtime.query_count)
+    for tid in config.all_techniques():
+        runtime.similarity_rows(tid, everyone)
     methods = ["switch-fuse", "switch-only", "fuse-all"] + [
         f"single:{tid}" for tid in config.all_techniques()
     ]

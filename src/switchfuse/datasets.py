@@ -116,24 +116,51 @@ def load_manifest(path) -> DatasetManifest:
     return manifest
 
 
+def json_number(value, what: str) -> float:
+    """``value`` as a float when it is a JSON number (not a bool) that fits
+    one; otherwise ``FormatError`` naming ``what``."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise FormatError(f"{what} must be a number, got {type(value).__name__}")
+
+
 def load_config(path, threshold_override: float | None = None):
     """Load a tripartite configuration JSON: ordered units with ordered
     technique lists (first entry is the unit's primary) and the acceptance
-    threshold (posterior must strictly exceed it)."""
+    threshold (posterior must strictly exceed it).  A document of the wrong
+    shape raises ``FormatError`` naming the path."""
     from .switching import TripartiteConfig, UnitConfig
 
     doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise FormatError(f"{path}: config must be a JSON object")
     try:
-        units = tuple(
-            UnitConfig(label=u["label"], techniques=tuple(u["techniques"]))
-            for u in doc["units"]
-        )
+        units = doc["units"]
+        if not (isinstance(units, list) and all(isinstance(u, dict) for u in units)):
+            raise FormatError(f"{path}: 'units' must be a list of objects")
+        pools = [(u["label"], u["techniques"]) for u in units]
     except KeyError as exc:
         raise InvalidInputError(f"{path}: config missing key {exc}") from exc
-    threshold = doc.get("threshold", 0.5)
+    for label, techniques in pools:
+        if not (
+            isinstance(label, str)
+            and isinstance(techniques, list)
+            and all(isinstance(t, str) for t in techniques)
+        ):
+            raise FormatError(
+                f"{path}: each unit needs a string 'label' and a list of "
+                "technique-id strings 'techniques'"
+            )
+    threshold = json_number(doc.get("threshold", 0.5), f"{path}: 'threshold'")
     if threshold_override is not None:
         threshold = threshold_override
-    return TripartiteConfig(units=units, posterior_threshold=float(threshold))
+    return TripartiteConfig(
+        units=tuple(UnitConfig(label, tuple(ts)) for label, ts in pools),
+        posterior_threshold=float(threshold),
+    )
 
 
 def save_config(config, path) -> None:
@@ -196,23 +223,28 @@ _SCORE_CHUNK = 64
 class DatasetRuntime:
     """Serves similarity rows for (technique, queries) of a manifest.
 
-    SFDESC1 headers are checked on construction.  A technique's query
-    payload is read on its first similarity request, which computes its
-    whole query x reference block; only the block is kept and later requests
-    return its rows.  Reference descriptors and their row norms are built
-    once per runtime: a reference file is read once however many techniques
-    bind it, and a built-in descriptor is extracted from the reference
-    images on its technique's first request.  Built-in query descriptors are
-    extracted lazily, only for the (query, technique) pairs requested; each
-    request scores its not yet scored queries in blocks of at most
-    ``_SCORE_CHUNK`` rows.  Images are decoded afresh for every descriptor,
-    never kept.
+    SFDESC1 headers are checked on construction.  Rows are scored lazily:
+    a request scores only its queries not yet scored for the technique and
+    keeps them as one fragment, the block ``similarity_block`` returned with
+    its rows in query order.  Each (query, technique) row is scored once,
+    and only if some request asks for it.  A technique's SFDESC1 query
+    payload is read and checked whole on its first request, kept as
+    float32, widened to float64 only for the rows being scored, and dropped
+    once every row is scored.  Reference descriptors and their row norms
+    are built once per runtime: a reference file is read once however many
+    techniques bind it, and a built-in descriptor is extracted from the
+    reference images on its technique's first request.  Built-in query
+    descriptors are extracted in blocks of at most ``_SCORE_CHUNK`` images,
+    decoded afresh for every descriptor, never kept.
     """
 
     def __init__(self, manifest: DatasetManifest):
         self.manifest = manifest
-        self._blocks: dict[str, np.ndarray] = {}
-        self._scored: dict[str, np.ndarray] = {}  # built-in: rows filled in
+        # technique -> its row fragments, each read-only
+        self._fragments: dict[str, list[np.ndarray]] = {}
+        # technique -> (fragment, row in it) of each query; -1 if unscored
+        self._where: dict[str, np.ndarray] = {}
+        self._payloads: dict[str, np.ndarray] = {}  # SFDESC1 query payloads
         # reference file path or built-in name -> (matrix, row norms)
         self._references: dict[object, tuple[np.ndarray, np.ndarray]] = {}
         for tid, binding in manifest.bindings.items():
@@ -256,20 +288,46 @@ class DatasetRuntime:
 
     def similarity_rows(self, technique_id: str, query_indices) -> np.ndarray:
         """Read-only (len(query_indices), reference_count) block of cosine
-        similarities, one row per listed query."""
+        similarities, one row per listed query.
+
+        A request equal to one fragment gets that fragment itself.  Any
+        other is gathered from the fragments holding its rows, grouped by
+        one stable sort, so its cost grows with the request and the
+        fragments it touches, not with the fragments held.
+        """
         binding = self.manifest.bindings.get(technique_id)
         if binding is None:
             raise UnknownTechniqueError(
                 f"technique {technique_id!r} not bound in manifest"
             )
         queries = query_positions(query_indices, self.query_count)
-        if binding.kind == "sfdesc":
-            block = self._blocks.get(technique_id)
-            if block is None:
-                block = self._sfdesc_block(binding)
+        where = self._where.get(technique_id)
+        if where is None:
+            where = self._where[technique_id] = np.full((2, self.query_count), -1)
+            self._fragments[technique_id] = []
+        fragments = self._fragments[technique_id]
+        todo = np.unique(queries[where[0, queries] < 0])
+        if len(todo):
+            block = self._score(binding, todo)
+            block.setflags(write=False)
+            where[0, todo] = len(fragments)
+            where[1, todo] = np.arange(len(todo))
+            fragments.append(block)
+            if where[0].min() >= 0:
+                self._payloads.pop(technique_id, None)
+        frag, row = where[:, queries]
+        if len(frag) and (frag == frag[0]).all():
+            block = fragments[frag[0]]
+            if len(row) == len(block) and np.array_equal(row, np.arange(len(row))):
+                return block
+            rows = block[row]
         else:
-            block = self._builtin_block(binding, queries)
-        rows = block[queries]
+            rows = np.empty((len(queries), self.reference_count))
+            order = np.argsort(frag, kind="stable")
+            starts = np.flatnonzero(np.diff(frag[order], prepend=-1))
+            for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(order)]):
+                part = order[a:b]
+                rows[part] = fragments[frag[part[0]]][row[part]]
         rows.setflags(write=False)
         return rows
 
@@ -279,49 +337,44 @@ class DatasetRuntime:
             technique_id, self.similarity_rows(technique_id, [query_index])[0]
         )
 
-    def _sfdesc_block(self, binding: TechniqueBinding) -> np.ndarray:
+    def _score(self, binding: TechniqueBinding, todo: np.ndarray) -> np.ndarray:
+        """Similarity rows of the sorted queries ``todo``: SFDESC1 rows from
+        one matrix product, built-in rows in equal chunks of at most
+        ``_SCORE_CHUNK`` queries, which bound the memory their descriptors
+        take at once."""
         tid = binding.technique_id
-        path = self.manifest.base_dir / binding.references_path
-        refs, ref_norms = self._reference_rows(
-            path, lambda: load_descriptor_set(path).matrix
-        )
-        queries = load_descriptor_set(
-            self.manifest.base_dir / binding.queries_path, tid
-        )
-        # the files may have been replaced since their headers were checked
-        self._check_shapes(tid, queries.matrix.shape, refs.shape)
-        block = similarity_block(queries.matrix, refs, ref_norms=ref_norms)
-        block.setflags(write=False)
-        self._blocks[tid] = block
-        return block
-
-    def _builtin_block(self, binding: TechniqueBinding, queries) -> np.ndarray:
-        """A built-in technique's query x reference block with the rows of
-        ``queries`` scored; rows of other queries may be unset."""
-        tid = binding.technique_id
-        block = self._blocks.get(tid)
-        if block is None:
-            block = self._blocks[tid] = np.empty(
-                (self.query_count, self.reference_count)
-            )
-            self._scored[tid] = np.zeros(self.query_count, dtype=bool)
-        scored = self._scored[tid]
-        todo = np.unique(queries[~scored[queries]])
-        if len(todo):
+        if binding.kind == "sfdesc":
+            path = self.manifest.base_dir / binding.references_path
             refs, ref_norms = self._reference_rows(
-                binding.builtin,
-                lambda: self._builtin_descriptors(
-                    binding.builtin, self.manifest.reference_images
-                ),
+                path, lambda: load_descriptor_set(path).matrix.astype(np.float64)
             )
-            # equal chunks bound the memory the descriptors take at once
-            for chunk in np.array_split(todo, -(-len(todo) // _SCORE_CHUNK)):
-                descriptors = self._builtin_descriptors(
-                    binding.builtin,
-                    [self.manifest.query_images[q] for q in chunk.tolist()],
-                )
-                block[chunk] = similarity_block(descriptors, refs, ref_norms=ref_norms)
-                scored[chunk] = True
+            payload = self._payloads.get(tid)
+            if payload is None:
+                payload = load_descriptor_set(
+                    self.manifest.base_dir / binding.queries_path, tid
+                ).matrix
+                # the files may have been replaced since their headers were checked
+                self._check_shapes(tid, payload.shape, refs.shape)
+                self._payloads[tid] = payload
+            if len(todo) < len(payload):
+                payload = payload[todo]
+            return similarity_block(payload, refs, ref_norms=ref_norms)
+        refs, ref_norms = self._reference_rows(
+            binding.builtin,
+            lambda: self._builtin_descriptors(
+                binding.builtin, self.manifest.reference_images
+            ),
+        )
+        block = np.empty((len(todo), self.reference_count))
+        pieces = -(-len(todo) // _SCORE_CHUNK)
+        for rows, chunk in zip(
+            np.array_split(block, pieces), np.array_split(todo, pieces)
+        ):
+            descriptors = self._builtin_descriptors(
+                binding.builtin,
+                [self.manifest.query_images[q] for q in chunk.tolist()],
+            )
+            rows[:] = similarity_block(descriptors, refs, ref_norms=ref_norms)
         return block
 
     def _reference_rows(self, key, load) -> tuple[np.ndarray, np.ndarray]:

@@ -98,14 +98,20 @@ class DescriptorVector:
 
 @dataclass(frozen=True)
 class DescriptorSet:
-    """Row-aligned descriptors for one technique; read-only once built."""
+    """Row-aligned descriptors for one technique; read-only once built.
+
+    A float32 matrix, as SFDESC1 stores it, is kept as is; any other is
+    converted to float64.
+    """
 
     technique_id: str
     dim: int
     matrix: np.ndarray  # shape (count, dim)
 
     def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=np.float64)
+        mat = np.asarray(self.matrix)
+        if mat.dtype != np.float32:
+            mat = mat.astype(np.float64, copy=False)
         if mat.ndim != 2 or mat.shape[1] != self.dim:
             raise InvalidInputError("descriptor matrix shape mismatch")
         object.__setattr__(self, "matrix", mat)
@@ -286,7 +292,8 @@ def read_descriptor_header(path) -> tuple[int, int]:
 
 
 def load_descriptor_set(path, technique_id: str | None = None) -> DescriptorSet:
-    """Read an SFDESC1 file; values come back bit-exact as stored."""
+    """Read an SFDESC1 file; values come back bit-exact as stored, in a
+    float32 matrix.  Any non-finite value raises ``DataError``."""
     with open(path, "rb") as fh:
         count, dim = _read_header(fh, path)
         payload = fh.read()
@@ -295,7 +302,6 @@ def load_descriptor_set(path, technique_id: str | None = None) -> DescriptorSet:
             f"{path}: payload size {len(payload)} bytes, expected {4 * count * dim}"
         )
     matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
-    matrix = matrix.astype(np.float64)
     if not np.all(np.isfinite(matrix)):
         raise DataError(f"{path}: non-finite descriptor values")
     tid = technique_id if technique_id is not None else "external"
@@ -324,17 +330,23 @@ def similarity_vector(query: DescriptorVector, refs: DescriptorSet) -> Similarit
     qn = np.linalg.norm(query.values)
     if qn == 0.0:
         return SimilarityVector(refs.technique_id, np.zeros(refs.count))
-    rn = np.linalg.norm(refs.matrix, axis=1)
-    dots = refs.matrix @ query.values
+    matrix = np.asarray(refs.matrix, dtype=np.float64)
+    rn = np.linalg.norm(matrix, axis=1)
+    dots = matrix @ query.values
     scores = np.where(rn > 0.0, dots / (np.where(rn > 0.0, rn, 1.0) * qn), 0.0)
     return SimilarityVector(refs.technique_id, scores)
+
+
+# query rows divided by their norms at a time in ``similarity_block``
+_NORM_ROWS = 64
 
 
 def similarity_block(queries, refs, ref_norms=None) -> np.ndarray:
     """Cosine similarity of every query row against every reference row.
 
-    Returns the Q x R block from one matrix product; an entry whose query or
-    reference row has zero norm is 0, as in ``similarity_vector``.
+    Returns the Q x R block from one matrix product, divided in place by
+    the norm products ``_NORM_ROWS`` rows at a time; an entry whose norm
+    product is not positive is +0.0, as in ``similarity_vector``.
     ``ref_norms`` are the reference row norms when the caller keeps them
     across blocks.
     """
@@ -345,11 +357,20 @@ def similarity_block(queries, refs, ref_norms=None) -> np.ndarray:
             f"query block {queries.shape} does not match reference block "
             f"{refs.shape}"
         )
-    qn = np.linalg.norm(queries, axis=1)
     rn = np.linalg.norm(refs, axis=1) if ref_norms is None else ref_norms
-    dots = queries @ refs.T
-    norms = qn[:, None] * rn[None, :]
-    return np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0.0)
+    block = queries @ refs.T
+    # entries with a zero norm product are reset to +0.0, so the warnings
+    # of their division say nothing
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for start in range(0, len(block), _NORM_ROWS):
+            rows = block[start : start + _NORM_ROWS]
+            qn = np.linalg.norm(queries[start : start + _NORM_ROWS], axis=1)
+            norms = qn[:, None] * rn[None, :]
+            rows /= norms
+            positive = norms > 0.0
+            if not positive.all():
+                rows[~positive] = 0.0
+    return block
 
 
 def raw_match_score(sim: SimilarityVector) -> MatchScore:

@@ -36,16 +36,26 @@ class GroundTruth:
     reference_count: int
 
     def __post_init__(self):
-        for i, refs in enumerate(self.accepted):
-            if not refs:
-                raise InvalidInputError(f"query {i} has no acceptable reference")
-            if any(r < 0 or r >= self.reference_count for r in refs):
+        n, r = self.query_count, self.reference_count
+        counts = np.fromiter(map(len, self.accepted), np.int64, n)
+        try:
+            refs = np.fromiter(
+                chain.from_iterable(self.accepted), np.int64, counts.sum()
+            )
+        except OverflowError:  # a reference past int64 is out of range anyway
+            flat = chain.from_iterable(self.accepted)
+            refs = np.array([min(max(ref, -1), r) for ref in flat], dtype=np.int64)
+        owner = np.repeat(np.arange(n, dtype=np.int64), counts)
+        outside = np.zeros(n, dtype=bool)
+        outside[owner[(refs < 0) | (refs >= r)]] = True
+        bad = outside | (counts == 0)
+        if bad.any():  # the first bad query fails, as a per-query loop would
+            i = int(np.argmax(bad))
+            if outside[i]:
                 raise InvalidInputError(f"query {i} references out of range")
+            raise InvalidInputError(f"query {i} has no acceptable reference")
         # every accepted (query, reference) pair as one integer, for ``correct``
-        counts = np.fromiter(map(len, self.accepted), np.int64, self.query_count)
-        refs = np.fromiter(chain.from_iterable(self.accepted), np.int64, counts.sum())
-        starts = np.arange(self.query_count, dtype=np.int64) * self.reference_count
-        object.__setattr__(self, "_keys", np.repeat(starts, counts) + refs)
+        object.__setattr__(self, "_keys", owner * r + refs)
 
     @property
     def query_count(self) -> int:

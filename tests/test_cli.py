@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import struct
@@ -7,11 +9,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from switchfuse.calibration import build_store, collect_run, save_store
+from switchfuse.calibration import build_store, collect_run, load_store, save_store
 from switchfuse.cli import main
 from switchfuse.datasets import DatasetRuntime, load_config, load_manifest
-from switchfuse.errors import InvalidInputError, UndefinedEvidenceError
+from switchfuse.descriptors import read_descriptor_header
+from switchfuse.errors import FormatError, InvalidInputError, UndefinedEvidenceError
 from switchfuse.switching import run_tripartite
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -285,6 +290,42 @@ def test_non_finite_query_payload_fails_run(pipeline_dir, capsys):
     assert not (d / "p.csv").exists()
 
 
+def test_non_finite_unread_query_row_fails_run(pipeline_dir, capsys):
+    """A NaN in a row ``run`` never scores still fails it: the payload is
+    checked whole on first use."""
+    d = pipeline_dir
+    _synth_and_calibrate(d)
+    config = load_config(d / "config.json")
+    store = load_store(d / "store.sfcal")
+    manifest = load_manifest(d / "data" / "eval_manifest.json")
+    runtime = DatasetRuntime(manifest)
+    visited = set()
+    for q in range(runtime.query_count):
+        run_tripartite(
+            config, lambda tid, q=q: visited.add((q, tid)) or runtime.similarity(q, tid), store
+        )
+    # "b" is the first unit's secondary: some queries visit it, some do not
+    unread = [q for q in range(runtime.query_count) if (q, "b") not in visited]
+    assert unread and len(unread) < runtime.query_count
+    path = manifest.base_dir / manifest.bindings["b"].queries_path
+    dim = read_descriptor_header(path)[1]
+    blob = bytearray(path.read_bytes())
+    at = 16 + 4 * dim * unread[0]
+    blob[at : at + 4] = struct.pack("<f", float("nan"))
+    path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    rc = run_cli(
+        "run",
+        "--manifest", d / "data" / "eval_manifest.json",
+        "--config", d / "config.json",
+        "--store", d / "store.sfcal",
+        "--out", d / "p.csv",
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("SF-DATA")
+    assert not (d / "p.csv").exists()
+
+
 @pytest.mark.parametrize("alpha", ["0", "-0.5", "nan"])
 def test_calibrate_rejects_nonpositive_alpha(tmp_path, capsys, alpha):
     # the manifest does not exist: the check comes before any data is read
@@ -362,6 +403,26 @@ def _predictions_csv(path, query_count, edit=None):
     path.write_text("\n".join(lines) + "\n")
 
 
+# config documents of the wrong shape, from the valid one
+BAD_CONFIGS = {
+    "threshold_string": lambda doc: {**doc, "threshold": "x"},
+    "units_object": lambda doc: {**doc, "units": {"u0": doc["units"][0]}},
+    "config_list": lambda doc: [doc],
+    "techniques_string": lambda doc: {
+        **doc, "units": [{"label": "u0", "techniques": "a"}]
+    },
+}
+
+# synthetic specs of the wrong shape, from the valid one
+BAD_SPECS = {
+    "spec_list": lambda doc: [doc],
+    "profiles_number": lambda doc: {**doc, "profiles": 3},
+    "correct_rate_string": lambda doc: {
+        **doc, "profiles": [{**doc["profiles"][0], "correct_rate": "high"}]
+    },
+}
+
+
 @pytest.mark.parametrize(
     "case, code",
     [
@@ -372,12 +433,21 @@ def _predictions_csv(path, query_count, edit=None):
         ("predicted_past_references", "SF-INPUT"),
         ("predicted_past_int64", "SF-FORMAT"),
         ("compare_store_missing_technique", "SF-CALIBRATION"),
+        ("calibrate_bins_0", "SF-INPUT"),
+        ("calibrate_bins_-3", "SF-INPUT"),
+        ("calibrate_min_samples_0", "SF-INPUT"),
+        ("calibrate_min_samples_-1", "SF-INPUT"),
+        *[(f"{cmd}_{bad}", "SF-FORMAT") for bad in BAD_CONFIGS for cmd in ("calibrate", "run")],
+        *[(f"synth_{bad}", "SF-FORMAT") for bad in BAD_SPECS],
     ],
 )
 def test_bad_input_per_command(pipeline_dir, capsys, case, code):
     d = pipeline_dir
     _synth_and_calibrate(d)
     manifest = d / "data" / "eval_manifest.json"
+    named = None  # the file an SF-FORMAT message names
+    calibrate = ["calibrate", "--manifest", d / "data" / "calib_manifest.json",
+                 "--config", d / "config.json", "--out", d / "s.sfcal"]
     if case.startswith("compare"):
         # a store calibrated without "c", which the second unit uses
         write_config(d / "ab.json", [["a", "b"]])
@@ -385,6 +455,25 @@ def test_bad_input_per_command(pipeline_dir, capsys, case, code):
                        "--config", d / "ab.json", "--out", d / "ab.sfcal") == 0
         argv = ["compare", "--manifest", manifest, "--config", d / "config.json",
                 "--store", d / "ab.sfcal", "--out", d / "cmp"]
+    elif case.startswith(("calibrate_bins", "calibrate_min_samples")):
+        flag, value = case[len("calibrate_"):].rsplit("_", 1)
+        argv = [*calibrate, "--" + flag.replace("_", "-"), value]
+    elif case.split("_", 1)[1] in BAD_CONFIGS:
+        command, bad = case.split("_", 1)
+        named = d / "bad_config.json"
+        named.write_text(
+            json.dumps(BAD_CONFIGS[bad](json.loads((d / "config.json").read_text())))
+        )
+        argv = {
+            "calibrate": [*calibrate[:3], "--config", named, "--out", d / "s.sfcal"],
+            "run": ["run", "--manifest", manifest, "--config", named,
+                    "--store", d / "store.sfcal", "--out", d / "p.csv"],
+        }[command]
+    elif case.startswith("synth"):
+        named = d / "bad_spec.json"
+        spec = json.loads((d / "spec.json").read_text())
+        named.write_text(json.dumps(BAD_SPECS[case[len("synth_"):]](spec)))
+        argv = ["synth", "--spec", named, "--seed", 1, "--out", d / "synth"]
     else:
         edit = {
             "duplicate_query": (1, 0, 0.5),
@@ -402,8 +491,120 @@ def test_bad_input_per_command(pipeline_dir, capsys, case, code):
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(code) and "Traceback" not in err
-    if code == "SF-FORMAT":
+    if code == "SF-FORMAT" and named is None:
         assert str(d / "preds.csv") in err and "row 3" in err
+    elif code == "SF-FORMAT":
+        assert str(named) in err
+    for out in ("s.sfcal", "p.csv", "synth"):
+        assert not (d / out).exists()
+
+
+# JSON values of each kind
+JSON_KINDS = {
+    "null": st.none(),
+    "bool": st.booleans(),
+    "integer": st.integers(),
+    "float": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=4),
+    "list": st.lists(st.integers(), max_size=3),
+    "object": st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
+}
+
+
+def mistyped(doc, paths):
+    """``doc`` with the value at one of ``paths`` replaced by a JSON value
+    of another kind; ``paths`` maps a key path to the kinds it accepts."""
+
+    def replace(node, path, value):
+        if not path:
+            return value
+        node = node.copy()
+        node[path[0]] = replace(node[path[0]], path[1:], value)
+        return node
+
+    return st.sampled_from(list(paths.items())).flatmap(
+        lambda item: st.one_of(
+            *(v for k, v in JSON_KINDS.items() if k not in item[1])
+        ).map(lambda value: replace(doc, item[0], value))
+    )
+
+
+NUMBER = ("integer", "float")
+CONFIG_DOC = {"threshold": 0.5, "units": [{"label": "u0", "techniques": ["a", "b"]}]}
+CONFIG_PATHS = {
+    (): ("object",),
+    ("units",): ("list",),
+    ("units", 0): ("object",),
+    ("units", 0, "label"): ("string",),
+    ("units", 0, "techniques"): ("list",),
+    ("units", 0, "techniques", 0): ("string",),
+    ("threshold",): NUMBER,
+}
+PROFILE = dict(technique_id="a", correct_rate=0.6, mean_m=0.75, sd_m=0.08,
+               mean_mm=0.45, sd_mm=0.08, overlaps={"b": 0.3})
+SPEC_DOC = {"query_count": 8, "reference_count": 4, "calibration_fraction": 0.5,
+            "profiles": [PROFILE]}
+SPEC_PATHS = {
+    (): ("object",),
+    ("profiles",): ("list",),
+    ("profiles", 0): ("object",),
+    ("profiles", 0, "technique_id"): ("string",),
+    ("profiles", 0, "overlaps"): ("object",),
+    ("profiles", 0, "overlaps", "b"): NUMBER,
+    ("query_count",): ("integer",),
+    ("reference_count",): ("integer",),
+    ("calibration_fraction",): NUMBER,
+    **{("profiles", 0, k): NUMBER for k in ("correct_rate", "mean_m", "sd_m", "mean_mm", "sd_mm")},
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=mistyped(CONFIG_DOC, CONFIG_PATHS))
+def test_mistyped_config_is_format_error(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("config") / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as info:
+        load_config(path)
+    assert info.value.code == "SF-FORMAT" and str(path) in str(info.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=mistyped(SPEC_DOC, SPEC_PATHS))
+def test_mistyped_spec_is_format_error(tmp_path_factory, doc):
+    d = tmp_path_factory.mktemp("spec")
+    (d / "spec.json").write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = run_cli("synth", "--spec", d / "spec.json", "--seed", 1, "--out", d / "out")
+    assert rc == 1
+    assert err.getvalue().startswith("SF-FORMAT") and str(d / "spec.json") in err.getvalue()
+    assert not (d / "out").exists()
+
+
+def test_calibrate_bounds_bins_before_scoring(pipeline_dir, capsys, monkeypatch):
+    """A --bins past the calibration query count is rejected before any
+    row is scored or any histogram allocated."""
+    from switchfuse import calibration
+
+    d = pipeline_dir
+    _synth_and_calibrate(d)
+
+    def never(*args, **kwargs):
+        raise AssertionError("calibration ran")
+
+    monkeypatch.setattr(calibration, "collect_run", never)
+    monkeypatch.setattr(calibration, "_build_histogram", never)
+    queries = load_manifest(d / "data" / "calib_manifest.json").query_count
+    assert queries > 20  # the default bin count, the bound for smaller sets
+    for bins in (queries + 1, 10**12):
+        capsys.readouterr()
+        rc = run_cli("calibrate", "--manifest", d / "data" / "calib_manifest.json",
+                     "--config", d / "config.json", "--out", d / "s.sfcal",
+                     "--bins", bins)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("SF-INPUT") and f"1..{queries}" in err
+    assert not (d / "s.sfcal").exists()
 
 
 def test_cli_import_leaves_scipy_out():

@@ -101,6 +101,77 @@ def test_block_kernel_runs_once_per_technique_across_methods(
     assert len(calls) == len(TECHNIQUES)
 
 
+@pytest.fixture
+def switching_dataset(tmp_path):
+    """``score_dataset`` calibrated on its own exported SFDESC split, so
+    that some queries stop at their unit's primary."""
+    ds = generate(
+        [profile(t, r) for t, r in zip(TECHNIQUES, (0.6, 0.5, 0.55))],
+        120, 20, seed=17,
+    )
+    calib_idx, eval_idx = split_calibration_eval(ds, 0.5, seed=17)
+    calib = DatasetRuntime(load_manifest(export_dataset(ds, calib_idx, tmp_path, "calib")))
+    store = build_store(collect_run(calib, TECHNIQUES), list(TECHNIQUES))
+    return export_dataset(ds, eval_idx, tmp_path, "eval"), store
+
+
+def test_sfdesc_rows_stay_lazy(switching_dataset, tmp_path, monkeypatch):
+    """``run`` scores an SFDESC row only for each (query, technique) pair
+    switching visits; ``compare`` scores every row, each once."""
+    manifest_path, store = switching_dataset
+    config = TripartiteConfig(
+        units=(UnitConfig("u0", ("a", "b")), UnitConfig("u1", ("c", "a")))
+    )
+    save_store(store, tmp_path / "store.sfcal")
+    save_config(config, tmp_path / "config.json")
+
+    oracle = DatasetRuntime(load_manifest(manifest_path))
+    visited = set()
+    for q in range(oracle.query_count):
+        run_tripartite(
+            config, lambda tid, q=q: visited.add((q, tid)) or oracle.similarity(q, tid), store
+        )
+    everything = len(TECHNIQUES) * oracle.query_count
+    assert len(visited) < everything
+
+    rows = []
+    kernel = datasets.similarity_block
+
+    def counted(queries, *args, **kwargs):
+        rows.append(len(queries))
+        return kernel(queries, *args, **kwargs)
+
+    monkeypatch.setattr(datasets, "similarity_block", counted)
+    common = [
+        "--manifest", manifest_path, "--config", tmp_path / "config.json",
+        "--store", tmp_path / "store.sfcal",
+    ]
+    assert cli_main([str(a) for a in ["run", *common, "--out", tmp_path / "p.csv"]]) == 0
+    assert sum(rows) == len(visited)
+    rows.clear()
+    assert cli_main([str(a) for a in ["compare", *common, "--out", tmp_path / "cmp"]]) == 0
+    assert sum(rows) == everything
+
+
+def test_sfdesc_fragments_serve_rows_bit_exact(score_dataset):
+    """Rows scored by many small requests are served, in any order and with
+    repeats, bit for bit as one whole-block request gives them."""
+    manifest = load_manifest(score_dataset[0])
+    q = manifest.query_count
+    whole = DatasetRuntime(manifest).similarity_rows("a", range(q))
+    runtime = DatasetRuntime(manifest)
+    for request in ([5], [2], [7, 5, 2, 5], [q - 1, 0], list(range(0, q, 3)),
+                    list(range(q)), [], [4, 4]):
+        rows = runtime.similarity_rows("a", request)
+        assert rows.shape == (len(request), manifest.reference_count)
+        assert not rows.flags.writeable
+        assert rows.tobytes() == whole[request].tobytes()
+    # a request equal to the rows one request scored gets them uncopied
+    runtime.similarity_rows("b", [3, 1, 2])
+    block = runtime.similarity_rows("b", [1, 2, 3])
+    assert runtime.similarity_rows("b", [1, 2, 3]) is block
+
+
 def test_truncated_sfdesc_fails_at_construction(score_dataset):
     manifest = load_manifest(score_dataset[0])
     path = manifest.base_dir / manifest.bindings["b"].queries_path

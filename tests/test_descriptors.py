@@ -155,6 +155,30 @@ def test_similarity_block_matches_scalar_oracle():
     assert np.all(block[2] == 0.0) and np.all(block[:, 1] == 0.0)
 
 
+def _divided_block(queries, refs):
+    """``similarity_block`` as one division into a zeroed Q x R output."""
+    qn = np.linalg.norm(queries, axis=1)
+    rn = np.linalg.norm(refs, axis=1)
+    dots = queries @ refs.T
+    norms = qn[:, None] * rn[None, :]
+    return np.divide(dots, norms, out=np.zeros_like(dots), where=norms > 0.0)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64, 65, 200])
+def test_similarity_block_bit_identical_to_one_division(rows):
+    rng = np.random.default_rng(rows)
+    queries = rng.normal(size=(rows, 33))
+    refs = rng.normal(size=(50, 33))
+    queries[rows // 2] = 0.0
+    refs[[0, 17]] = 0.0
+    refs[5] = -np.abs(refs[5])  # negative dot products against a zero row
+    block = similarity_block(queries, refs)
+    want = _divided_block(queries, refs)
+    assert block.tobytes() == want.tobytes()
+    zero = ~(np.linalg.norm(queries, axis=1)[:, None] * np.linalg.norm(refs, axis=1) > 0)
+    assert zero.any() and not np.signbit(block[zero]).any()
+
+
 def test_similarity_block_dim_mismatch():
     with pytest.raises(InvalidInputError):
         similarity_block(np.ones((2, 3)), np.ones((4, 2)))

@@ -430,3 +430,23 @@ def test_ground_truth_validation():
         GroundTruth.from_sets([set()], 4)
     with pytest.raises(InvalidInputError):
         GroundTruth.from_sets([{5}], 4)
+
+
+@pytest.mark.parametrize(
+    "sets, message",
+    [
+        ([{0}, {1}, set(), {9}], "query 2 has no acceptable reference"),
+        ([{0}, {1, 9}, set()], "query 1 references out of range"),
+        ([{0}, {-1}], "query 1 references out of range"),
+        ([{0}, {1}, {2**70}], "query 2 references out of range"),
+        ([{0}, {-(2**70)}, set()], "query 1 references out of range"),
+    ],
+)
+def test_ground_truth_names_the_first_bad_query(sets, message):
+    """The array checks name the query a per-query loop stops at."""
+    for i, refs in enumerate(sets):
+        if not refs or any(r < 0 or r >= 4 for r in refs):
+            assert message.startswith(f"query {i} ")
+            break
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        GroundTruth.from_sets(sets, 4)
