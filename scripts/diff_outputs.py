@@ -3,11 +3,12 @@
 
 For each ``src`` root, runs ``calibrate -> run -> evaluate -> compare`` with
 ``--no-timestamp`` through the real CLI, each command in its own
-``python -m switchfuse.cli`` subprocess with that root on ``PYTHONPATH``.
-Then prints ``identical`` or ``differs`` for every output file (the SFCAL
-store, the predictions CSV, the ``evaluate`` CSVs and ``comparison.csv``),
-with the first differing byte offset, and exits 1 on any difference or
-failed command::
+``python -m switchfuse.cli`` subprocess with that root on ``PYTHONPATH``;
+``evaluate`` and ``compare`` also get ``--svg``, so the PR points of every
+method are compared.  Then prints ``identical`` or ``differs`` for every
+output file (the SFCAL store, the predictions CSV, the ``evaluate`` CSVs,
+``pr_curve.svg``, ``comparison.csv`` and ``pr_curves.svg``), with the first
+differing byte offset, and exits 1 on any difference or failed command::
 
     python scripts/diff_outputs.py OLD/src NEW/src \\
         --calib-manifest calib_manifest.json \\
@@ -27,15 +28,16 @@ from pathlib import Path
 def run_pipeline(src: Path, args, out: Path) -> None:
     """All four commands against ``src``; raises on a failed command."""
     common = ["--no-timestamp"]
+    plots = ["--svg", *common]
     commands = [
         ["calibrate", "--manifest", args.calib_manifest, "--config", args.config,
          "--out", out / "store.sfcal"],
         ["run", "--manifest", args.eval_manifest, "--config", args.config,
          "--store", out / "store.sfcal", "--out", out / "preds.csv", *common],
         ["evaluate", "--predictions", out / "preds.csv",
-         "--manifest", args.eval_manifest, "--out", out / "report", *common],
+         "--manifest", args.eval_manifest, "--out", out / "report", *plots],
         ["compare", "--manifest", args.eval_manifest, "--config", args.config,
-         "--store", out / "store.sfcal", "--out", out / "compare", *common],
+         "--store", out / "store.sfcal", "--out", out / "compare", *plots],
     ]
     env = dict(os.environ, PYTHONPATH=str(src.resolve()))
     for argv in commands:

@@ -16,38 +16,21 @@ from .descriptors import (
     DescriptorSet,
     DescriptorVector,
     ImageGray,
-    MatchScore,
-    SimilarityVector,
     compute_descriptor,
     load_descriptor_set,
-    raw_match_score,
     save_descriptor_set,
     similarity_block,
-    similarity_vector,
 )
 from .evaluation import (
     EvaluationReport,
     GroundTruth,
     Outcomes,
-    QueryOutcome,
     compare,
-    pr_curve,
     pr_points,
     run_method,
     score_outcomes,
-    score_predictions,
 )
-from .fusion import FusionParams, FusedVector, NormalizedVector, best_match, fuse, normalize
-from .switching import (
-    ComplementarityScore,
-    SelectedTechniques,
-    TripartiteConfig,
-    UnitConfig,
-    UnitDecision,
-    complementarity,
-    posterior_match,
-    run_tripartite,
-    select_technique,
-)
+from .fusion import FusionParams
+from .switching import TripartiteConfig, UnitConfig
 
 __version__ = "0.1.0"

@@ -9,6 +9,7 @@ alpha, applied lazily at lookup time so stored counts stay exact integers.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -46,50 +47,35 @@ class LikelihoodHistogram:
     def __post_init__(self):
         if self.bin_count < 2:
             raise InvalidInputError("bin_count must be at least 2")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
+            raise InvalidInputError("histogram range must be finite")
         if not self.hi > self.lo:
             raise InvalidInputError("histogram range must have hi > lo")
-        if self.smoothing_alpha < 0:
-            raise InvalidInputError("smoothing_alpha must be >= 0")
+        if not 0.0 <= self.smoothing_alpha < math.inf:  # NaN fails both
+            raise InvalidInputError("smoothing_alpha must be finite and >= 0")
         for name in ("counts_matched", "counts_mismatched"):
             arr = np.asarray(getattr(self, name), dtype=np.int64)
             if arr.shape != (self.bin_count,):
                 raise InvalidInputError(f"{name} must have length bin_count")
+            # argmin, unlike min, runs no Python code; a store loads
+            # hundreds of histograms
+            if arr[arr.argmin()] < 0:
+                raise InvalidInputError(f"{name} must be >= 0")
             object.__setattr__(self, name, arr)
 
-    def bin_index(self, score: float) -> int:
-        """Bin containing ``score``; out-of-range scores clamp to edge bins."""
-        if not np.isfinite(score):
-            raise InvalidInputError("score must be finite")
-        if score <= self.lo:
-            return 0
-        if score >= self.hi:
-            return self.bin_count - 1
-        # divide by the span, not the bin width, so subnormal spans cannot
-        # overflow the quotient
-        idx = int(self.bin_count * (score - self.lo) / (self.hi - self.lo))
-        return min(max(idx, 0), self.bin_count - 1)
-
     def bin_indices(self, scores: np.ndarray) -> np.ndarray:
-        """``bin_index`` of every score in a finite float64 array."""
+        """Bin of every score in a finite float64 array; scores outside
+        [lo, hi] clamp to the edge bins."""
         with np.errstate(over="ignore"):
-            # the expression of ``bin_index``; a score at or below lo gives
-            # a quotient <= 0 and one at or above hi a quotient >= B - 1
-            # (or inf), so clipping reproduces its edge clamps
+            # dividing by the span, not the bin width, keeps subnormal spans
+            # from overflowing; a score at or below lo gives a quotient <= 0
+            # and one at or above hi a quotient >= B - 1 (or inf), so the
+            # clip is the edge clamp
             quotient = self.bin_count * (scores - self.lo) / (self.hi - self.lo)
         return np.clip(quotient, 0, self.bin_count - 1).astype(np.int64)
 
-    def mass(self, score: float, hypothesis: str) -> float:
-        """Smoothed probability of the bin containing ``score``."""
-        counts = self._counts(hypothesis)
-        idx = self.bin_index(score)
-        total = int(counts.sum())
-        a = self.smoothing_alpha
-        return (counts[idx] + a) / (total + a * self.bin_count)
-
     def masses(self, hypothesis: str) -> np.ndarray:
-        """Smoothed mass of every bin; sums to 1 when alpha > 0 or counts > 0.
-
-        Entry ``i`` equals ``mass`` of a score in bin ``i`` bit for bit."""
+        """Smoothed mass of every bin; sums to 1 when alpha > 0 or counts > 0."""
         counts = self._counts(hypothesis)
         a = self.smoothing_alpha
         return (counts + a) / (counts.sum() + a * self.bin_count)
@@ -105,7 +91,8 @@ class LikelihoodHistogram:
 @dataclass(frozen=True)
 class MassTable:
     """A histogram compiled for block lookups: its binning and both smoothed
-    mass vectors, so ``matched[h.bin_indices(s)]`` equals ``h.mass(s, MATCH)``."""
+    mass vectors, so ``matched[h.bin_indices(s)]`` is the match likelihood of
+    every score ``s``."""
 
     histogram: LikelihoodHistogram
     matched: np.ndarray
@@ -327,10 +314,10 @@ def _pack_hist(h: LikelihoodHistogram) -> bytes:
 def _unpack_hist(blob: bytes, pos: int) -> tuple[LikelihoodHistogram, int]:
     bins, lo, hi, alpha = struct.unpack_from("<Iddd", blob, pos)
     pos += 28
-    matched = np.frombuffer(blob, dtype="<i8", count=bins, offset=pos).copy()
-    pos += 8 * bins
-    mismatched = np.frombuffer(blob, dtype="<i8", count=bins, offset=pos).copy()
-    pos += 8 * bins
+    # read-only views of the matched, then the mismatched counts
+    counts = np.frombuffer(blob, dtype="<i8", count=2 * bins, offset=pos)
+    matched, mismatched = counts[:bins], counts[bins:]
+    pos += 16 * bins
     hist = LikelihoodHistogram(
         bin_count=bins,
         lo=lo,
@@ -392,6 +379,8 @@ def load_store(path) -> CalibrationStore:
             )
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: truncated calibration store") from exc
+    except InvalidInputError as exc:  # a histogram field out of its range
+        raise FormatError(f"{path}: {exc}") from exc
     if pos != len(blob):
         raise FormatError(f"{path}: trailing bytes in calibration store")
     return store

@@ -1,4 +1,4 @@
-"""Dataset manifests and the runtime that serves per-query similarity vectors.
+"""Dataset manifests and the runtime that serves similarity rows.
 
 A manifest is a JSON document binding each technique either to a pair of
 SFDESC1 descriptor files (references, queries) or to a built-in descriptor
@@ -9,14 +9,13 @@ an aligned frame-tolerance window).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .descriptors import (
     BUILTIN_DIMS,
-    SimilarityVector,
     compute_descriptor,
     load_descriptor_set,
     read_descriptor_header,
@@ -283,9 +282,6 @@ class DatasetRuntime:
     def reference_count(self) -> int:
         return self.manifest.reference_count
 
-    def technique_ids(self) -> list[str]:
-        return list(self.manifest.bindings)
-
     def similarity_rows(self, technique_id: str, query_indices) -> np.ndarray:
         """Read-only (len(query_indices), reference_count) block of cosine
         similarities, one row per listed query.
@@ -330,12 +326,6 @@ class DatasetRuntime:
                 rows[part] = fragments[frag[part[0]]][row[part]]
         rows.setflags(write=False)
         return rows
-
-    def similarity(self, query_index: int, technique_id: str) -> SimilarityVector:
-        """One query's row of ``similarity_rows``."""
-        return SimilarityVector(
-            technique_id, self.similarity_rows(technique_id, [query_index])[0]
-        )
 
     def _score(self, binding: TechniqueBinding, todo: np.ndarray) -> np.ndarray:
         """Similarity rows of the sorted queries ``todo``: SFDESC1 rows from

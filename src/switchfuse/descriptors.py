@@ -1,4 +1,4 @@
-"""Image descriptors, descriptor-set files and similarity vectors.
+"""Image descriptors, descriptor-set files and similarity blocks.
 
 Three built-in descriptor techniques are provided (``hog``, ``tiny_patch``,
 ``intensity_hist``); externally computed descriptors are ingested through the
@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -119,33 +119,6 @@ class DescriptorSet:
     @property
     def count(self) -> int:
         return self.matrix.shape[0]
-
-
-@dataclass(frozen=True)
-class SimilarityVector:
-    """Scores of one query against every reference image."""
-
-    technique_id: str
-    scores: np.ndarray
-
-    def __post_init__(self):
-        sc = np.asarray(self.scores, dtype=np.float64)
-        if sc.ndim != 1:
-            raise InvalidInputError("similarity scores must be 1-D")
-        if not np.all(np.isfinite(sc)):
-            raise InvalidInputError("similarity scores must be finite")
-        object.__setattr__(self, "scores", sc)
-
-    def __len__(self) -> int:
-        return self.scores.shape[0]
-
-
-@dataclass(frozen=True)
-class MatchScore:
-    """Maximum similarity and the reference index attaining it."""
-
-    value: float
-    best_index: int
 
 
 @functools.lru_cache(maxsize=64)
@@ -308,35 +281,6 @@ def load_descriptor_set(path, technique_id: str | None = None) -> DescriptorSet:
     return DescriptorSet(technique_id=tid, dim=dim, matrix=matrix)
 
 
-def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of two vectors, 0 if either is zero.  Each vector is first
-    divided by its largest magnitude, so that squaring tiny entries cannot
-    underflow the norm (|a| below about 1e-154 otherwise loses precision)."""
-    scale_a = np.max(np.abs(a), initial=0.0)
-    scale_b = np.max(np.abs(b), initial=0.0)
-    if scale_a == 0.0 or scale_b == 0.0:
-        return 0.0
-    a = a / scale_a
-    b = b / scale_b
-    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-
-def similarity_vector(query: DescriptorVector, refs: DescriptorSet) -> SimilarityVector:
-    """Cosine similarity of one query descriptor against every reference row."""
-    if query.dim != refs.dim:
-        raise InvalidInputError(
-            f"query dim {query.dim} != reference dim {refs.dim}"
-        )
-    qn = np.linalg.norm(query.values)
-    if qn == 0.0:
-        return SimilarityVector(refs.technique_id, np.zeros(refs.count))
-    matrix = np.asarray(refs.matrix, dtype=np.float64)
-    rn = np.linalg.norm(matrix, axis=1)
-    dots = matrix @ query.values
-    scores = np.where(rn > 0.0, dots / (np.where(rn > 0.0, rn, 1.0) * qn), 0.0)
-    return SimilarityVector(refs.technique_id, scores)
-
-
 # query rows divided by their norms at a time in ``similarity_block``
 _NORM_ROWS = 64
 
@@ -346,9 +290,9 @@ def similarity_block(queries, refs, ref_norms=None) -> np.ndarray:
 
     Returns the Q x R block from one matrix product, divided in place by
     the norm products ``_NORM_ROWS`` rows at a time; an entry whose norm
-    product is not positive is +0.0, as in ``similarity_vector``.
-    ``ref_norms`` are the reference row norms when the caller keeps them
-    across blocks.
+    product is not positive is +0.0, so a zero-norm row scores 0 against
+    anything.  ``ref_norms`` are the reference row norms when the caller
+    keeps them across blocks.
     """
     queries = np.asarray(queries, dtype=np.float64)
     refs = np.asarray(refs, dtype=np.float64)
@@ -372,10 +316,3 @@ def similarity_block(queries, refs, ref_norms=None) -> np.ndarray:
                 rows[~positive] = 0.0
     return block
 
-
-def raw_match_score(sim: SimilarityVector) -> MatchScore:
-    """Maximum of the similarity vector; ties go to the lowest index."""
-    if len(sim) == 0:
-        raise InvalidInputError("empty similarity vector")
-    idx = int(np.argmax(sim.scores))  # np.argmax returns the first maximum
-    return MatchScore(value=float(sim.scores[idx]), best_index=idx)

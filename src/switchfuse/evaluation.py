@@ -5,14 +5,11 @@ switch-then-fuse pipeline, a pooled switch-only baseline, fuse-everything,
 and single-technique matching.  Every family handles all queries at once,
 reading whole blocks of similarity rows from the runtime, and its per-query
 records stay columns (``Outcomes``) through scoring and the PR sweep.
-``QueryOutcome``, ``score_predictions`` and ``pr_curve`` are the per-query
-oracle of ``score_outcomes`` and ``pr_points``.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
@@ -20,12 +17,7 @@ import numpy as np
 from .calibration import CalibrationStore
 from .errors import InvalidInputError
 from .fusion import FusionParams, best_matches, normalize_rows
-from .switching import (
-    SwitchingTables,
-    TripartiteConfig,
-    UnitDecision,
-    select_block,
-)
+from .switching import BlockDecisions, SwitchingTables, TripartiteConfig, select_block
 
 
 @dataclass(frozen=True)
@@ -61,12 +53,10 @@ class GroundTruth:
     def query_count(self) -> int:
         return len(self.accepted)
 
-    def is_correct(self, query: int, predicted: int) -> bool:
-        return predicted in self.accepted[query]
-
     def correct(self, predicted) -> np.ndarray:
-        """``is_correct`` of every query at once: ``predicted[i]`` is query
-        i's predicted reference.  Out-of-range references are never correct."""
+        """Whether each query's prediction is an accepted reference:
+        ``predicted[i]`` is query i's predicted reference.  Out-of-range
+        references are never correct."""
         predicted = np.asarray(predicted, dtype=np.int64)
         if predicted.shape != (self.query_count,):
             raise InvalidInputError(
@@ -99,26 +89,17 @@ class GroundTruth:
 
 
 @dataclass(frozen=True)
-class QueryOutcome:
-    query_index: int
-    predicted: int
-    confidence: float
-    correct: bool
-    decisions: tuple[UnitDecision, ...] | None = None  # switch-fuse, unit order
-
-
-@dataclass(frozen=True)
 class Outcomes:
     """Per-query records as parallel columns; row i is query i.
 
-    ``decisions`` holds each query's ``UnitDecision`` tuple, in unit order,
-    for switch-fuse, and is None for methods that do not switch per unit.
+    ``decisions`` holds one ``BlockDecisions`` per unit, in unit order, for
+    switch-fuse, and is None for methods that do not switch per unit.
     """
 
     predicted: np.ndarray  # int64
     confidence: np.ndarray  # float64
     correct: np.ndarray  # bool
-    decisions: tuple[tuple[UnitDecision, ...] | None, ...] | None = None
+    decisions: tuple[BlockDecisions, ...] | None = None
 
     def __post_init__(self):
         columns = {
@@ -132,7 +113,7 @@ class Outcomes:
                 raise InvalidInputError(f"{name} must be a 1-D column of {n} rows")
             object.__setattr__(self, name, column)
         if self.decisions is not None:
-            if len(self.decisions) != n:
+            if any(len(unit.selected) != n for unit in self.decisions):
                 raise InvalidInputError(f"decisions must have {n} rows")
             object.__setattr__(self, "decisions", tuple(self.decisions))
 
@@ -143,7 +124,7 @@ class EvaluationReport:
     accuracy: float
     correct_count: int
     query_count: int
-    outcomes: Outcomes | tuple[QueryOutcome, ...]  # tuple from score_predictions
+    outcomes: Outcomes
     pr_points: tuple[tuple[float, float, float], ...] = ()  # (precision, recall, threshold)
 
 
@@ -162,73 +143,13 @@ class ComparisonReport:
     rows: tuple[ComparisonRow, ...]
 
 
-def score_predictions(outcomes, ground_truth: GroundTruth, method: str = "") -> EvaluationReport:
-    """Assemble accuracy and correct-match counts from raw outcomes."""
-    outcomes = tuple(sorted(outcomes, key=lambda o: o.query_index))
-    if len(outcomes) != ground_truth.query_count:
-        raise InvalidInputError(
-            f"{len(outcomes)} outcomes for {ground_truth.query_count} queries"
-        )
-    if [o.query_index for o in outcomes] != list(range(len(outcomes))):
-        raise InvalidInputError(
-            f"outcome query indices must be 0..{len(outcomes) - 1}, each once"
-        )
-    rescored = tuple(
-        QueryOutcome(
-            query_index=o.query_index,
-            predicted=o.predicted,
-            confidence=o.confidence,
-            correct=ground_truth.is_correct(o.query_index, o.predicted),
-            decisions=o.decisions,
-        )
-        for o in outcomes
-    )
-    correct = sum(o.correct for o in rescored)
-    return EvaluationReport(
-        method=method,
-        accuracy=correct / len(rescored),
-        correct_count=correct,
-        query_count=len(rescored),
-        outcomes=rescored,
-    )
-
-
-def pr_curve(outcomes) -> list[tuple[float, float, float]]:
+def pr_points(confidence, correct) -> list[tuple[float, float, float]]:
     """Precision/recall points swept over distinct confidences, descending.
 
-    At each threshold t the attempted set is every outcome with confidence
-    >= t; precision over an empty attempted set is defined as 1.0.
-    """
-    outcomes = list(outcomes)
-    if not outcomes:
-        raise InvalidInputError("no outcomes to sweep")
-    if not all(math.isfinite(o.confidence) for o in outcomes):
-        raise InvalidInputError("confidences must be finite")
-    total = len(outcomes)
-    ranked = sorted(outcomes, key=lambda o: -o.confidence)
-    points = []
-    attempted = 0
-    correct = 0
-    i = 0
-    while i < len(ranked):
-        t = ranked[i].confidence
-        while i < len(ranked) and ranked[i].confidence == t:
-            attempted += 1
-            correct += ranked[i].correct
-            i += 1
-        precision = correct / attempted if attempted else 1.0
-        recall = correct / total
-        points.append((precision, recall, t))
-    return points
-
-
-def pr_points(confidence, correct) -> list[tuple[float, float, float]]:
-    """``pr_curve`` over columns, equal to it point for point.
-
-    Rank by descending confidence (stable, as ``sorted``), count hits
-    cumulatively, and close a point at the last row of each run of equal
-    confidences, with the run's first confidence as its threshold.  The
-    divisions are the loop's, on the same integers.
+    At each threshold t the attempted set is every row with confidence
+    >= t.  Rank by descending confidence (stable), count hits cumulatively,
+    and close a point at the last row of each run of equal confidences,
+    with the run's first confidence as its threshold.
     """
     confidence = np.asarray(confidence, dtype=np.float64)
     correct = np.asarray(correct, dtype=bool)
@@ -259,7 +180,6 @@ def score_outcomes(
     confidence,
     ground_truth: GroundTruth,
     method: str = "",
-    decisions=None,
 ) -> EvaluationReport:
     """Score per-query columns: row j is query ``queries[j]``'s prediction.
 
@@ -286,11 +206,7 @@ def score_outcomes(
             f"query {q}: predicted reference {predicted[q]} outside "
             f"0..{ground_truth.reference_count - 1}"
         )
-    if decisions is not None:
-        decisions = tuple(decisions[j] for j in order.tolist())
-    outcomes = Outcomes(
-        predicted, confidence[order], ground_truth.correct(predicted), decisions
-    )
+    outcomes = Outcomes(predicted, confidence[order], ground_truth.correct(predicted))
     points = tuple(pr_points(outcomes.confidence, outcomes.correct))
     correct = int(outcomes.correct.sum())
     return EvaluationReport(
@@ -301,24 +217,6 @@ def score_outcomes(
         outcomes=outcomes,
         pr_points=points,
     )
-
-
-def _unit_decisions(unit, block) -> list[UnitDecision]:
-    """Per-query decisions of one unit.  Posteriors come from per-bin
-    tables, so decisions repeat; equal ones share one immutable object."""
-    made: dict[tuple, UnitDecision] = {}
-    out = []
-    for key in zip(
-        block.selected.tolist(), block.posterior.tolist(), block.fallback.tolist()
-    ):
-        decision = made.get(key)
-        if decision is None:
-            t, posterior, fallback = key
-            decision = made[key] = UnitDecision(
-                unit.label, unit.techniques[t], posterior, fallback
-            )
-        out.append(decision)
-    return out
 
 
 def _picked_rows(runtime, pool, choice):
@@ -371,7 +269,6 @@ def run_method(
     """
     n = runtime.query_count
     everyone = np.zeros(n, dtype=np.int64)  # every query picks pool entry 0
-    decisions = None
     if method in ("switch-fuse", "switch-only"):
         if store is None:
             raise InvalidInputError(f"{method} requires a calibration store")
@@ -393,9 +290,6 @@ def run_method(
         predicted, confidence = _best_fused(
             runtime, [(b.techniques, b.selected) for b in blocks], params
         )
-        decisions = tuple(
-            zip(*(_unit_decisions(u, b) for u, b in zip(config.units, blocks)))
-        )
     elif method == "switch-only":
         predicted, confidence = _best_raw(
             runtime, blocks[0].techniques, blocks[0].selected
@@ -411,9 +305,11 @@ def run_method(
         predicted, confidence = _best_raw(runtime, (tid,), everyone)
     else:
         raise InvalidInputError(f"unknown method {method!r}")
-    return score_outcomes(
-        np.arange(n), predicted, confidence, ground_truth, method, decisions
-    )
+    report = score_outcomes(np.arange(n), predicted, confidence, ground_truth, method)
+    if method != "switch-fuse":
+        return report
+    # the blocks hold their rows in query order, as the report does
+    return replace(report, outcomes=replace(report.outcomes, decisions=tuple(blocks)))
 
 
 def compare(reports, baseline_method: str = "switch-fuse") -> ComparisonReport:

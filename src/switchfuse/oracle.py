@@ -1,0 +1,439 @@
+"""Per-query reference forms of the product's block code.
+
+Each function here handles one query (or one score) at a time, the way the
+method is stated: cosine similarity of one descriptor, a histogram mass of
+one score, one unit's switching loop with its trace, min-max fusion of one
+query's vectors, and scoring and the PR sweep over per-query records.  The
+tests hold the block code to these forms decision for decision and bit for
+bit.  No product module imports this one, and it imports no block function.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .calibration import (
+    MATCH,
+    MISMATCH,
+    CalibrationStore,
+    LikelihoodHistogram,
+    PairCalibration,
+    TechniqueCalibration,
+)
+from .descriptors import DescriptorSet, DescriptorVector
+from .errors import InvalidInputError, UndefinedEvidenceError
+from .evaluation import GroundTruth
+from .fusion import FusionParams
+from .switching import TripartiteConfig, UnitConfig
+
+
+# -- similarity -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SimilarityVector:
+    """Scores of one query against every reference image."""
+
+    technique_id: str
+    scores: np.ndarray
+
+    def __post_init__(self):
+        sc = np.asarray(self.scores, dtype=np.float64)
+        if sc.ndim != 1:
+            raise InvalidInputError("similarity scores must be 1-D")
+        if not np.all(np.isfinite(sc)):
+            raise InvalidInputError("similarity scores must be finite")
+        object.__setattr__(self, "scores", sc)
+
+    def __len__(self) -> int:
+        return self.scores.shape[0]
+
+
+@dataclass(frozen=True)
+class MatchScore:
+    """Maximum similarity and the reference index attaining it."""
+
+    value: float
+    best_index: int
+
+
+def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine of two vectors, 0 if either is zero.  Each vector is first
+    divided by its largest magnitude, so that squaring tiny entries cannot
+    underflow the norm (|a| below about 1e-154 otherwise loses precision)."""
+    scale_a = np.max(np.abs(a), initial=0.0)
+    scale_b = np.max(np.abs(b), initial=0.0)
+    if scale_a == 0.0 or scale_b == 0.0:
+        return 0.0
+    a = a / scale_a
+    b = b / scale_b
+    return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
+
+
+def similarity_vector(query: DescriptorVector, refs: DescriptorSet) -> SimilarityVector:
+    """Cosine similarity of one query descriptor against every reference row."""
+    if query.dim != refs.dim:
+        raise InvalidInputError(
+            f"query dim {query.dim} != reference dim {refs.dim}"
+        )
+    qn = np.linalg.norm(query.values)
+    if qn == 0.0:
+        return SimilarityVector(refs.technique_id, np.zeros(refs.count))
+    matrix = np.asarray(refs.matrix, dtype=np.float64)
+    rn = np.linalg.norm(matrix, axis=1)
+    dots = matrix @ query.values
+    scores = np.where(rn > 0.0, dots / (np.where(rn > 0.0, rn, 1.0) * qn), 0.0)
+    return SimilarityVector(refs.technique_id, scores)
+
+
+def raw_match_score(sim: SimilarityVector) -> MatchScore:
+    """Maximum of the similarity vector; ties go to the lowest index."""
+    if len(sim) == 0:
+        raise InvalidInputError("empty similarity vector")
+    idx = int(np.argmax(sim.scores))  # np.argmax returns the first maximum
+    return MatchScore(value=float(sim.scores[idx]), best_index=idx)
+
+
+def similarity(runtime, query_index: int, technique_id: str) -> SimilarityVector:
+    """One query's row of a runtime's ``similarity_rows``."""
+    return SimilarityVector(
+        technique_id, runtime.similarity_rows(technique_id, [query_index])[0]
+    )
+
+
+# -- calibration lookups ----------------------------------------------------
+
+
+def bin_index(hist: LikelihoodHistogram, score: float) -> int:
+    """Bin containing ``score``; out-of-range scores clamp to edge bins."""
+    if not np.isfinite(score):
+        raise InvalidInputError("score must be finite")
+    if score <= hist.lo:
+        return 0
+    if score >= hist.hi:
+        return hist.bin_count - 1
+    # divide by the span, not the bin width, so subnormal spans cannot
+    # overflow the quotient
+    idx = int(hist.bin_count * (score - hist.lo) / (hist.hi - hist.lo))
+    return min(max(idx, 0), hist.bin_count - 1)
+
+
+def mass(hist: LikelihoodHistogram, score: float, hypothesis: str) -> float:
+    """Smoothed probability of the bin containing ``score``."""
+    if hypothesis not in (MATCH, MISMATCH):
+        raise InvalidInputError(f"unknown hypothesis {hypothesis!r}")
+    counts = hist.counts_matched if hypothesis == MATCH else hist.counts_mismatched
+    idx = bin_index(hist, score)
+    total = int(counts.sum())
+    a = hist.smoothing_alpha
+    return (counts[idx] + a) / (total + a * hist.bin_count)
+
+
+# -- switching --------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class ComplementarityScore:
+    """Likelihood-ratio score ranking candidate techniques; positive but
+    unbounded, used only for ordering."""
+
+    primary_id: str
+    candidate_id: str
+    value: float
+
+
+@dataclass(frozen=True)
+class TraceStep:
+    technique_id: str
+    posterior: float
+    complementarities: tuple[ComplementarityScore, ...] = ()
+
+
+@dataclass(frozen=True)
+class UnitDecision:
+    unit_label: str
+    selected_technique: str
+    selected_posterior: float
+    fallback_used: bool
+    trace: tuple[TraceStep, ...] = ()
+
+
+@dataclass(frozen=True)
+class SelectedTechniques:
+    """One decision per unit plus every similarity vector computed on the way."""
+
+    decisions: tuple[UnitDecision, ...]
+    similarity_cache: dict[str, SimilarityVector]
+
+    def selected_ids(self) -> list[str]:
+        """Selected techniques in unit order; duplicates kept."""
+        return [d.selected_technique for d in self.decisions]
+
+
+def posterior_match(prior: float, lik_m: float, lik_mm: float) -> float:
+    """Posterior probability of a correct match given the score evidence."""
+    if not (0.0 < prior < 1.0):
+        raise InvalidInputError("prior must lie strictly in (0, 1)")
+    if lik_m < 0 or lik_mm < 0:
+        raise InvalidInputError("likelihoods must be nonnegative")
+    num = prior * lik_m
+    den = num + (1.0 - prior) * lik_mm
+    if not den > 0.0:  # zero, or NaN from an unsmoothed empty histogram
+        raise UndefinedEvidenceError("both likelihood terms are zero")
+    return num / den
+
+
+def complementarity(
+    pair_ab: PairCalibration,
+    self_calib: TechniqueCalibration,
+    score: float,
+) -> ComplementarityScore:
+    """Ratio favouring candidate B when the current technique scores
+    ``score``: own-match times B-match likelihood over the mismatch pair."""
+    p_m_a = mass(self_calib.histogram, score, MATCH)
+    p_mm_a = mass(self_calib.histogram, score, MISMATCH)
+    p_m_b = mass(pair_ab.histogram, score, MATCH)
+    p_mm_b = mass(pair_ab.histogram, score, MISMATCH)
+    num = p_m_a * p_m_b
+    den = p_mm_a * p_mm_b
+    # NaN terms come from an unsmoothed histogram with no counts
+    if not den > 0.0 or num != num:
+        raise UndefinedEvidenceError("zero mismatch likelihood product")
+    return ComplementarityScore(
+        primary_id=self_calib.technique_id,
+        candidate_id=pair_ab.candidate_id,
+        value=num / den,
+    )
+
+
+def technique_posterior(calib: TechniqueCalibration, score: float) -> float:
+    lm = mass(calib.histogram, score, MATCH)
+    lmm = mass(calib.histogram, score, MISMATCH)
+    return posterior_match(calib.prior_match, lm, lmm)
+
+
+def select_technique(
+    unit: UnitConfig,
+    match_score_of,
+    store: CalibrationStore,
+    threshold: float = 0.5,
+) -> UnitDecision:
+    """Run the dynamic switching loop for one unit.
+
+    ``match_score_of(technique_id)`` returns that technique's MatchScore for
+    the current query.  Starting from the primary, a technique is accepted
+    when its posterior strictly exceeds ``threshold``; otherwise the loop
+    hops to the unvisited candidate with the highest complementarity from
+    the current technique.  If the pool is exhausted the highest-posterior
+    visited technique is selected with ``fallback_used`` set.  Ties break to
+    the earlier position in the unit's configured order.
+    """
+    order = {tid: i for i, tid in enumerate(unit.techniques)}
+    visited: set[str] = set()
+    trace: list[TraceStep] = []
+    current = unit.techniques[0]
+    while True:
+        visited.add(current)
+        calib = store.technique(current)
+        score = match_score_of(current).value
+        post = technique_posterior(calib, score)
+        if post > threshold:
+            trace.append(TraceStep(current, post))
+            return UnitDecision(
+                unit_label=unit.label,
+                selected_technique=current,
+                selected_posterior=post,
+                fallback_used=False,
+                trace=tuple(trace),
+            )
+        remaining = [t for t in unit.techniques if t not in visited]
+        comps = tuple(
+            complementarity(store.pair(current, cand), calib, score)
+            for cand in remaining
+        )
+        trace.append(TraceStep(current, post, comps))
+        if not remaining:
+            best = max(trace, key=lambda s: (s.posterior, -order[s.technique_id]))
+            return UnitDecision(
+                unit_label=unit.label,
+                selected_technique=best.technique_id,
+                selected_posterior=best.posterior,
+                fallback_used=True,
+                trace=tuple(trace),
+            )
+        best_comp = max(comps, key=lambda c: (c.value, -order[c.candidate_id]))
+        current = best_comp.candidate_id
+
+
+def run_tripartite(
+    config: TripartiteConfig,
+    similarity_fn,
+    store: CalibrationStore,
+) -> SelectedTechniques:
+    """Evaluate every unit independently for one query.
+
+    ``similarity_fn(technique_id)`` returns the query's SimilarityVector for
+    that technique; it is invoked at most once per technique across all
+    units via a shared cache.  Units selecting the same technique keep their
+    duplicates in the output.
+    """
+    cache: dict[str, SimilarityVector] = {}
+
+    def match_score_of(tid: str) -> MatchScore:
+        if tid not in cache:
+            cache[tid] = similarity_fn(tid)
+        return raw_match_score(cache[tid])
+
+    decisions = tuple(
+        select_technique(unit, match_score_of, store, config.posterior_threshold)
+        for unit in config.units
+    )
+    return SelectedTechniques(decisions=decisions, similarity_cache=cache)
+
+
+# -- fusion -----------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class NormalizedVector:
+    technique_id: str
+    values: np.ndarray
+
+
+@dataclass(frozen=True)
+class FusedVector:
+    values: np.ndarray
+    contributing: tuple[str, ...]
+
+
+def normalize(sim: SimilarityVector, params: FusionParams = FusionParams()) -> NormalizedVector:
+    """Rescale scores to [-epsilon, 1 - epsilon].
+
+    A constant vector carries no ranking information and maps to all zeros,
+    contributing nothing to the fused argmax.
+    """
+    scores = sim.scores
+    if len(scores) == 0:
+        raise InvalidInputError("empty similarity vector")
+    lo = scores.min()
+    hi = scores.max()
+    if hi == lo:
+        values = np.zeros_like(scores)
+    else:
+        values = (scores - lo) / (hi - lo) - params.epsilon
+    return NormalizedVector(technique_id=sim.technique_id, values=values)
+
+
+def fuse(vectors, params: FusionParams = FusionParams()) -> FusedVector:
+    """Elementwise sum of normalized vectors (1..8 contributors)."""
+    vectors = list(vectors)
+    if not vectors:
+        raise InvalidInputError("fusion needs at least one vector")
+    length = len(vectors[0].values)
+    for v in vectors:
+        if len(v.values) != length:
+            raise InvalidInputError("fused vectors must share length")
+    total = np.zeros(length)
+    for v in vectors:
+        total = total + v.values
+    return FusedVector(values=total, contributing=tuple(v.technique_id for v in vectors))
+
+
+def best_match(fused: FusedVector) -> tuple[int, float]:
+    """Argmax of the fused vector (lowest index on ties) and a confidence
+    rescaled by contributor count so thresholds compare across queries."""
+    if len(fused.values) == 0:
+        raise InvalidInputError("empty fused vector")
+    idx = int(np.argmax(fused.values))
+    confidence = float(fused.values[idx]) / len(fused.contributing)
+    return idx, confidence
+
+
+# -- scoring ----------------------------------------------------------------
+
+
+def is_correct(ground_truth: GroundTruth, query: int, predicted: int) -> bool:
+    return predicted in ground_truth.accepted[query]
+
+
+@dataclass(frozen=True)
+class QueryOutcome:
+    query_index: int
+    predicted: int
+    confidence: float
+    correct: bool
+    decisions: tuple[UnitDecision, ...] | None = None  # switch-fuse, unit order
+
+
+@dataclass(frozen=True)
+class QueryReport:
+    """Accuracy and correct-match count over per-query records."""
+
+    method: str
+    accuracy: float
+    correct_count: int
+    query_count: int
+    outcomes: tuple[QueryOutcome, ...]
+
+
+def score_predictions(outcomes, ground_truth: GroundTruth, method: str = "") -> QueryReport:
+    """Assemble accuracy and correct-match counts from raw outcomes."""
+    outcomes = tuple(sorted(outcomes, key=lambda o: o.query_index))
+    if len(outcomes) != ground_truth.query_count:
+        raise InvalidInputError(
+            f"{len(outcomes)} outcomes for {ground_truth.query_count} queries"
+        )
+    if [o.query_index for o in outcomes] != list(range(len(outcomes))):
+        raise InvalidInputError(
+            f"outcome query indices must be 0..{len(outcomes) - 1}, each once"
+        )
+    rescored = tuple(
+        QueryOutcome(
+            query_index=o.query_index,
+            predicted=o.predicted,
+            confidence=o.confidence,
+            correct=is_correct(ground_truth, o.query_index, o.predicted),
+            decisions=o.decisions,
+        )
+        for o in outcomes
+    )
+    correct = sum(o.correct for o in rescored)
+    return QueryReport(
+        method=method,
+        accuracy=correct / len(rescored),
+        correct_count=correct,
+        query_count=len(rescored),
+        outcomes=rescored,
+    )
+
+
+def pr_curve(outcomes) -> list[tuple[float, float, float]]:
+    """Precision/recall points swept over distinct confidences, descending.
+
+    At each threshold t the attempted set is every outcome with confidence
+    >= t; precision over an empty attempted set is defined as 1.0.
+    """
+    outcomes = list(outcomes)
+    if not outcomes:
+        raise InvalidInputError("no outcomes to sweep")
+    if not all(math.isfinite(o.confidence) for o in outcomes):
+        raise InvalidInputError("confidences must be finite")
+    total = len(outcomes)
+    ranked = sorted(outcomes, key=lambda o: -o.confidence)
+    points = []
+    attempted = 0
+    correct = 0
+    i = 0
+    while i < len(ranked):
+        t = ranked[i].confidence
+        while i < len(ranked) and ranked[i].confidence == t:
+            attempted += 1
+            correct += ranked[i].correct
+            i += 1
+        precision = correct / attempted if attempted else 1.0
+        recall = correct / total
+        points.append((precision, recall, t))
+    return points

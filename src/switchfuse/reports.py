@@ -13,7 +13,6 @@ import io
 import math
 import os
 from datetime import datetime, timezone
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -53,41 +52,33 @@ def _read_csv_rows(path):
     return header, list(reader)
 
 
+def _unit_texts(unit) -> tuple[list[str], list[str], list[str]]:
+    """One unit's selected technique, posterior and fallback flag as text,
+    one entry per query.  Posteriors come from per-bin tables, so each
+    distinct value is formatted once."""
+    selected = [unit.techniques[t] for t in unit.selected.tolist()]
+    distinct, at = np.unique(unit.posterior, return_inverse=True)
+    texts = [f"{p:.9f}" for p in distinct.tolist()]
+    posteriors = [texts[i] for i in at.tolist()]
+    fallbacks = ["1" if f else "0" for f in unit.fallback.tolist()]
+    return selected, posteriors, fallbacks
+
+
 def write_predictions(outcomes: Outcomes, path, timestamp: bool = True) -> None:
-    """One row per query with the full switching trace summary."""
-    # queries share equal unit decisions as one object, so each object is
-    # formatted once; the cache holds it, which keeps its id unique
-    formatted: dict[int, tuple] = {}
-    rows = []
-    for query, (predicted, confidence, decisions) in enumerate(
-        zip(
-            outcomes.predicted.tolist(),
-            outcomes.confidence.tolist(),
-            outcomes.decisions or repeat(None),
-        )
-    ):
-        parts = []
-        for d in decisions or ():
-            texts = formatted.get(id(d))
-            if texts is None:
-                texts = formatted[id(d)] = (
-                    d.selected_technique,
-                    f"{d.selected_posterior:.9f}",
-                    "1" if d.fallback_used else "0",
-                    d,
-                )
-            parts.append(texts)
-        selected, posteriors, fallbacks, _ = zip(*parts) if parts else ("",) * 4
-        rows.append(
-            [
-                query,
-                predicted,
-                f"{confidence:.9f}",
-                "|".join(selected),
-                "|".join(posteriors),
-                "|".join(fallbacks),
-            ]
-        )
+    """One row per query with the full switching trace summary: each
+    unit's selected technique, posterior and fallback flag, in unit order
+    and joined by ``|``."""
+    n = len(outcomes.predicted)
+    texts = [[""] * n] * 3  # selected, posteriors, fallbacks
+    if outcomes.decisions is not None:
+        units = [_unit_texts(unit) for unit in outcomes.decisions]
+        texts = [["|".join(row) for row in zip(*column)] for column in zip(*units)]
+    rows = zip(
+        range(n),
+        outcomes.predicted.tolist(),
+        [f"{c:.9f}" for c in outcomes.confidence.tolist()],
+        *texts,
+    )
     header = ["query", "predicted", "confidence", "selected", "posteriors", "fallbacks"]
     _atomic_write_text(path, _csv_text(header, rows, timestamp))
 

@@ -23,7 +23,7 @@ from scipy.stats import multivariate_normal, norm
 
 from .calibration import collect_run
 from .datasets import query_positions, save_ground_truth_file
-from .descriptors import DescriptorSet, SimilarityVector, save_descriptor_set
+from .descriptors import DescriptorSet, save_descriptor_set
 from .errors import InvalidInputError, InvalidSpecError, UnknownTechniqueError
 from .evaluation import GroundTruth
 from .pgm import save_pgm
@@ -223,12 +223,6 @@ class SubsetRuntime:
             raise InvalidInputError("similarity scores must be finite")
         rows.setflags(write=False)
         return rows
-
-    def similarity(self, query_index: int, technique_id: str) -> SimilarityVector:
-        """One query's row of ``similarity_rows``."""
-        return SimilarityVector(
-            technique_id, self.similarity_rows(technique_id, [query_index])[0]
-        )
 
     def ground_truth(self) -> GroundTruth:
         return GroundTruth.from_sets(

@@ -11,19 +11,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from switchfuse import (
-    ImageGray,
-    SimilarityVector,
-    TripartiteConfig,
-    UnitConfig,
-    best_match,
-    compute_descriptor,
-    fuse,
-    normalize,
-    posterior_match,
-    pr_curve,
-    select_technique,
-)
+from switchfuse import ImageGray, TripartiteConfig, UnitConfig, compute_descriptor
 from switchfuse.calibration import (
     MATCH,
     MISMATCH,
@@ -32,8 +20,20 @@ from switchfuse.calibration import (
     build_store,
 )
 from switchfuse.cli import main as cli_main
-from switchfuse.descriptors import MatchScore
-from switchfuse.evaluation import QueryOutcome, run_method
+from switchfuse.evaluation import run_method
+from switchfuse.oracle import (
+    MatchScore,
+    QueryOutcome,
+    SimilarityVector,
+    best_match,
+    bin_index,
+    fuse,
+    mass,
+    normalize,
+    posterior_match,
+    pr_curve,
+    select_technique,
+)
 from switchfuse.synthetic import (
     SubsetRuntime,
     TechniqueProfile,
@@ -69,7 +69,7 @@ def random_histogram(rng, bins):
 def brute_force_posterior(prior, hist, score):
     """Enumerate the smoothed joint count table (prior x binned likelihood)
     and read the conditional directly."""
-    b = hist.bin_index(score)
+    b = bin_index(hist, score)
     joint = np.empty((hist.bin_count, 2))
     for i in range(hist.bin_count):
         m_masses = hist.masses(MATCH)
@@ -90,8 +90,8 @@ def test_criterion_1_bayes_oracle_equivalence():
             score = float(rng.uniform(-1.5, 1.5))
             fast = posterior_match(
                 prior,
-                hist.mass(score, MATCH),
-                hist.mass(score, MISMATCH),
+                mass(hist, score, MATCH),
+                mass(hist, score, MISMATCH),
             )
             slow = brute_force_posterior(prior, hist, score)
             assert abs(fast - slow) <= 1e-9

@@ -15,13 +15,13 @@ from switchfuse import (
     save_store,
 )
 from switchfuse.calibration import MATCH, MISMATCH, SFCAL_MAGIC, collect_run
-from switchfuse.descriptors import raw_match_score
 from switchfuse.errors import (
     FormatError,
     IncompleteCalibrationError,
     InsufficientDataError,
     InvalidInputError,
 )
+from switchfuse.oracle import is_correct, mass, raw_match_score, similarity
 from switchfuse.synthetic import SubsetRuntime, TechniqueProfile, generate
 
 def columns(samples):
@@ -68,9 +68,9 @@ def test_laplace_smoothing_hand_value():
     # 0.1 mismatched x5, 0.9 matched x5, 2 bins, alpha 1
     samples = [(0.1, False)] * 5 + [(0.9, True)] * 5
     calib = calibrate_technique(*columns(samples), "t", bins=2, alpha=1.0)
-    hi_bin_mass = calib.histogram.mass(0.9, MATCH)
+    hi_bin_mass = mass(calib.histogram, 0.9, MATCH)
     assert hi_bin_mass == pytest.approx(6.0 / 7.0)
-    assert calib.histogram.mass(0.1, MATCH) == pytest.approx(1.0 / 7.0)
+    assert mass(calib.histogram, 0.1, MATCH) == pytest.approx(1.0 / 7.0)
 
 
 def test_too_few_samples():
@@ -102,14 +102,14 @@ def test_pair_hand_values():
     # 0.2 with candidate mismatched x4, 0.8 with candidate matched x4
     samples = [(0.2, False)] * 4 + [(0.8, True)] * 4
     pair = calibrate_pair(*columns(samples), "a", "b", bins=2, alpha=1.0, min_samples=8)
-    assert pair.histogram.mass(0.8, MATCH) == pytest.approx(5.0 / 6.0)
-    assert pair.histogram.mass(0.8, MISMATCH) == pytest.approx(1.0 / 6.0)
+    assert mass(pair.histogram, 0.8, MATCH) == pytest.approx(5.0 / 6.0)
+    assert mass(pair.histogram, 0.8, MISMATCH) == pytest.approx(1.0 / 6.0)
 
 
 def test_likelihood_uniform_when_empty():
     hist = uniform_hist(bins=20)
     for score in (-5.0, 0.0, 0.33, 2.0):
-        assert hist.mass(score, MATCH) == pytest.approx(1.0 / 20.0)
+        assert mass(hist, score, MATCH) == pytest.approx(1.0 / 20.0)
 
 
 def test_likelihood_edge_clamping():
@@ -120,8 +120,8 @@ def test_likelihood_edge_clamping():
         counts_matched=np.array([3, 1]),
         counts_mismatched=np.zeros(2, dtype=np.int64),
     )
-    assert hist.mass(-10.0, MATCH) == hist.mass(0.0, MATCH)
-    assert hist.mass(10.0, MATCH) == hist.mass(1.0, MATCH)
+    assert mass(hist, -10.0, MATCH) == mass(hist, 0.0, MATCH)
+    assert mass(hist, 10.0, MATCH) == mass(hist, 1.0, MATCH)
 
 
 def test_likelihood_hand_value():
@@ -132,13 +132,13 @@ def test_likelihood_hand_value():
         counts_matched=np.array([3, 1]),
         counts_mismatched=np.zeros(2, dtype=np.int64),
     )
-    assert hist.mass(0.25, MATCH) == pytest.approx(4.0 / 6.0)
+    assert mass(hist, 0.25, MATCH) == pytest.approx(4.0 / 6.0)
 
 
 def test_likelihood_non_finite_rejected():
     hist = uniform_hist()
     with pytest.raises(InvalidInputError):
-        hist.mass(float("nan"), MATCH)
+        mass(hist, float("nan"), MATCH)
 
 
 @given(samples_strategy)
@@ -152,8 +152,8 @@ def test_masses_sum_to_one(samples):
 def test_likelihood_strictly_positive(samples):
     calib = calibrate_technique(*columns(samples), "t")
     for score in (-10.0, 0.0, 0.5, 10.0):
-        assert calib.histogram.mass(score, MATCH) > 0.0
-        assert calib.histogram.mass(score, MISMATCH) > 0.0
+        assert mass(calib.histogram, score, MATCH) > 0.0
+        assert mass(calib.histogram, score, MISMATCH) > 0.0
 
 
 @given(samples_strategy, st.randoms(use_true_random=False))
@@ -206,8 +206,8 @@ def tuple_list_store(runtime, techniques):
     for tid in techniques:
         samples[tid] = []
         for q in range(runtime.query_count):
-            best = raw_match_score(runtime.similarity(q, tid))
-            samples[tid].append((best.value, truth.is_correct(q, best.best_index)))
+            best = raw_match_score(similarity(runtime, q, tid))
+            samples[tid].append((best.value, is_correct(truth, q, best.best_index)))
     store = CalibrationStore()
     for tid in techniques:
         store.techniques[tid] = calibrate_technique(*columns(samples[tid]), tid)

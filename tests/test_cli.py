@@ -17,7 +17,7 @@ from switchfuse.cli import main
 from switchfuse.datasets import DatasetRuntime, load_config, load_manifest
 from switchfuse.descriptors import read_descriptor_header
 from switchfuse.errors import FormatError, InvalidInputError, UndefinedEvidenceError
-from switchfuse.switching import run_tripartite
+from switchfuse.oracle import run_tripartite, similarity
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -302,7 +302,7 @@ def test_non_finite_unread_query_row_fails_run(pipeline_dir, capsys):
     visited = set()
     for q in range(runtime.query_count):
         run_tripartite(
-            config, lambda tid, q=q: visited.add((q, tid)) or runtime.similarity(q, tid), store
+            config, lambda tid, q=q: visited.add((q, tid)) or similarity(runtime, q, tid), store
         )
     # "b" is the first unit's secondary: some queries visit it, some do not
     unread = [q for q in range(runtime.query_count) if (q, "b") not in visited]
@@ -355,7 +355,7 @@ def test_unsmoothed_store_fails_run_on_an_empty_bin(pipeline_dir, capsys):
     failing = set()
     for q in range(runtime.query_count):
         try:
-            run_tripartite(config, lambda tid, q=q: runtime.similarity(q, tid), store)
+            run_tripartite(config, lambda tid, q=q: similarity(runtime, q, tid), store)
         except UndefinedEvidenceError:
             failing.add(q)
     assert failing
@@ -423,6 +423,27 @@ BAD_SPECS = {
 }
 
 
+# corrupt values in the first technique's histogram of an SFCAL1 store:
+# (struct format, offset from the histogram's start, value)
+BAD_STORES = {
+    "lo_-inf": ("<d", 4, float("-inf")),
+    "hi_inf": ("<d", 12, float("inf")),
+    "nan_alpha": ("<d", 20, float("nan")),
+    "negative_count": ("<q", 28, -3),
+    "bin_count_1": ("<I", 0, 1),
+}
+
+
+def _corrupt_store(blob: bytes, fmt: str, offset: int, value) -> bytes:
+    """``blob`` with one field of its first technique's histogram replaced;
+    the histogram follows the magic, the technique count, the first
+    technique's name and its prior and sample count."""
+    (name_len,) = struct.unpack_from("<H", blob, 12)
+    out = bytearray(blob)
+    struct.pack_into(fmt, out, 12 + 2 + name_len + 12 + offset, value)
+    return bytes(out)
+
+
 @pytest.mark.parametrize(
     "case, code",
     [
@@ -439,6 +460,7 @@ BAD_SPECS = {
         ("calibrate_min_samples_-1", "SF-INPUT"),
         *[(f"{cmd}_{bad}", "SF-FORMAT") for bad in BAD_CONFIGS for cmd in ("calibrate", "run")],
         *[(f"synth_{bad}", "SF-FORMAT") for bad in BAD_SPECS],
+        *[(f"run_store_{bad}", "SF-FORMAT") for bad in BAD_STORES],
     ],
 )
 def test_bad_input_per_command(pipeline_dir, capsys, case, code):
@@ -455,6 +477,12 @@ def test_bad_input_per_command(pipeline_dir, capsys, case, code):
                        "--config", d / "ab.json", "--out", d / "ab.sfcal") == 0
         argv = ["compare", "--manifest", manifest, "--config", d / "config.json",
                 "--store", d / "ab.sfcal", "--out", d / "cmp"]
+    elif case.startswith("run_store"):
+        named = d / "bad.sfcal"
+        bad = BAD_STORES[case[len("run_store_"):]]
+        named.write_bytes(_corrupt_store((d / "store.sfcal").read_bytes(), *bad))
+        argv = ["run", "--manifest", manifest, "--config", d / "config.json",
+                "--store", named, "--out", d / "p.csv"]
     elif case.startswith(("calibrate_bins", "calibrate_min_samples")):
         flag, value = case[len("calibrate_"):].rsplit("_", 1)
         argv = [*calibrate, "--" + flag.replace("_", "-"), value]
@@ -609,13 +637,17 @@ def test_calibrate_bounds_bins_before_scoring(pipeline_dir, capsys, monkeypatch)
 
 def test_cli_import_leaves_scipy_out():
     # scipy is only needed by ``synth``; every other command skips its import
-    code = "import sys, switchfuse.cli; print('scipy' in sys.modules)"
+    # nor is the per-query oracle, which only the tests use
+    code = (
+        "import sys, switchfuse.cli; "
+        "print('scipy' in sys.modules, 'switchfuse.oracle' in sys.modules)"
+    )
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"
 
 
 def test_diff_outputs_same_root_is_identical(pipeline_dir):
@@ -631,4 +663,4 @@ def test_diff_outputs_same_root_is_identical(pipeline_dir):
     )
     assert out.returncode == 0, out.stdout + out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 6 and all(ln.startswith("identical") for ln in lines)
+    assert len(lines) == 8 and all(ln.startswith("identical") for ln in lines)

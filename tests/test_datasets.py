@@ -14,15 +14,14 @@ from switchfuse.descriptors import (
     DescriptorSet,
     ImageGray,
     compute_descriptor,
-    similarity_vector,
 )
 from switchfuse.errors import FormatError, InvalidInputError
 from switchfuse.evaluation import run_method
+from switchfuse.oracle import run_tripartite, similarity, similarity_vector
 from switchfuse.pgm import load_pgm
-from switchfuse.switching import TripartiteConfig, UnitConfig, run_tripartite
+from switchfuse.switching import TripartiteConfig, UnitConfig
 from switchfuse.synthetic import (
     TechniqueProfile,
-    calibration_run,
     export_dataset,
     export_image_dataset,
     generate,
@@ -45,24 +44,26 @@ def profile(tid, rate):
 
 
 @pytest.fixture
-def score_dataset(tmp_path):
+def switching_dataset(tmp_path):
+    """An exported SFDESC eval split and a store calibrated on the exported
+    calibration split, so that some queries stop at their unit's primary."""
     ds = generate(
         [profile(t, r) for t, r in zip(TECHNIQUES, (0.6, 0.5, 0.55))],
         120, 20, seed=17,
     )
     calib_idx, eval_idx = split_calibration_eval(ds, 0.5, seed=17)
-    manifest_path = export_dataset(ds, eval_idx, tmp_path, "eval")
-    store = build_store(calibration_run(ds, calib_idx), list(TECHNIQUES))
-    return manifest_path, store
+    calib = DatasetRuntime(load_manifest(export_dataset(ds, calib_idx, tmp_path, "calib")))
+    store = build_store(collect_run(calib, TECHNIQUES), list(TECHNIQUES))
+    return export_dataset(ds, eval_idx, tmp_path, "eval"), store
 
 
-def test_sfdesc_query_index_range(score_dataset):
-    runtime = DatasetRuntime(load_manifest(score_dataset[0]))
+def test_sfdesc_query_index_range(switching_dataset):
+    runtime = DatasetRuntime(load_manifest(switching_dataset[0]))
     last = runtime.query_count - 1
-    assert len(runtime.similarity(last, "a")) == runtime.reference_count
+    assert len(similarity(runtime, last, "a")) == runtime.reference_count
     for q in (-1, runtime.query_count):
         with pytest.raises(InvalidInputError):
-            runtime.similarity(q, "a")
+            similarity(runtime, q, "a")
 
 
 def test_builtin_query_index_range(tmp_path):
@@ -70,24 +71,25 @@ def test_builtin_query_index_range(tmp_path):
     runtime = DatasetRuntime(
         load_manifest(export_image_dataset(refs, queries, tmp_path, "img"))
     )
-    assert len(runtime.similarity(2, "tiny_patch")) == 3
+    assert len(similarity(runtime, 2, "tiny_patch")) == 3
     for q in (-1, 3):
         with pytest.raises(InvalidInputError):
-            runtime.similarity(q, "tiny_patch")
+            similarity(runtime, q, "tiny_patch")
 
 
 def test_block_kernel_runs_once_per_technique_across_methods(
-    score_dataset, monkeypatch
+    switching_dataset, monkeypatch
 ):
-    calls = []
+    """Across every method, each (query, technique) row is scored once."""
+    rows = []
     kernel = datasets.similarity_block
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
+    def counted(queries, *args, **kwargs):
+        rows.append(len(queries))
+        return kernel(queries, *args, **kwargs)
 
     monkeypatch.setattr(datasets, "similarity_block", counted)
-    manifest_path, store = score_dataset
+    manifest_path, store = switching_dataset
     runtime = DatasetRuntime(load_manifest(manifest_path))
     config = TripartiteConfig(
         units=(UnitConfig("u0", ("a", "b")), UnitConfig("u1", ("c", "a")))
@@ -98,21 +100,7 @@ def test_block_kernel_runs_once_per_technique_across_methods(
     ]
     for method in methods:
         run_method(method, runtime, config, store, gt)
-    assert len(calls) == len(TECHNIQUES)
-
-
-@pytest.fixture
-def switching_dataset(tmp_path):
-    """``score_dataset`` calibrated on its own exported SFDESC split, so
-    that some queries stop at their unit's primary."""
-    ds = generate(
-        [profile(t, r) for t, r in zip(TECHNIQUES, (0.6, 0.5, 0.55))],
-        120, 20, seed=17,
-    )
-    calib_idx, eval_idx = split_calibration_eval(ds, 0.5, seed=17)
-    calib = DatasetRuntime(load_manifest(export_dataset(ds, calib_idx, tmp_path, "calib")))
-    store = build_store(collect_run(calib, TECHNIQUES), list(TECHNIQUES))
-    return export_dataset(ds, eval_idx, tmp_path, "eval"), store
+    assert sum(rows) == len(TECHNIQUES) * runtime.query_count
 
 
 def test_sfdesc_rows_stay_lazy(switching_dataset, tmp_path, monkeypatch):
@@ -129,7 +117,7 @@ def test_sfdesc_rows_stay_lazy(switching_dataset, tmp_path, monkeypatch):
     visited = set()
     for q in range(oracle.query_count):
         run_tripartite(
-            config, lambda tid, q=q: visited.add((q, tid)) or oracle.similarity(q, tid), store
+            config, lambda tid, q=q: visited.add((q, tid)) or similarity(oracle, q, tid), store
         )
     everything = len(TECHNIQUES) * oracle.query_count
     assert len(visited) < everything
@@ -153,10 +141,10 @@ def test_sfdesc_rows_stay_lazy(switching_dataset, tmp_path, monkeypatch):
     assert sum(rows) == everything
 
 
-def test_sfdesc_fragments_serve_rows_bit_exact(score_dataset):
+def test_sfdesc_fragments_serve_rows_bit_exact(switching_dataset):
     """Rows scored by many small requests are served, in any order and with
     repeats, bit for bit as one whole-block request gives them."""
-    manifest = load_manifest(score_dataset[0])
+    manifest = load_manifest(switching_dataset[0])
     q = manifest.query_count
     whole = DatasetRuntime(manifest).similarity_rows("a", range(q))
     runtime = DatasetRuntime(manifest)
@@ -172,15 +160,15 @@ def test_sfdesc_fragments_serve_rows_bit_exact(score_dataset):
     assert runtime.similarity_rows("b", [1, 2, 3]) is block
 
 
-def test_truncated_sfdesc_fails_at_construction(score_dataset):
-    manifest = load_manifest(score_dataset[0])
+def test_truncated_sfdesc_fails_at_construction(switching_dataset):
+    manifest = load_manifest(switching_dataset[0])
     path = manifest.base_dir / manifest.bindings["b"].queries_path
     path.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(FormatError):
         DatasetRuntime(manifest)
 
 
-def test_each_descriptor_file_is_read_once(score_dataset, monkeypatch):
+def test_each_descriptor_file_is_read_once(switching_dataset, monkeypatch):
     # every technique binds the same reference file
     reads = []
     load = datasets.load_descriptor_set
@@ -190,7 +178,7 @@ def test_each_descriptor_file_is_read_once(score_dataset, monkeypatch):
         return load(path, *args, **kwargs)
 
     monkeypatch.setattr(datasets, "load_descriptor_set", counted)
-    manifest_path, store = score_dataset
+    manifest_path, store = switching_dataset
     runtime = DatasetRuntime(load_manifest(manifest_path))
     config = TripartiteConfig(units=(UnitConfig("u0", TECHNIQUES),))
     for method in ["switch-fuse", "fuse-all"] + [f"single:{t}" for t in TECHNIQUES]:
@@ -220,7 +208,7 @@ def test_builtin_extraction_stays_lazy(tmp_path, monkeypatch):
     visited = set()
     for q in range(oracle.query_count):
         run_tripartite(
-            config, lambda tid, q=q: visited.add((q, tid)) or oracle.similarity(q, tid), store
+            config, lambda tid, q=q: visited.add((q, tid)) or similarity(oracle, q, tid), store
         )
     used = {tid for _, tid in visited}
     expected = len(visited) + oracle.reference_count * len(used)

@@ -10,21 +10,24 @@ from switchfuse import (
     DescriptorSet,
     DescriptorVector,
     ImageGray,
-    SimilarityVector,
     compute_descriptor,
     load_descriptor_set,
-    raw_match_score,
     save_descriptor_set,
     similarity_block,
-    similarity_vector,
 )
-from switchfuse.descriptors import BUILTIN_DIMS, SFDESC_MAGIC, cosine_similarity
+from switchfuse.descriptors import BUILTIN_DIMS, SFDESC_MAGIC
 from switchfuse.errors import (
     DataError,
     EmptySetError,
     FormatError,
     InvalidInputError,
     UnknownTechniqueError,
+)
+from switchfuse.oracle import (
+    SimilarityVector,
+    cosine_similarity,
+    raw_match_score,
+    similarity_vector,
 )
 
 finite_vec = arrays(

@@ -8,21 +8,29 @@ from hypothesis import strategies as st
 
 from switchfuse import (
     GroundTruth,
-    QueryOutcome,
     TripartiteConfig,
     UnitConfig,
     compare,
-    pr_curve,
     pr_points,
     run_method,
     score_outcomes,
-    score_predictions,
 )
 from switchfuse.calibration import build_store
-from switchfuse.descriptors import raw_match_score
 from switchfuse.errors import InvalidInputError
-from switchfuse.fusion import best_match, fuse, normalize
-from switchfuse.switching import run_tripartite, select_technique
+from switchfuse.oracle import (
+    QueryOutcome,
+    UnitDecision,
+    best_match,
+    fuse,
+    is_correct,
+    normalize,
+    pr_curve,
+    raw_match_score,
+    run_tripartite,
+    score_predictions,
+    select_technique,
+    similarity,
+)
 from switchfuse.synthetic import (
     SubsetRuntime,
     TechniqueProfile,
@@ -35,9 +43,29 @@ def outcome(q, predicted, confidence, correct):
     return QueryOutcome(q, predicted, confidence, correct)
 
 
+def query_decisions(outcomes) -> list:
+    """Each query's ``UnitDecision`` tuple, in unit order, expanded from an
+    ``Outcomes`` record's ``BlockDecisions`` columns (which carry no unit
+    label); None for every query when the method does not switch."""
+    if outcomes.decisions is None:
+        return [None] * len(outcomes.predicted)
+    units = [
+        [
+            UnitDecision("", unit.techniques[t], posterior, fallback)
+            for t, posterior, fallback in zip(
+                unit.selected.tolist(),
+                unit.posterior.tolist(),
+                unit.fallback.tolist(),
+            )
+        ]
+        for unit in outcomes.decisions
+    ]
+    return list(zip(*units))
+
+
 def query_outcomes(outcomes) -> list[QueryOutcome]:
     """An ``Outcomes`` record's rows as the oracle's per-query objects."""
-    decisions = outcomes.decisions or [None] * len(outcomes.predicted)
+    decisions = query_decisions(outcomes)
     return [
         QueryOutcome(q, p, c, ok, d)
         for q, (p, c, ok, d) in enumerate(
@@ -159,7 +187,7 @@ class TestScoreOutcomes:
         gt = GroundTruth.from_sets([{0, 2}, {1}, {4}], 5)
         predicted = [2, 4, 4]
         assert gt.correct(predicted).tolist() == [
-            gt.is_correct(q, p) for q, p in enumerate(predicted)
+            is_correct(gt, q, p) for q, p in enumerate(predicted)
         ]
         # 6 and -3 land on other queries' accepted keys unless range-checked
         assert gt.correct([6, -3, 10**12]).tolist() == [False, False, False]
@@ -341,7 +369,7 @@ def scalar_outcome(method, runtime, config, store, q):
     confidence, per-unit (technique, posterior, fallback) or None)."""
 
     def sim(tid):
-        return runtime.similarity(q, tid)
+        return similarity(runtime, q, tid)
 
     if method == "switch-fuse":
         selected = run_tripartite(config, sim, store)

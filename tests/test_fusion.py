@@ -4,16 +4,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from switchfuse import (
+from switchfuse import FusionParams
+from switchfuse.errors import InvalidInputError
+from switchfuse.fusion import best_matches, normalize_rows
+from switchfuse.oracle import (
     FusedVector,
-    FusionParams,
     SimilarityVector,
     best_match,
     fuse,
     normalize,
 )
-from switchfuse.errors import InvalidInputError
-from switchfuse.fusion import best_matches, normalize_rows
 
 score_vec = arrays(
     np.float64,
@@ -75,7 +75,7 @@ def test_fuse_single_vector_identity():
 
 
 def test_fuse_hand_values():
-    from switchfuse.fusion import NormalizedVector
+    from switchfuse.oracle import NormalizedVector
 
     a = NormalizedVector("a", np.array([0.999, -0.001]))
     b = NormalizedVector("b", np.array([0.2, 0.999]))
@@ -84,7 +84,7 @@ def test_fuse_hand_values():
 
 
 def test_fuse_additive_identity():
-    from switchfuse.fusion import NormalizedVector
+    from switchfuse.oracle import NormalizedVector
 
     v = NormalizedVector("v", np.array([0.3, -0.001]))
     z = NormalizedVector("z", np.zeros(2))
@@ -92,7 +92,7 @@ def test_fuse_additive_identity():
 
 
 def test_fuse_length_mismatch():
-    from switchfuse.fusion import NormalizedVector
+    from switchfuse.oracle import NormalizedVector
 
     with pytest.raises(InvalidInputError):
         fuse([NormalizedVector("a", np.zeros(2)), NormalizedVector("b", np.zeros(3))])
@@ -115,7 +115,7 @@ def test_fuse_commutative(vectors):
 
 
 def test_best_match_hand_values():
-    from switchfuse.fusion import FusedVector
+    from switchfuse.oracle import FusedVector
 
     idx, conf = best_match(FusedVector(np.array([1.199, 0.998]), ("a", "b")))
     assert idx == 0
@@ -123,14 +123,14 @@ def test_best_match_hand_values():
 
 
 def test_best_match_tie_break():
-    from switchfuse.fusion import FusedVector
+    from switchfuse.oracle import FusedVector
 
     idx, _ = best_match(FusedVector(np.array([0.4, 0.4, 0.4]), ("a",)))
     assert idx == 0
 
 
 def test_best_match_single_contributor():
-    from switchfuse.fusion import FusedVector
+    from switchfuse.oracle import FusedVector
 
     idx, conf = best_match(FusedVector(np.array([0.999, -0.001]), ("a",)))
     assert idx == 0
@@ -138,7 +138,7 @@ def test_best_match_single_contributor():
 
 
 def test_best_match_empty():
-    from switchfuse.fusion import FusedVector
+    from switchfuse.oracle import FusedVector
 
     with pytest.raises(InvalidInputError):
         best_match(FusedVector(np.array([]), ("a",)))
@@ -160,7 +160,7 @@ def test_selection_affine_invariance(s, t, a, b):
 
 @given(grid_vec)
 def test_single_fusion_matches_raw_argmax(scores):
-    from switchfuse.descriptors import raw_match_score
+    from switchfuse.oracle import raw_match_score
 
     sim = SimilarityVector("t", scores)
     fused_idx, _ = best_match(fuse([normalize(sim)]))

@@ -1,12 +1,13 @@
 import csv
 import io
 
+import numpy as np
 import pytest
 
 from switchfuse.calibration import build_store
-from switchfuse.evaluation import Outcomes, QueryOutcome, run_method
+from switchfuse.evaluation import Outcomes, run_method
 from switchfuse.reports import read_predictions, write_predictions
-from switchfuse.switching import TripartiteConfig, UnitConfig, UnitDecision
+from switchfuse.switching import BlockDecisions, TripartiteConfig, UnitConfig
 from switchfuse.synthetic import (
     SubsetRuntime,
     TechniqueProfile,
@@ -18,13 +19,15 @@ from switchfuse.synthetic import (
 from .test_evaluation import query_outcomes
 
 
-def as_columns(outcomes) -> Outcomes:
-    """Per-query objects (queries 0..n-1, in order) as one ``Outcomes``."""
-    return Outcomes(
-        [o.predicted for o in outcomes],
-        [o.confidence for o in outcomes],
-        [o.correct for o in outcomes],
-        tuple(o.decisions for o in outcomes),
+def unit_columns(techniques, decisions) -> BlockDecisions:
+    """One unit's (technique, posterior, fallback) per query as columns."""
+    names, posteriors, fallbacks = zip(*decisions)
+    return BlockDecisions(
+        techniques,
+        np.array([techniques.index(t) for t in names]),
+        np.array(posteriors),
+        np.array(fallbacks),
+        np.zeros(len(decisions), dtype=np.int64),
     )
 
 
@@ -49,24 +52,22 @@ def oracle_predictions_text(outcomes) -> str:
 
 
 def test_predictions_match_row_formatting_with_shared_decisions(tmp_path):
-    a = UnitDecision("u0", "t0", 0.5, False)
-    b = UnitDecision("u1", "t1", 1 / 3, True)
-    b_copy = UnitDecision("u1", "t1", 1 / 3, True)  # equal, not shared
-    c = UnitDecision("u1", "t2", 1e-10, False)
-    d = UnitDecision("u1", "t1", 0.75, False)  # b's technique, other values
-    outcomes = [
-        QueryOutcome(0, 3, 0.25, False, (a, b)),
-        QueryOutcome(1, 1, -0.125, False, (a, b_copy)),
-        QueryOutcome(2, 0, 1.0, False, (a, c)),
-        QueryOutcome(3, 2, 0.5, False, (a, b)),
-        QueryOutcome(4, 2, 0.5, False, None),
-        QueryOutcome(5, 4, 2 / 3, False, (c,)),
-        QueryOutcome(6, 1, 0.0, False, (a, d)),
-        QueryOutcome(7, 0, 1.5, False, ()),
-    ]
+    a = ("t0", 0.5, False)
+    b = ("t1", 1 / 3, True)
+    c = ("t2", 1e-10, False)
+    d = ("t1", 0.75, False)  # b's technique, other values
+    e = ("t1", 0.5, False)  # a's posterior under another technique
+    units = (
+        unit_columns(("t0", "t2"), [a, a, a, a, a, c, a, a]),
+        unit_columns(("t1", "t2"), [b, b, c, b, e, c, d, ("t2", 2 / 3, True)]),
+    )
+    predicted = [3, 1, 0, 2, 2, 4, 1, 0]
+    confidence = [0.25, -0.125, 1.0, 0.5, 0.5, 2 / 3, 0.0, 1.5]
     path = tmp_path / "p.csv"
-    write_predictions(as_columns(outcomes), path, timestamp=False)
-    assert path.read_text() == oracle_predictions_text(outcomes)
+    for decisions in (units, None):
+        outcomes = Outcomes(predicted, confidence, [False] * 8, decisions)
+        write_predictions(outcomes, path, timestamp=False)
+        assert path.read_text() == oracle_predictions_text(query_outcomes(outcomes))
 
 
 def profile(tid, rate):

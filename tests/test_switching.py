@@ -5,23 +5,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from switchfuse import (
-    CalibrationStore,
-    SimilarityVector,
-    TripartiteConfig,
-    UnitConfig,
-    complementarity,
-    posterior_match,
-    run_tripartite,
-    select_technique,
-)
+from switchfuse import CalibrationStore, TripartiteConfig, UnitConfig
 from switchfuse.switching import SwitchingTables, select_block
 from switchfuse.calibration import (
     LikelihoodHistogram,
     PairCalibration,
     TechniqueCalibration,
 )
-from switchfuse.descriptors import MatchScore
+from switchfuse.oracle import (
+    MatchScore,
+    SimilarityVector,
+    complementarity,
+    mass,
+    posterior_match,
+    run_tripartite,
+    select_technique,
+)
 from switchfuse.errors import (
     InvalidInputError,
     SwitchFuseError,
@@ -123,11 +122,11 @@ class TestComplementarity:
         calib = TechniqueCalibration(
             "a", 0.5, hist([3, 5], [6, 2], alpha=0.5), 16
         )
-        assert calib.histogram.mass(0.75, "match") == pytest.approx(5.5 / 9.0)
+        assert mass(calib.histogram, 0.75, "match") == pytest.approx(5.5 / 9.0)
         pair = flat_pair("a", "b")
         value = complementarity(pair, calib, 0.75).value
-        own_ratio = calib.histogram.mass(0.75, "match") / calib.histogram.mass(
-            0.75, "mismatch"
+        own_ratio = mass(calib.histogram, 0.75, "match") / mass(
+            calib.histogram, 0.75, "mismatch"
         )
         assert value == pytest.approx(own_ratio)
 
@@ -135,20 +134,20 @@ class TestComplementarity:
         # P(M_A)=0.6, P(MM_A)=0.3, P(M_B)=0.5, P(MM_B)=0.25 -> 4.0
         self_h = hist([2, 4], [4, 1], alpha=1.0)  # upper-bin: 5/8, 2/7
         calib = TechniqueCalibration("a", 0.5, self_h, 11)
-        pm_a = calib.histogram.mass(0.9, "match")
-        pmm_a = calib.histogram.mass(0.9, "mismatch")
+        pm_a = mass(calib.histogram, 0.9, "match")
+        pmm_a = mass(calib.histogram, 0.9, "mismatch")
         pair_h = hist([1, 3], [5, 1], alpha=1.0)
         pair = PairCalibration("a", "b", pair_h)
-        pm_b = pair.histogram.mass(0.9, "match")
-        pmm_b = pair.histogram.mass(0.9, "mismatch")
+        pm_b = mass(pair.histogram, 0.9, "match")
+        pmm_b = mass(pair.histogram, 0.9, "mismatch")
         got = complementarity(pair, calib, 0.9).value
         assert got == pytest.approx((pm_a * pm_b) / (pmm_a * pmm_b))
 
     def test_candidate_neutral_reduces_to_own_ratio(self):
         calib = TechniqueCalibration("a", 0.5, hist([1, 7], [6, 0]), 14)
         pair = flat_pair("a", "b")
-        own = calib.histogram.mass(0.9, "match") / calib.histogram.mass(
-            0.9, "mismatch"
+        own = mass(calib.histogram, 0.9, "match") / mass(
+            calib.histogram, 0.9, "mismatch"
         )
         assert complementarity(pair, calib, 0.9).value == pytest.approx(own)
 

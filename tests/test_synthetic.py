@@ -4,6 +4,7 @@ import pytest
 from switchfuse.calibration import build_store
 from switchfuse.datasets import DatasetRuntime, load_manifest
 from switchfuse.errors import InvalidSpecError
+from switchfuse.oracle import is_correct, similarity
 from switchfuse.synthetic import (
     SubsetRuntime,
     TechniqueProfile,
@@ -130,7 +131,7 @@ def test_export_round_trips_through_ingestion(tmp_path):
     # matches the in-memory dataset
     for q in range(40):
         for tid in ("a", "b"):
-            exported = runtime.similarity(q, tid).scores
+            exported = similarity(runtime, q, tid).scores
             direct = ds.sims[tid][q]
             assert int(np.argmax(exported)) == int(np.argmax(direct))
             # scores agree up to one global positive scale
@@ -143,7 +144,7 @@ def test_subset_runtime_views():
     ds = generate([profile("a", 0.6)], 30, 10, seed=14)
     rt = SubsetRuntime(ds, [5, 7, 9])
     assert rt.query_count == 3
-    assert np.array_equal(rt.similarity(1, "a").scores, ds.sims["a"][7])
+    assert np.array_equal(similarity(rt, 1, "a").scores, ds.sims["a"][7])
 
 
 def test_image_mode_dataset(tmp_path):
@@ -154,7 +155,7 @@ def test_image_mode_dataset(tmp_path):
     gt = runtime.ground_truth()
     correct = 0
     for q in range(6):
-        scores = runtime.similarity(q, "tiny_patch").scores
-        correct += gt.is_correct(q, int(np.argmax(scores)))
+        scores = similarity(runtime, q, "tiny_patch").scores
+        correct += is_correct(gt, q, int(np.argmax(scores)))
     # mild perturbations: the downsampled-patch matcher should mostly hold up
     assert correct >= 4
