@@ -13,11 +13,19 @@ differing byte offset, and exits 1 on any difference or failed command::
     python scripts/diff_outputs.py OLD/src NEW/src \\
         --calib-manifest calib_manifest.json \\
         --eval-manifest eval_manifest.json --config config.json
+
+With ``--workload NAME --seed N`` instead of the three input files, the
+inputs of a benchmark workload are generated into a temporary directory by
+``perfbench/workloads.py``, run as a subprocess against this checkout's
+``src``::
+
+    python scripts/diff_outputs.py OLD/src NEW/src --workload score-r200 --seed 7
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import subprocess
 import sys
@@ -51,6 +59,33 @@ def run_pipeline(src: Path, args, out: Path) -> None:
             raise RuntimeError(
                 f"{src}: {argv[0]} exited {proc.returncode}: {proc.stderr.strip()}"
             )
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def generate_workload(name: str, seed: int, out: Path) -> dict:
+    """Write the inputs of benchmark workload ``name`` at ``seed`` under
+    ``out``; returns its ``inputs.json`` (manifests and config paths)."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    if name not in workloads.WORKLOADS:
+        raise RuntimeError(
+            f"unknown workload {name!r}; known: {', '.join(workloads.WORKLOADS)}"
+        )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "workloads.py"),
+         "--spec", workloads.spec_to_json(workloads.WORKLOADS[name]),
+         "--seed", str(seed), "--out", str(out)],
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"generating {name}: {proc.stderr.strip()}")
+    return json.loads((out / "inputs.json").read_text())
 
 
 def first_difference(a: bytes, b: bytes) -> int | None:
@@ -88,13 +123,30 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("left", type=Path, help="first src root")
     parser.add_argument("right", type=Path, help="second src root")
-    parser.add_argument("--calib-manifest", required=True)
-    parser.add_argument("--eval-manifest", required=True)
-    parser.add_argument("--config", required=True)
+    parser.add_argument("--calib-manifest")
+    parser.add_argument("--eval-manifest")
+    parser.add_argument("--config")
+    parser.add_argument("--workload", help="benchmark workload to generate inputs for")
+    parser.add_argument("--seed", type=int, help="seed of the generated workload")
     args = parser.parse_args(argv)
+    files = (args.calib_manifest, args.eval_manifest, args.config)
+    if args.workload is None and args.seed is None:
+        if None in files:
+            parser.error(
+                "give --calib-manifest, --eval-manifest and --config, "
+                "or --workload and --seed"
+            )
+    elif args.workload is None or args.seed is None or any(files):
+        parser.error("--workload and --seed go together, without input files")
     with tempfile.TemporaryDirectory() as tmp:
         outs = [Path(tmp) / "left", Path(tmp) / "right"]
         try:
+            if args.workload is not None:
+                inputs = generate_workload(
+                    args.workload, args.seed, Path(tmp) / "inputs"
+                )
+                for key in ("calib_manifest", "eval_manifest", "config"):
+                    setattr(args, key, inputs[key])
             for src, out in zip((args.left, args.right), outs):
                 out.mkdir()
                 run_pipeline(src, args, out)

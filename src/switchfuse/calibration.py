@@ -280,16 +280,15 @@ def build_store(
 
 def collect_run(runtime, technique_ids) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per-technique (match scores, correct) columns over every query of a
-    runtime, in query order: the maximum of the query's similarity row
-    (first maximum on ties) and whether the runtime's ground truth accepts
-    that reference.  The result feeds ``build_store``."""
+    runtime, in query order: the runtime's ``matches`` (the value at the
+    first maximum of each query's similarity row) and whether the runtime's
+    ground truth accepts that reference.  The result feeds ``build_store``."""
     truth = runtime.ground_truth()
     queries = np.arange(runtime.query_count)
     run = {}
     for tid in technique_ids:
-        rows = runtime.similarity_rows(tid, queries)
-        best = rows.argmax(axis=1)
-        run[tid] = (rows[queries, best], truth.correct(best))
+        best, scores = runtime.matches(tid, queries)
+        run[tid] = (scores, truth.correct(best))
     return run
 
 
@@ -361,6 +360,8 @@ def load_store(path) -> CalibrationStore:
             tid, pos = _unpack_str(blob, pos)
             prior, count = struct.unpack_from("<dI", blob, pos)
             pos += 12
+            if not 0.0 < prior < 1.0:  # NaN fails both
+                raise FormatError(f"{path}: {tid}: prior must lie strictly in (0, 1)")
             hist, pos = _unpack_hist(blob, pos)
             store.techniques[tid] = TechniqueCalibration(
                 technique_id=tid,

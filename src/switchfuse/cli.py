@@ -177,8 +177,9 @@ def cmd_compare(args) -> int:
     config = load_config(args.config, args.threshold)
     store = cal.load_store(args.store)
     gt = runtime.ground_truth()
-    # fuse-all and the single-technique methods read every row, so each
-    # technique is scored as one whole block before any method runs
+    # fuse-all reads every row and the single-technique methods every best
+    # match, so each technique is scored as one whole block before any
+    # method runs
     everyone = range(runtime.query_count)
     for tid in config.all_techniques():
         runtime.similarity_rows(tid, everyone)

@@ -1,4 +1,5 @@
-"""Dataset manifests and the runtime that serves similarity rows.
+"""Dataset manifests and the runtime that serves similarity rows and best
+matches.
 
 A manifest is a JSON document binding each technique either to a pair of
 SFDESC1 descriptor files (references, queries) or to a built-in descriptor
@@ -220,14 +221,19 @@ _SCORE_CHUNK = 64
 
 
 class DatasetRuntime:
-    """Serves similarity rows for (technique, queries) of a manifest.
+    """Serves similarity rows and best matches for (technique, queries) of
+    a manifest.
 
     SFDESC1 headers are checked on construction.  Rows are scored lazily:
     a request scores only its queries not yet scored for the technique and
     keeps them as one fragment, the block ``similarity_block`` returned with
     its rows in query order.  Each (query, technique) row is scored once,
-    and only if some request asks for it.  A technique's SFDESC1 query
-    payload is read and checked whole on its first request, kept as
+    and only if some request asks for it.  Scoring a fragment also records
+    each row's best match (first-maximum reference and its value) in two
+    query-long columns per technique, which ``matches`` serves without
+    touching the rows: switching, calibration and the raw-score baselines
+    read these, and only fusion reads whole rows.  A technique's SFDESC1
+    query payload is read and checked whole on its first request, kept as
     float32, widened to float64 only for the rows being scored, and dropped
     once every row is scored.  Reference descriptors and their row norms
     are built once per runtime: a reference file is read once however many
@@ -243,6 +249,8 @@ class DatasetRuntime:
         self._fragments: dict[str, list[np.ndarray]] = {}
         # technique -> (fragment, row in it) of each query; -1 if unscored
         self._where: dict[str, np.ndarray] = {}
+        # technique -> (best reference, match score) of each scored query
+        self._matches: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         self._payloads: dict[str, np.ndarray] = {}  # SFDESC1 query payloads
         # reference file path or built-in name -> (matrix, row norms)
         self._references: dict[object, tuple[np.ndarray, np.ndarray]] = {}
@@ -291,26 +299,8 @@ class DatasetRuntime:
         one stable sort, so its cost grows with the request and the
         fragments it touches, not with the fragments held.
         """
-        binding = self.manifest.bindings.get(technique_id)
-        if binding is None:
-            raise UnknownTechniqueError(
-                f"technique {technique_id!r} not bound in manifest"
-            )
-        queries = query_positions(query_indices, self.query_count)
-        where = self._where.get(technique_id)
-        if where is None:
-            where = self._where[technique_id] = np.full((2, self.query_count), -1)
-            self._fragments[technique_id] = []
+        queries, where = self._scored(technique_id, query_indices)
         fragments = self._fragments[technique_id]
-        todo = np.unique(queries[where[0, queries] < 0])
-        if len(todo):
-            block = self._score(binding, todo)
-            block.setflags(write=False)
-            where[0, todo] = len(fragments)
-            where[1, todo] = np.arange(len(todo))
-            fragments.append(block)
-            if where[0].min() >= 0:
-                self._payloads.pop(technique_id, None)
         frag, row = where[:, queries]
         if len(frag) and (frag == frag[0]).all():
             block = fragments[frag[0]]
@@ -326,6 +316,53 @@ class DatasetRuntime:
                 rows[part] = fragments[frag[part[0]]][row[part]]
         rows.setflags(write=False)
         return rows
+
+    def matches(
+        self, technique_id: str, query_indices
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(best reference, match score) of each listed query: the first
+        maximum of its similarity row and the value there.  Scores the rows
+        ``similarity_rows`` would for the same request, and reads no row."""
+        queries, _ = self._scored(technique_id, query_indices)
+        best, score = self._matches[technique_id]
+        return best[queries], score[queries]
+
+    def _scored(
+        self, technique_id: str, query_indices
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The checked query positions of a request and the technique's
+        (fragment, row) map, after scoring the requested rows not yet
+        scored as one new fragment and recording each new row's best
+        match."""
+        binding = self.manifest.bindings.get(technique_id)
+        if binding is None:
+            raise UnknownTechniqueError(
+                f"technique {technique_id!r} not bound in manifest"
+            )
+        queries = query_positions(query_indices, self.query_count)
+        where = self._where.get(technique_id)
+        if where is None:
+            where = self._where[technique_id] = np.full((2, self.query_count), -1)
+            self._fragments[technique_id] = []
+            self._matches[technique_id] = (
+                np.zeros(self.query_count, dtype=np.int64),
+                np.zeros(self.query_count),
+            )
+        todo = np.unique(queries[where[0, queries] < 0])
+        if len(todo):
+            fragments = self._fragments[technique_id]
+            block = self._score(binding, todo)
+            block.setflags(write=False)
+            where[0, todo] = len(fragments)
+            where[1, todo] = np.arange(len(todo))
+            fragments.append(block)
+            best, score = self._matches[technique_id]
+            first = block.argmax(axis=1)
+            best[todo] = first
+            score[todo] = block[np.arange(len(todo)), first]
+            if where[0].min() >= 0:
+                self._payloads.pop(technique_id, None)
+        return queries, where
 
     def _score(self, binding: TechniqueBinding, todo: np.ndarray) -> np.ndarray:
         """Similarity rows of the sorted queries ``todo``: SFDESC1 rows from

@@ -2,14 +2,15 @@
 
 ``run_method`` drives four method families over a dataset runtime: the full
 switch-then-fuse pipeline, a pooled switch-only baseline, fuse-everything,
-and single-technique matching.  Every family handles all queries at once,
-reading whole blocks of similarity rows from the runtime, and its per-query
+and single-technique matching.  Every family handles all queries at once.
+Switching and the raw-score baselines read the runtime's best-match columns
+(``matches``); only fusion reads whole blocks of similarity rows.  Per-query
 records stay columns (``Outcomes``) through scoring and the PR sweep.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import chain
 
 import numpy as np
@@ -20,38 +21,29 @@ from .fusion import FusionParams, best_matches, normalize_rows
 from .switching import BlockDecisions, SwitchingTables, TripartiteConfig, select_block
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
-    """Acceptable reference indices per query."""
+    """Acceptable reference indices per query, held as one key
+    ``query * reference_count + reference`` per accepted pair, in query
+    order.  Build one with ``from_sets`` or ``from_window``."""
 
-    accepted: tuple[frozenset[int], ...]
+    keys: np.ndarray  # int64
+    query_count: int
     reference_count: int
-
-    def __post_init__(self):
-        n, r = self.query_count, self.reference_count
-        counts = np.fromiter(map(len, self.accepted), np.int64, n)
-        try:
-            refs = np.fromiter(
-                chain.from_iterable(self.accepted), np.int64, counts.sum()
-            )
-        except OverflowError:  # a reference past int64 is out of range anyway
-            flat = chain.from_iterable(self.accepted)
-            refs = np.array([min(max(ref, -1), r) for ref in flat], dtype=np.int64)
-        owner = np.repeat(np.arange(n, dtype=np.int64), counts)
-        outside = np.zeros(n, dtype=bool)
-        outside[owner[(refs < 0) | (refs >= r)]] = True
-        bad = outside | (counts == 0)
-        if bad.any():  # the first bad query fails, as a per-query loop would
-            i = int(np.argmax(bad))
-            if outside[i]:
-                raise InvalidInputError(f"query {i} references out of range")
-            raise InvalidInputError(f"query {i} has no acceptable reference")
-        # every accepted (query, reference) pair as one integer, for ``correct``
-        object.__setattr__(self, "_keys", owner * r + refs)
+    _accepted: tuple[frozenset[int], ...] | None = field(default=None, repr=False)
 
     @property
-    def query_count(self) -> int:
-        return len(self.accepted)
+    def accepted(self) -> tuple[frozenset[int], ...]:
+        """One frozenset of acceptable references per query, built from the
+        keys on first read when the sets were not given."""
+        if self._accepted is None:
+            owner, refs = np.divmod(self.keys, self.reference_count)
+            ends = np.searchsorted(owner, np.arange(self.query_count), "right")
+            refs = refs.tolist()
+            starts = [0, *ends[:-1].tolist()]
+            sets = tuple(frozenset(refs[a:b]) for a, b in zip(starts, ends.tolist()))
+            object.__setattr__(self, "_accepted", sets)
+        return self._accepted
 
     def correct(self, predicted) -> np.ndarray:
         """Whether each query's prediction is an accepted reference:
@@ -64,28 +56,47 @@ class GroundTruth:
             )
         in_range = (predicted >= 0) & (predicted < self.reference_count)
         keys = np.arange(self.query_count) * self.reference_count + predicted
-        return in_range & np.isin(keys, self._keys)
+        return in_range & np.isin(keys, self.keys)
 
     @classmethod
     def from_sets(cls, sets, reference_count: int) -> "GroundTruth":
-        return cls(
-            accepted=tuple(frozenset(s) for s in sets),
-            reference_count=reference_count,
-        )
+        accepted = tuple(frozenset(s) for s in sets)
+        n, r = len(accepted), reference_count
+        counts = np.fromiter(map(len, accepted), np.int64, n)
+        try:
+            refs = np.fromiter(chain.from_iterable(accepted), np.int64, counts.sum())
+        except OverflowError:  # a reference past int64 is out of range anyway
+            flat = chain.from_iterable(accepted)
+            refs = np.array([min(max(ref, -1), r) for ref in flat], dtype=np.int64)
+        owner = np.repeat(np.arange(n, dtype=np.int64), counts)
+        outside = np.zeros(n, dtype=bool)
+        outside[owner[(refs < 0) | (refs >= r)]] = True
+        bad = outside | (counts == 0)
+        if bad.any():  # the first bad query fails, as a per-query loop would
+            i = int(np.argmax(bad))
+            if outside[i]:
+                raise InvalidInputError(f"query {i} references out of range")
+            raise InvalidInputError(f"query {i} has no acceptable reference")
+        return cls(owner * r + refs, n, r, accepted)
 
     @classmethod
     def from_window(
         cls, query_count: int, reference_count: int, k: int = 1
     ) -> "GroundTruth":
         """Aligned-traverse ground truth: query i accepts references i±k."""
-        sets = []
-        for i in range(query_count):
-            lo = max(0, i - k)
-            hi = min(reference_count - 1, i + k)
-            if hi < lo:
-                raise InvalidInputError("window ground truth out of range")
-            sets.append(frozenset(range(lo, hi + 1)))
-        return cls(accepted=tuple(sets), reference_count=reference_count)
+        # a window wider than both lists accepts what one that spans them
+        # does, and every negative window is empty
+        k = max(min(k, query_count + reference_count), -1)
+        queries = np.arange(query_count, dtype=np.int64)
+        lo = np.maximum(queries - k, 0)
+        counts = np.minimum(queries + k, reference_count - 1) - lo + 1
+        if len(counts) and counts.min() < 1:
+            raise InvalidInputError("window ground truth out of range")
+        owner = np.repeat(queries, counts)
+        # each query's references run up from its lo
+        step = np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
+        keys = owner * reference_count + lo[owner] + step
+        return cls(keys, len(queries), reference_count)
 
 
 @dataclass(frozen=True)
@@ -219,21 +230,23 @@ def score_outcomes(
     )
 
 
-def _picked_rows(runtime, pool, choice):
-    """(queries, their similarity rows) for each technique of ``pool``
-    that some query picked; ``choice`` holds each query's index into it."""
+def _picked(pool, choice):
+    """(technique, the queries that picked it) for each technique of
+    ``pool`` some query picked; ``choice`` holds each query's index into
+    it."""
     for i, tid in enumerate(pool):
         queries = np.flatnonzero(choice == i)
         if len(queries):
-            yield queries, runtime.similarity_rows(tid, queries)
+            yield tid, queries
 
 
 def _best_raw(runtime, pool, choice):
-    """Each query's best reference and score under its picked technique."""
+    """Each query's best reference and match score under its picked
+    technique."""
     predicted = np.empty(len(choice), dtype=np.int64)
     confidence = np.empty(len(choice))
-    for queries, rows in _picked_rows(runtime, pool, choice):
-        predicted[queries], confidence[queries] = best_matches(rows, 1)
+    for tid, queries in _picked(pool, choice):
+        predicted[queries], confidence[queries] = runtime.matches(tid, queries)
     return predicted, confidence
 
 
@@ -242,12 +255,23 @@ def _best_fused(runtime, picks, params: FusionParams):
     contributor at a time in order, then take the best reference.
 
     ``picks`` holds one (technique pool, per-query index into it) pair per
-    contributor; only one technique's rows are held normalised at a time.
+    contributor.  A contributor's picked rows are gathered into one
+    reusable buffer in query order and normalised there in place, or
+    normalised straight into it from the runtime's block when every query
+    picked one technique; the buffer is then added to the total whole.
     """
-    total = np.zeros((runtime.query_count, runtime.reference_count))
+    n = runtime.query_count
+    total = np.zeros((n, runtime.reference_count))
+    unit = np.empty_like(total)
     for pool, choice in picks:
-        for queries, rows in _picked_rows(runtime, pool, choice):
-            total[queries] += normalize_rows(rows, params)
+        for tid, queries in _picked(pool, choice):
+            if len(queries) == n:
+                rows = runtime.similarity_rows(tid, queries)
+            else:
+                unit[queries] = runtime.similarity_rows(tid, queries)
+                rows = unit
+        normalize_rows(rows, params, out=unit)
+        total += unit
     return best_matches(total, len(picks))
 
 
@@ -263,7 +287,9 @@ def run_method(
 
     ``method`` is ``switch-fuse``, ``switch-only``, ``fuse-all`` or
     ``single:<technique_id>``.  The runtime provides ``query_count``,
-    ``reference_count`` and ``similarity_rows(technique_id, queries)``.
+    ``reference_count``, ``similarity_rows(technique_id, queries)`` and
+    ``matches(technique_id, queries)``, each query's (best reference,
+    match score).
     Switch-only runs one unit pooling every configured technique, first
     unit's primary leading, exempt from the eight-technique unit cap.
     """
@@ -275,7 +301,7 @@ def run_method(
         tables = SwitchingTables(store)
 
         def match_scores(tid, queries):
-            return runtime.similarity_rows(tid, queries).max(axis=1)
+            return runtime.matches(tid, queries)[1]
 
         pools = (
             [unit.techniques for unit in config.units]

@@ -22,8 +22,13 @@ class FusionParams:
             raise InvalidInputError("epsilon must lie in (0, 0.5)")
 
 
-def normalize_rows(rows: np.ndarray, params: FusionParams = FusionParams()) -> np.ndarray:
-    """Rescale every row of a 2-D block to [-epsilon, 1 - epsilon].
+def normalize_rows(
+    rows: np.ndarray,
+    params: FusionParams = FusionParams(),
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """Rescale every row of a 2-D block to [-epsilon, 1 - epsilon], into
+    ``out`` (an array of the block's shape) when given, else a new array.
 
     A constant row carries no ranking information and maps to all zeros,
     contributing nothing to the fused argmax.
@@ -31,7 +36,9 @@ def normalize_rows(rows: np.ndarray, params: FusionParams = FusionParams()) -> n
     lo = rows.min(axis=1, keepdims=True)
     span = rows.max(axis=1, keepdims=True) - lo
     constant = span == 0.0
-    values = (rows - lo) / np.where(constant, 1.0, span) - params.epsilon
+    values = np.subtract(rows, lo, out=out)
+    values /= np.where(constant, 1.0, span)
+    values -= params.epsilon
     values[constant[:, 0]] = 0.0
     return values
 

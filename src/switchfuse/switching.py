@@ -129,10 +129,11 @@ def select_block(
 
     ``techniques`` is the ordered pool, primary first; unlike a configured
     unit it may hold more than eight (the pooled switch-only baseline).
-    ``match_scores(technique_id, queries)`` returns the maximum similarity
-    of each listed query and is asked only for queries that visit the
-    technique.  Starting from the primary, a technique is accepted when its
-    posterior strictly exceeds ``threshold``; otherwise the query hops to
+    ``match_scores(technique_id, queries)`` returns the match score of
+    each listed query, the value at the first maximum of its similarity
+    row, and is asked only for queries that visit the technique.  Starting
+    from the primary, a technique is accepted when its posterior strictly
+    exceeds ``threshold``; otherwise the query hops to
     the unvisited candidate with the highest complementarity from the
     current technique.  A query that exhausts the pool takes its
     highest-posterior visited technique, with ``fallback`` set.  Ties break

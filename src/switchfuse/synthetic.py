@@ -224,6 +224,15 @@ class SubsetRuntime:
         rows.setflags(write=False)
         return rows
 
+    def matches(
+        self, technique_id: str, query_indices
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(first-maximum reference, value there) of each listed query's
+        similarity row."""
+        rows = self.similarity_rows(technique_id, query_indices)
+        best = rows.argmax(axis=1)
+        return best, rows[np.arange(len(rows)), best]
+
     def ground_truth(self) -> GroundTruth:
         return GroundTruth.from_sets(
             [{int(self.dataset.true_refs[i])} for i in self.indices],

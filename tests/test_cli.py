@@ -423,9 +423,14 @@ BAD_SPECS = {
 }
 
 
-# corrupt values in the first technique's histogram of an SFCAL1 store:
-# (struct format, offset from the histogram's start, value)
+# corrupt values in the first technique's record of an SFCAL1 store:
+# (struct format, offset from the histogram's start, value); the prior
+# sits 12 bytes before the histogram
 BAD_STORES = {
+    "prior_nan": ("<d", -12, float("nan")),
+    "prior_0.0": ("<d", -12, 0.0),
+    "prior_1.0": ("<d", -12, 1.0),
+    "prior_1.5": ("<d", -12, 1.5),
     "lo_-inf": ("<d", 4, float("-inf")),
     "hi_inf": ("<d", 12, float("inf")),
     "nan_alpha": ("<d", 20, float("nan")),
@@ -435,7 +440,7 @@ BAD_STORES = {
 
 
 def _corrupt_store(blob: bytes, fmt: str, offset: int, value) -> bytes:
-    """``blob`` with one field of its first technique's histogram replaced;
+    """``blob`` with one field of its first technique's record replaced;
     the histogram follows the magic, the technique count, the first
     technique's name and its prior and sample count."""
     (name_len,) = struct.unpack_from("<H", blob, 12)
@@ -664,3 +669,24 @@ def test_diff_outputs_same_root_is_identical(pipeline_dir):
     assert out.returncode == 0, out.stdout + out.stderr
     lines = out.stdout.splitlines()
     assert len(lines) == 8 and all(ln.startswith("identical") for ln in lines)
+    # the same check on a benchmark workload's generated inputs
+    script = [sys.executable, ROOT / "scripts" / "diff_outputs.py", src, src]
+    out = subprocess.run(
+        [*script, "--workload", "score-r200", "--seed", "3"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    assert out.stdout.splitlines() == lines
+    for flags, message in [
+        (["--workload", "score-r200"], "go together"),
+        (["--workload", "score-r200", "--seed", "3", "--config", d / "config.json"],
+         "go together"),
+        (["--seed", "3"], "go together"),
+        ([], "or --workload and --seed"),
+    ]:
+        out = subprocess.run([*script, *flags], capture_output=True, text=True)
+        assert out.returncode == 2 and message in out.stderr, flags
+    out = subprocess.run(
+        [*script, "--workload", "nope", "--seed", "3"], capture_output=True, text=True
+    )
+    assert out.returncode == 1 and "unknown workload 'nope'" in out.stderr

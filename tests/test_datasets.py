@@ -5,8 +5,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from switchfuse import datasets
-from switchfuse.calibration import build_store, collect_run, save_store
+from switchfuse import datasets, evaluation
+from switchfuse.calibration import (
+    LikelihoodHistogram,
+    TechniqueCalibration,
+    build_store,
+    collect_run,
+    save_store,
+)
 from switchfuse.cli import main as cli_main
 from switchfuse.datasets import DatasetRuntime, load_manifest, save_config
 from switchfuse.descriptors import (
@@ -17,7 +23,14 @@ from switchfuse.descriptors import (
 )
 from switchfuse.errors import FormatError, InvalidInputError
 from switchfuse.evaluation import run_method
-from switchfuse.oracle import run_tripartite, similarity, similarity_vector
+from switchfuse.oracle import (
+    best_match,
+    fuse,
+    normalize,
+    run_tripartite,
+    similarity,
+    similarity_vector,
+)
 from switchfuse.pgm import load_pgm
 from switchfuse.switching import TripartiteConfig, UnitConfig
 from switchfuse.synthetic import (
@@ -317,3 +330,138 @@ def test_ground_truth_file_needs_accepted_lists(tmp_path, doc):
     path.write_text(json.dumps(doc))
     with pytest.raises(FormatError, match="gt.json"):
         datasets.load_ground_truth_file(path, 3)
+
+
+def _matches_requests(n):
+    # out of order, repeated, empty, then one spanning the fragments so far
+    return [[4, 1, 3], [2, 2, 0], [], list(range(n))[::-1]]
+
+
+@pytest.mark.parametrize("binding", ["sfdesc", "builtin"])
+def test_matches_are_first_argmax_of_rows(
+    binding, switching_dataset, image_manifest, monkeypatch
+):
+    """``matches`` equals (argmax, value there) of ``similarity_rows`` and
+    scores exactly the rows ``similarity_rows`` would for the same
+    requests."""
+    if binding == "sfdesc":
+        manifest, tids = load_manifest(switching_dataset[0]), TECHNIQUES
+    else:
+        manifest, tids = image_manifest, tuple(BUILTIN_DIMS)
+    scored = []
+    kernel = datasets.similarity_block
+
+    def counted(queries, *args, **kwargs):
+        scored.append(len(queries))
+        return kernel(queries, *args, **kwargs)
+
+    monkeypatch.setattr(datasets, "similarity_block", counted)
+    by_rows, by_matches = DatasetRuntime(manifest), DatasetRuntime(manifest)
+    for tid in tids:
+        for request in _matches_requests(manifest.query_count):
+            scored.clear()
+            rows = by_rows.similarity_rows(tid, request)
+            from_rows = list(scored)
+            scored.clear()
+            best, score = by_matches.matches(tid, request)
+            assert scored == from_rows
+            assert best.dtype == np.int64
+            assert best.shape == score.shape == (len(request),)
+            want = rows.argmax(axis=1)
+            assert np.array_equal(best, want)
+            assert score.tobytes() == rows[np.arange(len(rows)), want].tobytes()
+            # and the rows served afterwards are the ones matched
+            again = by_matches.similarity_rows(tid, request)
+            assert again.tobytes() == rows.tobytes()
+
+
+def test_compare_reads_rows_only_for_fusion(switching_dataset, tmp_path, monkeypatch):
+    """In ``compare``, switch-only and every single-technique method read
+    best-match columns only, never a similarity row."""
+    manifest_path, store = switching_dataset
+    config = TripartiteConfig(
+        units=(UnitConfig("u0", ("a", "b")), UnitConfig("u1", ("c", "a")))
+    )
+    save_store(store, tmp_path / "store.sfcal")
+    save_config(config, tmp_path / "config.json")
+    calls = Counter()
+    current = [None]
+    rows = DatasetRuntime.similarity_rows
+    run = evaluation.run_method
+
+    def spy_rows(self, tid, queries):
+        calls[current[0]] += 1
+        return rows(self, tid, queries)
+
+    def tagged(method, *args, **kwargs):
+        current[0] = method
+        return run(method, *args, **kwargs)
+
+    monkeypatch.setattr(DatasetRuntime, "similarity_rows", spy_rows)
+    monkeypatch.setattr(evaluation, "run_method", tagged)
+    argv = [
+        "compare", "--manifest", manifest_path, "--config", tmp_path / "config.json",
+        "--store", tmp_path / "store.sfcal", "--out", tmp_path / "cmp",
+    ]
+    assert cli_main([str(a) for a in argv]) == 0
+    assert calls[None] == len(TECHNIQUES)  # the up-front whole blocks
+    assert calls["switch-fuse"] > 0 and calls["fuse-all"] > 0
+    for method in ["switch-only"] + [f"single:{t}" for t in TECHNIQUES]:
+        assert calls[method] == 0, method
+
+
+def test_fusion_with_a_technique_in_two_units_matches_oracle(tmp_path, monkeypatch):
+    """Switch-fuse over built-in techniques, tiny_patch in both units (as
+    in the image benchmark), sums the scalar oracle's fused vectors bit
+    for bit."""
+    splits = {}
+    for split, seed in (("calib", 5), ("eval", 6)):
+        refs, queries = generate_image_dataset(16, seed=seed, size=32)
+        splits[split] = load_manifest(
+            export_image_dataset(refs, queries, tmp_path / split, split)
+        )
+    config = TripartiteConfig(
+        units=(
+            UnitConfig("gradient", ("hog", "tiny_patch")),
+            UnitConfig("appearance", ("tiny_patch", "intensity_hist")),
+        ),
+    )
+    techniques = config.all_techniques()
+    store = build_store(
+        collect_run(DatasetRuntime(splits["calib"]), techniques), techniques
+    )
+    # every calibration match is correct, so every query would stop at
+    # hog; this hog calibration rejects the lower half of its eval scores
+    scores = DatasetRuntime(splits["eval"]).matches("hog", range(16))[1]
+    mid = float(np.median(scores))
+    store.techniques["hog"] = TechniqueCalibration(
+        "hog", 0.5,
+        LikelihoodHistogram(2, 2 * mid - scores.max() - 1e-9, scores.max() + 1e-9,
+                            np.array([0, 10]), np.array([10, 0])),
+        20,
+    )
+    fused_blocks = []
+    best_matches = evaluation.best_matches
+
+    def kept(fused, contributors):
+        fused_blocks.append(fused.copy())
+        return best_matches(fused, contributors)
+
+    monkeypatch.setattr(evaluation, "best_matches", kept)
+    runtime = DatasetRuntime(splits["eval"])
+    report = run_method("switch-fuse", runtime, config, store, runtime.ground_truth())
+    (total,) = fused_blocks
+    both = 0
+    # the oracle reads the rows the block path scored: a row scored in
+    # another block may differ in its last bits
+    for q in range(runtime.query_count):
+        picked = run_tripartite(config, lambda tid: similarity(runtime, q, tid), store)
+        ids = picked.selected_ids()
+        both += ids == ["tiny_patch", "tiny_patch"]
+        fused = fuse(normalize(picked.similarity_cache[tid]) for tid in ids)
+        assert total[q].tobytes() == fused.values.tobytes()
+        idx, conf = best_match(fused)
+        assert report.outcomes.predicted[q] == idx
+        got = report.outcomes.confidence[q : q + 1]
+        assert got.tobytes() == np.float64(conf).tobytes()
+    assert 0 < both < runtime.query_count, both

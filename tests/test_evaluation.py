@@ -21,6 +21,7 @@ from switchfuse.oracle import (
     QueryOutcome,
     UnitDecision,
     best_match,
+    bin_index,
     fuse,
     is_correct,
     normalize,
@@ -31,10 +32,13 @@ from switchfuse.oracle import (
     select_technique,
     similarity,
 )
+from switchfuse.datasets import DatasetRuntime, load_manifest
 from switchfuse.synthetic import (
     SubsetRuntime,
+    SyntheticDataset,
     TechniqueProfile,
     calibration_run,
+    export_dataset,
     generate,
 )
 
@@ -478,3 +482,98 @@ def test_ground_truth_names_the_first_bad_query(sets, message):
             break
     with pytest.raises(InvalidInputError, match=f"^{message}$"):
         GroundTruth.from_sets(sets, 4)
+
+
+@pytest.mark.parametrize("kind", ["subset", "sfdesc"])
+def test_signed_zero_maxima_match_scalar_oracle(kind, tmp_path, monkeypatch):
+    """Rows whose maximum 0.0 is held as both -0.0 and +0.0, in either
+    order: the match score is the value at the first maximum, so its bin,
+    the decisions and the raw-score confidences (sign included) equal the
+    scalar oracle's."""
+    rng = np.random.default_rng(5)
+    ids, q, r = ("a", "b"), 60, 6
+    sims = {}
+    for tid in ids:
+        rows = rng.uniform(-1, 1, (q, r))
+        rows[::3] = -rng.uniform(0.1, 1, (q // 3, r))
+        rows[0::6, 1], rows[0::6, 4] = -0.0, 0.0
+        rows[3::6, 1], rows[3::6, 4] = 0.0, -0.0
+        sims[tid] = rows
+    ds = SyntheticDataset(q, r, ids, sims, rng.integers(0, r, q), seed=0)
+    store = build_store(calibration_run(ds, np.arange(q)), ids, bins=4)
+    if kind == "subset":
+        runtime = SubsetRuntime(ds, np.arange(q))
+    else:
+        from switchfuse import datasets
+
+        # the exported descriptors hold the rows themselves, so a kernel
+        # that returns them (minus the padding coordinate) serves them
+        monkeypatch.setattr(
+            datasets,
+            "similarity_block",
+            lambda queries, refs, ref_norms=None: np.array(queries[:, :-1], np.float64),
+        )
+        manifest = export_dataset(ds, np.arange(q), tmp_path, "z")
+        runtime = DatasetRuntime(load_manifest(manifest))
+
+    signs = set()
+    for tid in ids:
+        hist = store.technique(tid).histogram
+        best, score = runtime.matches(tid, np.arange(q))
+        bins = hist.bin_indices(score)
+        for i in range(q):
+            want = raw_match_score(similarity(runtime, i, tid))
+            assert best[i] == want.best_index
+            assert score[i : i + 1].tobytes() == np.float64(want.value).tobytes()
+            assert bins[i] == bin_index(hist, want.value)
+            if want.value == 0.0:
+                signs.add(math.copysign(1.0, want.value))
+    assert signs == {-1.0, 1.0}
+
+    config = TripartiteConfig(
+        units=(UnitConfig("u0", ("a", "b")), UnitConfig("u1", ("b", "a")))
+    )
+    gt = runtime.ground_truth()
+    for method in ["switch-fuse", "switch-only", "single:a", "single:b"]:
+        report = run_method(method, runtime, config, store, gt)
+        for o in query_outcomes(report.outcomes):
+            idx, conf, units = scalar_outcome(
+                method, runtime, config, store, o.query_index
+            )
+            assert o.predicted == idx, method
+            assert math.copysign(1.0, o.confidence) == math.copysign(1.0, conf)
+            assert o.confidence == conf, method
+            if units is not None:
+                got = [
+                    (d.selected_technique, d.selected_posterior, d.fallback_used)
+                    for d in o.decisions
+                ]
+                assert got == units
+
+
+@pytest.mark.parametrize("k", [-2, -1, 0, 1, 3, 10**30])
+@pytest.mark.parametrize(
+    "queries, refs", [(0, 3), (1, 1), (5, 5), (6, 3), (4, 9), (3, 0)]
+)
+def test_window_ground_truth_matches_per_query_sets(queries, refs, k):
+    """The window's keys give the same acceptable sets, and fail the same
+    way, as one ``range`` per query."""
+    sets = []
+    for i in range(queries):
+        lo, hi = max(0, i - k), min(refs - 1, i + k)
+        if hi < lo:
+            sets = None
+            break
+        sets.append(frozenset(range(lo, hi + 1)))
+    if sets is None:
+        with pytest.raises(InvalidInputError, match="^window ground truth out of range"):
+            GroundTruth.from_window(queries, refs, k)
+        return
+    gt = GroundTruth.from_window(queries, refs, k)
+    assert gt.query_count == queries and gt.reference_count == refs
+    assert gt.accepted == tuple(sets)
+    assert all(type(ref) is int for s in gt.accepted for ref in s)
+    predicted = np.minimum(np.arange(queries) + 1, refs)
+    assert gt.correct(predicted).tolist() == [
+        int(p) in s for p, s in zip(predicted, sets)
+    ]

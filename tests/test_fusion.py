@@ -181,3 +181,28 @@ def test_block_forms_match_scalar_oracle():
     idx, conf = best_matches(fused, 2)
     for q, row in enumerate(fused):
         assert (idx[q], conf[q]) == best_match(FusedVector(row, ("s", "t")))
+
+
+def test_normalize_into_buffer_is_bit_identical():
+    """``out=`` gives the allocating form's bytes: into a view of a larger
+    buffer holding garbage, and in place over the rows themselves."""
+    rng = np.random.default_rng(43)
+    rows = rng.uniform(-1, 1, size=(12, 7))
+    rows[0] = 0.25  # constant
+    rows[1] = -0.0  # constant, all -0.0
+    rows[2] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0]  # constant, mixed zeros
+    rows[3] = [-0.0, 0.0, -0.5, -0.25, -1.0, 0.0, -0.0]  # maximum held as both
+    rows[4] = [0.0, -0.0, 0.5, 0.25, 1.0, -0.0, 0.0]  # minimum held as both
+    params = FusionParams(0.01)
+    want = normalize_rows(rows, params)
+    big = np.full((15, 7), np.nan)
+    got = normalize_rows(rows, params, out=big[2:14])
+    assert got.base is big
+    assert big[2:14].tobytes() == want.tobytes()
+    assert np.isnan(big[:2]).all() and np.isnan(big[14:]).all()
+    in_place = rows.copy()
+    assert normalize_rows(in_place, params, out=in_place) is in_place
+    assert in_place.tobytes() == want.tobytes()
+    for row, values in zip(rows, want):
+        oracle = normalize(SimilarityVector("t", row), params)
+        assert values.tobytes() == oracle.values.tobytes()
