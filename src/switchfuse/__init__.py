@@ -30,7 +30,6 @@ from .evaluation import (
     run_method,
     score_outcomes,
 )
-from .fusion import FusionParams
 from .switching import TripartiteConfig, UnitConfig
 
 __version__ = "0.1.0"

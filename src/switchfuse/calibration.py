@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,9 +29,6 @@ DEFAULT_MIN_SAMPLES = 10
 PRIOR_CLAMP = (0.01, 0.99)
 
 SFCAL_MAGIC = b"SFCAL1\0\0"
-
-MATCH = "match"
-MISMATCH = "mismatch"
 
 
 @dataclass(frozen=True)
@@ -66,44 +64,39 @@ class LikelihoodHistogram:
     def bin_indices(self, scores: np.ndarray) -> np.ndarray:
         """Bin of every score in a finite float64 array; scores outside
         [lo, hi] clamp to the edge bins."""
-        with np.errstate(over="ignore"):
-            # dividing by the span, not the bin width, keeps subnormal spans
-            # from overflowing; a score at or below lo gives a quotient <= 0
-            # and one at or above hi a quotient >= B - 1 (or inf), so the
-            # clip is the edge clamp
-            quotient = self.bin_count * (scores - self.lo) / (self.hi - self.lo)
-        return np.clip(quotient, 0, self.bin_count - 1).astype(np.int64)
+        return _bin_indices(scores, self.lo, self.hi, self.bin_count)
 
-    def masses(self, hypothesis: str) -> np.ndarray:
-        """Smoothed mass of every bin; sums to 1 when alpha > 0 or counts > 0."""
-        counts = self._counts(hypothesis)
+    @cached_property
+    def matched_masses(self) -> np.ndarray:
+        """Smoothed mass of every bin under a correct match, compiled on
+        first read: ``matched_masses[h.bin_indices(s)]`` is the match
+        likelihood of every score ``s``.  Sums to 1 when alpha > 0 or
+        counts > 0."""
+        return self._smoothed(self.counts_matched)
+
+    @cached_property
+    def mismatched_masses(self) -> np.ndarray:
+        """``matched_masses`` under a wrong match."""
+        return self._smoothed(self.counts_mismatched)
+
+    def _smoothed(self, counts: np.ndarray) -> np.ndarray:
         a = self.smoothing_alpha
-        return (counts + a) / (counts.sum() + a * self.bin_count)
-
-    def _counts(self, hypothesis: str) -> np.ndarray:
-        if hypothesis == MATCH:
-            return self.counts_matched
-        if hypothesis == MISMATCH:
-            return self.counts_mismatched
-        raise InvalidInputError(f"unknown hypothesis {hypothesis!r}")
-
-
-@dataclass(frozen=True)
-class MassTable:
-    """A histogram compiled for block lookups: its binning and both smoothed
-    mass vectors, so ``matched[h.bin_indices(s)]`` is the match likelihood of
-    every score ``s``."""
-
-    histogram: LikelihoodHistogram
-    matched: np.ndarray
-    mismatched: np.ndarray
-
-    @classmethod
-    def of(cls, hist: LikelihoodHistogram) -> "MassTable":
         # an unsmoothed histogram without counts gives NaN masses, which
         # the switching loop reports as undefined evidence
         with np.errstate(invalid="ignore"):
-            return cls(hist, hist.masses(MATCH), hist.masses(MISMATCH))
+            return (counts + a) / (counts.sum() + a * self.bin_count)
+
+
+def _bin_indices(scores: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
+    """Equal-width bin over [lo, hi] of every finite score, clamped to
+    0..bins-1."""
+    with np.errstate(over="ignore"):
+        # dividing by the span, not the bin width, keeps subnormal spans
+        # from overflowing; a score at or below lo gives a quotient <= 0
+        # and one at or above hi a quotient >= B - 1 (or inf), so the
+        # clip is the edge clamp
+        quotient = bins * (scores - lo) / (hi - lo)
+    return np.clip(quotient, 0, bins - 1).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -112,6 +105,23 @@ class TechniqueCalibration:
     prior_match: float
     histogram: LikelihoodHistogram
     sample_count: int
+
+    def __post_init__(self):
+        if not 0.0 < self.prior_match < 1.0:  # NaN fails both
+            raise InvalidInputError(
+                f"{self.technique_id}: prior must lie strictly in (0, 1)"
+            )
+
+    @cached_property
+    def posterior(self) -> np.ndarray:
+        """Posterior of a correct match in every score bin, by Bayes' rule,
+        compiled on first read; NaN marks a bin whose evidence is
+        undefined."""
+        prior = self.prior_match
+        num = prior * self.histogram.matched_masses
+        den = num + (1.0 - prior) * self.histogram.mismatched_masses
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(den > 0.0, num / den, np.nan)
 
 
 @dataclass(frozen=True)
@@ -139,9 +149,7 @@ def _build_histogram(
     alpha: float,
 ) -> LikelihoodHistogram:
     lo, hi = _score_range(scores)
-    idx = np.clip(
-        np.floor(bins * (scores - lo) / (hi - lo)).astype(int), 0, bins - 1
-    )
+    idx = _bin_indices(scores, lo, hi, bins)
     matched = np.bincount(idx[flags], minlength=bins)
     mismatched = np.bincount(idx[~flags], minlength=bins)
     return LikelihoodHistogram(
@@ -360,8 +368,6 @@ def load_store(path) -> CalibrationStore:
             tid, pos = _unpack_str(blob, pos)
             prior, count = struct.unpack_from("<dI", blob, pos)
             pos += 12
-            if not 0.0 < prior < 1.0:  # NaN fails both
-                raise FormatError(f"{path}: {tid}: prior must lie strictly in (0, 1)")
             hist, pos = _unpack_hist(blob, pos)
             store.techniques[tid] = TechniqueCalibration(
                 technique_id=tid,
@@ -380,7 +386,7 @@ def load_store(path) -> CalibrationStore:
             )
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: truncated calibration store") from exc
-    except InvalidInputError as exc:  # a histogram field out of its range
+    except InvalidInputError as exc:  # a prior or histogram field out of range
         raise FormatError(f"{path}: {exc}") from exc
     if pos != len(blob):
         raise FormatError(f"{path}: trailing bytes in calibration store")

@@ -17,6 +17,7 @@ from . import evaluation as ev
 from . import reports
 from .datasets import (
     DatasetRuntime,
+    json_integer,
     json_number,
     load_config,
     load_manifest,
@@ -24,7 +25,6 @@ from .datasets import (
     read_json,
 )
 from .errors import FormatError, InvalidInputError, SwitchFuseError
-from .fusion import FusionParams
 
 
 def _load_runtime(args):
@@ -73,11 +73,10 @@ def _load_spec(path):
             k: json_number(v, f"{where}: overlap {k!r}") for k, v in overlaps.items()
         }
         parsed.append(TechniqueProfile(tid, *numbers, overlaps=overlaps))
-    counts = [_spec_key(doc, k, path) for k in ("query_count", "reference_count")]
-    if not all(isinstance(c, int) and not isinstance(c, bool) for c in counts):
-        raise FormatError(
-            f"{path}: 'query_count' and 'reference_count' must be integers"
-        )
+    counts = [
+        json_integer(_spec_key(doc, k, path), f"{path}: {k!r}")
+        for k in ("query_count", "reference_count")
+    ]
     fraction = json_number(
         doc.get("calibration_fraction", 0.5), f"{path}: 'calibration_fraction'"
     )
@@ -139,9 +138,7 @@ def cmd_run(args) -> int:
     config = load_config(args.config, args.threshold)
     store = cal.load_store(args.store)
     gt = runtime.ground_truth()
-    report = ev.run_method(
-        "switch-fuse", runtime, config, store, gt, FusionParams()
-    )
+    report = ev.run_method("switch-fuse", runtime, config, store, gt)
     reports.write_predictions(
         report.outcomes, args.out, timestamp=not args.no_timestamp
     )
@@ -186,10 +183,7 @@ def cmd_compare(args) -> int:
     methods = ["switch-fuse", "switch-only", "fuse-all"] + [
         f"single:{tid}" for tid in config.all_techniques()
     ]
-    all_reports = [
-        ev.run_method(m, runtime, config, store, gt, FusionParams())
-        for m in methods
-    ]
+    all_reports = [ev.run_method(m, runtime, config, store, gt) for m in methods]
     comparison = ev.compare(all_reports, baseline_method="switch-fuse")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -17,8 +17,8 @@ import numpy as np
 
 from .calibration import CalibrationStore
 from .errors import InvalidInputError
-from .fusion import FusionParams, best_matches, normalize_rows
-from .switching import BlockDecisions, SwitchingTables, TripartiteConfig, select_block
+from .fusion import best_matches, normalize_rows
+from .switching import BlockDecisions, TripartiteConfig, select_block
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +250,7 @@ def _best_raw(runtime, pool, choice):
     return predicted, confidence
 
 
-def _best_fused(runtime, picks, params: FusionParams):
+def _best_fused(runtime, picks):
     """Min-max normalise and sum each query's picked similarity rows, one
     contributor at a time in order, then take the best reference.
 
@@ -270,7 +270,7 @@ def _best_fused(runtime, picks, params: FusionParams):
             else:
                 unit[queries] = runtime.similarity_rows(tid, queries)
                 rows = unit
-        normalize_rows(rows, params, out=unit)
+        normalize_rows(rows, out=unit)
         total += unit
     return best_matches(total, len(picks))
 
@@ -281,7 +281,6 @@ def run_method(
     config: TripartiteConfig,
     store: CalibrationStore | None,
     ground_truth: GroundTruth,
-    params: FusionParams = FusionParams(),
 ) -> EvaluationReport:
     """Evaluate one method family over every query of a dataset runtime.
 
@@ -298,7 +297,6 @@ def run_method(
     if method in ("switch-fuse", "switch-only"):
         if store is None:
             raise InvalidInputError(f"{method} requires a calibration store")
-        tables = SwitchingTables(store)
 
         def match_scores(tid, queries):
             return runtime.matches(tid, queries)[1]
@@ -309,12 +307,12 @@ def run_method(
             else [tuple(config.all_techniques())]
         )
         blocks = [
-            select_block(pool, match_scores, tables, config.posterior_threshold, n)
+            select_block(pool, match_scores, store, config.posterior_threshold, n)
             for pool in pools
         ]
     if method == "switch-fuse":
         predicted, confidence = _best_fused(
-            runtime, [(b.techniques, b.selected) for b in blocks], params
+            runtime, [(b.techniques, b.selected) for b in blocks]
         )
     elif method == "switch-only":
         predicted, confidence = _best_raw(
@@ -322,7 +320,7 @@ def run_method(
         )
     elif method == "fuse-all":
         predicted, confidence = _best_fused(
-            runtime, [((tid,), everyone) for tid in config.all_techniques()], params
+            runtime, [((tid,), everyone) for tid in config.all_techniques()]
         )
     elif method.startswith("single:"):
         tid = method.split(":", 1)[1]

@@ -6,28 +6,14 @@ per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import InvalidInputError
+# normalised rows span [-EPSILON, 1 - EPSILON]
+EPSILON = 0.001
 
 
-@dataclass(frozen=True)
-class FusionParams:
-    epsilon: float = 0.001
-
-    def __post_init__(self):
-        if not (0.0 < self.epsilon < 0.5):
-            raise InvalidInputError("epsilon must lie in (0, 0.5)")
-
-
-def normalize_rows(
-    rows: np.ndarray,
-    params: FusionParams = FusionParams(),
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """Rescale every row of a 2-D block to [-epsilon, 1 - epsilon], into
+def normalize_rows(rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Rescale every row of a 2-D block to [-EPSILON, 1 - EPSILON], into
     ``out`` (an array of the block's shape) when given, else a new array.
 
     A constant row carries no ranking information and maps to all zeros,
@@ -38,7 +24,7 @@ def normalize_rows(
     constant = span == 0.0
     values = np.subtract(rows, lo, out=out)
     values /= np.where(constant, 1.0, span)
-    values -= params.epsilon
+    values -= EPSILON
     values[constant[:, 0]] = 0.0
     return values
 

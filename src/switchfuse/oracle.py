@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .calibration import (
-    MATCH,
-    MISMATCH,
     CalibrationStore,
     LikelihoodHistogram,
     PairCalibration,
@@ -26,8 +24,11 @@ from .calibration import (
 from .descriptors import DescriptorSet, DescriptorVector
 from .errors import InvalidInputError, UndefinedEvidenceError
 from .evaluation import GroundTruth
-from .fusion import FusionParams
+from .fusion import EPSILON
 from .switching import TripartiteConfig, UnitConfig
+
+MATCH = "match"
+MISMATCH = "mismatch"
 
 
 # -- similarity -------------------------------------------------------------
@@ -309,8 +310,8 @@ class FusedVector:
     contributing: tuple[str, ...]
 
 
-def normalize(sim: SimilarityVector, params: FusionParams = FusionParams()) -> NormalizedVector:
-    """Rescale scores to [-epsilon, 1 - epsilon].
+def normalize(sim: SimilarityVector) -> NormalizedVector:
+    """Rescale scores to [-EPSILON, 1 - EPSILON].
 
     A constant vector carries no ranking information and maps to all zeros,
     contributing nothing to the fused argmax.
@@ -323,11 +324,11 @@ def normalize(sim: SimilarityVector, params: FusionParams = FusionParams()) -> N
     if hi == lo:
         values = np.zeros_like(scores)
     else:
-        values = (scores - lo) / (hi - lo) - params.epsilon
+        values = (scores - lo) / (hi - lo) - EPSILON
     return NormalizedVector(technique_id=sim.technique_id, values=values)
 
 
-def fuse(vectors, params: FusionParams = FusionParams()) -> FusedVector:
+def fuse(vectors) -> FusedVector:
     """Elementwise sum of normalized vectors (1..8 contributors)."""
     vectors = list(vectors)
     if not vectors:

@@ -2,8 +2,8 @@
 switching loop that picks one technique per unit of the configured model.
 
 ``select_block`` runs one unit's loop for a whole block of queries, reading
-posteriors and complementarity terms from per-bin tables that
-``SwitchingTables`` compiles from the calibration store on first use.
+posteriors and complementarity terms from the per-bin tables each record of
+the calibration store compiles on first use.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import CalibrationStore, MassTable, TechniqueCalibration
+from .calibration import CalibrationStore
 from .errors import InvalidInputError, UndefinedEvidenceError
 
 
@@ -58,56 +58,6 @@ class TripartiteConfig:
 
 
 @dataclass(frozen=True)
-class PosteriorTable:
-    """A technique's masses and its posterior of a correct match per score
-    bin; NaN marks a bin whose evidence is undefined."""
-
-    masses: MassTable
-    posterior: np.ndarray
-
-
-def _posterior_table(calib: TechniqueCalibration) -> PosteriorTable:
-    prior = calib.prior_match
-    if not (0.0 < prior < 1.0):
-        raise InvalidInputError(
-            f"{calib.technique_id}: prior must lie strictly in (0, 1)"
-        )
-    # counts and alpha are nonnegative, so masses are >= 0 or NaN
-    masses = MassTable.of(calib.histogram)
-    # Bayes' rule, one bin per element
-    num = prior * masses.matched
-    den = num + (1.0 - prior) * masses.mismatched
-    with np.errstate(divide="ignore", invalid="ignore"):
-        posterior = np.where(den > 0.0, num / den, np.nan)
-    return PosteriorTable(masses, posterior)
-
-
-class SwitchingTables:
-    """Per-bin lookup tables of a calibration store, each compiled on the
-    first use of its technique or ordered pair."""
-
-    def __init__(self, store: CalibrationStore):
-        self.store = store
-        self._techniques: dict[str, PosteriorTable] = {}
-        self._pairs: dict[tuple[str, str], MassTable] = {}
-
-    def technique(self, technique_id: str) -> PosteriorTable:
-        table = self._techniques.get(technique_id)
-        if table is None:
-            table = _posterior_table(self.store.technique(technique_id))
-            self._techniques[technique_id] = table
-        return table
-
-    def pair(self, primary_id: str, candidate_id: str) -> MassTable:
-        key = (primary_id, candidate_id)
-        table = self._pairs.get(key)
-        if table is None:
-            table = MassTable.of(self.store.pair(*key).histogram)
-            self._pairs[key] = table
-        return table
-
-
-@dataclass(frozen=True)
 class BlockDecisions:
     """One unit's decisions for a block of queries, one entry per query."""
 
@@ -121,7 +71,7 @@ class BlockDecisions:
 def select_block(
     techniques,
     match_scores,
-    tables: SwitchingTables,
+    store: CalibrationStore,
     threshold: float,
     query_count: int,
 ) -> BlockDecisions:
@@ -131,10 +81,12 @@ def select_block(
     unit it may hold more than eight (the pooled switch-only baseline).
     ``match_scores(technique_id, queries)`` returns the match score of
     each listed query, the value at the first maximum of its similarity
-    row, and is asked only for queries that visit the technique.  Starting
-    from the primary, a technique is accepted when its posterior strictly
-    exceeds ``threshold``; otherwise the query hops to
-    the unvisited candidate with the highest complementarity from the
+    row, and is asked only for queries that visit the technique.
+    Posteriors and complementarity terms are read per score bin from the
+    tables of ``store``'s records, each compiled on first use and kept by
+    the record.  Starting from the primary, a technique is accepted when
+    its posterior strictly exceeds ``threshold``; otherwise the query hops
+    to the unvisited candidate with the highest complementarity from the
     current technique.  A query that exhausts the pool takes its
     highest-posterior visited technique, with ``fallback`` set.  Ties break
     to the earlier position in the pool.  Each pass moves every undecided
@@ -158,10 +110,10 @@ def select_block(
         for t in np.unique(at).tolist():
             group = undecided[at == t]
             tid = techniques[t]
-            table = tables.technique(tid)
+            calib = store.technique(tid)
             scores = match_scores(tid, group)
-            bins = table.masses.histogram.bin_indices(scores)
-            post = table.posterior[bins]
+            bins = calib.histogram.bin_indices(scores)
+            post = calib.posterior[bins]
             undefined = np.isnan(post)
             if undefined.any():
                 raise UndefinedEvidenceError(
@@ -192,14 +144,14 @@ def select_block(
                 continue
             # complementarity from tid to every open candidate; -inf elsewhere
             comp = np.full(open_.shape, -np.inf)
-            p_m_a = table.masses.matched[bins]
-            p_mm_a = table.masses.mismatched[bins]
+            p_m_a = calib.histogram.matched_masses[bins]
+            p_mm_a = calib.histogram.mismatched_masses[bins]
             for c in np.flatnonzero(open_.any(axis=0)).tolist():
                 rows = open_[:, c]
-                pair = tables.pair(tid, techniques[c])
-                pair_bins = pair.histogram.bin_indices(scores[rows])
-                num = p_m_a[rows] * pair.matched[pair_bins]
-                den = p_mm_a[rows] * pair.mismatched[pair_bins]
+                pair = store.pair(tid, techniques[c]).histogram
+                pair_bins = pair.bin_indices(scores[rows])
+                num = p_m_a[rows] * pair.matched_masses[pair_bins]
+                den = p_mm_a[rows] * pair.mismatched_masses[pair_bins]
                 bad = ~(den > 0.0) | np.isnan(num)
                 if bad.any():
                     raise UndefinedEvidenceError(

@@ -13,8 +13,6 @@ import pytest
 
 from switchfuse import ImageGray, TripartiteConfig, UnitConfig, compute_descriptor
 from switchfuse.calibration import (
-    MATCH,
-    MISMATCH,
     LikelihoodHistogram,
     TechniqueCalibration,
     build_store,
@@ -22,6 +20,8 @@ from switchfuse.calibration import (
 from switchfuse.cli import main as cli_main
 from switchfuse.evaluation import run_method
 from switchfuse.oracle import (
+    MATCH,
+    MISMATCH,
     MatchScore,
     QueryOutcome,
     SimilarityVector,
@@ -72,8 +72,8 @@ def brute_force_posterior(prior, hist, score):
     b = bin_index(hist, score)
     joint = np.empty((hist.bin_count, 2))
     for i in range(hist.bin_count):
-        m_masses = hist.masses(MATCH)
-        mm_masses = hist.masses(MISMATCH)
+        m_masses = hist.matched_masses
+        mm_masses = hist.mismatched_masses
         joint[i, 0] = prior * m_masses[i]
         joint[i, 1] = (1.0 - prior) * mm_masses[i]
     return joint[b, 0] / joint[b].sum()

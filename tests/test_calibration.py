@@ -8,20 +8,28 @@ from hypothesis import strategies as st
 from switchfuse import (
     CalibrationStore,
     LikelihoodHistogram,
+    TechniqueCalibration,
     build_store,
     calibrate_pair,
     calibrate_technique,
     load_store,
     save_store,
 )
-from switchfuse.calibration import MATCH, MISMATCH, SFCAL_MAGIC, collect_run
+from switchfuse.calibration import SFCAL_MAGIC, collect_run
 from switchfuse.errors import (
     FormatError,
     IncompleteCalibrationError,
     InsufficientDataError,
     InvalidInputError,
 )
-from switchfuse.oracle import is_correct, mass, raw_match_score, similarity
+from switchfuse.oracle import (
+    MATCH,
+    MISMATCH,
+    is_correct,
+    mass,
+    raw_match_score,
+    similarity,
+)
 from switchfuse.synthetic import SubsetRuntime, TechniqueProfile, generate
 
 def columns(samples):
@@ -86,7 +94,7 @@ def test_degenerate_range_fallback():
 
 def test_pair_all_candidate_matched_uniform_mismatch_side():
     pair = calibrate_pair(*columns([(0.5, True)] * 12), "a", "b", bins=4, alpha=1.0)
-    masses = pair.histogram.masses(MISMATCH)
+    masses = pair.histogram.mismatched_masses
     assert np.allclose(masses, 0.25)
 
 
@@ -94,7 +102,7 @@ def test_pair_symmetric_samples():
     samples = [(0.2, True), (0.2, False), (0.8, True), (0.8, False)] * 3
     pair = calibrate_pair(*columns(samples), "a", "b", bins=2)
     assert np.allclose(
-        pair.histogram.masses(MATCH), pair.histogram.masses(MISMATCH)
+        pair.histogram.matched_masses, pair.histogram.mismatched_masses
     )
 
 
@@ -144,8 +152,8 @@ def test_likelihood_non_finite_rejected():
 @given(samples_strategy)
 def test_masses_sum_to_one(samples):
     calib = calibrate_technique(*columns(samples), "t")
-    for hyp in (MATCH, MISMATCH):
-        assert calib.histogram.masses(hyp).sum() == pytest.approx(1.0, abs=1e-9)
+    for masses in (calib.histogram.matched_masses, calib.histogram.mismatched_masses):
+        assert masses.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 @given(samples_strategy)
@@ -287,6 +295,27 @@ def test_store_round_trip(tmp_path):
             store.pairs[key].histogram.counts_matched,
             loaded.pairs[key].histogram.counts_matched,
         )
+
+
+def test_loaded_store_compiles_no_tables(tmp_path):
+    """Per-bin tables are built on first use, never by ``load_store``."""
+    rng = np.random.default_rng(4)
+    techniques = ["alpha", "beta", "gamma"]
+    save_store(build_store(_random_run(rng, techniques), techniques), tmp_path / "s")
+    loaded = load_store(tmp_path / "s")
+    records = [*loaded.techniques.values(), *loaded.pairs.values()]
+    records += [record.histogram for record in records]
+    assert len(records) == 2 * (3 + 6)
+    tables = {"matched_masses", "mismatched_masses", "posterior"}
+    for record in records:
+        assert not tables & vars(record).keys()
+
+
+@pytest.mark.parametrize("prior", [math.nan, 0.0, 1.0])
+def test_technique_prior_must_lie_strictly_inside_unit_interval(prior):
+    hist = uniform_hist()
+    with pytest.raises(InvalidInputError, match="t: prior must lie strictly"):
+        TechniqueCalibration("t", prior, hist, 10)
 
 
 def test_store_save_load_bytes_stable(tmp_path):

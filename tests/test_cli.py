@@ -423,6 +423,24 @@ BAD_SPECS = {
 }
 
 
+# dataset manifests of the wrong shape, from the valid explicit-ground-truth
+# SFDESC1 one
+BAD_MANIFESTS = {
+    "top_level_list": lambda doc: [doc],
+    "techniques_list": lambda doc: {**doc, "techniques": []},
+    "query_count_string": lambda doc: {**doc, "query_count": "x"},
+    "query_count_fraction": lambda doc: {**doc, "query_count": 1000.7},
+    "window_k_string": lambda doc: {**doc, "ground_truth": {"kind": "window", "k": "z"}},
+    "explicit_without_path": lambda doc: {**doc, "ground_truth": {"kind": "explicit"}},
+    "references_number": lambda doc: {
+        **doc,
+        "techniques": {
+            **doc["techniques"], "a": {**doc["techniques"]["a"], "references": 5}
+        },
+    },
+    "reference_images_string": lambda doc: {**doc, "reference_images": "ab"},
+}
+
 # corrupt values in the first technique's record of an SFCAL1 store:
 # (struct format, offset from the histogram's start, value); the prior
 # sits 12 bytes before the histogram
@@ -466,6 +484,7 @@ def _corrupt_store(blob: bytes, fmt: str, offset: int, value) -> bytes:
         *[(f"{cmd}_{bad}", "SF-FORMAT") for bad in BAD_CONFIGS for cmd in ("calibrate", "run")],
         *[(f"synth_{bad}", "SF-FORMAT") for bad in BAD_SPECS],
         *[(f"run_store_{bad}", "SF-FORMAT") for bad in BAD_STORES],
+        *[(f"run_manifest_{bad}", "SF-FORMAT") for bad in BAD_MANIFESTS],
     ],
 )
 def test_bad_input_per_command(pipeline_dir, capsys, case, code):
@@ -488,6 +507,12 @@ def test_bad_input_per_command(pipeline_dir, capsys, case, code):
         named.write_bytes(_corrupt_store((d / "store.sfcal").read_bytes(), *bad))
         argv = ["run", "--manifest", manifest, "--config", d / "config.json",
                 "--store", named, "--out", d / "p.csv"]
+    elif case.startswith("run_manifest"):
+        named = d / "data" / "bad_manifest.json"
+        doc = json.loads(manifest.read_text())
+        named.write_text(json.dumps(BAD_MANIFESTS[case[len("run_manifest_"):]](doc)))
+        argv = ["run", "--manifest", named, "--config", d / "config.json",
+                "--store", d / "store.sfcal", "--out", d / "p.csv"]
     elif case.startswith(("calibrate_bins", "calibrate_min_samples")):
         flag, value = case[len("calibrate_"):].rsplit("_", 1)
         argv = [*calibrate, "--" + flag.replace("_", "-"), value]
@@ -590,6 +615,29 @@ SPEC_PATHS = {
     **{("profiles", 0, k): NUMBER for k in ("correct_rate", "mean_m", "sd_m", "mean_mm", "sd_mm")},
 }
 
+MANIFEST_DOC = {
+    "query_count": 4,
+    "reference_count": 3,
+    "techniques": {"a": {"kind": "sfdesc", "references": "r.bin", "queries": "q.bin"}},
+    "ground_truth": {"kind": "window", "k": 1},
+    "reference_images": ["r0.pgm"],
+    "query_images": ["q0.pgm"],
+}
+MANIFEST_PATHS = {
+    (): ("object",),
+    ("techniques",): ("object",),
+    ("techniques", "a"): ("object",),
+    ("techniques", "a", "references"): ("string",),
+    ("techniques", "a", "queries"): ("string",),
+    ("query_count",): ("integer",),
+    ("reference_count",): ("integer",),
+    ("ground_truth",): ("object",),
+    ("ground_truth", "k"): ("integer",),
+    ("reference_images",): ("list",),
+    ("reference_images", 0): ("string",),
+    ("query_images",): ("list",),
+    ("query_images", 0): ("string",),
+}
 
 @settings(max_examples=100, deadline=None)
 @given(doc=mistyped(CONFIG_DOC, CONFIG_PATHS))
@@ -600,6 +648,16 @@ def test_mistyped_config_is_format_error(tmp_path_factory, doc):
         load_config(path)
     assert info.value.code == "SF-FORMAT" and str(path) in str(info.value)
 
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=mistyped(MANIFEST_DOC, MANIFEST_PATHS))
+def test_mistyped_manifest_is_format_error(tmp_path_factory, doc):
+    path = tmp_path_factory.mktemp("manifest") / "manifest.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(FormatError) as info:
+        load_manifest(path)
+    assert info.value.code == "SF-FORMAT" and str(path) in str(info.value)
 
 @settings(max_examples=100, deadline=None)
 @given(doc=mistyped(SPEC_DOC, SPEC_PATHS))
@@ -638,6 +696,46 @@ def test_calibrate_bounds_bins_before_scoring(pipeline_dir, capsys, monkeypatch)
         err = capsys.readouterr().err
         assert err.startswith("SF-INPUT") and f"1..{queries}" in err
     assert not (d / "s.sfcal").exists()
+
+
+def test_compare_compiles_each_table_once(pipeline_dir, monkeypatch):
+    """switch-fuse and switch-only read one loaded store: each per-bin table
+    its records compile is built on first use and then shared."""
+    from switchfuse import calibration, evaluation
+
+    d = pipeline_dir
+    _synth_and_calibrate(d)
+    load, run_method = calibration.load_store, evaluation.run_method
+    stores, tables = [], {}
+
+    def compiled():
+        (store,) = stores
+        out = {}
+        for key, record in {**store.techniques, **store.pairs}.items():
+            for owner in (record, record.histogram):
+                for name in ("posterior", "matched_masses", "mismatched_masses"):
+                    if name in vars(owner):
+                        out[key, name] = vars(owner)[name]
+        return out
+
+    def loading(path):
+        stores.append(load(path))
+        return stores[-1]
+
+    def running(method, *args):
+        report = run_method(method, *args)
+        tables[method] = compiled()
+        return report
+
+    monkeypatch.setattr(calibration, "load_store", loading)
+    monkeypatch.setattr(evaluation, "run_method", running)
+    assert run_cli("compare", "--manifest", d / "data" / "eval_manifest.json",
+                   "--config", d / "config.json", "--store", d / "store.sfcal",
+                   "--out", d / "cmp") == 0
+    fuse, only = tables["switch-fuse"], tables["switch-only"]
+    assert ("a", "posterior") in fuse and ("a", "b") in {key for key, _ in fuse}
+    for key, table in fuse.items():
+        assert only[key] is table, key
 
 
 def test_cli_import_leaves_scipy_out():

@@ -4,7 +4,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from switchfuse import FusionParams
 from switchfuse.errors import InvalidInputError
 from switchfuse.fusion import best_matches, normalize_rows
 from switchfuse.oracle import (
@@ -40,13 +39,6 @@ def test_normalize_constant_vector_is_zero():
 def test_normalize_fixed_point():
     out = normalize(SimilarityVector("t", [-0.001, 0.999]))
     assert np.allclose(out.values, [-0.001, 0.999], atol=1e-12)
-
-
-def test_epsilon_validation():
-    with pytest.raises(InvalidInputError):
-        FusionParams(epsilon=0.0)
-    with pytest.raises(InvalidInputError):
-        FusionParams(epsilon=0.5)
 
 
 @given(score_vec)
@@ -193,16 +185,15 @@ def test_normalize_into_buffer_is_bit_identical():
     rows[2] = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0]  # constant, mixed zeros
     rows[3] = [-0.0, 0.0, -0.5, -0.25, -1.0, 0.0, -0.0]  # maximum held as both
     rows[4] = [0.0, -0.0, 0.5, 0.25, 1.0, -0.0, 0.0]  # minimum held as both
-    params = FusionParams(0.01)
-    want = normalize_rows(rows, params)
+    want = normalize_rows(rows)
     big = np.full((15, 7), np.nan)
-    got = normalize_rows(rows, params, out=big[2:14])
+    got = normalize_rows(rows, out=big[2:14])
     assert got.base is big
     assert big[2:14].tobytes() == want.tobytes()
     assert np.isnan(big[:2]).all() and np.isnan(big[14:]).all()
     in_place = rows.copy()
-    assert normalize_rows(in_place, params, out=in_place) is in_place
+    assert normalize_rows(in_place, out=in_place) is in_place
     assert in_place.tobytes() == want.tobytes()
     for row, values in zip(rows, want):
-        oracle = normalize(SimilarityVector("t", row), params)
+        oracle = normalize(SimilarityVector("t", row))
         assert values.tobytes() == oracle.values.tobytes()

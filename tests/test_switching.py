@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from switchfuse import CalibrationStore, TripartiteConfig, UnitConfig
-from switchfuse.switching import SwitchingTables, select_block
+from switchfuse.switching import select_block
 from switchfuse.calibration import (
     LikelihoodHistogram,
     PairCalibration,
@@ -399,7 +399,7 @@ def run_block(pool, score_rows, store, threshold, asked=None):
         return score_rows[queries, pool.index(tid)]
 
     return select_block(
-        pool, match_scores, SwitchingTables(store), threshold, len(score_rows)
+        pool, match_scores, store, threshold, len(score_rows)
     )
 
 
