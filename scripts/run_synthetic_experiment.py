@@ -11,7 +11,7 @@ import argparse
 from pathlib import Path
 
 from switchfuse.calibration import build_store
-from switchfuse.evaluation import compare, run_method
+from switchfuse.evaluation import compare_methods
 from switchfuse.reports import svg_pr_plot, write_comparison_csv, write_svg
 from switchfuse.switching import TripartiteConfig, UnitConfig
 from switchfuse.synthetic import (
@@ -66,12 +66,7 @@ def main():
         )
     )
     runtime = SubsetRuntime(dataset, eval_idx)
-    gt = runtime.ground_truth()
-
-    methods = ["switch-fuse", "switch-only", "fuse-all"] + [
-        f"single:{tid}" for tid in ids
-    ]
-    reports = [run_method(m, runtime, config, store, gt) for m in methods]
+    reports = compare_methods(runtime, config, store, runtime.ground_truth())
     for report in reports:
         print(
             f"{report.method:28s} accuracy {report.accuracy:.4f} "
@@ -79,7 +74,7 @@ def main():
         )
 
     args.out.mkdir(parents=True, exist_ok=True)
-    write_comparison_csv(compare(reports), args.out / "comparison.csv")
+    write_comparison_csv(reports, args.out / "comparison.csv")
     curves = [
         (r.method, r.pr_points)
         for r in reports

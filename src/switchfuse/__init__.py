@@ -4,7 +4,6 @@ for visual place recognition."""
 from .calibration import (
     CalibrationStore,
     LikelihoodHistogram,
-    PairCalibration,
     TechniqueCalibration,
     build_store,
     calibrate_pair,
@@ -24,8 +23,7 @@ from .descriptors import (
 from .evaluation import (
     EvaluationReport,
     GroundTruth,
-    Outcomes,
-    compare,
+    compare_methods,
     pr_points,
     run_method,
     score_outcomes,

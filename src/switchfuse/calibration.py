@@ -124,16 +124,6 @@ class TechniqueCalibration:
             return np.where(den > 0.0, num / den, np.nan)
 
 
-@dataclass(frozen=True)
-class PairCalibration:
-    """Histogram of the primary technique's score split by a candidate's
-    outcome; the (primary, candidate) pair is ordered."""
-
-    primary_id: str
-    candidate_id: str
-    histogram: LikelihoodHistogram
-
-
 def _score_range(scores: np.ndarray) -> tuple[float, float]:
     lo, hi = float(scores.min()), float(scores.max())
     if hi == lo:
@@ -207,29 +197,28 @@ def calibrate_technique(
 def calibrate_pair(
     primary_scores,
     candidate_correct,
-    primary_id: str,
-    candidate_id: str,
     bins: int = DEFAULT_BINS,
     alpha: float = DEFAULT_ALPHA,
     min_samples: int = DEFAULT_MIN_SAMPLES,
-) -> PairCalibration:
+) -> LikelihoodHistogram:
     """Histogram the primary's scores split by the candidate's outcome.
 
     ``primary_scores[i]`` and ``candidate_correct[i]`` belong to one query.
     """
     scores, flags = _check_samples(primary_scores, candidate_correct, min_samples)
-    hist = _build_histogram(scores, flags, bins, alpha)
-    return PairCalibration(
-        primary_id=primary_id, candidate_id=candidate_id, histogram=hist
-    )
+    return _build_histogram(scores, flags, bins, alpha)
 
 
 @dataclass
 class CalibrationStore:
-    """Complete calibration for every technique and ordered pair in use."""
+    """Complete calibration for every technique and ordered pair in use.
+
+    ``pairs[(primary, candidate)]`` histograms the primary technique's
+    score split by the candidate's outcome.
+    """
 
     techniques: dict[str, TechniqueCalibration] = field(default_factory=dict)
-    pairs: dict[tuple[str, str], PairCalibration] = field(default_factory=dict)
+    pairs: dict[tuple[str, str], LikelihoodHistogram] = field(default_factory=dict)
 
     def technique(self, technique_id: str) -> TechniqueCalibration:
         try:
@@ -239,7 +228,7 @@ class CalibrationStore:
                 f"no calibration for technique {technique_id!r}"
             ) from None
 
-    def pair(self, primary_id: str, candidate_id: str) -> PairCalibration:
+    def pair(self, primary_id: str, candidate_id: str) -> LikelihoodHistogram:
         try:
             return self.pairs[(primary_id, candidate_id)]
         except KeyError:
@@ -280,7 +269,7 @@ def build_store(
             if a == b:
                 continue
             store.pairs[(a, b)] = calibrate_pair(
-                run[a][0], run[b][1], a, b,
+                run[a][0], run[b][1],
                 bins=bins, alpha=alpha, min_samples=min_samples,
             )
     return store
@@ -345,11 +334,10 @@ def save_store(store: CalibrationStore, path) -> None:
         parts.append(struct.pack("<dI", tc.prior_match, tc.sample_count))
         parts.append(_pack_hist(tc.histogram))
     parts.append(struct.pack("<I", len(store.pairs)))
-    for key in sorted(store.pairs):
-        pc = store.pairs[key]
-        parts.append(_pack_str(pc.primary_id))
-        parts.append(_pack_str(pc.candidate_id))
-        parts.append(_pack_hist(pc.histogram))
+    for a, b in sorted(store.pairs):
+        parts.append(_pack_str(a))
+        parts.append(_pack_str(b))
+        parts.append(_pack_hist(store.pairs[(a, b)]))
     with open(path, "wb") as fh:
         fh.write(b"".join(parts))
 
@@ -380,10 +368,7 @@ def load_store(path) -> CalibrationStore:
         for _ in range(n_pairs):
             a, pos = _unpack_str(blob, pos)
             b, pos = _unpack_str(blob, pos)
-            hist, pos = _unpack_hist(blob, pos)
-            store.pairs[(a, b)] = PairCalibration(
-                primary_id=a, candidate_id=b, histogram=hist
-            )
+            store.pairs[(a, b)], pos = _unpack_hist(blob, pos)
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: truncated calibration store") from exc
     except InvalidInputError as exc:  # a prior or histogram field out of range

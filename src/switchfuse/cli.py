@@ -139,9 +139,7 @@ def cmd_run(args) -> int:
     store = cal.load_store(args.store)
     gt = runtime.ground_truth()
     report = ev.run_method("switch-fuse", runtime, config, store, gt)
-    reports.write_predictions(
-        report.outcomes, args.out, timestamp=not args.no_timestamp
-    )
+    reports.write_predictions(report, args.out, timestamp=not args.no_timestamp)
     print(f"wrote {args.out}")
     return 0
 
@@ -173,31 +171,17 @@ def cmd_compare(args) -> int:
     runtime = _load_runtime(args)
     config = load_config(args.config, args.threshold)
     store = cal.load_store(args.store)
-    gt = runtime.ground_truth()
-    # fuse-all reads every row and the single-technique methods every best
-    # match, so each technique is scored as one whole block before any
-    # method runs
-    everyone = range(runtime.query_count)
-    for tid in config.all_techniques():
-        runtime.similarity_rows(tid, everyone)
-    methods = ["switch-fuse", "switch-only", "fuse-all"] + [
-        f"single:{tid}" for tid in config.all_techniques()
-    ]
-    all_reports = [ev.run_method(m, runtime, config, store, gt) for m in methods]
-    comparison = ev.compare(all_reports, baseline_method="switch-fuse")
+    all_reports = ev.compare_methods(runtime, config, store, runtime.ground_truth())
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports.write_comparison_csv(
-        comparison, out_dir / "comparison.csv", timestamp=not args.no_timestamp
+        all_reports, out_dir / "comparison.csv", timestamp=not args.no_timestamp
     )
     if args.svg:
         svg = reports.svg_pr_plot([(r.method, r.pr_points) for r in all_reports])
         reports.write_svg(svg, out_dir / "pr_curves.svg")
-    for row in comparison.rows:
-        print(
-            f"{row.method}: accuracy {row.accuracy:.4f} "
-            f"correct {row.correct_count}"
-        )
+    for r in all_reports:
+        print(f"{r.method}: accuracy {r.accuracy:.4f} correct {r.correct_count}")
     print(f"wrote {out_dir / 'comparison.csv'}")
     return 0
 

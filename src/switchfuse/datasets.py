@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -224,18 +225,24 @@ def save_config(config, path) -> None:
 
 
 def load_ground_truth_file(path, reference_count: int) -> GroundTruth:
+    """One list of acceptable reference indices per query, each index a
+    JSON integer; a document of another shape raises ``FormatError``
+    naming the path."""
     doc = read_json(path)
     accepted = doc.get("accepted") if isinstance(doc, dict) else None
-    try:
-        if not isinstance(accepted, list):
-            raise TypeError("no 'accepted' list")
-        sets = [set(map(int, s)) for s in accepted]
-    except (TypeError, ValueError) as exc:
+    if not (isinstance(accepted, list) and set(map(type, accepted)) <= {list}):
         raise FormatError(
             f"{path}: ground truth needs an 'accepted' list of reference-index "
-            f"lists ({exc})"
-        ) from exc
-    return GroundTruth.from_sets(sets, reference_count)
+            "lists"
+        )
+    # exact types: a bool is an int to Python, and int() would read 5.7 as 5
+    kinds = set(map(type, chain.from_iterable(accepted)))
+    if not kinds <= {int}:
+        names = sorted(k.__name__ for k in kinds - {int})
+        raise FormatError(
+            f"{path}: reference indices must be integers, got {', '.join(names)}"
+        )
+    return GroundTruth.from_sets(accepted, reference_count)
 
 
 def save_ground_truth_file(gt: GroundTruth, path) -> None:
@@ -478,10 +485,14 @@ class DatasetRuntime:
 
 def manifest_ground_truth(manifest: DatasetManifest) -> GroundTruth:
     if manifest.ground_truth_kind == "explicit":
-        return load_ground_truth_file(
-            manifest.base_dir / manifest.ground_truth_path,
-            manifest.reference_count,
-        )
+        path = manifest.base_dir / manifest.ground_truth_path
+        truth = load_ground_truth_file(path, manifest.reference_count)
+        if truth.query_count != manifest.query_count:
+            raise FormatError(
+                f"{path}: {truth.query_count} accepted lists for "
+                f"{manifest.query_count} queries"
+            )
+        return truth
     return GroundTruth.from_window(
         manifest.query_count, manifest.reference_count, manifest.window_k
     )

@@ -2,10 +2,12 @@
 
 ``run_method`` drives four method families over a dataset runtime: the full
 switch-then-fuse pipeline, a pooled switch-only baseline, fuse-everything,
-and single-technique matching.  Every family handles all queries at once.
-Switching and the raw-score baselines read the runtime's best-match columns
+and single-technique matching; ``compare_methods`` runs every family in
+comparison order.  Every family handles all queries at once.  Switching and
+the raw-score baselines read the runtime's best-match columns
 (``matches``); only fusion reads whole blocks of similarity rows.  Per-query
-records stay columns (``Outcomes``) through scoring and the PR sweep.
+records stay columns of one ``EvaluationReport`` per method through scoring
+and the PR sweep.
 """
 
 from __future__ import annotations
@@ -99,59 +101,33 @@ class GroundTruth:
         return cls(keys, len(queries), reference_count)
 
 
-@dataclass(frozen=True)
-class Outcomes:
-    """Per-query records as parallel columns; row i is query i.
+@dataclass(frozen=True, eq=False)
+class EvaluationReport:
+    """One method's per-query records as parallel columns, row i being
+    query i, with the PR points swept over them.
 
     ``decisions`` holds one ``BlockDecisions`` per unit, in unit order, for
     switch-fuse, and is None for methods that do not switch per unit.
     """
 
+    method: str
     predicted: np.ndarray  # int64
     confidence: np.ndarray  # float64
     correct: np.ndarray  # bool
+    pr_points: tuple[tuple[float, float, float], ...]  # (precision, recall, threshold)
     decisions: tuple[BlockDecisions, ...] | None = None
 
-    def __post_init__(self):
-        columns = {
-            "predicted": np.asarray(self.predicted, dtype=np.int64),
-            "confidence": np.asarray(self.confidence, dtype=np.float64),
-            "correct": np.asarray(self.correct, dtype=bool),
-        }
-        n = len(columns["predicted"])
-        for name, column in columns.items():
-            if column.shape != (n,):
-                raise InvalidInputError(f"{name} must be a 1-D column of {n} rows")
-            object.__setattr__(self, name, column)
-        if self.decisions is not None:
-            if any(len(unit.selected) != n for unit in self.decisions):
-                raise InvalidInputError(f"decisions must have {n} rows")
-            object.__setattr__(self, "decisions", tuple(self.decisions))
+    @property
+    def query_count(self) -> int:
+        return len(self.correct)
 
+    @property
+    def correct_count(self) -> int:
+        return int(self.correct.sum())
 
-@dataclass(frozen=True)
-class EvaluationReport:
-    method: str
-    accuracy: float
-    correct_count: int
-    query_count: int
-    outcomes: Outcomes
-    pr_points: tuple[tuple[float, float, float], ...] = ()  # (precision, recall, threshold)
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    method: str
-    accuracy: float
-    correct_count: int
-    delta_accuracy: float
-    delta_correct: int
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    baseline_method: str
-    rows: tuple[ComparisonRow, ...]
+    @property
+    def accuracy(self) -> float:
+        return self.correct_count / self.query_count
 
 
 def pr_points(confidence, correct) -> list[tuple[float, float, float]]:
@@ -217,17 +193,10 @@ def score_outcomes(
             f"query {q}: predicted reference {predicted[q]} outside "
             f"0..{ground_truth.reference_count - 1}"
         )
-    outcomes = Outcomes(predicted, confidence[order], ground_truth.correct(predicted))
-    points = tuple(pr_points(outcomes.confidence, outcomes.correct))
-    correct = int(outcomes.correct.sum())
-    return EvaluationReport(
-        method=method,
-        accuracy=correct / count,
-        correct_count=correct,
-        query_count=count,
-        outcomes=outcomes,
-        pr_points=points,
-    )
+    confidence = confidence[order]
+    correct = ground_truth.correct(predicted)
+    points = tuple(pr_points(confidence, correct))
+    return EvaluationReport(method, predicted, confidence, correct, points)
 
 
 def _picked(pool, choice):
@@ -333,23 +302,27 @@ def run_method(
     if method != "switch-fuse":
         return report
     # the blocks hold their rows in query order, as the report does
-    return replace(report, outcomes=replace(report.outcomes, decisions=tuple(blocks)))
+    return replace(report, decisions=tuple(blocks))
 
 
-def compare(reports, baseline_method: str = "switch-fuse") -> ComparisonReport:
-    """Accuracy/correct-count deltas of every report versus the baseline."""
-    by_method = {r.method: r for r in reports}
-    if baseline_method not in by_method:
-        raise InvalidInputError(f"no report for baseline {baseline_method!r}")
-    base = by_method[baseline_method]
-    rows = tuple(
-        ComparisonRow(
-            method=r.method,
-            accuracy=r.accuracy,
-            correct_count=r.correct_count,
-            delta_accuracy=base.accuracy - r.accuracy,
-            delta_correct=base.correct_count - r.correct_count,
-        )
-        for r in reports
-    )
-    return ComparisonReport(baseline_method=baseline_method, rows=rows)
+def compare_methods(
+    runtime,
+    config: TripartiteConfig,
+    store: CalibrationStore,
+    ground_truth: GroundTruth,
+) -> list[EvaluationReport]:
+    """Every method family's report over one runtime, in comparison order:
+    switch-fuse, switch-only, fuse-all, then ``single:<technique_id>`` in
+    ``config.all_techniques()`` order.
+
+    Fuse-all reads every row and the single-technique methods every best
+    match, so each technique is scored as one whole block before any method
+    runs.
+    """
+    techniques = config.all_techniques()
+    everyone = range(runtime.query_count)
+    for tid in techniques:
+        runtime.similarity_rows(tid, everyone)
+    methods = ["switch-fuse", "switch-only", "fuse-all"]
+    methods += [f"single:{tid}" for tid in techniques]
+    return [run_method(m, runtime, config, store, ground_truth) for m in methods]

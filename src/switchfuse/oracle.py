@@ -18,7 +18,6 @@ import numpy as np
 from .calibration import (
     CalibrationStore,
     LikelihoodHistogram,
-    PairCalibration,
     TechniqueCalibration,
 )
 from .descriptors import DescriptorSet, DescriptorVector
@@ -188,16 +187,19 @@ def posterior_match(prior: float, lik_m: float, lik_mm: float) -> float:
 
 
 def complementarity(
-    pair_ab: PairCalibration,
+    pair_ab: LikelihoodHistogram,
+    candidate_id: str,
     self_calib: TechniqueCalibration,
     score: float,
 ) -> ComplementarityScore:
-    """Ratio favouring candidate B when the current technique scores
-    ``score``: own-match times B-match likelihood over the mismatch pair."""
+    """Ratio favouring candidate B (``candidate_id``, whose pair histogram
+    with the current technique is ``pair_ab``) when the current technique
+    scores ``score``: own-match times B-match likelihood over the mismatch
+    pair."""
     p_m_a = mass(self_calib.histogram, score, MATCH)
     p_mm_a = mass(self_calib.histogram, score, MISMATCH)
-    p_m_b = mass(pair_ab.histogram, score, MATCH)
-    p_mm_b = mass(pair_ab.histogram, score, MISMATCH)
+    p_m_b = mass(pair_ab, score, MATCH)
+    p_mm_b = mass(pair_ab, score, MISMATCH)
     num = p_m_a * p_m_b
     den = p_mm_a * p_mm_b
     # NaN terms come from an unsmoothed histogram with no counts
@@ -205,7 +207,7 @@ def complementarity(
         raise UndefinedEvidenceError("zero mismatch likelihood product")
     return ComplementarityScore(
         primary_id=self_calib.technique_id,
-        candidate_id=pair_ab.candidate_id,
+        candidate_id=candidate_id,
         value=num / den,
     )
 
@@ -252,7 +254,7 @@ def select_technique(
             )
         remaining = [t for t in unit.techniques if t not in visited]
         comps = tuple(
-            complementarity(store.pair(current, cand), calib, score)
+            complementarity(store.pair(current, cand), cand, calib, score)
             for cand in remaining
         )
         trace.append(TraceStep(current, post, comps))

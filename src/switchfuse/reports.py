@@ -17,8 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import FormatError
-from .evaluation import ComparisonReport, EvaluationReport, Outcomes
+from .errors import FormatError, InvalidInputError
+from .evaluation import EvaluationReport
 
 _INT64 = range(-(2**63), 2**63)
 
@@ -64,19 +64,21 @@ def _unit_texts(unit) -> tuple[list[str], list[str], list[str]]:
     return selected, posteriors, fallbacks
 
 
-def write_predictions(outcomes: Outcomes, path, timestamp: bool = True) -> None:
+def write_predictions(
+    report: EvaluationReport, path, timestamp: bool = True
+) -> None:
     """One row per query with the full switching trace summary: each
     unit's selected technique, posterior and fallback flag, in unit order
     and joined by ``|``."""
-    n = len(outcomes.predicted)
+    n = len(report.predicted)
     texts = [[""] * n] * 3  # selected, posteriors, fallbacks
-    if outcomes.decisions is not None:
-        units = [_unit_texts(unit) for unit in outcomes.decisions]
+    if report.decisions is not None:
+        units = [_unit_texts(unit) for unit in report.decisions]
         texts = [["|".join(row) for row in zip(*column)] for column in zip(*units)]
     rows = zip(
         range(n),
-        outcomes.predicted.tolist(),
-        [f"{c:.9f}" for c in outcomes.confidence.tolist()],
+        report.predicted.tolist(),
+        [f"{c:.9f}" for c in report.confidence.tolist()],
         *texts,
     )
     header = ["query", "predicted", "confidence", "selected", "posteriors", "fallbacks"]
@@ -147,7 +149,6 @@ def write_report_csvs(
     paths["pr_points"] = pr
 
     outcomes = out_dir / f"{tag}_outcomes.csv"
-    columns = report.outcomes
     _atomic_write_text(
         outcomes,
         _csv_text(
@@ -156,9 +157,9 @@ def write_report_csvs(
                 [q, p, f"{c:.9f}", int(ok)]
                 for q, (p, c, ok) in enumerate(
                     zip(
-                        columns.predicted.tolist(),
-                        columns.confidence.tolist(),
-                        columns.correct.tolist(),
+                        report.predicted.tolist(),
+                        report.confidence.tolist(),
+                        report.correct.tolist(),
                     )
                 )
             ],
@@ -169,25 +170,28 @@ def write_report_csvs(
     return paths
 
 
-def write_comparison_csv(
-    comparison: ComparisonReport, path, timestamp: bool = True
-) -> None:
+def write_comparison_csv(reports, path, timestamp: bool = True) -> None:
+    """One row per report, in list order: its accuracy and correct count,
+    and switch-fuse's gain over it in both."""
+    base = next((r for r in reports if r.method == "switch-fuse"), None)
+    if base is None:
+        raise InvalidInputError("no switch-fuse report to compare against")
     rows = [
         [
-            row.method,
-            f"{row.accuracy:.9f}",
-            row.correct_count,
-            f"{row.delta_accuracy:.9f}",
-            row.delta_correct,
+            r.method,
+            f"{r.accuracy:.9f}",
+            r.correct_count,
+            f"{base.accuracy - r.accuracy:.9f}",
+            base.correct_count - r.correct_count,
         ]
-        for row in comparison.rows
+        for r in reports
     ]
     header = [
         "method",
         "accuracy",
         "correct_count",
-        f"accuracy_gain_of_{comparison.baseline_method}",
-        f"correct_gain_of_{comparison.baseline_method}",
+        "accuracy_gain_of_switch-fuse",
+        "correct_gain_of_switch-fuse",
     ]
     _atomic_write_text(path, _csv_text(header, rows, timestamp))
 
@@ -237,13 +241,16 @@ def svg_pr_plot(curves, width: int = 520, height: int = 400) -> str:
     )
     for i, (label, points) in enumerate(curves):
         color = _SVG_COLORS[i % len(_SVG_COLORS)]
+        # the characters XML text may not hold raw; xml.sax.saxutils.escape
+        # does the same but imports urllib, http and ssl (about 7 MiB)
+        text = label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         coords = " ".join(f"{x(r):.2f},{y(p):.2f}" for (p, r, _) in points)
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" stroke-width="1.5"/>'
         )
         parts.append(
             f'<text x="{ml + 8}" y="{mt + 16 + 14 * i}" font-size="11" '
-            f'fill="{color}">{label}</text>'
+            f'fill="{color}">{text}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

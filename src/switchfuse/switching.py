@@ -148,7 +148,7 @@ def select_block(
             p_mm_a = calib.histogram.mismatched_masses[bins]
             for c in np.flatnonzero(open_.any(axis=0)).tolist():
                 rows = open_[:, c]
-                pair = store.pair(tid, techniques[c]).histogram
+                pair = store.pair(tid, techniques[c])
                 pair_bins = pair.bin_indices(scores[rows])
                 num = p_m_a[rows] * pair.matched_masses[pair_bins]
                 den = p_mm_a[rows] * pair.mismatched_masses[pair_bins]

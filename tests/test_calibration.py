@@ -93,25 +93,23 @@ def test_degenerate_range_fallback():
 
 
 def test_pair_all_candidate_matched_uniform_mismatch_side():
-    pair = calibrate_pair(*columns([(0.5, True)] * 12), "a", "b", bins=4, alpha=1.0)
-    masses = pair.histogram.mismatched_masses
+    pair = calibrate_pair(*columns([(0.5, True)] * 12), bins=4, alpha=1.0)
+    masses = pair.mismatched_masses
     assert np.allclose(masses, 0.25)
 
 
 def test_pair_symmetric_samples():
     samples = [(0.2, True), (0.2, False), (0.8, True), (0.8, False)] * 3
-    pair = calibrate_pair(*columns(samples), "a", "b", bins=2)
-    assert np.allclose(
-        pair.histogram.matched_masses, pair.histogram.mismatched_masses
-    )
+    pair = calibrate_pair(*columns(samples), bins=2)
+    assert np.allclose(pair.matched_masses, pair.mismatched_masses)
 
 
 def test_pair_hand_values():
     # 0.2 with candidate mismatched x4, 0.8 with candidate matched x4
     samples = [(0.2, False)] * 4 + [(0.8, True)] * 4
-    pair = calibrate_pair(*columns(samples), "a", "b", bins=2, alpha=1.0, min_samples=8)
-    assert mass(pair.histogram, 0.8, MATCH) == pytest.approx(5.0 / 6.0)
-    assert mass(pair.histogram, 0.8, MISMATCH) == pytest.approx(1.0 / 6.0)
+    pair = calibrate_pair(*columns(samples), bins=2, alpha=1.0, min_samples=8)
+    assert mass(pair, 0.8, MATCH) == pytest.approx(5.0 / 6.0)
+    assert mass(pair, 0.8, MISMATCH) == pytest.approx(1.0 / 6.0)
 
 
 def test_likelihood_uniform_when_empty():
@@ -223,7 +221,7 @@ def tuple_list_store(runtime, techniques):
         for b in techniques:
             if a != b:
                 paired = [(s, m) for (s, _), (_, m) in zip(samples[a], samples[b])]
-                store.pairs[(a, b)] = calibrate_pair(*columns(paired), a, b)
+                store.pairs[(a, b)] = calibrate_pair(*columns(paired))
     return store
 
 
@@ -292,8 +290,8 @@ def test_store_round_trip(tmp_path):
     assert set(loaded.pairs) == set(store.pairs)
     for key in store.pairs:
         assert np.array_equal(
-            store.pairs[key].histogram.counts_matched,
-            loaded.pairs[key].histogram.counts_matched,
+            store.pairs[key].counts_matched,
+            loaded.pairs[key].counts_matched,
         )
 
 
@@ -304,8 +302,8 @@ def test_loaded_store_compiles_no_tables(tmp_path):
     save_store(build_store(_random_run(rng, techniques), techniques), tmp_path / "s")
     loaded = load_store(tmp_path / "s")
     records = [*loaded.techniques.values(), *loaded.pairs.values()]
-    records += [record.histogram for record in records]
-    assert len(records) == 2 * (3 + 6)
+    records += [record.histogram for record in loaded.techniques.values()]
+    assert len(records) == 2 * 3 + 6
     tables = {"matched_masses", "mismatched_masses", "posterior"}
     for record in records:
         assert not tables & vars(record).keys()

@@ -441,6 +441,20 @@ BAD_MANIFESTS = {
     "reference_images_string": lambda doc: {**doc, "reference_images": "ab"},
 }
 
+# ground-truth documents that int() used to misread or that hold one list
+# too few or too many, from the valid one
+BAD_GROUND_TRUTHS = {
+    "float": lambda doc: {
+        **doc, "accepted": [[doc["accepted"][0][0] + 0.7], *doc["accepted"][1:]]
+    },
+    "bool": lambda doc: {**doc, "accepted": [[True], *doc["accepted"][1:]]},
+    "string": lambda doc: {
+        **doc, "accepted": [[str(doc["accepted"][0][0])], *doc["accepted"][1:]]
+    },
+    "short": lambda doc: {**doc, "accepted": doc["accepted"][:-1]},
+    "long": lambda doc: {**doc, "accepted": [*doc["accepted"], [0]]},
+}
+
 # corrupt values in the first technique's record of an SFCAL1 store:
 # (struct format, offset from the histogram's start, value); the prior
 # sits 12 bytes before the histogram
@@ -485,6 +499,7 @@ def _corrupt_store(blob: bytes, fmt: str, offset: int, value) -> bytes:
         *[(f"synth_{bad}", "SF-FORMAT") for bad in BAD_SPECS],
         *[(f"run_store_{bad}", "SF-FORMAT") for bad in BAD_STORES],
         *[(f"run_manifest_{bad}", "SF-FORMAT") for bad in BAD_MANIFESTS],
+        *[(f"run_gt_{bad}", "SF-FORMAT") for bad in BAD_GROUND_TRUTHS],
     ],
 )
 def test_bad_input_per_command(pipeline_dir, capsys, case, code):
@@ -512,6 +527,12 @@ def test_bad_input_per_command(pipeline_dir, capsys, case, code):
         doc = json.loads(manifest.read_text())
         named.write_text(json.dumps(BAD_MANIFESTS[case[len("run_manifest_"):]](doc)))
         argv = ["run", "--manifest", named, "--config", d / "config.json",
+                "--store", d / "store.sfcal", "--out", d / "p.csv"]
+    elif case.startswith("run_gt"):
+        named = d / "data" / "eval_gt.json"
+        doc = json.loads(named.read_text())
+        named.write_text(json.dumps(BAD_GROUND_TRUTHS[case[len("run_gt_"):]](doc)))
+        argv = ["run", "--manifest", manifest, "--config", d / "config.json",
                 "--store", d / "store.sfcal", "--out", d / "p.csv"]
     elif case.startswith(("calibrate_bins", "calibrate_min_samples")):
         flag, value = case[len("calibrate_"):].rsplit("_", 1)
@@ -711,11 +732,12 @@ def test_compare_compiles_each_table_once(pipeline_dir, monkeypatch):
     def compiled():
         (store,) = stores
         out = {}
-        for key, record in {**store.techniques, **store.pairs}.items():
-            for owner in (record, record.histogram):
-                for name in ("posterior", "matched_masses", "mismatched_masses"):
-                    if name in vars(owner):
-                        out[key, name] = vars(owner)[name]
+        owners = [*store.techniques.items(), *store.pairs.items()]
+        owners += [(tid, record.histogram) for tid, record in store.techniques.items()]
+        for key, owner in owners:
+            for name in ("posterior", "matched_masses", "mismatched_masses"):
+                if name in vars(owner):
+                    out[key, name] = vars(owner)[name]
         return out
 
     def loading(path):

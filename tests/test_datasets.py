@@ -461,7 +461,7 @@ def test_fusion_with_a_technique_in_two_units_matches_oracle(tmp_path, monkeypat
         fused = fuse(normalize(picked.similarity_cache[tid]) for tid in ids)
         assert total[q].tobytes() == fused.values.tobytes()
         idx, conf = best_match(fused)
-        assert report.outcomes.predicted[q] == idx
-        got = report.outcomes.confidence[q : q + 1]
+        assert report.predicted[q] == idx
+        got = report.confidence[q : q + 1]
         assert got.tobytes() == np.float64(conf).tobytes()
     assert 0 < both < runtime.query_count, both

@@ -1,3 +1,4 @@
+import csv
 import math
 from types import SimpleNamespace
 
@@ -10,13 +11,14 @@ from switchfuse import (
     GroundTruth,
     TripartiteConfig,
     UnitConfig,
-    compare,
+    compare_methods,
     pr_points,
     run_method,
     score_outcomes,
 )
 from switchfuse.calibration import build_store
 from switchfuse.errors import InvalidInputError
+from switchfuse.reports import write_comparison_csv
 from switchfuse.oracle import (
     QueryOutcome,
     UnitDecision,
@@ -47,12 +49,12 @@ def outcome(q, predicted, confidence, correct):
     return QueryOutcome(q, predicted, confidence, correct)
 
 
-def query_decisions(outcomes) -> list:
+def query_decisions(report) -> list:
     """Each query's ``UnitDecision`` tuple, in unit order, expanded from an
-    ``Outcomes`` record's ``BlockDecisions`` columns (which carry no unit
+    ``EvaluationReport``'s ``BlockDecisions`` columns (which carry no unit
     label); None for every query when the method does not switch."""
-    if outcomes.decisions is None:
-        return [None] * len(outcomes.predicted)
+    if report.decisions is None:
+        return [None] * len(report.predicted)
     units = [
         [
             UnitDecision("", unit.techniques[t], posterior, fallback)
@@ -62,21 +64,21 @@ def query_decisions(outcomes) -> list:
                 unit.fallback.tolist(),
             )
         ]
-        for unit in outcomes.decisions
+        for unit in report.decisions
     ]
     return list(zip(*units))
 
 
-def query_outcomes(outcomes) -> list[QueryOutcome]:
-    """An ``Outcomes`` record's rows as the oracle's per-query objects."""
-    decisions = query_decisions(outcomes)
+def query_outcomes(report) -> list[QueryOutcome]:
+    """An ``EvaluationReport``'s rows as the oracle's per-query objects."""
+    decisions = query_decisions(report)
     return [
         QueryOutcome(q, p, c, ok, d)
         for q, (p, c, ok, d) in enumerate(
             zip(
-                outcomes.predicted.tolist(),
-                outcomes.confidence.tolist(),
-                outcomes.correct.tolist(),
+                report.predicted.tolist(),
+                report.confidence.tolist(),
+                report.correct.tolist(),
                 decisions,
             )
         )
@@ -154,9 +156,9 @@ class TestScoreOutcomes:
         outs = [outcome(2, 2, 0.1, False), outcome(0, 1, 0.3, False),
                 outcome(1, 1, 0.2, False)]
         rep = score_columns(outs, gt)
-        assert rep.outcomes.predicted.tolist() == [1, 1, 2]
-        assert rep.outcomes.confidence.tolist() == [0.3, 0.2, 0.1]
-        assert rep.outcomes.correct.tolist() == [False, True, True]
+        assert rep.predicted.tolist() == [1, 1, 2]
+        assert rep.confidence.tolist() == [0.3, 0.2, 0.1]
+        assert rep.correct.tolist() == [False, True, True]
 
     @pytest.mark.parametrize("truth", ["window", "explicit"])
     @given(seed=st.integers(0, 2**32 - 1), queries=st.integers(1, 40))
@@ -180,11 +182,11 @@ class TestScoreOutcomes:
         assert (got.accuracy, got.correct_count, got.query_count) == (
             want.accuracy, want.correct_count, want.query_count
         )
-        assert got.outcomes.predicted.tolist() == [o.predicted for o in want.outcomes]
-        assert repr(got.outcomes.confidence.tolist()) == repr(
+        assert got.predicted.tolist() == [o.predicted for o in want.outcomes]
+        assert repr(got.confidence.tolist()) == repr(
             [o.confidence for o in want.outcomes]
         )
-        assert got.outcomes.correct.tolist() == [o.correct for o in want.outcomes]
+        assert got.correct.tolist() == [o.correct for o in want.outcomes]
         assert repr(got.pr_points) == repr(tuple(pr_curve(want.outcomes)))
 
     def test_ground_truth_correct_matches_is_correct(self):
@@ -314,7 +316,7 @@ class TestRunMethod:
         preds = {}
         for method in ("switch-fuse", "switch-only", "fuse-all", "single:a"):
             rep = run_method(method, runtime, config, store, gt)
-            preds[method] = rep.outcomes.predicted.tolist()
+            preds[method] = rep.predicted.tolist()
         assert (
             preds["switch-fuse"]
             == preds["switch-only"]
@@ -336,7 +338,7 @@ class TestRunMethod:
         config = TripartiteConfig(units=(UnitConfig("u", ("a", "b")),))
         gt = runtime.ground_truth()
         rep = run_method("single:b", runtime, config, None, gt)
-        for q, predicted in enumerate(rep.outcomes.predicted.tolist()):
+        for q, predicted in enumerate(rep.predicted.tolist()):
             row = runtime.similarity_rows("b", [q])[0]
             assert predicted == int(np.argmax(row))
 
@@ -358,7 +360,7 @@ class TestRunMethod:
         gt = runtime.ground_truth()
         r1 = run_method("switch-fuse", runtime, config, store, gt)
         r2 = run_method("switch-fuse", runtime, config, store, gt)
-        assert r1.outcomes.predicted.tolist() == r2.outcomes.predicted.tolist()
+        assert r1.predicted.tolist() == r2.predicted.tolist()
         assert r1.pr_points == r2.pr_points
 
     def test_switch_fuse_requires_store(self):
@@ -366,6 +368,22 @@ class TestRunMethod:
         config = TripartiteConfig(units=(UnitConfig("u", ("a",)),))
         with pytest.raises(InvalidInputError):
             run_method("switch-fuse", runtime, config, None, runtime.ground_truth())
+
+    def test_compare_methods_runs_every_family_in_order(self):
+        ds, store, runtime = small_synthetic()
+        config = TripartiteConfig(
+            units=(UnitConfig("u0", ("c", "a")), UnitConfig("u1", ("d", "c", "b")))
+        )
+        gt = runtime.ground_truth()
+        reports = compare_methods(runtime, config, store, gt)
+        methods = ["switch-fuse", "switch-only", "fuse-all"]
+        methods += ["single:c", "single:a", "single:d", "single:b"]
+        assert [r.method for r in reports] == methods
+        for report in reports:
+            alone = run_method(report.method, runtime, config, store, gt)
+            assert report.predicted.tolist() == alone.predicted.tolist()
+            assert report.confidence.tolist() == alone.confidence.tolist()
+            assert (report.decisions is None) == (report.method != "switch-fuse")
 
 
 def scalar_outcome(method, runtime, config, store, q):
@@ -424,8 +442,8 @@ def test_every_method_matches_scalar_oracle(threshold):
     fallbacks = 0
     for method in methods:
         report = run_method(method, runtime, config, store, gt)
-        assert report.pr_points == tuple(pr_curve(query_outcomes(report.outcomes)))
-        for o in query_outcomes(report.outcomes):
+        assert report.pr_points == tuple(pr_curve(query_outcomes(report)))
+        for o in query_outcomes(report):
             idx, conf, units = scalar_outcome(
                 method, runtime, config, store, o.query_index
             )
@@ -442,7 +460,7 @@ def test_every_method_matches_scalar_oracle(threshold):
     assert fallbacks > 0
 
 
-def test_compare_deltas():
+def test_compare_deltas(tmp_path):
     gt = GroundTruth.from_sets([{0}, {1}], 2)
     good = score_predictions(
         [outcome(0, 0, 0.9, False), outcome(1, 1, 0.9, False)], gt, "switch-fuse"
@@ -450,11 +468,12 @@ def test_compare_deltas():
     bad = score_predictions(
         [outcome(0, 1, 0.9, False), outcome(1, 0, 0.9, False)], gt, "single:x"
     )
-    report = compare([good, bad])
-    rows = {r.method: r for r in report.rows}
-    assert rows["switch-fuse"].delta_accuracy == 0.0
-    assert rows["single:x"].delta_accuracy == pytest.approx(1.0)
-    assert rows["single:x"].delta_correct == 2
+    write_comparison_csv([good, bad], tmp_path / "c.csv", timestamp=False)
+    with open(tmp_path / "c.csv", newline="") as fh:
+        rows = {r["method"]: r for r in csv.DictReader(fh)}
+    assert float(rows["switch-fuse"]["accuracy_gain_of_switch-fuse"]) == 0.0
+    assert float(rows["single:x"]["accuracy_gain_of_switch-fuse"]) == pytest.approx(1.0)
+    assert int(rows["single:x"]["correct_gain_of_switch-fuse"]) == 2
 
 
 def test_ground_truth_validation():
@@ -536,7 +555,7 @@ def test_signed_zero_maxima_match_scalar_oracle(kind, tmp_path, monkeypatch):
     gt = runtime.ground_truth()
     for method in ["switch-fuse", "switch-only", "single:a", "single:b"]:
         report = run_method(method, runtime, config, store, gt)
-        for o in query_outcomes(report.outcomes):
+        for o in query_outcomes(report):
             idx, conf, units = scalar_outcome(
                 method, runtime, config, store, o.query_index
             )

@@ -1,5 +1,6 @@
 """The example scripts under ``scripts/`` run end to end on small inputs."""
 
+import csv
 import os
 import subprocess
 import sys
@@ -34,3 +35,28 @@ def test_example_script_runs(tmp_path, script, args, outputs):
     assert out.returncode == 0, out.stdout + out.stderr
     for name in outputs:
         assert (tmp_path / "out" / name).is_file(), name
+
+
+def test_synthetic_experiment_compares_every_method(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    script = ROOT / "scripts" / "run_synthetic_experiment.py"
+    out = subprocess.run(
+        [sys.executable, script, "--queries", "60", "--references", "20",
+         "--out", tmp_path],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    lines = (tmp_path / "comparison.csv").read_text().splitlines()
+    assert lines[0].startswith("# generated ")
+    header, *rows = csv.reader(lines[1:])
+    assert header == [
+        "method", "accuracy", "correct_count",
+        "accuracy_gain_of_switch-fuse", "correct_gain_of_switch-fuse",
+    ]
+    techniques = [f"{unit}_{i}" for unit in ("seasonal", "illumination", "day-night")
+                  for i in range(3)]
+    assert [row[0] for row in rows] == (
+        ["switch-fuse", "switch-only", "fuse-all"]
+        + [f"single:{tid}" for tid in techniques]
+    )
+    assert [float(v) for v in rows[0][3:]] == [0.0, 0.0]

@@ -1,12 +1,19 @@
 import csv
 import io
+from xml.dom import minidom
 
 import numpy as np
 import pytest
 
 from switchfuse.calibration import build_store
-from switchfuse.evaluation import Outcomes, run_method
-from switchfuse.reports import read_predictions, write_predictions
+from switchfuse.errors import InvalidInputError
+from switchfuse.evaluation import EvaluationReport, run_method
+from switchfuse.reports import (
+    read_predictions,
+    svg_pr_plot,
+    write_comparison_csv,
+    write_predictions,
+)
 from switchfuse.switching import BlockDecisions, TripartiteConfig, UnitConfig
 from switchfuse.synthetic import (
     SubsetRuntime,
@@ -61,13 +68,15 @@ def test_predictions_match_row_formatting_with_shared_decisions(tmp_path):
         unit_columns(("t0", "t2"), [a, a, a, a, a, c, a, a]),
         unit_columns(("t1", "t2"), [b, b, c, b, e, c, d, ("t2", 2 / 3, True)]),
     )
-    predicted = [3, 1, 0, 2, 2, 4, 1, 0]
-    confidence = [0.25, -0.125, 1.0, 0.5, 0.5, 2 / 3, 0.0, 1.5]
+    predicted = np.array([3, 1, 0, 2, 2, 4, 1, 0])
+    confidence = np.array([0.25, -0.125, 1.0, 0.5, 0.5, 2 / 3, 0.0, 1.5])
     path = tmp_path / "p.csv"
     for decisions in (units, None):
-        outcomes = Outcomes(predicted, confidence, [False] * 8, decisions)
-        write_predictions(outcomes, path, timestamp=False)
-        assert path.read_text() == oracle_predictions_text(query_outcomes(outcomes))
+        report = EvaluationReport(
+            "m", predicted, confidence, np.zeros(8, dtype=bool), (), decisions
+        )
+        write_predictions(report, path, timestamp=False)
+        assert path.read_text() == oracle_predictions_text(query_outcomes(report))
 
 
 def profile(tid, rate):
@@ -90,8 +99,26 @@ def test_switch_fuse_predictions_match_row_formatting(tmp_path, threshold):
     runtime = SubsetRuntime(ds, eval_idx)
     report = run_method("switch-fuse", runtime, config, store, runtime.ground_truth())
     path = tmp_path / "p.csv"
-    write_predictions(report.outcomes, path, timestamp=False)
-    assert path.read_text() == oracle_predictions_text(query_outcomes(report.outcomes))
+    write_predictions(report, path, timestamp=False)
+    assert path.read_text() == oracle_predictions_text(query_outcomes(report))
     assert read_predictions(path)[0].tolist() == list(
         range(len(eval_idx))
     )
+
+
+def test_comparison_needs_a_switch_fuse_report(tmp_path):
+    report = EvaluationReport(
+        "single:a", np.array([0]), np.array([0.5]), np.array([True]), ()
+    )
+    with pytest.raises(InvalidInputError, match="switch-fuse") as info:
+        write_comparison_csv([report], tmp_path / "c.csv", timestamp=False)
+    assert info.value.code == "SF-INPUT"
+    assert not (tmp_path / "c.csv").exists()
+
+
+def test_svg_labels_are_escaped():
+    label = "a&b<c>"
+    points = [(1.0, 0.5, 0.9), (0.5, 1.0, 0.1)]
+    doc = minidom.parseString(svg_pr_plot([(label, points), ("plain", points)]))
+    texts = [t.firstChild.data for t in doc.getElementsByTagName("text")]
+    assert label in texts and "plain" in texts

@@ -9,7 +9,6 @@ from switchfuse import CalibrationStore, TripartiteConfig, UnitConfig
 from switchfuse.switching import select_block
 from switchfuse.calibration import (
     LikelihoodHistogram,
-    PairCalibration,
     TechniqueCalibration,
 )
 from switchfuse.oracle import (
@@ -50,8 +49,8 @@ def flat_calib(tid, prior, bins=2):
     )
 
 
-def flat_pair(a, b, bins=2):
-    return PairCalibration(primary_id=a, candidate_id=b, histogram=hist([0] * bins, [0] * bins))
+def flat_pair(bins=2):
+    return hist([0] * bins, [0] * bins)
 
 
 def flat_store(priors: dict[str, float]) -> CalibrationStore:
@@ -63,7 +62,7 @@ def flat_store(priors: dict[str, float]) -> CalibrationStore:
     for a in priors:
         for b in priors:
             if a != b:
-                store.pairs[(a, b)] = flat_pair(a, b)
+                store.pairs[(a, b)] = flat_pair()
     return store
 
 
@@ -113,8 +112,8 @@ class TestPosterior:
 class TestComplementarity:
     def test_neutral_ratio(self):
         calib = flat_calib("a", 0.5)
-        pair = flat_pair("a", "b")
-        assert complementarity(pair, calib, 0.3).value == pytest.approx(1.0)
+        pair = flat_pair()
+        assert complementarity(pair, "b", calib, 0.3).value == pytest.approx(1.0)
 
     def test_hand_value(self):
         # two bins, score in the upper bin; choose counts so smoothed
@@ -123,8 +122,8 @@ class TestComplementarity:
             "a", 0.5, hist([3, 5], [6, 2], alpha=0.5), 16
         )
         assert mass(calib.histogram, 0.75, "match") == pytest.approx(5.5 / 9.0)
-        pair = flat_pair("a", "b")
-        value = complementarity(pair, calib, 0.75).value
+        pair = flat_pair()
+        value = complementarity(pair, "b", calib, 0.75).value
         own_ratio = mass(calib.histogram, 0.75, "match") / mass(
             calib.histogram, 0.75, "mismatch"
         )
@@ -136,20 +135,19 @@ class TestComplementarity:
         calib = TechniqueCalibration("a", 0.5, self_h, 11)
         pm_a = mass(calib.histogram, 0.9, "match")
         pmm_a = mass(calib.histogram, 0.9, "mismatch")
-        pair_h = hist([1, 3], [5, 1], alpha=1.0)
-        pair = PairCalibration("a", "b", pair_h)
-        pm_b = mass(pair.histogram, 0.9, "match")
-        pmm_b = mass(pair.histogram, 0.9, "mismatch")
-        got = complementarity(pair, calib, 0.9).value
+        pair = hist([1, 3], [5, 1], alpha=1.0)
+        pm_b = mass(pair, 0.9, "match")
+        pmm_b = mass(pair, 0.9, "mismatch")
+        got = complementarity(pair, "b", calib, 0.9).value
         assert got == pytest.approx((pm_a * pm_b) / (pmm_a * pmm_b))
 
     def test_candidate_neutral_reduces_to_own_ratio(self):
         calib = TechniqueCalibration("a", 0.5, hist([1, 7], [6, 0]), 14)
-        pair = flat_pair("a", "b")
+        pair = flat_pair()
         own = mass(calib.histogram, 0.9, "match") / mass(
             calib.histogram, 0.9, "mismatch"
         )
-        assert complementarity(pair, calib, 0.9).value == pytest.approx(own)
+        assert complementarity(pair, "b", calib, 0.9).value == pytest.approx(own)
 
     def test_common_scaling_preserves_argmax(self):
         # scaling all four terms by one positive constant scales every
@@ -290,15 +288,11 @@ def random_store(rng, tids):
     for a in tids:
         for b in tids:
             if a != b:
-                store.pairs[(a, b)] = PairCalibration(
-                    a,
-                    b,
-                    hist(
-                        rng.integers(0, 20, size=4),
-                        rng.integers(0, 20, size=4),
-                        lo=-1.0,
-                        hi=1.0,
-                    ),
+                store.pairs[(a, b)] = hist(
+                    rng.integers(0, 20, size=4),
+                    rng.integers(0, 20, size=4),
+                    lo=-1.0,
+                    hi=1.0,
                 )
     return store
 
@@ -363,7 +357,7 @@ def ragged_store(rng, tids, alpha=1.0):
     for a in tids:
         for b in tids:
             if a != b:
-                store.pairs[(a, b)] = PairCalibration(a, b, ragged_hist())
+                store.pairs[(a, b)] = ragged_hist()
     return store
 
 
@@ -371,7 +365,7 @@ def edge_scores(store, tids):
     """Every histogram's lo and hi, one interior bin edge each and the
     clamped range beyond them."""
     hists = [store.techniques[t].histogram for t in tids]
-    hists += [p.histogram for p in store.pairs.values()]
+    hists += store.pairs.values()
     out = [-1.5, 1.5]
     for h in hists:
         out += [h.lo, h.hi, h.lo + (h.hi - h.lo) / h.bin_count]
