@@ -1,0 +1,186 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of a base revision and the working tree.
+
+Runs ``perfbench/run.py --trace 0`` on one workload in two source trees: a
+``git archive`` export of ``--base`` (default ``HEAD``) and the working
+tree.  Each seed is one pair; even pairs run the base first and odd pairs
+the working tree, so a drift of the machine's speed over the session does
+not favour one side.  Writes ``BENCH_<label>.json`` at the repository root::
+
+    python3 scripts/bench_pairs.py --workload image-builtin --label pr-image \\
+        --seeds 101-110 --seconds 20
+
+For each side the file holds the git revision, the env line and the median
+and quartiles of every end-to-end metric of ``BENCHMARK.json``, with the
+per-pair values.  ``comparison`` gives, per metric, the pairs in which the
+working tree was better in the metric's own direction (``wins``), the
+difference of the medians and the base's interquartile range.  A run that
+fails any check is recorded with its failures and makes the script exit 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``"3,7,11"`` or ``"101-110"`` (inclusive), or a mix of both."""
+    seeds = []
+    for part in text.split(","):
+        first, _, last = part.partition("-")
+        seeds += range(int(first), int(last or first) + 1)
+    return seeds
+
+
+def git(*args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True
+    ).stdout.strip()
+
+
+def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One untraced benchmark run in ``tree``: its metrics, env line and
+    check results."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree,
+        capture_output=True,
+        text=True,
+    )
+    lines = proc.stdout.splitlines()
+    try:
+        summary = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        raise RuntimeError(
+            f"{tree}: seed {seed}: no result (exit {proc.returncode}): "
+            f"{proc.stderr.strip()[-2000:]}"
+        ) from None
+    env = next((json.loads(l[4:]) for l in lines if l.startswith("env ")), None)
+    return {
+        "exit": proc.returncode,
+        "env": env,
+        "failures": [l[len("FAILED "):] for l in lines if l.startswith("FAILED ")],
+        "metrics": {k: v["value"] for k, v in summary["metrics"].items()},
+    }
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        q1 = q3 = values[0]
+    else:
+        q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def summarise(label, workload, seconds, seeds, sides, runs, metrics) -> dict:
+    """The ``BENCH_<label>.json`` document."""
+    doc = {
+        "label": label,
+        "workload": workload,
+        "seconds": seconds,
+        "seeds": seeds,
+        "order": ["base first" if i % 2 == 0 else "change first"
+                  for i in range(len(seeds))],
+        "sides": {},
+        "comparison": {},
+    }
+    for side, revision in sides.items():
+        doc["sides"][side] = {
+            "revision": revision,
+            "env": runs[side][0]["env"],
+            "failures": [f for r in runs[side] for f in r["failures"]],
+            "metrics": {},
+        }
+        for m in metrics:
+            values = [r["metrics"][m["name"]] for r in runs[side]]
+            doc["sides"][side]["metrics"][m["name"]] = {
+                "unit": m["unit"], **quartiles(values), "values": values,
+            }
+    for m in metrics:
+        name, sign = m["name"], 1 if m["better"] == "higher" else -1
+        base, change = (doc["sides"][s]["metrics"][name] for s in ("base", "change"))
+        doc["comparison"][name] = {
+            "better": m["better"],
+            "wins": sum(
+                sign * (c - b) > 0 for b, c in zip(base["values"], change["values"])
+            ),
+            "pairs": len(seeds),
+            "median_difference": change["median"] - base["median"],
+            "base_iqr": base["q3"] - base["q1"],
+        }
+    return doc
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--label", required=True, help="names BENCH_<label>.json")
+    parser.add_argument("--seeds", type=parse_seeds, default=parse_seeds("1-10"))
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument(
+        "--base", default="HEAD", help="git revision to compare against"
+    )
+    args = parser.parse_args(argv)
+
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    dirty = "-dirty" if git("status", "--porcelain", "--untracked-files=no") else ""
+    sides = {
+        "base": git("rev-parse", args.base),
+        "change": git("rev-parse", "HEAD") + dirty,
+    }
+    runs = {"base": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
+        base = Path(tmp) / "base"
+        base.mkdir()
+        archive = subprocess.run(
+            ["git", "-C", str(ROOT), "archive", args.base],
+            check=True, capture_output=True,
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+        trees = {"base": base, "change": ROOT}
+        for i, seed in enumerate(args.seeds):
+            order = ("base", "change") if i % 2 == 0 else ("change", "base")
+            for side in order:
+                run = run_once(trees[side], args.workload, seed, args.seconds)
+                runs[side].append(run)
+            b, c = (runs[s][-1]["metrics"] for s in ("base", "change"))
+            print(
+                f"seed {seed} ({order[0]} first): "
+                + ", ".join(
+                    f"{m['name']} {b[m['name']]:.4g} -> {c[m['name']]:.4g}"
+                    for m in metrics
+                    if m["name"].endswith("_per_probe")
+                ),
+                flush=True,
+            )
+    doc = summarise(
+        args.label, args.workload, args.seconds, args.seeds, sides, runs, metrics
+    )
+    out = ROOT / f"BENCH_{args.label}.json"
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    for m in metrics:
+        name = m["name"]
+        b, c = (doc["sides"][s]["metrics"][name] for s in ("base", "change"))
+        print(
+            f"{name:<30} base {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}]  "
+            f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
+            f"wins {doc['comparison'][name]['wins']}/{len(args.seeds)}"
+        )
+    print(f"wrote {out}")
+    failed = any(doc["sides"][s]["failures"] for s in sides) or any(
+        r["exit"] != 0 for side in runs.values() for r in side
+    )
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

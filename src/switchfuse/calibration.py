@@ -279,9 +279,10 @@ def collect_run(runtime, technique_ids) -> dict[str, tuple[np.ndarray, np.ndarra
     """Per-technique (match scores, correct) columns over every query of a
     runtime, in query order: the runtime's ``matches`` (the value at the
     first maximum of each query's similarity row) and whether the runtime's
-    ground truth accepts that reference.  The result feeds ``build_store``."""
+    ground truth accepts that reference.  Every technique's rows are scored
+    in one ``runtime.score`` call.  The result feeds ``build_store``."""
     truth = runtime.ground_truth()
-    queries = np.arange(runtime.query_count)
+    queries = runtime.score(technique_ids, range(runtime.query_count))
     run = {}
     for tid in technique_ids:
         best, scores = runtime.matches(tid, queries)

@@ -225,9 +225,9 @@ def save_config(config, path) -> None:
 
 
 def load_ground_truth_file(path, reference_count: int) -> GroundTruth:
-    """One list of acceptable reference indices per query, each index a
-    JSON integer; a document of another shape raises ``FormatError``
-    naming the path."""
+    """One non-empty list of acceptable reference indices per query, each
+    index a JSON integer in 0..reference_count-1; a document of another
+    shape raises ``FormatError`` naming the path."""
     doc = read_json(path)
     accepted = doc.get("accepted") if isinstance(doc, dict) else None
     if not (isinstance(accepted, list) and set(map(type, accepted)) <= {list}):
@@ -242,7 +242,10 @@ def load_ground_truth_file(path, reference_count: int) -> GroundTruth:
         raise FormatError(
             f"{path}: reference indices must be integers, got {', '.join(names)}"
         )
-    return GroundTruth.from_sets(accepted, reference_count)
+    try:
+        return GroundTruth.from_sets(accepted, reference_count)
+    except InvalidInputError as exc:  # an empty list or an out-of-range index
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_ground_truth_file(gt: GroundTruth, path) -> None:
@@ -279,22 +282,31 @@ class DatasetRuntime:
     a manifest.
 
     SFDESC1 headers are checked on construction.  Rows are scored lazily:
-    a request scores only its queries not yet scored for the technique and
-    keeps them as one fragment, the block ``similarity_block`` returned with
-    its rows in query order.  Each (query, technique) row is scored once,
-    and only if some request asks for it.  Scoring a fragment also records
-    each row's best match (first-maximum reference and its value) in two
-    query-long columns per technique, which ``matches`` serves without
-    touching the rows: switching, calibration and the raw-score baselines
-    read these, and only fusion reads whole rows.  A technique's SFDESC1
-    query payload is read and checked whole on its first request, kept as
-    float32, widened to float64 only for the rows being scored, and dropped
-    once every row is scored.  Reference descriptors and their row norms
-    are built once per runtime: a reference file is read once however many
-    techniques bind it, and a built-in descriptor is extracted from the
-    reference images on its technique's first request.  Built-in query
-    descriptors are extracted in blocks of at most ``_SCORE_CHUNK`` images,
-    decoded afresh for every descriptor, never kept.
+    a request scores only its queries not yet scored and keeps each
+    technique's new rows as one fragment, the block ``similarity_block``
+    returned with its rows in query order.  Each (query, technique) row is
+    scored once, and only if some request asks for it.  Scoring a fragment
+    also records each row's best match (first-maximum reference and its
+    value) in two query-long columns per technique, which ``matches`` serves
+    without touching the rows: switching, calibration and the raw-score
+    baselines read these, and only fusion reads whole rows.
+
+    ``score(technique_ids, queries)`` scores several techniques in one
+    call, and its built-ins share one decode of each image: of every
+    reference image for the built-ins without reference descriptors yet,
+    and of every query image they score.  ``similarity_rows`` and
+    ``matches`` score their one technique through it, so a lazy caller such
+    as ``run`` decodes an image once per built-in that reads it.  Decoded
+    images are not kept.  Built-in query descriptors are extracted in
+    chunks of at most ``_SCORE_CHUNK`` images.
+
+    A technique's SFDESC1 query payload is read and checked whole on its
+    first request, kept as float32, widened to float64 only for the rows
+    being scored, and dropped once every row is scored.  Reference
+    descriptors and their row norms are built once per runtime: a reference
+    file is read once however many techniques bind it, and a built-in
+    descriptor is extracted from the reference images on the first request
+    that scores it.
     """
 
     def __init__(self, manifest: DatasetManifest):
@@ -344,6 +356,50 @@ class DatasetRuntime:
     def reference_count(self) -> int:
         return self.manifest.reference_count
 
+    def score(self, technique_ids, query_indices) -> np.ndarray:
+        """Score every listed technique's rows of the listed queries not yet
+        scored, and return the checked query positions.
+
+        Every technique is checked before anything is read.  Each
+        technique's new rows become one fragment, and each new row's best
+        match is recorded.  Built-in techniques share their decodes: the
+        reference images are decoded once for every listed built-in with
+        no reference descriptors yet, and the query images once per chunk
+        for the built-ins with the same rows to score.
+        """
+        bindings = []
+        for tid in dict.fromkeys(technique_ids):
+            binding = self.manifest.bindings.get(tid)
+            if binding is None:
+                raise UnknownTechniqueError(f"technique {tid!r} not bound in manifest")
+            bindings.append(binding)
+        queries = query_positions(query_indices, self.query_count)
+        # the bytes of the rows to score -> the built-in bindings that need
+        # exactly those rows, which share their query decodes
+        builtins: dict[bytes, list[TechniqueBinding]] = {}
+        for binding in bindings:
+            todo = self._unscored(binding.technique_id, queries)
+            if not len(todo):
+                continue
+            if binding.kind == "sfdesc":
+                rows = self._sfdesc_rows(binding, todo)
+                self._record(binding.technique_id, todo, rows)
+            else:
+                builtins.setdefault(todo.tobytes(), []).append(binding)
+        wanted = {b.builtin for group in builtins.values() for b in group}
+        missing = sorted(wanted - self._references.keys())
+        if missing:
+            extracted = self._builtin_descriptors(
+                missing, self.manifest.reference_images
+            )
+            for builtin, matrix in extracted.items():
+                self._keep_references(builtin, matrix)
+        for key, group in builtins.items():
+            todo = np.frombuffer(key, dtype=np.int64)
+            for binding, block in zip(group, self._builtin_rows(group, todo)):
+                self._record(binding.technique_id, todo, block)
+        return queries
+
     def similarity_rows(self, technique_id: str, query_indices) -> np.ndarray:
         """Read-only (len(query_indices), reference_count) block of cosine
         similarities, one row per listed query.
@@ -353,9 +409,9 @@ class DatasetRuntime:
         one stable sort, so its cost grows with the request and the
         fragments it touches, not with the fragments held.
         """
-        queries, where = self._scored(technique_id, query_indices)
+        queries = self.score([technique_id], query_indices)
         fragments = self._fragments[technique_id]
-        frag, row = where[:, queries]
+        frag, row = self._where[technique_id][:, queries]
         if len(frag) and (frag == frag[0]).all():
             block = fragments[frag[0]]
             if len(row) == len(block) and np.array_equal(row, np.arange(len(row))):
@@ -377,23 +433,12 @@ class DatasetRuntime:
         """(best reference, match score) of each listed query: the first
         maximum of its similarity row and the value there.  Scores the rows
         ``similarity_rows`` would for the same request, and reads no row."""
-        queries, _ = self._scored(technique_id, query_indices)
+        queries = self.score([technique_id], query_indices)
         best, score = self._matches[technique_id]
         return best[queries], score[queries]
 
-    def _scored(
-        self, technique_id: str, query_indices
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The checked query positions of a request and the technique's
-        (fragment, row) map, after scoring the requested rows not yet
-        scored as one new fragment and recording each new row's best
-        match."""
-        binding = self.manifest.bindings.get(technique_id)
-        if binding is None:
-            raise UnknownTechniqueError(
-                f"technique {technique_id!r} not bound in manifest"
-            )
-        queries = query_positions(query_indices, self.query_count)
+    def _unscored(self, technique_id: str, queries: np.ndarray) -> np.ndarray:
+        """The sorted distinct ``queries`` not yet scored for a technique."""
         where = self._where.get(technique_id)
         if where is None:
             where = self._where[technique_id] = np.full((2, self.query_count), -1)
@@ -402,81 +447,79 @@ class DatasetRuntime:
                 np.zeros(self.query_count, dtype=np.int64),
                 np.zeros(self.query_count),
             )
-        todo = np.unique(queries[where[0, queries] < 0])
-        if len(todo):
-            fragments = self._fragments[technique_id]
-            block = self._score(binding, todo)
-            block.setflags(write=False)
-            where[0, todo] = len(fragments)
-            where[1, todo] = np.arange(len(todo))
-            fragments.append(block)
-            best, score = self._matches[technique_id]
-            first = block.argmax(axis=1)
-            best[todo] = first
-            score[todo] = block[np.arange(len(todo)), first]
-            if where[0].min() >= 0:
-                self._payloads.pop(technique_id, None)
-        return queries, where
+        return np.unique(queries[where[0, queries] < 0])
 
-    def _score(self, binding: TechniqueBinding, todo: np.ndarray) -> np.ndarray:
-        """Similarity rows of the sorted queries ``todo``: SFDESC1 rows from
-        one matrix product, built-in rows in equal chunks of at most
-        ``_SCORE_CHUNK`` queries, which bound the memory their descriptors
-        take at once."""
+    def _record(self, technique_id: str, todo: np.ndarray, block: np.ndarray) -> None:
+        """Keep ``block``, the rows of the sorted queries ``todo``, as the
+        technique's next fragment and record each row's best match."""
+        block.setflags(write=False)
+        where = self._where[technique_id]
+        fragments = self._fragments[technique_id]
+        where[0, todo] = len(fragments)
+        where[1, todo] = np.arange(len(todo))
+        fragments.append(block)
+        best, score = self._matches[technique_id]
+        first = block.argmax(axis=1)
+        best[todo] = first
+        score[todo] = block[np.arange(len(todo)), first]
+        if where[0].min() >= 0:
+            self._payloads.pop(technique_id, None)
+
+    def _sfdesc_rows(self, binding: TechniqueBinding, todo: np.ndarray) -> np.ndarray:
+        """SFDESC1 similarity rows of the sorted queries ``todo``, from one
+        matrix product."""
         tid = binding.technique_id
-        if binding.kind == "sfdesc":
-            path = self.manifest.base_dir / binding.references_path
-            refs, ref_norms = self._reference_rows(
-                path, lambda: load_descriptor_set(path).matrix.astype(np.float64)
-            )
-            payload = self._payloads.get(tid)
-            if payload is None:
-                payload = load_descriptor_set(
-                    self.manifest.base_dir / binding.queries_path, tid
-                ).matrix
-                # the files may have been replaced since their headers were checked
-                self._check_shapes(tid, payload.shape, refs.shape)
-                self._payloads[tid] = payload
-            if len(todo) < len(payload):
-                payload = payload[todo]
-            return similarity_block(payload, refs, ref_norms=ref_norms)
-        refs, ref_norms = self._reference_rows(
-            binding.builtin,
-            lambda: self._builtin_descriptors(
-                binding.builtin, self.manifest.reference_images
-            ),
+        path = self.manifest.base_dir / binding.references_path
+        refs, ref_norms = self._references.get(path) or self._keep_references(
+            path, load_descriptor_set(path).matrix.astype(np.float64)
         )
-        block = np.empty((len(todo), self.reference_count))
-        pieces = -(-len(todo) // _SCORE_CHUNK)
-        for rows, chunk in zip(
-            np.array_split(block, pieces), np.array_split(todo, pieces)
-        ):
+        payload = self._payloads.get(tid)
+        if payload is None:
+            payload = load_descriptor_set(
+                self.manifest.base_dir / binding.queries_path, tid
+            ).matrix
+            # the files may have been replaced since their headers were checked
+            self._check_shapes(tid, payload.shape, refs.shape)
+            self._payloads[tid] = payload
+        if len(todo) < len(payload):
+            payload = payload[todo]
+        return similarity_block(payload, refs, ref_norms=ref_norms)
+
+    def _builtin_rows(self, group, todo: np.ndarray) -> list[np.ndarray]:
+        """Similarity rows of the sorted queries ``todo`` for each built-in
+        binding of ``group``, whose reference descriptors are kept.  The
+        queries go in equal chunks of at most ``_SCORE_CHUNK``, which bound
+        the memory their descriptors take at once; each chunk's images are
+        decoded once for the whole group."""
+        builtins = sorted({b.builtin for b in group})
+        blocks = [np.empty((len(todo), self.reference_count)) for _ in group]
+        start = 0
+        for chunk in np.array_split(todo, -(-len(todo) // _SCORE_CHUNK)):
             descriptors = self._builtin_descriptors(
-                binding.builtin,
-                [self.manifest.query_images[q] for q in chunk.tolist()],
+                builtins, [self.manifest.query_images[q] for q in chunk.tolist()]
             )
-            rows[:] = similarity_block(descriptors, refs, ref_norms=ref_norms)
-        return block
+            for binding, block in zip(group, blocks):
+                refs, ref_norms = self._references[binding.builtin]
+                block[start : start + len(chunk)] = similarity_block(
+                    descriptors[binding.builtin], refs, ref_norms=ref_norms
+                )
+            start += len(chunk)
+        return blocks
 
-    def _reference_rows(self, key, load) -> tuple[np.ndarray, np.ndarray]:
-        """The reference matrix ``load()`` returns, and its row norms, built
-        once per runtime for each ``key`` (a reference file or a built-in
-        descriptor)."""
-        cached = self._references.get(key)
-        if cached is None:
-            matrix = load()
-            cached = self._references[key] = (
-                matrix,
-                np.linalg.norm(matrix, axis=1),
-            )
-        return cached
+    def _keep_references(self, key, matrix) -> tuple[np.ndarray, np.ndarray]:
+        """Keep a reference matrix and its row norms for the runtime's life,
+        under ``key`` (a reference file or a built-in descriptor)."""
+        kept = self._references[key] = (matrix, np.linalg.norm(matrix, axis=1))
+        return kept
 
-    def _builtin_descriptors(self, builtin: str, images) -> np.ndarray:
-        """One row of built-in descriptor ``builtin`` per listed image."""
-        out = np.empty((len(images), BUILTIN_DIMS[builtin]))
-        for row, rel in zip(out, images):
+    def _builtin_descriptors(self, builtins, images) -> dict[str, np.ndarray]:
+        """One matrix per listed built-in descriptor, one row per listed
+        image; each image is decoded once."""
+        out = {b: np.empty((len(images), BUILTIN_DIMS[b])) for b in builtins}
+        for i, rel in enumerate(images):
             image = load_pgm(self.manifest.base_dir / rel)
-            row[:] = compute_descriptor(image, builtin).values
+            for builtin, matrix in out.items():
+                matrix[i] = compute_descriptor(image, builtin).values
         return out
 
     def ground_truth(self) -> GroundTruth:

@@ -14,7 +14,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DataError,
@@ -150,10 +149,18 @@ def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
 
 
 def _gradients(img: np.ndarray):
-    """Central differences with replicated borders."""
-    padded = np.pad(img, 1, mode="edge")
-    gx = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
-    gy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
+    """Central differences with replicated borders: the border pixel stands
+    in for its missing neighbour."""
+    gx = np.empty_like(img)
+    gx[:, 1:-1] = img[:, 2:] - img[:, :-2]
+    gx[:, 0] = img[:, 1] - img[:, 0]
+    gx[:, -1] = img[:, -1] - img[:, -2]
+    gy = np.empty_like(img)
+    gy[1:-1] = img[2:] - img[:-2]
+    gy[0] = img[1] - img[0]
+    gy[-1] = img[-1] - img[-2]
+    gx /= 2.0
+    gy /= 2.0
     return gx, gy
 
 
@@ -170,14 +177,22 @@ def _hog(img: np.ndarray) -> np.ndarray:
     img = _resize_bilinear(img, _HOG_RESIZE, _HOG_RESIZE)
     gx, gy = _gradients(img)
     mag = np.hypot(gx, gy)
-    # unsigned orientation in [0, 180), bilinear vote between bin centers
-    theta = np.degrees(np.arctan2(gy, gx)) % 180.0
+    # unsigned orientation, bilinear vote between bin centers.  Adding 180
+    # to the negative angles gives ``% 180.0`` bit for bit without its
+    # fmod, except that exactly 180 stays 180 where ``%`` gives 0; both
+    # split their vote half and half between the last bin and the first.
+    theta = np.degrees(np.arctan2(gy, gx))
+    np.add(theta, 180.0, out=theta, where=theta < 0.0)
     bin_width = 180.0 / _HOG_BINS
     pos = theta / bin_width - 0.5
-    k0 = np.floor(pos).astype(int)
-    frac = pos - k0
-    k0 = k0 % _HOG_BINS
-    k1 = (k0 + 1) % _HOG_BINS
+    floor = np.floor(pos)
+    frac = pos - floor
+    # pos lies in [-0.5, 8.5], so floor is -1..8: only a k0 of -1 and a k1
+    # of 9 wrap around
+    k0 = floor.astype(np.intp)
+    k0[k0 < 0] = _HOG_BINS - 1
+    k1 = k0 + 1
+    k1[k1 == _HOG_BINS] = 0
 
     # all k0 votes, then all k1 votes, in pixel order: the summation order
     # of two successive np.add.at calls
@@ -186,11 +201,10 @@ def _hog(img: np.ndarray) -> np.ndarray:
     hist = np.bincount(slots, votes, minlength=_HOG_CELLS * _HOG_CELLS * _HOG_BINS)
     hist = hist.reshape(_HOG_CELLS, _HOG_CELLS, _HOG_BINS)
 
-    # (by, bx, bin, dy, dx) windows -> one (dy, dx, bin) row per block
-    windows = sliding_window_view(hist, (_HOG_BLOCK, _HOG_BLOCK), axis=(0, 1))
-    blocks = windows.transpose(0, 1, 3, 4, 2).reshape(
-        -1, _HOG_BLOCK * _HOG_BLOCK * _HOG_BINS
-    )
+    # one (dy, dx, bin) row per 2x2 block: its four cells side by side
+    blocks = np.concatenate(
+        [hist[:-1, :-1], hist[:-1, 1:], hist[1:, :-1], hist[1:, 1:]], axis=2
+    ).reshape(-1, _HOG_BLOCK * _HOG_BLOCK * _HOG_BINS)
     # a stacked dot product, summed as np.linalg.norm sums a 1-D vector
     norms = np.sqrt(np.matmul(blocks[:, None, :], blocks[:, :, None]))[:, 0]
     out = np.divide(blocks, norms, out=np.zeros_like(blocks), where=norms > 0)

@@ -316,13 +316,11 @@ def compare_methods(
     ``config.all_techniques()`` order.
 
     Fuse-all reads every row and the single-technique methods every best
-    match, so each technique is scored as one whole block before any method
-    runs.
+    match, so one ``runtime.score`` call scores every technique's whole
+    block before any method runs.
     """
     techniques = config.all_techniques()
-    everyone = range(runtime.query_count)
-    for tid in techniques:
-        runtime.similarity_rows(tid, everyone)
+    runtime.score(techniques, range(runtime.query_count))
     methods = ["switch-fuse", "switch-only", "fuse-all"]
     methods += [f"single:{tid}" for tid in techniques]
     return [run_method(m, runtime, config, store, ground_truth) for m in methods]

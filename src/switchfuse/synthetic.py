@@ -212,13 +212,18 @@ class SubsetRuntime:
     def reference_count(self) -> int:
         return self.dataset.reference_count
 
+    def score(self, technique_ids, query_indices) -> np.ndarray:
+        """The checked positions of the listed subset queries, once every
+        listed technique is known; the dataset holds every row already."""
+        for tid in technique_ids:
+            if tid not in self.dataset.sims:
+                raise UnknownTechniqueError(f"technique {tid!r} not in dataset")
+        return query_positions(query_indices, self.query_count)
+
     def similarity_rows(self, technique_id: str, query_indices) -> np.ndarray:
         """Read-only block of the listed subset queries' similarity rows."""
-        sims = self.dataset.sims.get(technique_id)
-        if sims is None:
-            raise UnknownTechniqueError(f"technique {technique_id!r} not in dataset")
-        positions = query_positions(query_indices, self.query_count)
-        rows = sims[self.indices[positions]]
+        positions = self.score([technique_id], query_indices)
+        rows = self.dataset.sims[technique_id][self.indices[positions]]
         if not np.all(np.isfinite(rows)):
             raise InvalidInputError("similarity scores must be finite")
         rows.setflags(write=False)

@@ -453,6 +453,10 @@ BAD_GROUND_TRUTHS = {
     },
     "short": lambda doc: {**doc, "accepted": doc["accepted"][:-1]},
     "long": lambda doc: {**doc, "accepted": [*doc["accepted"], [0]]},
+    "empty": lambda doc: {**doc, "accepted": [[], *doc["accepted"][1:]]},
+    "out_of_range": lambda doc: {
+        **doc, "accepted": [[doc["reference_count"]], *doc["accepted"][1:]]
+    },
 }
 
 # corrupt values in the first technique's record of an SFCAL1 store:

@@ -21,7 +21,7 @@ from switchfuse.descriptors import (
     ImageGray,
     compute_descriptor,
 )
-from switchfuse.errors import FormatError, InvalidInputError
+from switchfuse.errors import FormatError, InvalidInputError, UnknownTechniqueError
 from switchfuse.evaluation import run_method
 from switchfuse.oracle import (
     best_match,
@@ -235,12 +235,15 @@ def test_builtin_extraction_stays_lazy(tmp_path, monkeypatch):
         return compute(image, technique)
 
     monkeypatch.setattr(datasets, "compute_descriptor", counted)
+    decoded = _count_decodes(monkeypatch)
     argv = [
         "run", "--manifest", splits["eval"], "--config", tmp_path / "config.json",
         "--store", tmp_path / "store.sfcal", "--out", tmp_path / "p.csv",
     ]
     assert cli_main([str(a) for a in argv]) == 0
     assert len(calls) == expected
+    # run stays lazy per technique: one decode per extraction
+    assert len(decoded) == expected
 
 
 @pytest.fixture
@@ -376,8 +379,9 @@ def test_matches_are_first_argmax_of_rows(
 
 
 def test_compare_reads_rows_only_for_fusion(switching_dataset, tmp_path, monkeypatch):
-    """In ``compare``, switch-only and every single-technique method read
-    best-match columns only, never a similarity row."""
+    """In ``compare``, one ``score`` call scores every technique up front;
+    then switch-only and every single-technique method read best-match
+    columns only, never a similarity row."""
     manifest_path, store = switching_dataset
     config = TripartiteConfig(
         units=(UnitConfig("u0", ("a", "b")), UnitConfig("u1", ("c", "a")))
@@ -385,29 +389,146 @@ def test_compare_reads_rows_only_for_fusion(switching_dataset, tmp_path, monkeyp
     save_store(store, tmp_path / "store.sfcal")
     save_config(config, tmp_path / "config.json")
     calls = Counter()
+    up_front = []
     current = [None]
     rows = DatasetRuntime.similarity_rows
+    score = DatasetRuntime.score
     run = evaluation.run_method
 
     def spy_rows(self, tid, queries):
         calls[current[0]] += 1
         return rows(self, tid, queries)
 
+    def spy_score(self, tids, queries):
+        if current[0] is None:
+            up_front.append(list(tids))
+        return score(self, tids, queries)
+
     def tagged(method, *args, **kwargs):
         current[0] = method
         return run(method, *args, **kwargs)
 
     monkeypatch.setattr(DatasetRuntime, "similarity_rows", spy_rows)
+    monkeypatch.setattr(DatasetRuntime, "score", spy_score)
     monkeypatch.setattr(evaluation, "run_method", tagged)
     argv = [
         "compare", "--manifest", manifest_path, "--config", tmp_path / "config.json",
         "--store", tmp_path / "store.sfcal", "--out", tmp_path / "cmp",
     ]
     assert cli_main([str(a) for a in argv]) == 0
-    assert calls[None] == len(TECHNIQUES)  # the up-front whole blocks
+    assert up_front == [list(TECHNIQUES)]  # one call, every technique
+    assert calls[None] == 0
     assert calls["switch-fuse"] > 0 and calls["fuse-all"] > 0
     for method in ["switch-only"] + [f"single:{t}" for t in TECHNIQUES]:
         assert calls[method] == 0, method
+
+
+def _image_splits(tmp_path):
+    splits = {}
+    for split, seed in (("calib", 5), ("eval", 6)):
+        refs, queries = generate_image_dataset(12, seed=seed, size=32)
+        splits[split] = export_image_dataset(refs, queries, tmp_path / split, split)
+    return splits
+
+
+def _count_decodes(monkeypatch) -> list:
+    decoded = []
+    decode = datasets.load_pgm
+
+    def counted(path):
+        decoded.append(Path(path).name)
+        return decode(path)
+
+    monkeypatch.setattr(datasets, "load_pgm", counted)
+    return decoded
+
+
+@pytest.mark.parametrize("command", ["calibrate", "compare"])
+def test_every_image_decoded_once_per_command(tmp_path, monkeypatch, command):
+    """``calibrate`` and ``compare`` over three built-ins decode each of the
+    Q + R images once."""
+    splits = _image_splits(tmp_path)
+    config = TripartiteConfig(
+        units=(
+            UnitConfig("u0", ("hog", "tiny_patch")),
+            UnitConfig("u1", ("tiny_patch", "intensity_hist")),
+        )
+    )
+    save_config(config, tmp_path / "config.json")
+    common = ["--config", tmp_path / "config.json"]
+    calibrate = ["calibrate", "--manifest", splits["calib"], *common,
+                 "--out", tmp_path / "store.sfcal"]
+    if command == "compare":
+        assert cli_main([str(a) for a in calibrate]) == 0
+    decoded = _count_decodes(monkeypatch)
+    argv = {
+        "calibrate": calibrate,
+        "compare": ["compare", "--manifest", splits["eval"], *common,
+                    "--store", tmp_path / "store.sfcal", "--out", tmp_path / "cmp"],
+    }[command]
+    assert cli_main([str(a) for a in argv]) == 0
+    m = load_manifest(splits["calib" if command == "calibrate" else "eval"])
+    images = [Path(rel).name for rel in m.reference_images + m.query_images]
+    assert len(decoded) == m.query_count + m.reference_count
+    assert Counter(decoded) == Counter(images)
+
+
+def test_score_over_unequal_scored_sets_matches_scalar_oracle(
+    image_manifest, monkeypatch
+):
+    """A ``score`` whose techniques already hold different scored sets
+    scores the rest of each, and serves rows within 1e-12 of the scalar
+    oracle and their first argmax as matches."""
+    monkeypatch.setattr(datasets, "_SCORE_CHUNK", 2)
+    m = image_manifest
+    runtime = DatasetRuntime(m)
+    runtime.similarity_rows("hog", [1, 4])
+    runtime.matches("tiny_patch", [0])
+    decoded = _count_decodes(monkeypatch)
+    everyone = list(range(m.query_count))
+    assert runtime.score(list(BUILTIN_DIMS), everyone).tolist() == everyone
+    # three groups of rows to score; references only for intensity_hist
+    assert len(decoded) == 3 * m.query_count - 3 + m.reference_count
+    decoded.clear()
+
+    def descriptor(rel, tid):
+        return compute_descriptor(load_pgm(m.base_dir / rel), tid)
+
+    for tid, dim in BUILTIN_DIMS.items():
+        refs = DescriptorSet(
+            tid, dim, np.stack([descriptor(r, tid).values for r in m.reference_images])
+        )
+        rows = runtime.similarity_rows(tid, everyone)
+        best, score = runtime.matches(tid, everyone)
+        for q, row in enumerate(rows):
+            want = similarity_vector(descriptor(m.query_images[q], tid), refs)
+            assert np.max(np.abs(row - want.scores)) <= 1e-12
+        assert np.array_equal(best, rows.argmax(axis=1))
+        assert score.tobytes() == rows[np.arange(len(rows)), best].tobytes()
+    assert decoded == []  # the oracle's decodes go through pgm.load_pgm
+
+
+@pytest.mark.parametrize("position", [0, 2])
+def test_score_checks_every_technique_before_decoding(
+    image_manifest, tmp_path, monkeypatch, capsys, position
+):
+    techniques = ["hog", "tiny_patch"]
+    techniques.insert(position, "nope")
+    runtime = DatasetRuntime(image_manifest)
+    decoded = _count_decodes(monkeypatch)
+    with pytest.raises(UnknownTechniqueError, match="nope"):
+        runtime.score(techniques, [0, 1])
+    assert decoded == []
+    # and through the CLI, whose calibrate scores every configured technique
+    config = TripartiteConfig(units=(UnitConfig("u0", tuple(techniques)),))
+    save_config(config, tmp_path / "config.json")
+    manifest = tmp_path / "img_manifest.json"
+    argv = ["calibrate", "--manifest", manifest, "--config", tmp_path / "config.json",
+            "--out", tmp_path / "store.sfcal"]
+    capsys.readouterr()
+    assert cli_main([str(a) for a in argv]) == 1
+    assert capsys.readouterr().err.startswith("SF-TECHNIQUE")
+    assert decoded == []
 
 
 def test_fusion_with_a_technique_in_two_units_matches_oracle(tmp_path, monkeypatch):

@@ -10,9 +10,17 @@ byte-stable.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from switchfuse import ImageGray, compute_descriptor
-from switchfuse.descriptors import _hog, _intensity_hist, _resize_bilinear
+from switchfuse.descriptors import (
+    _gradients,
+    _hog,
+    _intensity_hist,
+    _resize_bilinear,
+)
 
 
 def oracle_resize(img, out_h, out_w):
@@ -110,6 +118,75 @@ def test_hog_edges_and_zero_blocks_bit_exact():
     img[10:12, 5:9] = 0.25
     assert_bits_equal(_hog(img), oracle_hog(img))
     assert np.any(_hog(img) == 0.0) and np.any(_hog(img) != 0.0)
+
+
+def hog_degrees(img):
+    """Each pixel's gradients and gradient angle in degrees, before
+    ``_hog`` folds the angle into [0, 180)."""
+    gx, gy = _gradients(_resize_bilinear(img, 64, 64))
+    return gx, gy, np.degrees(np.arctan2(gy, gx))
+
+
+def test_hog_step_down_angles_of_exactly_180():
+    # intensity falls left to right: gy is +0.0, gx negative, the angle 180
+    img = np.ones((64, 64))
+    img[:, 32:] = 0.25
+    img[40:, 10:] = 0.0
+    degrees = hog_degrees(img)[2]
+    assert np.any(degrees == 180.0)
+    assert_bits_equal(_hog(img), oracle_hog(img))
+
+
+def test_hog_signed_zero_gradients():
+    # a 64-px image resizes to itself: the -0.0 pixels below row 32 stay
+    # -0.0, so row 31 has gy == -0.0 beside a nonzero gx, with angles -0.0
+    # and exactly -180, and column 19 below it has gx == -0.0
+    img = np.zeros((64, 64))
+    img[32:, 20:] = -0.0
+    img[:32, 40] = 0.5
+    gx, gy, degrees = hog_degrees(img)
+    negative_zero = (gy == 0.0) & np.signbit(gy)
+    assert np.any(negative_zero & (gx > 0)) and np.any(negative_zero & (gx < 0))
+    assert np.any(degrees == -180.0) and np.any((degrees == 0.0) & np.signbit(degrees))
+    assert np.any((gx == 0.0) & np.signbit(gx))
+    assert_bits_equal(_hog(img), oracle_hog(img))
+
+
+@pytest.mark.parametrize("tiny", [1e-200, 1e-17, 1e-15])
+def test_hog_tiny_negative_gy_beside_positive_gx(tiny):
+    # column 32 falls by ``tiny`` per row between a dark and a bright side:
+    # tiny negative angles, some of which round up to 180 once folded
+    img = np.zeros((64, 64))
+    img[:, 33:] = 1.0
+    img[:, 32] = (63 - np.arange(64)) * tiny
+    gx, gy, degrees = hog_degrees(img)
+    assert np.any((gy < 0) & (gx > 0))
+    if tiny < 1e-15:
+        assert np.any((degrees < 0) & (degrees + 180.0 == 180.0))
+    assert_bits_equal(_hog(img), oracle_hog(img))
+
+
+def test_hog_16_px_images_bit_exact():
+    rng = np.random.default_rng(16)
+    images = [rng.uniform(size=(16, 16)) for _ in range(8)]
+    images += [rng.integers(0, 256, size=(16, 16)) / 255.0 for _ in range(8)]
+    for img in images:
+        assert_bits_equal(_hog(img), oracle_hog(img))
+
+
+# small images of a few repeated values: flat patches, exact ties between
+# neighbours and signed zeros
+repeated_images = arrays(
+    np.float64,
+    st.tuples(st.integers(16, 24), st.integers(16, 24)),
+    elements=st.sampled_from([0.0, -0.0, 1 / 255, 0.25, 0.5, 254 / 255, 1.0]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_images)
+def test_hog_matches_oracle_on_repeated_values(img):
+    assert_bits_equal(_hog(img), oracle_hog(img))
 
 
 def edge_values():
