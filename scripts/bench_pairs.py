@@ -14,8 +14,11 @@ For each side the file holds the git revision, the env line and the median
 and quartiles of every end-to-end metric of ``BENCHMARK.json``, with the
 per-pair values.  ``comparison`` gives, per metric, the pairs in which the
 working tree was better in the metric's own direction (``wins``), the
-difference of the medians and the base's interquartile range.  A run that
-fails any check is recorded with its failures and makes the script exit 1.
+difference of the medians, the base's interquartile range and a
+``verdict``: ``better`` or ``worse`` when the working tree wins or loses at
+least 90% of the pairs and the medians differ in that direction by more
+than the base's interquartile range, else ``unchanged``.  A run that fails
+any check is recorded with its failures and makes the script exit 1.
 """
 
 from __future__ import annotations
@@ -81,6 +84,18 @@ def quartiles(values: list[float]) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def verdict(gains: list[float], lead: float, iqr: float) -> str:
+    """``better`` or ``worse`` when one side wins at least 90% of the pairs
+    and leads the medians by more than the base's IQR, else ``unchanged``.
+    ``gains`` are the working tree's per-pair gains and ``lead`` its median
+    gain, both signed in the metric's better direction."""
+    if sum(g > 0 for g in gains) >= 0.9 * len(gains) and lead > iqr:
+        return "better"
+    if sum(g < 0 for g in gains) >= 0.9 * len(gains) and -lead > iqr:
+        return "worse"
+    return "unchanged"
+
+
 def summarise(label, workload, seconds, seeds, sides, runs, metrics) -> dict:
     """The ``BENCH_<label>.json`` document."""
     doc = {
@@ -108,14 +123,16 @@ def summarise(label, workload, seconds, seeds, sides, runs, metrics) -> dict:
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         base, change = (doc["sides"][s]["metrics"][name] for s in ("base", "change"))
+        gains = [sign * (c - b) for b, c in zip(base["values"], change["values"])]
+        difference = change["median"] - base["median"]
+        iqr = base["q3"] - base["q1"]
         doc["comparison"][name] = {
             "better": m["better"],
-            "wins": sum(
-                sign * (c - b) > 0 for b, c in zip(base["values"], change["values"])
-            ),
+            "wins": sum(g > 0 for g in gains),
             "pairs": len(seeds),
-            "median_difference": change["median"] - base["median"],
-            "base_iqr": base["q3"] - base["q1"],
+            "median_difference": difference,
+            "base_iqr": iqr,
+            "verdict": verdict(gains, sign * difference, iqr),
         }
     return doc
 
@@ -173,7 +190,8 @@ def main(argv=None) -> int:
         print(
             f"{name:<30} base {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}]  "
             f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
-            f"wins {doc['comparison'][name]['wins']}/{len(args.seeds)}"
+            f"wins {doc['comparison'][name]['wins']}/{len(args.seeds)}  "
+            f"{doc['comparison'][name]['verdict']}"
         )
     print(f"wrote {out}")
     failed = any(doc["sides"][s]["failures"] for s in sides) or any(

@@ -295,10 +295,11 @@ class DatasetRuntime:
     call, and its built-ins share one decode of each image: of every
     reference image for the built-ins without reference descriptors yet,
     and of every query image they score.  ``similarity_rows`` and
-    ``matches`` score their one technique through it, so a lazy caller such
-    as ``run`` decodes an image once per built-in that reads it.  Decoded
-    images are not kept.  Built-in query descriptors are extracted in
-    chunks of at most ``_SCORE_CHUNK`` images.
+    ``matches`` score their one technique through it, so a lazy request
+    decodes its images again for each built-in it reads; ``run`` therefore
+    scores every unit's primary in one call first.  Decoded images are not
+    kept.  Built-in query descriptors are extracted in chunks of at most
+    ``_SCORE_CHUNK`` images.
 
     A technique's SFDESC1 query payload is read and checked whole on its
     first request, kept as float32, widened to float64 only for the rows

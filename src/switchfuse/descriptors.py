@@ -142,62 +142,84 @@ def _resize_plan(in_h: int, in_w: int, out_h: int, out_w: int):
 
 
 def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Bilinear resize with pixel-center sampling and clamped borders."""
+    """Bilinear resize with pixel-center sampling and clamped borders:
+    ``(tl * wx0 + tr * wx1) * wy0 + (bl * wx0 + br * wx1) * wy1``, each
+    step evaluated in place on the gathered neighbours."""
     index, wx0, wx1, wy0, wy1 = _resize_plan(*img.shape, out_h, out_w)
     tl, tr, bl, br = np.take(img, index)
-    return (tl * wx0 + tr * wx1) * wy0 + (bl * wx0 + br * wx1) * wy1
+    tl *= wx0
+    tr *= wx1
+    tl += tr
+    tl *= wy0
+    bl *= wx0
+    br *= wx1
+    bl += br
+    bl *= wy1
+    tl += bl
+    return tl
 
 
 def _gradients(img: np.ndarray):
     """Central differences with replicated borders: the border pixel stands
     in for its missing neighbour."""
     gx = np.empty_like(img)
-    gx[:, 1:-1] = img[:, 2:] - img[:, :-2]
-    gx[:, 0] = img[:, 1] - img[:, 0]
-    gx[:, -1] = img[:, -1] - img[:, -2]
+    np.subtract(img[:, 2:], img[:, :-2], out=gx[:, 1:-1])
+    np.subtract(img[:, 1], img[:, 0], out=gx[:, 0])
+    np.subtract(img[:, -1], img[:, -2], out=gx[:, -1])
     gy = np.empty_like(img)
-    gy[1:-1] = img[2:] - img[:-2]
-    gy[0] = img[1] - img[0]
-    gy[-1] = img[-1] - img[-2]
-    gx /= 2.0
-    gy /= 2.0
+    np.subtract(img[2:], img[:-2], out=gy[1:-1])
+    np.subtract(img[1], img[0], out=gy[0])
+    np.subtract(img[-1], img[-2], out=gy[-1])
+    # halving is exact either way: x * 0.5 rounds as x / 2.0 does
+    gx *= 0.5
+    gy *= 0.5
     return gx, gy
 
 
 _HOG_CELLS = _HOG_RESIZE // _HOG_CELL
+_HOG_PIXELS = _HOG_RESIZE * _HOG_RESIZE
 # first histogram slot of each pixel's cell in the flat (cell_y, cell_x, bin)
 # histogram
 _HOG_CELL_SLOT = (
     (np.arange(_HOG_RESIZE) // _HOG_CELL)[:, None] * _HOG_CELLS
     + (np.arange(_HOG_RESIZE) // _HOG_CELL)[None, :]
 ) * _HOG_BINS
+# the two bins a pixel votes into, indexed by floor(pos) + 1: pos lies in
+# [-0.5, 8.5], so floor(pos) is -1..8, and only a lower bin of -1 and an
+# upper bin of 9 wrap around
+_HOG_LOWER_BIN = np.arange(-1, _HOG_BINS) % _HOG_BINS
+_HOG_UPPER_BIN = np.arange(_HOG_BINS + 1) % _HOG_BINS
 
 
 def _hog(img: np.ndarray) -> np.ndarray:
     img = _resize_bilinear(img, _HOG_RESIZE, _HOG_RESIZE)
     gx, gy = _gradients(img)
-    mag = np.hypot(gx, gy)
     # unsigned orientation, bilinear vote between bin centers.  Adding 180
     # to the negative angles gives ``% 180.0`` bit for bit without its
     # fmod, except that exactly 180 stays 180 where ``%`` gives 0; both
     # split their vote half and half between the last bin and the first.
-    theta = np.degrees(np.arctan2(gy, gx))
-    np.add(theta, 180.0, out=theta, where=theta < 0.0)
-    bin_width = 180.0 / _HOG_BINS
-    pos = theta / bin_width - 0.5
+    pos = np.arctan2(gy, gx)
+    np.degrees(pos, out=pos)
+    np.add(pos, 180.0, out=pos, where=pos < 0.0)
+    pos /= 180.0 / _HOG_BINS
+    pos -= 0.5
+    mag = np.hypot(gx, gy, out=gx)
     floor = np.floor(pos)
-    frac = pos - floor
-    # pos lies in [-0.5, 8.5], so floor is -1..8: only a k0 of -1 and a k1
-    # of 9 wrap around
-    k0 = floor.astype(np.intp)
-    k0[k0 < 0] = _HOG_BINS - 1
-    k1 = k0 + 1
-    k1[k1 == _HOG_BINS] = 0
+    frac = np.subtract(pos, floor, out=pos)
+    at = floor.astype(np.intp)
+    at += 1
 
-    # all k0 votes, then all k1 votes, in pixel order: the summation order
-    # of two successive np.add.at calls
-    slots = np.concatenate([(_HOG_CELL_SLOT + k0).ravel(), (_HOG_CELL_SLOT + k1).ravel()])
-    votes = np.concatenate([(mag * (1.0 - frac)).ravel(), (mag * frac).ravel()])
+    # all lower-bin votes, then all upper-bin votes, in pixel order: the
+    # summation order of two successive np.add.at calls
+    slots = np.empty(2 * _HOG_PIXELS, dtype=np.intp)
+    votes = np.empty(2 * _HOG_PIXELS)
+    lower, upper = slots.reshape(2, _HOG_RESIZE, _HOG_RESIZE)
+    np.add(_HOG_CELL_SLOT, _HOG_LOWER_BIN[at], out=lower)
+    np.add(_HOG_CELL_SLOT, _HOG_UPPER_BIN[at], out=upper)
+    lower, upper = votes.reshape(2, _HOG_RESIZE, _HOG_RESIZE)
+    np.subtract(1.0, frac, out=lower)
+    lower *= mag
+    np.multiply(mag, frac, out=upper)
     hist = np.bincount(slots, votes, minlength=_HOG_CELLS * _HOG_CELLS * _HOG_BINS)
     hist = hist.reshape(_HOG_CELLS, _HOG_CELLS, _HOG_BINS)
 
@@ -213,9 +235,12 @@ def _hog(img: np.ndarray) -> np.ndarray:
 
 def _tiny_patch(img: np.ndarray) -> np.ndarray:
     patch = _resize_bilinear(img, 16, 16).ravel()
-    patch = patch - patch.mean()
+    patch -= patch.mean()
     norm = np.linalg.norm(patch)
-    return patch / norm if norm > 0 else np.zeros_like(patch)
+    if norm > 0:
+        patch /= norm
+        return patch
+    return np.zeros_like(patch)
 
 
 _HIST_BINS = 64

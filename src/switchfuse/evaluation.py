@@ -26,8 +26,8 @@ from .switching import BlockDecisions, TripartiteConfig, select_block
 @dataclass(frozen=True, eq=False)
 class GroundTruth:
     """Acceptable reference indices per query, held as one key
-    ``query * reference_count + reference`` per accepted pair, in query
-    order.  Build one with ``from_sets`` or ``from_window``."""
+    ``query * reference_count + reference`` per accepted pair, sorted (so
+    in query order).  Build one with ``from_sets`` or ``from_window``."""
 
     keys: np.ndarray  # int64
     query_count: int
@@ -56,9 +56,12 @@ class GroundTruth:
             raise InvalidInputError(
                 f"{predicted.shape} predictions for {self.query_count} queries"
             )
+        if not len(self.keys):
+            return np.zeros(self.query_count, dtype=bool)
         in_range = (predicted >= 0) & (predicted < self.reference_count)
         keys = np.arange(self.query_count) * self.reference_count + predicted
-        return in_range & np.isin(keys, self.keys)
+        at = np.searchsorted(self.keys, keys)
+        return in_range & (self.keys.take(at, mode="clip") == keys)
 
     @classmethod
     def from_sets(cls, sets, reference_count: int) -> "GroundTruth":
@@ -79,7 +82,7 @@ class GroundTruth:
             if outside[i]:
                 raise InvalidInputError(f"query {i} references out of range")
             raise InvalidInputError(f"query {i} has no acceptable reference")
-        return cls(owner * r + refs, n, r, accepted)
+        return cls(np.sort(owner * r + refs), n, r, accepted)
 
     @classmethod
     def from_window(
@@ -275,6 +278,14 @@ def run_method(
             if method == "switch-fuse"
             else [tuple(config.all_techniques())]
         )
+        # every query visits every pool's primary, so one call scores them
+        # all and the runtime shares their image decodes; each primary's
+        # calibration is looked up first, as select_block would before
+        # scoring it
+        primaries = [pool[0] for pool in pools]
+        for tid in primaries:
+            store.technique(tid)
+        runtime.score(primaries, range(n))
         blocks = [
             select_block(pool, match_scores, store, config.posterior_threshold, n)
             for pool in pools

@@ -49,7 +49,9 @@ def load_pgm(path) -> ImageGray:
     if len(data) != width * height:
         raise FormatError(f"{path}: truncated PGM payload")
     arr = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
-    return ImageGray._from_unit_pixels(arr / 255.0)
+    pixels = arr.astype(np.float64)
+    pixels /= 255.0  # bit for bit the values arr / 255.0 gives
+    return ImageGray._from_unit_pixels(pixels)
 
 
 def save_pgm(image: ImageGray, path) -> None:

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -814,3 +815,33 @@ def test_diff_outputs_same_root_is_identical(pipeline_dir):
         [*script, "--workload", "nope", "--seed", "3"], capture_output=True, text=True
     )
     assert out.returncode == 1 and "unknown workload 'nope'" in out.stderr
+
+
+def test_bench_pairs_verdict_needs_nine_of_ten_and_a_lead_beyond_the_iqr():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
+    )
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    base = [10.0, 10.5, 11.0, 11.5, 12.0, 10.2, 10.7, 11.2, 11.7, 12.2]
+    metrics = [{"name": "m", "unit": "x", "better": "higher"},
+               {"name": "t", "unit": "s", "better": "lower"}]
+
+    def verdicts(change):
+        runs = {
+            side: [{"env": None, "failures": [], "metrics": {"m": v, "t": v}}
+                   for v in values]
+            for side, values in (("base", base), ("change", change))
+        }
+        doc = bench_pairs.summarise(
+            "l", "w", 1.0, list(range(10)), {"base": "a", "change": "b"}, runs, metrics
+        )
+        return doc["comparison"]["m"]["verdict"], doc["comparison"]["t"]["verdict"]
+
+    assert verdicts([v + 2.0 for v in base]) == ("better", "worse")
+    assert verdicts([v - 2.0 for v in base]) == ("worse", "better")
+    # 9 of 10 pairs still give a verdict; 8 do not
+    assert verdicts([v + 2.0 for v in base[:9]] + [0.0]) == ("better", "worse")
+    assert verdicts([v + 2.0 for v in base[:8]] + [0.0, 0.0]) == ("unchanged",) * 2
+    # every pair won, but by less than the base's IQR
+    assert verdicts([v + 0.1 for v in base]) == ("unchanged",) * 2

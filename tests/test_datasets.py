@@ -242,7 +242,8 @@ def test_builtin_extraction_stays_lazy(tmp_path, monkeypatch):
     ]
     assert cli_main([str(a) for a in argv]) == 0
     assert len(calls) == expected
-    # run stays lazy per technique: one decode per extraction
+    # one decode per extraction, because the config has one unit: run
+    # shares a decode only between the primaries of several units
     assert len(decoded) == expected
 
 
@@ -443,10 +444,10 @@ def _count_decodes(monkeypatch) -> list:
     return decoded
 
 
-@pytest.mark.parametrize("command", ["calibrate", "compare"])
-def test_every_image_decoded_once_per_command(tmp_path, monkeypatch, command):
-    """``calibrate`` and ``compare`` over three built-ins decode each of the
-    Q + R images once."""
+def _two_unit_image_setup(tmp_path):
+    """Image splits, a saved two-unit config over the three built-ins (the
+    second unit's primary is a candidate of the first) and its shared CLI
+    arguments, and the ``calibrate`` argv that writes ``store.sfcal``."""
     splits = _image_splits(tmp_path)
     config = TripartiteConfig(
         units=(
@@ -458,19 +459,60 @@ def test_every_image_decoded_once_per_command(tmp_path, monkeypatch, command):
     common = ["--config", tmp_path / "config.json"]
     calibrate = ["calibrate", "--manifest", splits["calib"], *common,
                  "--out", tmp_path / "store.sfcal"]
-    if command == "compare":
+    return splits, common, calibrate
+
+
+@pytest.mark.parametrize("command", ["calibrate", "run", "compare"])
+def test_every_image_decoded_once_per_command(tmp_path, monkeypatch, command):
+    """``calibrate`` and ``compare`` over three built-ins decode each of the
+    Q + R images once, and so does ``run`` when no query hops off a
+    primary: the two primaries share one decode of each image."""
+    splits, common, calibrate = _two_unit_image_setup(tmp_path)
+    if command != "calibrate":
         assert cli_main([str(a) for a in calibrate]) == 0
     decoded = _count_decodes(monkeypatch)
+    evaluated = ["--manifest", splits["eval"], *common, "--store", tmp_path / "store.sfcal"]
     argv = {
         "calibrate": calibrate,
-        "compare": ["compare", "--manifest", splits["eval"], *common,
-                    "--store", tmp_path / "store.sfcal", "--out", tmp_path / "cmp"],
+        "run": ["run", *evaluated, "--out", tmp_path / "p.csv"],
+        "compare": ["compare", *evaluated, "--out", tmp_path / "cmp"],
     }[command]
     assert cli_main([str(a) for a in argv]) == 0
     m = load_manifest(splits["calib" if command == "calibrate" else "eval"])
     images = [Path(rel).name for rel in m.reference_images + m.query_images]
     assert len(decoded) == m.query_count + m.reference_count
     assert Counter(decoded) == Counter(images)
+
+
+def test_run_scores_a_later_primary_hopped_to_as_one_fragment(tmp_path, monkeypatch):
+    """When queries hop to a technique that a later unit holds as its
+    primary, ``run`` still scores that technique's rows as one fragment of
+    every query, bit for bit the rows ``compare`` scores."""
+    splits, common, calibrate = _two_unit_image_setup(tmp_path)
+    assert cli_main([str(a) for a in calibrate]) == 0
+    seen = {}
+    run = evaluation.run_method
+
+    def kept(method, runtime, *args, **kwargs):
+        report = run(method, runtime, *args, **kwargs)
+        seen.setdefault(command[0], (runtime, report))
+        return report
+
+    monkeypatch.setattr(evaluation, "run_method", kept)
+    evaluated = ["--manifest", splits["eval"], *common, "--threshold", "0.99",
+                 "--store", tmp_path / "store.sfcal"]
+    for command in (["run", "--out", tmp_path / "p.csv"],
+                    ["compare", "--out", tmp_path / "cmp"]):
+        assert cli_main([str(a) for a in command + evaluated]) == 0
+    runtime, report = seen["run"]
+    hogs = report.decisions[0]
+    assert (hogs.hops > 0).any() and (hogs.selected == 1).any()
+    (fragment,) = runtime._fragments["tiny_patch"]
+    assert fragment.shape == (runtime.query_count, runtime.reference_count)
+    compared = seen["compare"][0].similarity_rows(
+        "tiny_patch", range(runtime.query_count)
+    )
+    assert fragment.tobytes() == compared.tobytes()
 
 
 def test_score_over_unequal_scored_sets_matches_scalar_oracle(

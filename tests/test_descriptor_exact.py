@@ -3,6 +3,8 @@
 The oracles below are the earlier straightforward implementations: four
 ``np.ix_`` gathers for the resize, two ``np.add.at`` votes and a Python loop
 over blocks for HOG, and ``np.histogram`` for the intensity histogram.  The
+expression-form oracles pin the in-place resize, gradients and tiny patch
+against the expressions they evaluate step by step.  The
 production kernels must reproduce them bit for bit, not merely within a
 tolerance, so that stored descriptors and every score derived from them stay
 byte-stable.
@@ -20,6 +22,8 @@ from switchfuse.descriptors import (
     _hog,
     _intensity_hist,
     _resize_bilinear,
+    _resize_plan,
+    _tiny_patch,
 )
 
 
@@ -38,11 +42,15 @@ def oracle_resize(img, out_h, out_w):
     return top * (1 - fy[:, 0])[:, None] + bot * fy[:, 0][:, None]
 
 
-def oracle_hog(img):
-    img = oracle_resize(img, 64, 64)
+def oracle_gradients(img):
     padded = np.pad(img, 1, mode="edge")
     gx = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
     gy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
+    return gx, gy
+
+
+def oracle_hog(img):
+    gx, gy = oracle_gradients(oracle_resize(img, 64, 64))
     mag = np.hypot(gx, gy)
     theta = np.degrees(np.arctan2(gy, gx)) % 180.0
     pos = theta / (180.0 / 9) - 0.5
@@ -233,3 +241,39 @@ def test_compute_descriptor_bit_exact(technique):
     for img in images:
         got = compute_descriptor(ImageGray.from_array(img), technique).values
         assert_bits_equal(got, ORACLES[technique](img))
+
+
+def expression_resize(img, out_h, out_w):
+    """The bilinear expression ``_resize_bilinear`` evaluates in place."""
+    index, wx0, wx1, wy0, wy1 = _resize_plan(*img.shape, out_h, out_w)
+    tl, tr, bl, br = np.take(img, index)
+    return (tl * wx0 + tr * wx1) * wy0 + (bl * wx0 + br * wx1) * wy1
+
+
+def pinned_images():
+    """160-px 8-bit images as the image benchmark decodes them, long thin
+    ones either way, and 16-px ones that the resizes upscale."""
+    rng = np.random.default_rng(160)
+    for shape in [(160, 160), (17, 203), (203, 17), (16, 16)]:
+        yield rng.integers(0, 256, size=shape) / 255.0
+        yield rng.uniform(size=shape)
+
+
+@pytest.mark.parametrize("out_shape", [(64, 64), (16, 16)])
+def test_in_place_resize_matches_its_expression(out_shape):
+    for img in pinned_images():
+        want = expression_resize(img, *out_shape)
+        assert_bits_equal(_resize_bilinear(img, *out_shape), want)
+        assert_bits_equal(want, oracle_resize(img, *out_shape))
+
+
+def test_in_place_gradients_match_their_expression():
+    for img in pinned_images():
+        for pixels in (img, _resize_bilinear(img, 64, 64)):
+            for got, want in zip(_gradients(pixels), oracle_gradients(pixels)):
+                assert_bits_equal(got, want)
+
+
+def test_in_place_tiny_patch_matches_its_expression():
+    for img in list(pinned_images()) + list(flat_images()):
+        assert_bits_equal(_tiny_patch(img), oracle_tiny_patch(img))

@@ -200,6 +200,24 @@ class TestScoreOutcomes:
         with pytest.raises(InvalidInputError):
             gt.correct([0, 1])
 
+    @given(
+        st.lists(st.sets(st.integers(0, 6), min_size=1), min_size=1, max_size=12),
+        st.data(),
+    )
+    def test_ground_truth_correct_over_sorted_keys(self, sets, data):
+        gt = GroundTruth.from_sets(sets, 7)
+        assert np.all(np.diff(gt.keys) > 0)
+        predicted = data.draw(
+            st.lists(st.integers(-9, 16), min_size=len(sets), max_size=len(sets))
+        )
+        assert gt.correct(predicted).tolist() == [
+            is_correct(gt, q, p) for q, p in enumerate(predicted)
+        ]
+
+    def test_ground_truth_without_keys_accepts_nothing(self):
+        gt = GroundTruth(np.zeros(0, dtype=np.int64), 3, 5)
+        assert gt.correct([0, 4, 9]).tolist() == [False, False, False]
+
 
 confidences = st.one_of(
     st.sampled_from([0.0, -0.0, 0.5, 1.0]), st.floats(-2, 2, allow_nan=False)
