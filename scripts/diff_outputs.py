@@ -14,10 +14,12 @@ differing byte offset, and exits 1 on any difference or failed command::
         --calib-manifest calib_manifest.json \\
         --eval-manifest eval_manifest.json --config config.json
 
-With ``--workload NAME --seed N`` instead of the three input files, the
-inputs of a benchmark workload are generated into a temporary directory by
-``perfbench/workloads.py``, run as a subprocess against this checkout's
-``src``::
+With ``--workload NAME --seed N`` instead of the three input files, each
+root generates the inputs of that benchmark workload itself: this checkout's
+``perfbench/workloads.py`` runs in a subprocess with the root first on the
+path.  Each root's pipeline then runs on its own inputs, and every input file
+(SFDESC descriptors or PGM images, manifests, ground truth, the config and
+``inputs.json``) is compared too, listed under ``inputs/``::
 
     python scripts/diff_outputs.py OLD/src NEW/src --workload score-r200 --seed 7
 """
@@ -64,9 +66,12 @@ def run_pipeline(src: Path, args, out: Path) -> None:
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def generate_workload(name: str, seed: int, out: Path) -> dict:
+def generate_workload(name: str, seed: int, src: Path, cwd: Path) -> dict:
     """Write the inputs of benchmark workload ``name`` at ``seed`` under
-    ``out``; returns its ``inputs.json`` (manifests and config paths)."""
+    ``cwd / "inputs"`` with ``src`` first on the path; returns its
+    ``inputs.json`` with the manifest and config paths made absolute.  The
+    generator runs in ``cwd`` and writes relative paths, so every root's
+    ``inputs.json`` has the same bytes when their inputs do."""
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads
@@ -76,16 +81,24 @@ def generate_workload(name: str, seed: int, out: Path) -> dict:
         raise RuntimeError(
             f"unknown workload {name!r}; known: {', '.join(workloads.WORKLOADS)}"
         )
+    code = (
+        "import sys, workloads; "
+        "workloads.generate_inputs(workloads.WORKLOADS[sys.argv[1]], "
+        "int(sys.argv[2]), 'inputs')"
+    )
+    path = os.pathsep.join([str(src.resolve()), str(ROOT / "perfbench")])
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "perfbench" / "workloads.py"),
-         "--spec", workloads.spec_to_json(workloads.WORKLOADS[name]),
-         "--seed", str(seed), "--out", str(out)],
+        [sys.executable, "-c", code, name, str(seed)],
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
         capture_output=True,
         text=True,
     )
     if proc.returncode != 0:
-        raise RuntimeError(f"generating {name}: {proc.stderr.strip()}")
-    return json.loads((out / "inputs.json").read_text())
+        raise RuntimeError(f"{src}: generating {name}: {proc.stderr.strip()}")
+    inputs = json.loads((cwd / "inputs" / "inputs.json").read_text())
+    keys = ("calib_manifest", "eval_manifest", "config")
+    return {key: cwd / inputs[key] for key in keys}
 
 
 def first_difference(a: bytes, b: bytes) -> int | None:
@@ -141,14 +154,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         outs = [Path(tmp) / "left", Path(tmp) / "right"]
         try:
-            if args.workload is not None:
-                inputs = generate_workload(
-                    args.workload, args.seed, Path(tmp) / "inputs"
-                )
-                for key in ("calib_manifest", "eval_manifest", "config"):
-                    setattr(args, key, inputs[key])
             for src, out in zip((args.left, args.right), outs):
                 out.mkdir()
+                if args.workload is not None:
+                    inputs = generate_workload(args.workload, args.seed, src, out)
+                    for key, path in inputs.items():
+                        setattr(args, key, path)
                 run_pipeline(src, args, out)
         except RuntimeError as exc:
             print(exc, file=sys.stderr)

@@ -5,7 +5,8 @@ method is stated: cosine similarity of one descriptor, a histogram mass of
 one score, one unit's switching loop with its trace, min-max fusion of one
 query's vectors, and scoring and the PR sweep over per-query records.  The
 tests hold the block code to these forms decision for decision and bit for
-bit.  No product module imports this one, and it imports no block function.
+bit.  It lives with the tests, outside the installed package, and imports
+no block function.
 """
 
 from __future__ import annotations
@@ -15,16 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calibration import (
+from switchfuse.calibration import (
     CalibrationStore,
     LikelihoodHistogram,
     TechniqueCalibration,
 )
-from .descriptors import DescriptorSet, DescriptorVector
-from .errors import InvalidInputError, UndefinedEvidenceError
-from .evaluation import GroundTruth
-from .fusion import EPSILON
-from .switching import TripartiteConfig, UnitConfig
+from switchfuse.descriptors import DescriptorSet, DescriptorVector
+from switchfuse.errors import InvalidInputError, UndefinedEvidenceError
+from switchfuse.evaluation import GroundTruth
+from switchfuse.fusion import EPSILON
+from switchfuse.switching import TripartiteConfig, UnitConfig
 
 MATCH = "match"
 MISMATCH = "mismatch"

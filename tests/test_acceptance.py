@@ -19,7 +19,14 @@ from switchfuse.calibration import (
 )
 from switchfuse.cli import main as cli_main
 from switchfuse.evaluation import run_method
-from switchfuse.oracle import (
+from switchfuse.synthetic import (
+    SubsetRuntime,
+    TechniqueProfile,
+    calibration_run,
+    generate,
+    split_calibration_eval,
+)
+from tests.oracle import (
     MATCH,
     MISMATCH,
     MatchScore,
@@ -33,13 +40,6 @@ from switchfuse.oracle import (
     posterior_match,
     pr_curve,
     select_technique,
-)
-from switchfuse.synthetic import (
-    SubsetRuntime,
-    TechniqueProfile,
-    calibration_run,
-    generate,
-    split_calibration_eval,
 )
 from tests.test_hog_oracle import ref_hog, step_edge_image
 from tests.test_switching import random_store

@@ -22,7 +22,8 @@ from switchfuse.errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from switchfuse.oracle import (
+from switchfuse.synthetic import SubsetRuntime, TechniqueProfile, generate
+from tests.oracle import (
     MATCH,
     MISMATCH,
     is_correct,
@@ -30,7 +31,6 @@ from switchfuse.oracle import (
     raw_match_score,
     similarity,
 )
-from switchfuse.synthetic import SubsetRuntime, TechniqueProfile, generate
 
 def columns(samples):
     """(score, flag) tuples as the (scores, flags) arrays the API takes."""

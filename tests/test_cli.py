@@ -3,6 +3,7 @@ import importlib.util
 import io
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from switchfuse.cli import main
 from switchfuse.datasets import DatasetRuntime, load_config, load_manifest
 from switchfuse.descriptors import read_descriptor_header
 from switchfuse.errors import FormatError, InvalidInputError, UndefinedEvidenceError
-from switchfuse.oracle import run_tripartite, similarity
+from tests.oracle import run_tripartite, similarity
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -497,6 +498,7 @@ def _corrupt_store(blob: bytes, fmt: str, offset: int, value) -> bytes:
         ("predicted_past_int64", "SF-FORMAT"),
         ("compare_store_missing_technique", "SF-CALIBRATION"),
         ("calibrate_bins_0", "SF-INPUT"),
+        ("calibrate_bins_1", "SF-INPUT"),
         ("calibrate_bins_-3", "SF-INPUT"),
         ("calibrate_min_samples_0", "SF-INPUT"),
         ("calibrate_min_samples_-1", "SF-INPUT"),
@@ -541,7 +543,8 @@ def test_bad_input_per_command(pipeline_dir, capsys, case, code):
                 "--store", d / "store.sfcal", "--out", d / "p.csv"]
     elif case.startswith(("calibrate_bins", "calibrate_min_samples")):
         flag, value = case[len("calibrate_"):].rsplit("_", 1)
-        argv = [*calibrate, "--" + flag.replace("_", "-"), value]
+        flag = "--" + flag.replace("_", "-")
+        argv = [*calibrate, flag, value]
     elif case.split("_", 1)[1] in BAD_CONFIGS:
         command, bad = case.split("_", 1)
         named = d / "bad_config.json"
@@ -575,6 +578,8 @@ def test_bad_input_per_command(pipeline_dir, capsys, case, code):
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(code) and "Traceback" not in err
+    if case.startswith(("calibrate_bins", "calibrate_min_samples")):
+        assert flag in err
     if code == "SF-FORMAT" and named is None:
         assert str(d / "preds.csv") in err and "row 3" in err
     elif code == "SF-FORMAT":
@@ -699,8 +704,8 @@ def test_mistyped_spec_is_format_error(tmp_path_factory, doc):
 
 
 def test_calibrate_bounds_bins_before_scoring(pipeline_dir, capsys, monkeypatch):
-    """A --bins past the calibration query count is rejected before any
-    row is scored or any histogram allocated."""
+    """A --bins below 2 or past the calibration query count is rejected
+    before any row is scored or any histogram allocated."""
     from switchfuse import calibration
 
     d = pipeline_dir
@@ -713,14 +718,14 @@ def test_calibrate_bounds_bins_before_scoring(pipeline_dir, capsys, monkeypatch)
     monkeypatch.setattr(calibration, "_build_histogram", never)
     queries = load_manifest(d / "data" / "calib_manifest.json").query_count
     assert queries > 20  # the default bin count, the bound for smaller sets
-    for bins in (queries + 1, 10**12):
+    for bins in (1, queries + 1, 10**12):
         capsys.readouterr()
         rc = run_cli("calibrate", "--manifest", d / "data" / "calib_manifest.json",
                      "--config", d / "config.json", "--out", d / "s.sfcal",
                      "--bins", bins)
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("SF-INPUT") and f"1..{queries}" in err
+        assert err.startswith("SF-INPUT") and f"2..{queries}" in err
     assert not (d / "s.sfcal").exists()
 
 
@@ -765,19 +770,23 @@ def test_compare_compiles_each_table_once(pipeline_dir, monkeypatch):
         assert only[key] is table, key
 
 
-def test_cli_import_leaves_scipy_out():
-    # scipy is only needed by ``synth``; every other command skips its import
-    # nor is the per-query oracle, which only the tests use
+def test_cli_import_leaves_scipy_out(pipeline_dir):
+    # no command needs scipy, ``synth`` included: the CLI's import leaves it
+    # out and so does a whole ``synth`` run
     code = (
-        "import sys, switchfuse.cli; "
-        "print('scipy' in sys.modules, 'switchfuse.oracle' in sys.modules)"
+        "import sys, switchfuse.cli; loaded = 'scipy' in sys.modules; "
+        "status = switchfuse.cli.main(sys.argv[1:]); "
+        "print(loaded, status, 'scipy' in sys.modules)"
     )
+    d = pipeline_dir
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-        check=True,
+        [sys.executable, "-c", code, "synth", "--spec", str(d / "spec.json"),
+         "--seed", "5", "--out", str(d / "data")],
+        env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout.strip() == "False False"
+    assert out.stdout.splitlines()[-1] == "False 0 False"
+    assert (d / "data" / "eval_manifest.json").exists()
 
 
 def test_diff_outputs_same_root_is_identical(pipeline_dir):
@@ -794,14 +803,21 @@ def test_diff_outputs_same_root_is_identical(pipeline_dir):
     assert out.returncode == 0, out.stdout + out.stderr
     lines = out.stdout.splitlines()
     assert len(lines) == 8 and all(ln.startswith("identical") for ln in lines)
-    # the same check on a benchmark workload's generated inputs
+    # the same check on a benchmark workload, whose inputs each root
+    # generates and which are compared too
     script = [sys.executable, ROOT / "scripts" / "diff_outputs.py", src, src]
     out = subprocess.run(
         [*script, "--workload", "score-r200", "--seed", "3"],
         capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stdout + out.stderr
-    assert out.stdout.splitlines() == lines
+    listed = out.stdout.splitlines()
+    inputs = [ln for ln in listed if ln.split()[1].startswith("inputs/")]
+    assert [ln for ln in listed if ln not in inputs] == lines
+    assert all(ln.startswith("identical") for ln in inputs)
+    names = {ln.split()[1] for ln in inputs}
+    assert {"inputs/inputs.json", "inputs/config.json", "inputs/eval_gt.json",
+            "inputs/eval_manifest.json", "inputs/eval_refs.sfdesc"} <= names
     for flags, message in [
         (["--workload", "score-r200"], "go together"),
         (["--workload", "score-r200", "--seed", "3", "--config", d / "config.json"],
@@ -815,6 +831,29 @@ def test_diff_outputs_same_root_is_identical(pipeline_dir):
         [*script, "--workload", "nope", "--seed", "3"], capture_output=True, text=True
     )
     assert out.returncode == 1 and "unknown workload 'nope'" in out.stderr
+
+
+def test_diff_outputs_generates_workload_inputs_per_root(tmp_path):
+    """Each root writes the workload inputs with its own generator: a root
+    whose export indents manifests differently differs in exactly the two
+    manifests, and its pipeline output stays identical."""
+    other = tmp_path / "src"
+    shutil.copytree(ROOT / "src" / "switchfuse", other / "switchfuse")
+    synthetic_py = other / "switchfuse" / "synthetic.py"
+    text = synthetic_py.read_text()
+    assert text.count("json.dump(manifest, fh, indent=2") == 2
+    synthetic_py.write_text(
+        text.replace("json.dump(manifest, fh, indent=2", "json.dump(manifest, fh, indent=1")
+    )
+    out = subprocess.run(
+        [sys.executable, ROOT / "scripts" / "diff_outputs.py", ROOT / "src", other,
+         "--workload", "score-r200", "--seed", "3"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 1, out.stdout + out.stderr
+    differing = [ln.split()[1] for ln in out.stdout.splitlines()
+                 if not ln.startswith("identical")]
+    assert differing == ["inputs/calib_manifest.json:", "inputs/eval_manifest.json:"]
 
 
 def test_bench_pairs_verdict_needs_nine_of_ten_and_a_lead_beyond_the_iqr():

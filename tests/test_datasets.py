@@ -23,14 +23,6 @@ from switchfuse.descriptors import (
 )
 from switchfuse.errors import FormatError, InvalidInputError, UnknownTechniqueError
 from switchfuse.evaluation import run_method
-from switchfuse.oracle import (
-    best_match,
-    fuse,
-    normalize,
-    run_tripartite,
-    similarity,
-    similarity_vector,
-)
 from switchfuse.pgm import load_pgm
 from switchfuse.switching import TripartiteConfig, UnitConfig
 from switchfuse.synthetic import (
@@ -40,6 +32,14 @@ from switchfuse.synthetic import (
     generate,
     generate_image_dataset,
     split_calibration_eval,
+)
+from tests.oracle import (
+    best_match,
+    fuse,
+    normalize,
+    run_tripartite,
+    similarity,
+    similarity_vector,
 )
 
 TECHNIQUES = ("a", "b", "c")

@@ -23,7 +23,7 @@ from switchfuse.errors import (
     InvalidInputError,
     UnknownTechniqueError,
 )
-from switchfuse.oracle import (
+from tests.oracle import (
     SimilarityVector,
     cosine_similarity,
     raw_match_score,

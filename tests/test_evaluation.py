@@ -19,7 +19,16 @@ from switchfuse import (
 from switchfuse.calibration import build_store
 from switchfuse.errors import InvalidInputError
 from switchfuse.reports import write_comparison_csv
-from switchfuse.oracle import (
+from switchfuse.datasets import DatasetRuntime, load_manifest
+from switchfuse.synthetic import (
+    SubsetRuntime,
+    SyntheticDataset,
+    TechniqueProfile,
+    calibration_run,
+    export_dataset,
+    generate,
+)
+from tests.oracle import (
     QueryOutcome,
     UnitDecision,
     best_match,
@@ -33,15 +42,6 @@ from switchfuse.oracle import (
     score_predictions,
     select_technique,
     similarity,
-)
-from switchfuse.datasets import DatasetRuntime, load_manifest
-from switchfuse.synthetic import (
-    SubsetRuntime,
-    SyntheticDataset,
-    TechniqueProfile,
-    calibration_run,
-    export_dataset,
-    generate,
 )
 
 

@@ -6,7 +6,7 @@ from hypothesis.extra.numpy import arrays
 
 from switchfuse.errors import InvalidInputError
 from switchfuse.fusion import best_matches, normalize_rows
-from switchfuse.oracle import (
+from tests.oracle import (
     FusedVector,
     SimilarityVector,
     best_match,
@@ -67,7 +67,7 @@ def test_fuse_single_vector_identity():
 
 
 def test_fuse_hand_values():
-    from switchfuse.oracle import NormalizedVector
+    from tests.oracle import NormalizedVector
 
     a = NormalizedVector("a", np.array([0.999, -0.001]))
     b = NormalizedVector("b", np.array([0.2, 0.999]))
@@ -76,7 +76,7 @@ def test_fuse_hand_values():
 
 
 def test_fuse_additive_identity():
-    from switchfuse.oracle import NormalizedVector
+    from tests.oracle import NormalizedVector
 
     v = NormalizedVector("v", np.array([0.3, -0.001]))
     z = NormalizedVector("z", np.zeros(2))
@@ -84,7 +84,7 @@ def test_fuse_additive_identity():
 
 
 def test_fuse_length_mismatch():
-    from switchfuse.oracle import NormalizedVector
+    from tests.oracle import NormalizedVector
 
     with pytest.raises(InvalidInputError):
         fuse([NormalizedVector("a", np.zeros(2)), NormalizedVector("b", np.zeros(3))])
@@ -107,7 +107,7 @@ def test_fuse_commutative(vectors):
 
 
 def test_best_match_hand_values():
-    from switchfuse.oracle import FusedVector
+    from tests.oracle import FusedVector
 
     idx, conf = best_match(FusedVector(np.array([1.199, 0.998]), ("a", "b")))
     assert idx == 0
@@ -115,14 +115,14 @@ def test_best_match_hand_values():
 
 
 def test_best_match_tie_break():
-    from switchfuse.oracle import FusedVector
+    from tests.oracle import FusedVector
 
     idx, _ = best_match(FusedVector(np.array([0.4, 0.4, 0.4]), ("a",)))
     assert idx == 0
 
 
 def test_best_match_single_contributor():
-    from switchfuse.oracle import FusedVector
+    from tests.oracle import FusedVector
 
     idx, conf = best_match(FusedVector(np.array([0.999, -0.001]), ("a",)))
     assert idx == 0
@@ -130,7 +130,7 @@ def test_best_match_single_contributor():
 
 
 def test_best_match_empty():
-    from switchfuse.oracle import FusedVector
+    from tests.oracle import FusedVector
 
     with pytest.raises(InvalidInputError):
         best_match(FusedVector(np.array([]), ("a",)))
@@ -152,7 +152,7 @@ def test_selection_affine_invariance(s, t, a, b):
 
 @given(grid_vec)
 def test_single_fusion_matches_raw_argmax(scores):
-    from switchfuse.oracle import raw_match_score
+    from tests.oracle import raw_match_score
 
     sim = SimilarityVector("t", scores)
     fused_idx, _ = best_match(fuse([normalize(sim)]))

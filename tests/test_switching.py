@@ -11,7 +11,12 @@ from switchfuse.calibration import (
     LikelihoodHistogram,
     TechniqueCalibration,
 )
-from switchfuse.oracle import (
+from switchfuse.errors import (
+    InvalidInputError,
+    SwitchFuseError,
+    UndefinedEvidenceError,
+)
+from tests.oracle import (
     MatchScore,
     SimilarityVector,
     complementarity,
@@ -19,11 +24,6 @@ from switchfuse.oracle import (
     posterior_match,
     run_tripartite,
     select_technique,
-)
-from switchfuse.errors import (
-    InvalidInputError,
-    SwitchFuseError,
-    UndefinedEvidenceError,
 )
 
 

@@ -1,10 +1,12 @@
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
+from switchfuse import synthetic
 from switchfuse.calibration import build_store
 from switchfuse.datasets import DatasetRuntime, load_manifest
 from switchfuse.errors import InvalidSpecError
-from switchfuse.oracle import is_correct, similarity
 from switchfuse.synthetic import (
     SubsetRuntime,
     TechniqueProfile,
@@ -15,6 +17,8 @@ from switchfuse.synthetic import (
     generate_image_dataset,
     split_calibration_eval,
 )
+from tests.oracle import is_correct, similarity
+from tests.test_acceptance import ACCEPTANCE_SEED, acceptance_profiles
 
 
 def profile(tid, rate, overlaps=None):
@@ -159,3 +163,86 @@ def test_image_mode_dataset(tmp_path):
         correct += is_correct(gt, q, int(np.argmax(scores)))
     # mild perturbations: the downsampled-patch matcher should mostly hold up
     assert correct >= 4
+
+
+def scipy_pair_correlation(rate_a, rate_b, overlap):
+    """The generator's earlier scipy form of ``_pair_correlation``: the
+    bivariate normal CDF of ``multivariate_normal`` solved by ``brentq``."""
+    from scipy.optimize import brentq
+    from scipy.stats import multivariate_normal, norm
+
+    za, zb = norm.ppf(rate_a), norm.ppf(rate_b)
+
+    def joint(rho):
+        cov = [[1.0, rho], [rho, 1.0]]
+        return float(multivariate_normal(mean=[0.0, 0.0], cov=cov).cdf([za, zb]))
+
+    lo_r, hi_r = -0.999, 0.999
+    if joint(lo_r) >= overlap:
+        return lo_r
+    if joint(hi_r) <= overlap:
+        return hi_r
+    return float(brentq(lambda r: joint(r) - overlap, lo_r, hi_r, xtol=1e-6))
+
+
+def acceptance_pairs():
+    """(rate, rate, overlap) of every overlapping acceptance pair."""
+    profiles = acceptance_profiles()
+    rates = {p.technique_id: p.correct_rate for p in profiles}
+    return [
+        (p.correct_rate, rates[other], overlap)
+        for p in profiles
+        for other, overlap in p.overlaps.items()
+    ]
+
+
+def test_joint_cdf_and_correlation_match_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    normal = NormalDist()
+    for rate_a, rate_b, overlap in acceptance_pairs():
+        za, zb = normal.inv_cdf(rate_a), normal.inv_cdf(rate_b)
+        assert za == pytest.approx(stats.norm.ppf(rate_a), rel=1e-15)
+        assert zb == pytest.approx(stats.norm.ppf(rate_b), rel=1e-15)
+
+        def scipy_joint(rho):
+            cov = [[1.0, rho], [rho, 1.0]]
+            return stats.multivariate_normal(mean=[0.0, 0.0], cov=cov).cdf([za, zb])
+
+        for rho in np.linspace(-0.9, 0.9, 19):
+            assert synthetic._joint_below(za, zb, rho) == pytest.approx(
+                scipy_joint(rho), abs=1e-12
+            )
+        rho = synthetic._pair_correlation(rate_a, rate_b, overlap)
+        # brentq stops within its xtol of 1e-6; bisection runs on to 1e-12,
+        # so scipy's own CDF puts the bisected root on the overlap
+        assert rho == pytest.approx(
+            scipy_pair_correlation(rate_a, rate_b, overlap), abs=1e-6
+        )
+        assert scipy_joint(rho) == pytest.approx(overlap, abs=1e-12)
+
+
+class ScipyNormal:
+    """``NormalDist`` stand-in whose quantile is scipy's ``norm.ppf``."""
+
+    def inv_cdf(self, p):
+        from scipy.stats import norm
+
+        return float(norm.ppf(p))
+
+
+def test_generate_is_byte_identical_to_the_scipy_forms(monkeypatch):
+    pytest.importorskip("scipy")
+    profiles = acceptance_profiles()
+    ours = generate(profiles, 2000, 200, ACCEPTANCE_SEED)
+    corr = synthetic._correlation_matrix(profiles)
+    monkeypatch.setattr(synthetic, "_pair_correlation", scipy_pair_correlation)
+    monkeypatch.setattr(synthetic, "NormalDist", ScipyNormal)
+    scipy_corr = synthetic._correlation_matrix(profiles)
+    # the two solves differ within brentq's tolerance, yet no latent lands
+    # between their thresholds
+    assert not np.array_equal(corr, scipy_corr)
+    assert np.allclose(corr, scipy_corr, rtol=0.0, atol=1e-6)
+    theirs = generate(profiles, 2000, 200, ACCEPTANCE_SEED)
+    assert ours.true_refs.tobytes() == theirs.true_refs.tobytes()
+    for tid in ours.technique_ids:
+        assert ours.sims[tid].tobytes() == theirs.sims[tid].tobytes(), tid
