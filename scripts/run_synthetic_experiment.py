@@ -10,14 +10,13 @@ writes comparison CSV plus a PR-curve SVG.
 import argparse
 from pathlib import Path
 
-from switchfuse.calibration import build_store
+from switchfuse.calibration import build_store, collect_run
 from switchfuse.evaluation import compare_methods
 from switchfuse.reports import svg_pr_plot, write_comparison_csv, write_svg
 from switchfuse.switching import TripartiteConfig, UnitConfig
 from switchfuse.synthetic import (
     SubsetRuntime,
     TechniqueProfile,
-    calibration_run,
     generate,
     split_calibration_eval,
 )
@@ -58,7 +57,7 @@ def main():
     ids = [p.technique_id for p in profiles]
     dataset = generate(profiles, args.queries, args.references, args.seed)
     calib_idx, eval_idx = split_calibration_eval(dataset, 0.5, args.seed)
-    store = build_store(calibration_run(dataset, calib_idx), ids)
+    store = build_store(collect_run(SubsetRuntime(dataset, calib_idx), ids), ids)
     config = TripartiteConfig(
         units=tuple(
             UnitConfig(label, tuple(f"{label}_{i}" for i in range(3)))

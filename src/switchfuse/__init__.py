@@ -13,7 +13,6 @@ from .calibration import (
 )
 from .descriptors import (
     DescriptorSet,
-    DescriptorVector,
     ImageGray,
     compute_descriptor,
     load_descriptor_set,

@@ -9,6 +9,7 @@ require an explicit ``--seed``; there is no wall-clock seeding.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -105,19 +106,31 @@ def cmd_synth(args) -> int:
 def cmd_calibrate(args) -> int:
     # alpha 0 leaves empty bins with zero likelihood, so one query landing in
     # such a bin would end a later run with SF-EVIDENCE
-    if not args.alpha > 0:
-        raise InvalidInputError(f"--alpha must be > 0, got {args.alpha}")
+    if not 0 < args.alpha < math.inf:
+        raise InvalidInputError(f"--alpha must be finite and > 0, got {args.alpha}")
     if args.min_samples < 1:
         raise InvalidInputError(f"--min-samples must be >= 1, got {args.min_samples}")
     runtime = _load_runtime(args)
+    queries = runtime.query_count
     # each histogram has one sample per calibration query; bounding the bins
     # by that count (or the default, for small sets) keeps a huge --bins from
     # allocating its counts
-    most_bins = max(runtime.query_count, cal.DEFAULT_BINS)
+    most_bins = max(queries, cal.DEFAULT_BINS)
     if not 2 <= args.bins <= most_bins:
         raise InvalidInputError(
             f"--bins must lie in 2..{most_bins}, the larger of the calibration "
             f"query count and {cal.DEFAULT_BINS}, got {args.bins}"
+        )
+    # the smoothing denominator adds alpha x bins: past the float range it
+    # turns every smoothed mass to 0 and so every posterior undefined
+    if args.alpha * args.bins == math.inf:
+        raise InvalidInputError(
+            f"--alpha times --bins must be finite, got {args.alpha} x {args.bins}"
+        )
+    if args.min_samples > queries:
+        raise InvalidInputError(
+            f"--min-samples must not exceed the calibration query count "
+            f"{queries}, got {args.min_samples}"
         )
     techniques = load_config(args.config).all_techniques()
     store = cal.build_store(

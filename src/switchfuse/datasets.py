@@ -39,7 +39,6 @@ class TechniqueBinding:
 
 @dataclass(frozen=True)
 class DatasetManifest:
-    name: str
     query_count: int
     reference_count: int
     bindings: dict[str, TechniqueBinding]
@@ -106,7 +105,6 @@ def load_manifest(path) -> DatasetManifest:
         if gt["kind"] == "explicit" and not isinstance(gt_path, str):
             raise FormatError(f"{path}: explicit ground truth needs a string 'path'")
         manifest = DatasetManifest(
-            name=doc.get("name", path.stem),
             query_count=json_integer(doc["query_count"], f"{path}: 'query_count'"),
             reference_count=json_integer(
                 doc["reference_count"], f"{path}: 'reference_count'"
@@ -520,7 +518,7 @@ class DatasetRuntime:
         for i, rel in enumerate(images):
             image = load_pgm(self.manifest.base_dir / rel)
             for builtin, matrix in out.items():
-                matrix[i] = compute_descriptor(image, builtin).values
+                matrix[i] = compute_descriptor(image, builtin)
         return out
 
     def ground_truth(self) -> GroundTruth:

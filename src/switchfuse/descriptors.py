@@ -40,29 +40,25 @@ _HOG_BLOCK = 2  # cells per block side
 class ImageGray:
     """A grayscale image with intensities in [0, 1], row-major."""
 
-    width: int
-    height: int
     pixels: np.ndarray  # shape (height, width), float64
 
     def __post_init__(self):
         px = np.asarray(self.pixels, dtype=np.float64)
-        if px.shape != (self.height, self.width):
-            raise InvalidInputError(
-                f"pixel array shape {px.shape} does not match "
-                f"{self.height}x{self.width}"
-            )
+        if px.ndim != 2:
+            raise InvalidInputError("expected a 2-D intensity array")
         if not np.all(np.isfinite(px)):
             raise InvalidInputError("image contains non-finite values")
         if px.size and (px.min() < 0.0 or px.max() > 1.0):
             raise InvalidInputError("image intensities must lie in [0, 1]")
         object.__setattr__(self, "pixels", px)
 
-    @classmethod
-    def from_array(cls, arr) -> "ImageGray":
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.ndim != 2:
-            raise InvalidInputError("expected a 2-D intensity array")
-        return cls(width=arr.shape[1], height=arr.shape[0], pixels=arr)
+    @property
+    def width(self) -> int:
+        return self.pixels.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.pixels.shape[0]
 
     @classmethod
     def _from_unit_pixels(cls, pixels: np.ndarray) -> "ImageGray":
@@ -71,28 +67,8 @@ class ImageGray:
         if pixels.ndim != 2 or pixels.dtype != np.float64:
             raise InvalidInputError("expected a 2-D float64 intensity array")
         image = object.__new__(cls)
-        object.__setattr__(image, "width", pixels.shape[1])
-        object.__setattr__(image, "height", pixels.shape[0])
         object.__setattr__(image, "pixels", pixels)
         return image
-
-
-@dataclass(frozen=True)
-class DescriptorVector:
-    technique_id: str
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1:
-            raise InvalidInputError("descriptor must be a 1-D vector")
-        if not np.all(np.isfinite(vals)):
-            raise InvalidInputError("descriptor contains non-finite values")
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -104,20 +80,23 @@ class DescriptorSet:
     """
 
     technique_id: str
-    dim: int
     matrix: np.ndarray  # shape (count, dim)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix)
         if mat.dtype != np.float32:
             mat = mat.astype(np.float64, copy=False)
-        if mat.ndim != 2 or mat.shape[1] != self.dim:
-            raise InvalidInputError("descriptor matrix shape mismatch")
+        if mat.ndim != 2:
+            raise InvalidInputError("descriptor matrix must be 2-D")
         object.__setattr__(self, "matrix", mat)
 
     @property
     def count(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -255,8 +234,9 @@ def _intensity_hist(img: np.ndarray) -> np.ndarray:
     return np.bincount(index, minlength=_HIST_BINS) / img.size
 
 
-def compute_descriptor(image: ImageGray, technique: str) -> DescriptorVector:
-    """Compute a built-in descriptor for one image.
+def compute_descriptor(image: ImageGray, technique: str) -> np.ndarray:
+    """Compute a built-in descriptor of one image: a 1-D float64 vector of
+    ``BUILTIN_DIMS[technique]`` finite values.
 
     Deterministic: repeated calls on the same image are bit-identical.
     """
@@ -268,7 +248,7 @@ def compute_descriptor(image: ImageGray, technique: str) -> DescriptorVector:
             f"{_MIN_IMAGE_SIDE}x{_MIN_IMAGE_SIDE}"
         )
     fn = {"hog": _hog, "tiny_patch": _tiny_patch, "intensity_hist": _intensity_hist}
-    return DescriptorVector(technique, fn[technique](image.pixels))
+    return fn[technique](image.pixels)
 
 
 def save_descriptor_set(dset: DescriptorSet, path) -> None:
@@ -317,7 +297,7 @@ def load_descriptor_set(path, technique_id: str | None = None) -> DescriptorSet:
     if not np.all(np.isfinite(matrix)):
         raise DataError(f"{path}: non-finite descriptor values")
     tid = technique_id if technique_id is not None else "external"
-    return DescriptorSet(technique_id=tid, dim=dim, matrix=matrix)
+    return DescriptorSet(technique_id=tid, matrix=matrix)
 
 
 # query rows divided by their norms at a time in ``similarity_block``

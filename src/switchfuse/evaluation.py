@@ -12,7 +12,8 @@ and the PR sweep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from functools import cached_property
 from itertools import chain
 
 import numpy as np
@@ -32,20 +33,16 @@ class GroundTruth:
     keys: np.ndarray  # int64
     query_count: int
     reference_count: int
-    _accepted: tuple[frozenset[int], ...] | None = field(default=None, repr=False)
 
-    @property
+    @cached_property
     def accepted(self) -> tuple[frozenset[int], ...]:
         """One frozenset of acceptable references per query, built from the
-        keys on first read when the sets were not given."""
-        if self._accepted is None:
-            owner, refs = np.divmod(self.keys, self.reference_count)
-            ends = np.searchsorted(owner, np.arange(self.query_count), "right")
-            refs = refs.tolist()
-            starts = [0, *ends[:-1].tolist()]
-            sets = tuple(frozenset(refs[a:b]) for a, b in zip(starts, ends.tolist()))
-            object.__setattr__(self, "_accepted", sets)
-        return self._accepted
+        keys on first read."""
+        owner, refs = np.divmod(self.keys, self.reference_count)
+        ends = np.searchsorted(owner, np.arange(self.query_count), "right")
+        refs = refs.tolist()
+        starts = [0, *ends[:-1].tolist()]
+        return tuple(frozenset(refs[a:b]) for a, b in zip(starts, ends.tolist()))
 
     def correct(self, predicted) -> np.ndarray:
         """Whether each query's prediction is an accepted reference:
@@ -82,7 +79,7 @@ class GroundTruth:
             if outside[i]:
                 raise InvalidInputError(f"query {i} references out of range")
             raise InvalidInputError(f"query {i} has no acceptable reference")
-        return cls(np.sort(owner * r + refs), n, r, accepted)
+        return cls(np.sort(owner * r + refs), n, r)
 
     @classmethod
     def from_window(
@@ -107,7 +104,7 @@ class GroundTruth:
 @dataclass(frozen=True, eq=False)
 class EvaluationReport:
     """One method's per-query records as parallel columns, row i being
-    query i, with the PR points swept over them.
+    query i.  Its PR points are swept over them on first read.
 
     ``decisions`` holds one ``BlockDecisions`` per unit, in unit order, for
     switch-fuse, and is None for methods that do not switch per unit.
@@ -117,8 +114,13 @@ class EvaluationReport:
     predicted: np.ndarray  # int64
     confidence: np.ndarray  # float64
     correct: np.ndarray  # bool
-    pr_points: tuple[tuple[float, float, float], ...]  # (precision, recall, threshold)
     decisions: tuple[BlockDecisions, ...] | None = None
+
+    @cached_property
+    def pr_points(self) -> tuple[tuple[float, float, float], ...]:
+        """(precision, recall, threshold) points that the function
+        ``pr_points`` sweeps over the confidence and correct columns."""
+        return tuple(pr_points(self.confidence, self.correct))
 
     @property
     def query_count(self) -> int:
@@ -174,8 +176,9 @@ def score_outcomes(
     """Score per-query columns: row j is query ``queries[j]``'s prediction.
 
     The query indices must be exactly 0..Q-1, each once, and every predicted
-    reference must lie in 0..R-1.  The report holds the rows in query order,
-    with their correctness, accuracy and PR points.
+    reference must lie in 0..R-1, and every confidence must be finite, as
+    the PR sweep needs.  The report holds the rows in query order, with
+    their correctness.
     """
     queries = np.asarray(queries, dtype=np.int64)
     predicted = np.asarray(predicted, dtype=np.int64)
@@ -196,10 +199,13 @@ def score_outcomes(
             f"query {q}: predicted reference {predicted[q]} outside "
             f"0..{ground_truth.reference_count - 1}"
         )
+    if not count:
+        raise InvalidInputError("no outcomes to sweep")
     confidence = confidence[order]
+    if not np.all(np.isfinite(confidence)):
+        raise InvalidInputError("confidences must be finite")
     correct = ground_truth.correct(predicted)
-    points = tuple(pr_points(confidence, correct))
-    return EvaluationReport(method, predicted, confidence, correct, points)
+    return EvaluationReport(method, predicted, confidence, correct)
 
 
 def _picked(pool, choice):

@@ -21,7 +21,6 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .calibration import collect_run
 from .datasets import query_positions, save_ground_truth_file
 from .descriptors import DescriptorSet, save_descriptor_set
 from .errors import InvalidInputError, InvalidSpecError, UnknownTechniqueError
@@ -52,12 +51,20 @@ class TechniqueProfile:
 
 @dataclass(frozen=True)
 class SyntheticDataset:
-    query_count: int
-    reference_count: int
-    technique_ids: tuple[str, ...]
-    sims: dict[str, np.ndarray]  # (query_count, reference_count) per technique
+    sims: dict[str, np.ndarray]  # (queries, references) per technique, in order
     true_refs: np.ndarray  # int, per query
-    seed: int
+
+    @property
+    def technique_ids(self) -> tuple[str, ...]:
+        return tuple(self.sims)
+
+    @property
+    def query_count(self) -> int:
+        return len(self.true_refs)
+
+    @property
+    def reference_count(self) -> int:
+        return next(iter(self.sims.values())).shape[1]
 
     def ground_truth(self) -> GroundTruth:
         return GroundTruth.from_sets(
@@ -198,14 +205,7 @@ def generate(
             row = crng.uniform(-1.0, (planted - 1.0) / 2.0, size=reference_count)
             row[planted_pos] = planted
             sims[profile.technique_id][q] = row
-    return SyntheticDataset(
-        query_count=query_count,
-        reference_count=reference_count,
-        technique_ids=tuple(ids),
-        sims=sims,
-        true_refs=true_refs,
-        seed=seed,
-    )
+    return SyntheticDataset(sims, true_refs)
 
 
 def split_calibration_eval(
@@ -268,13 +268,6 @@ class SubsetRuntime:
         )
 
 
-def calibration_run(
-    dataset: SyntheticDataset, query_indices
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Per-technique (match scores, correct) columns over a query subset."""
-    return collect_run(SubsetRuntime(dataset, query_indices), dataset.technique_ids)
-
-
 def export_dataset(
     dataset: SyntheticDataset,
     query_indices,
@@ -307,7 +300,7 @@ def export_dataset(
     refs_file = f"{name}_refs.sfdesc"
     basis = np.eye(refs, dim)
     save_descriptor_set(
-        DescriptorSet(technique_id="basis", dim=dim, matrix=basis),
+        DescriptorSet(technique_id="basis", matrix=basis),
         out_dir / refs_file,
     )
 
@@ -318,7 +311,7 @@ def export_dataset(
         mat = np.concatenate([rows, pad[:, None]], axis=1)
         qfile = f"{name}_queries_{tid}.sfdesc"
         save_descriptor_set(
-            DescriptorSet(technique_id=tid, dim=dim, matrix=mat),
+            DescriptorSet(technique_id=tid, matrix=mat),
             out_dir / qfile,
         )
         bindings[tid] = {
@@ -366,10 +359,10 @@ def generate_image_dataset(
         )
         coarse = rng.uniform(0.2, 0.8, size=(8, 8))
         pattern = _resize_bilinear(coarse, size, size)
-        references.append(ImageGray.from_array(pattern))
+        references.append(ImageGray(pattern))
         shift = rng.uniform(-brightness_shift, brightness_shift)
         noisy = pattern + shift + rng.normal(0.0, noise_sd, size=(size, size))
-        queries.append(ImageGray.from_array(np.clip(noisy, 0.0, 1.0)))
+        queries.append(ImageGray(np.clip(noisy, 0.0, 1.0)))
     return references, queries
 
 

@@ -21,7 +21,7 @@ from switchfuse.calibration import (
     LikelihoodHistogram,
     TechniqueCalibration,
 )
-from switchfuse.descriptors import DescriptorSet, DescriptorVector
+from switchfuse.descriptors import DescriptorSet
 from switchfuse.errors import InvalidInputError, UndefinedEvidenceError
 from switchfuse.evaluation import GroundTruth
 from switchfuse.fusion import EPSILON
@@ -74,18 +74,20 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b)))
 
 
-def similarity_vector(query: DescriptorVector, refs: DescriptorSet) -> SimilarityVector:
-    """Cosine similarity of one query descriptor against every reference row."""
-    if query.dim != refs.dim:
+def similarity_vector(query, refs: DescriptorSet) -> SimilarityVector:
+    """Cosine similarity of one 1-D query descriptor against every reference
+    row."""
+    query = np.asarray(query, dtype=np.float64)
+    if query.shape != (refs.dim,):
         raise InvalidInputError(
-            f"query dim {query.dim} != reference dim {refs.dim}"
+            f"query shape {query.shape} != reference dim {refs.dim}"
         )
-    qn = np.linalg.norm(query.values)
+    qn = np.linalg.norm(query)
     if qn == 0.0:
         return SimilarityVector(refs.technique_id, np.zeros(refs.count))
     matrix = np.asarray(refs.matrix, dtype=np.float64)
     rn = np.linalg.norm(matrix, axis=1)
-    dots = matrix @ query.values
+    dots = matrix @ query
     scores = np.where(rn > 0.0, dots / (np.where(rn > 0.0, rn, 1.0) * qn), 0.0)
     return SimilarityVector(refs.technique_id, scores)
 

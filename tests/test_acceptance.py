@@ -16,13 +16,13 @@ from switchfuse.calibration import (
     LikelihoodHistogram,
     TechniqueCalibration,
     build_store,
+    collect_run,
 )
 from switchfuse.cli import main as cli_main
 from switchfuse.evaluation import run_method
 from switchfuse.synthetic import (
     SubsetRuntime,
     TechniqueProfile,
-    calibration_run,
     generate,
     split_calibration_eval,
 )
@@ -224,7 +224,8 @@ def test_criterion_5_synthetic_superiority():
         calib_idx, eval_idx = split_calibration_eval(
             dataset, 0.5, ACCEPTANCE_SEED
         )
-        store = build_store(calibration_run(dataset, calib_idx), TECHNIQUE_IDS)
+        calib = SubsetRuntime(dataset, calib_idx)
+        store = build_store(collect_run(calib, TECHNIQUE_IDS), TECHNIQUE_IDS)
         runtime = SubsetRuntime(dataset, eval_idx)
         gt = runtime.ground_truth()
         config = acceptance_config()
@@ -350,6 +351,6 @@ def test_criterion_7_cli_reproducibility(tmp_path, capsys):
 def test_criterion_8_descriptor_oracle():
     with criterion(8, "descriptor scalar oracle"):
         arr = step_edge_image()
-        got = compute_descriptor(ImageGray.from_array(arr), "hog").values
+        got = compute_descriptor(ImageGray(arr), "hog")
         want = ref_hog(arr)
         assert np.max(np.abs(got - want)) <= 1e-6

@@ -328,7 +328,7 @@ def test_non_finite_unread_query_row_fails_run(pipeline_dir, capsys):
     assert not (d / "p.csv").exists()
 
 
-@pytest.mark.parametrize("alpha", ["0", "-0.5", "nan"])
+@pytest.mark.parametrize("alpha", ["0", "-0.5", "nan", "inf"])
 def test_calibrate_rejects_nonpositive_alpha(tmp_path, capsys, alpha):
     # the manifest does not exist: the check comes before any data is read
     config = tmp_path / "config.json"
@@ -487,6 +487,10 @@ def _corrupt_store(blob: bytes, fmt: str, offset: int, value) -> bytes:
     return bytes(out)
 
 
+# bad-input cases that give one calibrate flag a bad value
+CALIBRATE_FLAG_CASES = ("calibrate_bins", "calibrate_min_samples", "calibrate_alpha")
+
+
 @pytest.mark.parametrize(
     "case, code",
     [
@@ -502,6 +506,9 @@ def _corrupt_store(blob: bytes, fmt: str, offset: int, value) -> bytes:
         ("calibrate_bins_-3", "SF-INPUT"),
         ("calibrate_min_samples_0", "SF-INPUT"),
         ("calibrate_min_samples_-1", "SF-INPUT"),
+        ("calibrate_min_samples_41", "SF-INPUT"),  # 40 calibration queries
+        ("calibrate_alpha_inf", "SF-INPUT"),
+        ("calibrate_alpha_1e308", "SF-INPUT"),  # alpha x bins overflows
         *[(f"{cmd}_{bad}", "SF-FORMAT") for bad in BAD_CONFIGS for cmd in ("calibrate", "run")],
         *[(f"synth_{bad}", "SF-FORMAT") for bad in BAD_SPECS],
         *[(f"run_store_{bad}", "SF-FORMAT") for bad in BAD_STORES],
@@ -509,7 +516,7 @@ def _corrupt_store(blob: bytes, fmt: str, offset: int, value) -> bytes:
         *[(f"run_gt_{bad}", "SF-FORMAT") for bad in BAD_GROUND_TRUTHS],
     ],
 )
-def test_bad_input_per_command(pipeline_dir, capsys, case, code):
+def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
     d = pipeline_dir
     _synth_and_calibrate(d)
     manifest = d / "data" / "eval_manifest.json"
@@ -541,10 +548,17 @@ def test_bad_input_per_command(pipeline_dir, capsys, case, code):
         named.write_text(json.dumps(BAD_GROUND_TRUTHS[case[len("run_gt_"):]](doc)))
         argv = ["run", "--manifest", manifest, "--config", d / "config.json",
                 "--store", d / "store.sfcal", "--out", d / "p.csv"]
-    elif case.startswith(("calibrate_bins", "calibrate_min_samples")):
+    elif case.startswith(CALIBRATE_FLAG_CASES):
         flag, value = case[len("calibrate_"):].rsplit("_", 1)
         flag = "--" + flag.replace("_", "-")
         argv = [*calibrate, flag, value]
+        # each flag is checked before any row is scored
+        from switchfuse import calibration
+
+        def never(*args, **kwargs):
+            raise AssertionError("calibration ran")
+
+        monkeypatch.setattr(calibration, "collect_run", never)
     elif case.split("_", 1)[1] in BAD_CONFIGS:
         command, bad = case.split("_", 1)
         named = d / "bad_config.json"
@@ -578,7 +592,7 @@ def test_bad_input_per_command(pipeline_dir, capsys, case, code):
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     assert err.startswith(code) and "Traceback" not in err
-    if case.startswith(("calibrate_bins", "calibrate_min_samples")):
+    if case.startswith(CALIBRATE_FLAG_CASES):
         assert flag in err
     if code == "SF-FORMAT" and named is None:
         assert str(d / "preds.csv") in err and "row 3" in err
@@ -727,6 +741,39 @@ def test_calibrate_bounds_bins_before_scoring(pipeline_dir, capsys, monkeypatch)
         err = capsys.readouterr().err
         assert err.startswith("SF-INPUT") and f"2..{queries}" in err
     assert not (d / "s.sfcal").exists()
+
+
+def test_pr_points_are_swept_only_for_the_files_that_hold_them(
+    pipeline_dir, monkeypatch
+):
+    """run writes no PR points and compare writes them only with --svg, so
+    neither sweeps them otherwise; evaluate sweeps once for its CSV and
+    SVG."""
+    from switchfuse import evaluation
+
+    d = pipeline_dir
+    _synth_and_calibrate(d)
+    sweeps = []
+    sweep = evaluation.pr_points
+
+    def counted(confidence, correct):
+        sweeps.append(len(confidence))
+        return sweep(confidence, correct)
+
+    monkeypatch.setattr(evaluation, "pr_points", counted)
+    manifest = d / "data" / "eval_manifest.json"
+    common = ["--manifest", manifest, "--config", d / "config.json",
+              "--store", d / "store.sfcal"]
+    assert run_cli("run", *common, "--out", d / "p.csv") == 0
+    assert run_cli("compare", *common, "--out", d / "cmp") == 0
+    assert sweeps == []
+    assert run_cli("compare", *common, "--out", d / "cmp_svg", "--svg") == 0
+    methods = ["switch-fuse", "switch-only", "fuse-all", "a", "b", "c"]
+    assert len(sweeps) == len(methods)
+    sweeps.clear()
+    assert run_cli("evaluate", "--predictions", d / "p.csv", "--manifest", manifest,
+                   "--out", d / "report", "--svg") == 0
+    assert len(sweeps) == 1
 
 
 def test_compare_compiles_each_table_once(pipeline_dir, monkeypatch):

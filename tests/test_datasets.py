@@ -251,7 +251,7 @@ def test_builtin_extraction_stays_lazy(tmp_path, monkeypatch):
 def image_manifest(tmp_path):
     refs, queries = generate_image_dataset(6, seed=23, size=24)
     # a constant query: its tiny_patch and hog vectors have zero norm
-    queries[2] = ImageGray.from_array(np.full((24, 24), 0.5))
+    queries[2] = ImageGray(np.full((24, 24), 0.5))
     return load_manifest(export_image_dataset(refs, queries, tmp_path, "img"))
 
 
@@ -264,9 +264,9 @@ def test_builtin_rows_match_scalar_oracle(image_manifest, monkeypatch, chunk):
     def descriptor(rel, tid):
         return compute_descriptor(load_pgm(m.base_dir / rel), tid)
 
-    for tid, dim in BUILTIN_DIMS.items():
+    for tid in BUILTIN_DIMS:
         refs = DescriptorSet(
-            tid, dim, np.stack([descriptor(r, tid).values for r in m.reference_images])
+            tid, np.stack([descriptor(r, tid) for r in m.reference_images])
         )
         # overlapping, repeated and out-of-order requests
         for block in ([4, 1, 4], list(range(m.query_count)), [2]):
@@ -536,9 +536,9 @@ def test_score_over_unequal_scored_sets_matches_scalar_oracle(
     def descriptor(rel, tid):
         return compute_descriptor(load_pgm(m.base_dir / rel), tid)
 
-    for tid, dim in BUILTIN_DIMS.items():
+    for tid in BUILTIN_DIMS:
         refs = DescriptorSet(
-            tid, dim, np.stack([descriptor(r, tid).values for r in m.reference_images])
+            tid, np.stack([descriptor(r, tid) for r in m.reference_images])
         )
         rows = runtime.similarity_rows(tid, everyone)
         best, score = runtime.matches(tid, everyone)
@@ -561,12 +561,13 @@ def test_score_checks_every_technique_before_decoding(
     with pytest.raises(UnknownTechniqueError, match="nope"):
         runtime.score(techniques, [0, 1])
     assert decoded == []
-    # and through the CLI, whose calibrate scores every configured technique
+    # and through the CLI, whose calibrate scores every configured technique;
+    # --min-samples within the 6 queries passes the flag checks
     config = TripartiteConfig(units=(UnitConfig("u0", tuple(techniques)),))
     save_config(config, tmp_path / "config.json")
     manifest = tmp_path / "img_manifest.json"
     argv = ["calibrate", "--manifest", manifest, "--config", tmp_path / "config.json",
-            "--out", tmp_path / "store.sfcal"]
+            "--out", tmp_path / "store.sfcal", "--min-samples", 6]
     capsys.readouterr()
     assert cli_main([str(a) for a in argv]) == 1
     assert capsys.readouterr().err.startswith("SF-TECHNIQUE")

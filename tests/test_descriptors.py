@@ -8,7 +8,6 @@ from hypothesis.extra.numpy import arrays
 
 from switchfuse import (
     DescriptorSet,
-    DescriptorVector,
     ImageGray,
     compute_descriptor,
     load_descriptor_set,
@@ -38,110 +37,116 @@ finite_vec = arrays(
 
 
 def test_uniform_image_hog_is_zero():
-    img = ImageGray.from_array(np.full((32, 32), 0.5))
+    img = ImageGray(np.full((32, 32), 0.5))
     desc = compute_descriptor(img, "hog")
-    assert desc.dim == 1764
-    assert np.all(desc.values == 0.0)
+    assert desc.shape == (1764,)
+    assert np.all(desc == 0.0)
 
 
 def test_tiny_patch_unit_norm():
     rng = np.random.default_rng(3)
-    img = ImageGray.from_array(rng.uniform(size=(40, 30)))
+    img = ImageGray(rng.uniform(size=(40, 30)))
     desc = compute_descriptor(img, "tiny_patch")
-    assert desc.dim == 256
-    assert math.isclose(np.linalg.norm(desc.values), 1.0, abs_tol=1e-12)
+    assert desc.shape == (256,)
+    assert math.isclose(np.linalg.norm(desc), 1.0, abs_tol=1e-12)
 
 
 def test_tiny_patch_constant_image_is_zero():
-    img = ImageGray.from_array(np.full((20, 20), 0.25))
+    img = ImageGray(np.full((20, 20), 0.25))
     desc = compute_descriptor(img, "tiny_patch")
-    assert np.all(desc.values == 0.0)
+    assert np.all(desc == 0.0)
 
 
 def test_intensity_hist_l1_normalized():
     rng = np.random.default_rng(4)
-    img = ImageGray.from_array(rng.uniform(size=(25, 25)))
+    img = ImageGray(rng.uniform(size=(25, 25)))
     desc = compute_descriptor(img, "intensity_hist")
-    assert desc.dim == 64
-    assert math.isclose(desc.values.sum(), 1.0, abs_tol=1e-12)
-    assert np.all(desc.values >= 0)
+    assert desc.shape == (64,)
+    assert math.isclose(desc.sum(), 1.0, abs_tol=1e-12)
+    assert np.all(desc >= 0)
 
 
 def test_builtin_dims():
     rng = np.random.default_rng(5)
-    img = ImageGray.from_array(rng.uniform(size=(48, 48)))
+    img = ImageGray(rng.uniform(size=(48, 48)))
     for tid, dim in BUILTIN_DIMS.items():
-        assert compute_descriptor(img, tid).dim == dim
+        desc = compute_descriptor(img, tid)
+        assert desc.shape == (dim,) and desc.dtype == np.float64
 
 
 def test_descriptor_determinism():
     rng = np.random.default_rng(6)
-    img = ImageGray.from_array(rng.uniform(size=(64, 64)))
+    img = ImageGray(rng.uniform(size=(64, 64)))
     for tid in BUILTIN_DIMS:
-        a = compute_descriptor(img, tid).values
-        b = compute_descriptor(img, tid).values
+        a = compute_descriptor(img, tid)
+        b = compute_descriptor(img, tid)
         assert np.array_equal(a, b)
 
 
 def test_small_image_rejected():
-    img = ImageGray.from_array(np.zeros((8, 8)))
+    img = ImageGray(np.zeros((8, 8)))
     with pytest.raises(InvalidInputError):
         compute_descriptor(img, "hog")
 
 
 def test_unknown_technique_rejected():
-    img = ImageGray.from_array(np.zeros((32, 32)))
+    img = ImageGray(np.zeros((32, 32)))
     with pytest.raises(UnknownTechniqueError):
         compute_descriptor(img, "netvlad")
 
 
 def test_image_invariants_enforced():
     with pytest.raises(InvalidInputError):
-        ImageGray.from_array(np.full((16, 16), 1.5))
-    with pytest.raises(InvalidInputError):
-        ImageGray(width=4, height=4, pixels=np.zeros((3, 4)))
+        ImageGray(np.full((16, 16), 1.5))
+    image = ImageGray(np.zeros((3, 4)))
+    assert (image.width, image.height) == (4, 3)
+
+
+@pytest.mark.parametrize("shape", [(16,), (16, 16, 1)])
+def test_image_must_be_2d(shape):
+    with pytest.raises(InvalidInputError, match="2-D"):
+        ImageGray(np.zeros(shape))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 1.5])
 def test_public_image_constructors_scan_every_pixel(bad):
-    # load_pgm skips the scan for decoded 8-bit data; these two keep it
+    # load_pgm skips the scan for decoded 8-bit data; the public
+    # constructor keeps it
     pixels = np.zeros((16, 16))
     pixels[7, 3] = bad
     with pytest.raises(InvalidInputError):
-        ImageGray(width=16, height=16, pixels=pixels)
-    with pytest.raises(InvalidInputError):
-        ImageGray.from_array(pixels)
+        ImageGray(pixels)
 
 
 def test_similarity_identical_and_orthogonal():
-    refs = DescriptorSet("t", 2, np.array([[1.0, 0.0], [0.0, 1.0]]))
-    sim = similarity_vector(DescriptorVector("t", [1.0, 0.0]), refs)
+    refs = DescriptorSet("t", np.array([[1.0, 0.0], [0.0, 1.0]]))
+    sim = similarity_vector([1.0, 0.0], refs)
     assert np.allclose(sim.scores, [1.0, 0.0])
 
 
 def test_similarity_hand_value():
-    refs = DescriptorSet("t", 2, np.array([[1.0, 1.0]]))
-    sim = similarity_vector(DescriptorVector("t", [1.0, 0.0]), refs)
+    refs = DescriptorSet("t", np.array([[1.0, 1.0]]))
+    sim = similarity_vector([1.0, 0.0], refs)
     assert math.isclose(sim.scores[0], 1.0 / math.sqrt(2.0), rel_tol=1e-12)
 
 
 def test_similarity_zero_query():
-    refs = DescriptorSet("t", 2, np.array([[1.0, 1.0], [0.5, 0.5]]))
-    sim = similarity_vector(DescriptorVector("t", [0.0, 0.0]), refs)
+    refs = DescriptorSet("t", np.array([[1.0, 1.0], [0.5, 0.5]]))
+    sim = similarity_vector([0.0, 0.0], refs)
     assert np.all(sim.scores == 0.0)
 
 
 def test_similarity_zero_reference_row():
-    refs = DescriptorSet("t", 2, np.array([[0.0, 0.0], [1.0, 0.0]]))
-    sim = similarity_vector(DescriptorVector("t", [1.0, 0.0]), refs)
+    refs = DescriptorSet("t", np.array([[0.0, 0.0], [1.0, 0.0]]))
+    sim = similarity_vector([1.0, 0.0], refs)
     assert sim.scores[0] == 0.0
     assert sim.scores[1] == 1.0
 
 
 def test_similarity_dim_mismatch():
-    refs = DescriptorSet("t", 3, np.zeros((2, 3)))
+    refs = DescriptorSet("t", np.zeros((2, 3)))
     with pytest.raises(InvalidInputError):
-        similarity_vector(DescriptorVector("t", [1.0, 0.0]), refs)
+        similarity_vector([1.0, 0.0], refs)
 
 
 def test_similarity_block_matches_scalar_oracle():
@@ -245,7 +250,7 @@ def test_raw_match_dominates_all_entries(scores):
 
 def test_sfdesc_round_trip(tmp_path):
     mat = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], dtype=np.float32)
-    dset = DescriptorSet("ext", 3, mat)
+    dset = DescriptorSet("ext", mat)
     path = tmp_path / "d.sfdesc"
     save_descriptor_set(dset, path)
     loaded = load_descriptor_set(path, "ext")
@@ -263,7 +268,7 @@ def test_sfdesc_round_trip(tmp_path):
 )
 def test_sfdesc_save_load_identity(mat, tmp_path_factory):
     path = tmp_path_factory.mktemp("sfdesc") / "d.sfdesc"
-    save_descriptor_set(DescriptorSet("x", mat.shape[1], mat), path)
+    save_descriptor_set(DescriptorSet("x", mat), path)
     loaded = load_descriptor_set(path)
     assert np.array_equal(loaded.matrix, mat.astype(np.float64))
 
@@ -308,9 +313,7 @@ def test_pgm_round_trip(tmp_path):
     from switchfuse.pgm import load_pgm, save_pgm
 
     rng = np.random.default_rng(9)
-    img = ImageGray.from_array(
-        np.round(rng.uniform(size=(20, 17)) * 255) / 255.0
-    )
+    img = ImageGray(np.round(rng.uniform(size=(20, 17)) * 255) / 255.0)
     path = tmp_path / "img.pgm"
     save_pgm(img, path)
     loaded = load_pgm(path)
@@ -325,7 +328,7 @@ def test_pgm_decode_equals_checked_image(tmp_path):
     path = tmp_path / "ramp.pgm"
     path.write_bytes(b"P5\n16 16\n255\n" + raw.tobytes())
     loaded = load_pgm(path)
-    checked = ImageGray.from_array(raw / 255.0)
+    checked = ImageGray(raw / 255.0)
     assert (loaded.width, loaded.height) == (checked.width, checked.height)
     assert loaded.pixels.dtype == np.float64
     assert np.array_equal(loaded.pixels, checked.pixels)

@@ -16,7 +16,7 @@ from switchfuse import (
     run_method,
     score_outcomes,
 )
-from switchfuse.calibration import build_store
+from switchfuse.calibration import build_store, collect_run
 from switchfuse.errors import InvalidInputError
 from switchfuse.reports import write_comparison_csv
 from switchfuse.datasets import DatasetRuntime, load_manifest
@@ -24,7 +24,6 @@ from switchfuse.synthetic import (
     SubsetRuntime,
     SyntheticDataset,
     TechniqueProfile,
-    calibration_run,
     export_dataset,
     generate,
 )
@@ -159,6 +158,14 @@ class TestScoreOutcomes:
         assert rep.predicted.tolist() == [1, 1, 2]
         assert rep.confidence.tolist() == [0.3, 0.2, 0.1]
         assert rep.correct.tolist() == [False, True, True]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_confidence_rejected_when_built(self, bad):
+        # the PR points are swept on first read; the report is refused a
+        # confidence the sweep could not rank when it is built
+        gt = GroundTruth.from_sets([{0}, {1}], 2)
+        with pytest.raises(InvalidInputError, match="finite"):
+            score_outcomes([0, 1], [0, 1], [0.5, bad], gt)
 
     @pytest.mark.parametrize("truth", ["window", "explicit"])
     @given(seed=st.integers(0, 2**32 - 1), queries=st.integers(1, 40))
@@ -321,7 +328,7 @@ def small_synthetic():
     ds = generate(profiles, 200, 40, seed=99)
     calib_idx = np.arange(0, 100)
     eval_idx = np.arange(100, 200)
-    store = build_store(calibration_run(ds, calib_idx), ids)
+    store = build_store(collect_run(SubsetRuntime(ds, calib_idx), ids), ids)
     runtime = SubsetRuntime(ds, eval_idx)
     return ds, store, runtime
 
@@ -402,6 +409,15 @@ class TestRunMethod:
             assert report.predicted.tolist() == alone.predicted.tolist()
             assert report.confidence.tolist() == alone.confidence.tolist()
             assert (report.decisions is None) == (report.method != "switch-fuse")
+
+    def test_compare_reports_derive_their_pr_points(self):
+        ds, store, runtime = small_synthetic()
+        config = TripartiteConfig(
+            units=(UnitConfig("u0", ("c", "a")), UnitConfig("u1", ("d", "b")))
+        )
+        reports = compare_methods(runtime, config, store, runtime.ground_truth())
+        for r in reports:
+            assert r.pr_points == tuple(pr_points(r.confidence, r.correct))
 
 
 def scalar_outcome(method, runtime, config, store, q):
@@ -494,6 +510,13 @@ def test_compare_deltas(tmp_path):
     assert int(rows["single:x"]["correct_gain_of_switch-fuse"]) == 2
 
 
+def test_ground_truth_from_sets_keeps_the_given_sets():
+    sets = [{3, 1}, {0}, {4, 2, 1}, {np.int64(2)}]
+    gt = GroundTruth.from_sets(sets, 5)
+    assert gt.accepted == tuple(frozenset(int(r) for r in s) for s in sets)
+    assert all(type(ref) is int for s in gt.accepted for ref in s)
+
+
 def test_ground_truth_validation():
     with pytest.raises(InvalidInputError):
         GroundTruth.from_sets([set()], 4)
@@ -536,8 +559,8 @@ def test_signed_zero_maxima_match_scalar_oracle(kind, tmp_path, monkeypatch):
         rows[0::6, 1], rows[0::6, 4] = -0.0, 0.0
         rows[3::6, 1], rows[3::6, 4] = 0.0, -0.0
         sims[tid] = rows
-    ds = SyntheticDataset(q, r, ids, sims, rng.integers(0, r, q), seed=0)
-    store = build_store(calibration_run(ds, np.arange(q)), ids, bins=4)
+    ds = SyntheticDataset(sims, rng.integers(0, r, q))
+    store = build_store(collect_run(SubsetRuntime(ds, np.arange(q)), ids), ids, bins=4)
     if kind == "subset":
         runtime = SubsetRuntime(ds, np.arange(q))
     else:

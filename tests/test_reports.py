@@ -5,7 +5,7 @@ from xml.dom import minidom
 import numpy as np
 import pytest
 
-from switchfuse.calibration import build_store
+from switchfuse.calibration import build_store, collect_run
 from switchfuse.errors import InvalidInputError
 from switchfuse.evaluation import EvaluationReport, run_method
 from switchfuse.reports import (
@@ -18,7 +18,6 @@ from switchfuse.switching import BlockDecisions, TripartiteConfig, UnitConfig
 from switchfuse.synthetic import (
     SubsetRuntime,
     TechniqueProfile,
-    calibration_run,
     generate,
     split_calibration_eval,
 )
@@ -73,7 +72,7 @@ def test_predictions_match_row_formatting_with_shared_decisions(tmp_path):
     path = tmp_path / "p.csv"
     for decisions in (units, None):
         report = EvaluationReport(
-            "m", predicted, confidence, np.zeros(8, dtype=bool), (), decisions
+            "m", predicted, confidence, np.zeros(8, dtype=bool), decisions
         )
         write_predictions(report, path, timestamp=False)
         assert path.read_text() == oracle_predictions_text(query_outcomes(report))
@@ -91,7 +90,7 @@ def test_switch_fuse_predictions_match_row_formatting(tmp_path, threshold):
         300, 25, seed=41,
     )
     calib_idx, eval_idx = split_calibration_eval(ds, 0.5, seed=41)
-    store = build_store(calibration_run(ds, calib_idx), list(techniques))
+    store = build_store(collect_run(SubsetRuntime(ds, calib_idx), techniques), techniques)
     config = TripartiteConfig(
         units=(UnitConfig("u0", ("a", "b")), UnitConfig("u1", ("c", "d", "a"))),
         posterior_threshold=threshold,
@@ -108,7 +107,7 @@ def test_switch_fuse_predictions_match_row_formatting(tmp_path, threshold):
 
 def test_comparison_needs_a_switch_fuse_report(tmp_path):
     report = EvaluationReport(
-        "single:a", np.array([0]), np.array([0.5]), np.array([True]), ()
+        "single:a", np.array([0]), np.array([0.5]), np.array([True])
     )
     with pytest.raises(InvalidInputError, match="switch-fuse") as info:
         write_comparison_csv([report], tmp_path / "c.csv", timestamp=False)

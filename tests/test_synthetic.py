@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from switchfuse import synthetic
-from switchfuse.calibration import build_store
+from switchfuse.calibration import build_store, collect_run
 from switchfuse.datasets import DatasetRuntime, load_manifest
 from switchfuse.errors import InvalidSpecError
 from switchfuse.synthetic import (
     SubsetRuntime,
     TechniqueProfile,
-    calibration_run,
     export_dataset,
     export_image_dataset,
     generate,
@@ -118,7 +117,7 @@ def test_split_disjoint_and_seeded():
 def test_calibration_prior_tracks_profile_rate():
     ds = generate([profile("a", 0.55)], 2000, 50, seed=9)
     calib_idx, _ = split_calibration_eval(ds, 0.5, seed=9)
-    store = build_store(calibration_run(ds, calib_idx), ["a"])
+    store = build_store(collect_run(SubsetRuntime(ds, calib_idx), ["a"]), ["a"])
     assert abs(store.techniques["a"].prior_match - 0.55) <= 0.05
 
 
