@@ -127,6 +127,15 @@ def cmd_calibrate(args) -> int:
         raise InvalidInputError(
             f"--alpha times --bins must be finite, got {args.alpha} x {args.bins}"
         )
+    # an empty bin's smoothed mass is at least alpha / (queries + alpha x
+    # bins); a subnormal alpha rounds it to 0 under both hypotheses, and a
+    # later run would find the evidence of such a bin undefined
+    if args.alpha / (queries + args.alpha * args.bins) == 0.0:
+        raise InvalidInputError(
+            f"--alpha is too small: an empty bin's smoothed mass, alpha / "
+            f"(calibration query count {queries} + alpha x bins), rounds to 0, "
+            f"got {args.alpha}"
+        )
     if args.min_samples > queries:
         raise InvalidInputError(
             f"--min-samples must not exceed the calibration query count "
@@ -200,13 +209,25 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(words=None) -> argparse.ArgumentParser:
+    """The ``switchfuse`` parser.  Every subcommand is listed, but only
+    those named in ``words`` (all when None) get their arguments:
+    argparse dispatches to the subcommand its argv names, so ``main``
+    passes that argv's words and builds only what it parses."""
     parser = argparse.ArgumentParser(
         prog="switchfuse",
         description="Bayesian technique switching plus similarity-vector "
         "fusion for visual place recognition.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, help_line, fn):
+        """The subparser of ``name`` when it gets its arguments, else None."""
+        p = sub.add_parser(name, help=help_line)
+        if words is not None and name not in words:
+            return None
+        p.set_defaults(fn=fn)
+        return p
 
     def common(p, store=False):
         p.add_argument("--manifest", required=True, help="dataset manifest JSON")
@@ -225,45 +246,40 @@ def build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument("--no-timestamp", action="store_true")
 
-    p = sub.add_parser("synth", help="generate a synthetic dataset")
-    p.add_argument("--spec", required=True, help="synthetic spec JSON")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(fn=cmd_synth)
+    if p := command("synth", "generate a synthetic dataset", cmd_synth):
+        p.add_argument("--spec", required=True, help="synthetic spec JSON")
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", required=True, help="output directory")
 
-    p = sub.add_parser("calibrate", help="build a calibration store")
-    common(p)
-    p.add_argument("--out", required=True, help="output store path")
-    p.add_argument("--bins", type=int, default=cal.DEFAULT_BINS)
-    p.add_argument("--alpha", type=float, default=cal.DEFAULT_ALPHA)
-    p.add_argument("--min-samples", type=int, default=cal.DEFAULT_MIN_SAMPLES)
-    p.set_defaults(fn=cmd_calibrate)
+    if p := command("calibrate", "build a calibration store", cmd_calibrate):
+        common(p)
+        p.add_argument("--out", required=True, help="output store path")
+        p.add_argument("--bins", type=int, default=cal.DEFAULT_BINS)
+        p.add_argument("--alpha", type=float, default=cal.DEFAULT_ALPHA)
+        p.add_argument("--min-samples", type=int, default=cal.DEFAULT_MIN_SAMPLES)
 
-    p = sub.add_parser("run", help="run switch-fuse over a dataset")
-    common(p, store=True)
-    p.add_argument("--out", required=True, help="predictions CSV path")
-    p.set_defaults(fn=cmd_run)
+    if p := command("run", "run switch-fuse over a dataset", cmd_run):
+        common(p, store=True)
+        p.add_argument("--out", required=True, help="predictions CSV path")
 
-    p = sub.add_parser("evaluate", help="score a predictions file")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--svg", action="store_true", help="also emit a PR-curve SVG")
-    p.add_argument("--no-timestamp", action="store_true")
-    p.set_defaults(fn=cmd_evaluate)
+    if p := command("evaluate", "score a predictions file", cmd_evaluate):
+        p.add_argument("--predictions", required=True)
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--svg", action="store_true", help="also emit a PR-curve SVG")
+        p.add_argument("--no-timestamp", action="store_true")
 
-    p = sub.add_parser("compare", help="run all method families and compare")
-    common(p, store=True)
-    p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--svg", action="store_true")
-    p.set_defaults(fn=cmd_compare)
+    if p := command("compare", "run all method families and compare", cmd_compare):
+        common(p, store=True)
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--svg", action="store_true")
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(set(argv)).parse_args(argv)
     try:
         return args.fn(args)
     except SwitchFuseError as exc:

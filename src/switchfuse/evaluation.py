@@ -62,13 +62,15 @@ class GroundTruth:
 
     @classmethod
     def from_sets(cls, sets, reference_count: int) -> "GroundTruth":
-        accepted = tuple(frozenset(s) for s in sets)
-        n, r = len(accepted), reference_count
-        counts = np.fromiter(map(len, accepted), np.int64, n)
+        """Ground truth from one collection (a set or a list; a repeated
+        reference counts once) of acceptable references per query."""
+        sets = list(sets)
+        n, r = len(sets), reference_count
+        counts = np.fromiter(map(len, sets), np.int64, n)
         try:
-            refs = np.fromiter(chain.from_iterable(accepted), np.int64, counts.sum())
+            refs = np.fromiter(chain.from_iterable(sets), np.int64, counts.sum())
         except OverflowError:  # a reference past int64 is out of range anyway
-            flat = chain.from_iterable(accepted)
+            flat = chain.from_iterable(sets)
             refs = np.array([min(max(ref, -1), r) for ref in flat], dtype=np.int64)
         owner = np.repeat(np.arange(n, dtype=np.int64), counts)
         outside = np.zeros(n, dtype=bool)
@@ -79,7 +81,7 @@ class GroundTruth:
             if outside[i]:
                 raise InvalidInputError(f"query {i} references out of range")
             raise InvalidInputError(f"query {i} has no acceptable reference")
-        return cls(np.sort(owner * r + refs), n, r)
+        return cls(np.unique(owner * r + refs), n, r)
 
     @classmethod
     def from_window(

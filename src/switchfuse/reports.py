@@ -13,6 +13,7 @@ import io
 import math
 import os
 from datetime import datetime, timezone
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,10 @@ from .errors import FormatError, InvalidInputError
 from .evaluation import EvaluationReport
 
 _INT64 = range(-(2**63), 2**63)
+
+_PREDICTIONS_HEADER = (
+    "query", "predicted", "confidence", "selected", "posteriors", "fallbacks"
+)
 
 
 def _atomic_write_text(path, text: str) -> None:
@@ -31,14 +36,32 @@ def _atomic_write_text(path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _csv_text(header, rows, timestamp: bool) -> str:
+def _csv_rows(rows) -> str:
+    """``rows`` as ``csv.writer`` writes them."""
     buf = io.StringIO()
-    if timestamp:
-        buf.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue()
+
+
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it in a row of several fields,
+    quoted only when it must be."""
+    return _csv_rows([(text, "")])[:-2]
+
+
+def _rows_text(template: str, *columns) -> str:
+    """One ``template`` line per row of the aligned ``columns``, formatted
+    in one call: the whole body is a single ``%`` of a repeated
+    template."""
+    rows = len(columns[0])
+    return (template * rows) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def _write_csv(path, header, body: str, timestamp: bool) -> None:
+    """Write the optional timestamp comment, ``header`` (plain names, no
+    quoting needed) and ``body``, CSV rows already formatted."""
+    stamp = f"# generated {datetime.now(timezone.utc).isoformat()}\n" if timestamp else ""
+    _atomic_write_text(path, stamp + ",".join(header) + "\n" + body)
 
 
 def _read_csv_rows(path):
@@ -52,16 +75,25 @@ def _read_csv_rows(path):
     return header, list(reader)
 
 
-def _unit_texts(unit) -> tuple[list[str], list[str], list[str]]:
-    """One unit's selected technique, posterior and fallback flag as text,
-    one entry per query.  Posteriors come from per-bin tables, so each
-    distinct value is formatted once."""
-    selected = [unit.techniques[t] for t in unit.selected.tolist()]
-    distinct, at = np.unique(unit.posterior, return_inverse=True)
-    texts = [f"{p:.9f}" for p in distinct.tolist()]
-    posteriors = [texts[i] for i in at.tolist()]
-    fallbacks = ["1" if f else "0" for f in unit.fallback.tolist()]
-    return selected, posteriors, fallbacks
+def _distinct_texts(values: np.ndarray, fmt: str) -> list[str]:
+    """``fmt % v`` for every value, each distinct value (by its bits, so
+    -0.0 and 0.0 stay apart) formatted once."""
+    values = np.asarray(values, dtype=np.float64)
+    distinct, at = np.unique(values.view(np.int64), return_inverse=True)
+    texts = np.array([fmt % v for v in distinct.view(np.float64).tolist()], object)
+    return texts[at].tolist()
+
+
+def _selected_texts(units) -> list[str]:
+    """Each query's selected technique per unit, joined by ``|`` in unit
+    order, as a CSV field; each distinct combination is joined and quoted
+    once."""
+    picks = list(zip(*[unit.selected.tolist() for unit in units]))
+    texts = {
+        pick: _csv_field("|".join(u.techniques[t] for u, t in zip(units, pick)))
+        for pick in set(picks)
+    }
+    return list(map(texts.__getitem__, picks))
 
 
 def write_predictions(
@@ -70,48 +102,72 @@ def write_predictions(
     """One row per query with the full switching trace summary: each
     unit's selected technique, posterior and fallback flag, in unit order
     and joined by ``|``."""
-    n = len(report.predicted)
-    texts = [[""] * n] * 3  # selected, posteriors, fallbacks
-    if report.decisions is not None:
-        units = [_unit_texts(unit) for unit in report.decisions]
-        texts = [["|".join(row) for row in zip(*column)] for column in zip(*units)]
-    rows = zip(
-        range(n),
+    columns = [
+        range(len(report.predicted)),
         report.predicted.tolist(),
-        [f"{c:.9f}" for c in report.confidence.tolist()],
-        *texts,
-    )
-    header = ["query", "predicted", "confidence", "selected", "posteriors", "fallbacks"]
-    _atomic_write_text(path, _csv_text(header, rows, timestamp))
+        _distinct_texts(report.confidence, "%.9f"),
+    ]
+    template = "%d,%d,%s,,,\n"
+    units = report.decisions
+    if units is not None:
+        unit_count = len(units)
+        template = (
+            "%d,%d,%s,%s," + "|".join(["%s"] * unit_count)
+            + "," + "|".join(["%d"] * unit_count) + "\n"
+        )
+        columns.append(_selected_texts(units))
+        columns += [_distinct_texts(unit.posterior, "%.9f") for unit in units]
+        columns += [unit.fallback.astype(np.uint8).tolist() for unit in units]
+    _write_csv(path, _PREDICTIONS_HEADER, _rows_text(template, *columns), timestamp)
+
+
+def _row_fault(row) -> str | None:
+    """Why one predictions row is unreadable, or None: its field count,
+    then its query, predicted and confidence texts, then the index range,
+    then finiteness."""
+    if len(row) != len(_PREDICTIONS_HEADER):
+        return f"{len(row)} fields, expected {len(_PREDICTIONS_HEADER)}"
+    try:
+        q, p, c = int(row[0]), int(row[1]), float(row[2])
+    except ValueError as exc:
+        return str(exc)
+    if q not in _INT64 or p not in _INT64:
+        return "index does not fit in 64 bits"
+    if not math.isfinite(c):
+        return f"non-finite confidence {row[2]!r}"
+    return None
 
 
 def read_predictions(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (query, predicted, confidence) columns of a predictions CSV, in
-    file order: int64, int64 and finite float64."""
+    file order: int64, int64 and finite float64.
+
+    Each column is parsed whole by ``int`` or ``float``, so a field reads
+    as those read it, and NumPy checks the int64 range and finiteness.  A
+    file that fails is scanned row by row to name its first bad row.
+    """
     header, rows = _read_csv_rows(path)
-    expected = ["query", "predicted", "confidence", "selected", "posteriors", "fallbacks"]
-    if header != expected:
+    if header != list(_PREDICTIONS_HEADER):
         raise FormatError(f"{path}: unexpected predictions header {header}")
-    queries, predicted, confidence = [], [], []
-    for number, row in enumerate(rows, start=1):
+    n = len(rows)
+    if set(map(len, rows)) <= {len(_PREDICTIONS_HEADER)}:
+        texts = islice(zip(*rows), 3) if n else [()] * 3
         try:
-            if len(row) != len(expected):
-                raise ValueError(f"{len(row)} fields, expected {len(expected)}")
-            q, p, c = int(row[0]), int(row[1]), float(row[2])
-            if q not in _INT64 or p not in _INT64:
-                raise ValueError("index does not fit in 64 bits")
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite confidence {row[2]!r}")
-        except ValueError as exc:
-            raise FormatError(f"{path}: predictions row {number}: {exc}") from exc
-        queries.append(q)
-        predicted.append(p)
-        confidence.append(c)
-    return (
-        np.array(queries, dtype=np.int64),
-        np.array(predicted, dtype=np.int64),
-        np.array(confidence, dtype=np.float64),
+            columns = tuple(
+                np.fromiter(map(parse, column), dtype, n)
+                for column, parse, dtype in zip(
+                    texts, (int, int, float), (np.int64, np.int64, np.float64)
+                )
+            )
+        except (ValueError, OverflowError):  # OverflowError: past int64
+            pass
+        else:
+            if np.isfinite(columns[2]).all():
+                return columns
+    number, fault = next(
+        (i, f) for i, f in enumerate(map(_row_fault, rows), start=1) if f
     )
+    raise FormatError(f"{path}: predictions row {number}: {fault}")
 
 
 def write_report_csvs(
@@ -121,52 +177,42 @@ def write_report_csvs(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tag = report.method.replace(":", "_")
-    paths = {}
-
-    summary = out_dir / f"{tag}_summary.csv"
-    _atomic_write_text(
-        summary,
-        _csv_text(
-            ["method", "accuracy", "correct_count", "query_count"],
-            [[report.method, f"{report.accuracy:.9f}", report.correct_count, report.query_count]],
-            timestamp,
-        ),
+    paths = {
+        "summary": out_dir / f"{tag}_summary.csv",
+        "pr_points": out_dir / f"{tag}_pr_points.csv",
+        "outcomes": out_dir / f"{tag}_outcomes.csv",
+    }
+    summary = [
+        report.method,
+        f"{report.accuracy:.9f}",
+        report.correct_count,
+        report.query_count,
+    ]
+    _write_csv(
+        paths["summary"],
+        ["method", "accuracy", "correct_count", "query_count"],
+        _csv_rows([summary]),
+        timestamp,
     )
-    paths["summary"] = summary
-
-    pr = out_dir / f"{tag}_pr_points.csv"
-    _atomic_write_text(
-        pr,
-        _csv_text(
-            ["threshold", "precision", "recall"],
-            [
-                [f"{t:.9f}", f"{p:.9f}", f"{r:.9f}"]
-                for (p, r, t) in report.pr_points
-            ],
-            timestamp,
-        ),
+    precision, recall, threshold = zip(*report.pr_points)
+    _write_csv(
+        paths["pr_points"],
+        ["threshold", "precision", "recall"],
+        _rows_text("%.9f,%.9f,%.9f\n", threshold, precision, recall),
+        timestamp,
     )
-    paths["pr_points"] = pr
-
-    outcomes = out_dir / f"{tag}_outcomes.csv"
-    _atomic_write_text(
-        outcomes,
-        _csv_text(
-            ["query", "predicted", "confidence", "correct"],
-            [
-                [q, p, f"{c:.9f}", int(ok)]
-                for q, (p, c, ok) in enumerate(
-                    zip(
-                        report.predicted.tolist(),
-                        report.confidence.tolist(),
-                        report.correct.tolist(),
-                    )
-                )
-            ],
-            timestamp,
+    _write_csv(
+        paths["outcomes"],
+        ["query", "predicted", "confidence", "correct"],
+        _rows_text(
+            "%d,%d,%s,%d\n",
+            range(report.query_count),
+            report.predicted.tolist(),
+            _distinct_texts(report.confidence, "%.9f"),
+            report.correct.astype(np.uint8).tolist(),
         ),
+        timestamp,
     )
-    paths["outcomes"] = outcomes
     return paths
 
 
@@ -193,7 +239,7 @@ def write_comparison_csv(reports, path, timestamp: bool = True) -> None:
         "accuracy_gain_of_switch-fuse",
         "correct_gain_of_switch-fuse",
     ]
-    _atomic_write_text(path, _csv_text(header, rows, timestamp))
+    _write_csv(path, header, _csv_rows(rows), timestamp)
 
 
 _SVG_COLORS = [

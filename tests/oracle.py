@@ -5,12 +5,16 @@ method is stated: cosine similarity of one descriptor, a histogram mass of
 one score, one unit's switching loop with its trace, min-max fusion of one
 query's vectors, and scoring and the PR sweep over per-query records.  The
 tests hold the block code to these forms decision for decision and bit for
-bit.  It lives with the tests, outside the installed package, and imports
-no block function.
+bit.  The report files have their row-at-a-time forms too: ``csv.writer``
+rows and a predictions reader that parses and checks one row at a time.
+It lives with the tests, outside the installed package, and imports no
+block function.
 """
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from dataclasses import dataclass
 
@@ -22,7 +26,7 @@ from switchfuse.calibration import (
     TechniqueCalibration,
 )
 from switchfuse.descriptors import DescriptorSet
-from switchfuse.errors import InvalidInputError, UndefinedEvidenceError
+from switchfuse.errors import FormatError, InvalidInputError, UndefinedEvidenceError
 from switchfuse.evaluation import GroundTruth
 from switchfuse.fusion import EPSILON
 from switchfuse.switching import TripartiteConfig, UnitConfig
@@ -443,3 +447,57 @@ def pr_curve(outcomes) -> list[tuple[float, float, float]]:
         recall = correct / total
         points.append((precision, recall, t))
     return points
+
+
+# -- report files -----------------------------------------------------------
+
+
+PREDICTIONS_HEADER = [
+    "query", "predicted", "confidence", "selected", "posteriors", "fallbacks"
+]
+_INT64 = range(-(2**63), 2**63)
+
+
+def csv_text(header, rows) -> str:
+    """``header`` and then ``rows``, each written as one ``csv.writer`` row."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def read_predictions(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (query, predicted, confidence) columns of a predictions CSV,
+    parsed and checked one row at a time: the field count, then ``int``,
+    ``int`` and ``float`` of the first three fields, then the int64 range,
+    then finiteness.  The first bad row raises ``FormatError``."""
+    with open(path, newline="") as fh:
+        lines = [ln for ln in fh if not ln.startswith("#")]
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FormatError(f"{path}: empty CSV") from None
+    if header != PREDICTIONS_HEADER:
+        raise FormatError(f"{path}: unexpected predictions header {header}")
+    queries, predicted, confidence = [], [], []
+    for number, row in enumerate(reader, start=1):
+        try:
+            if len(row) != len(PREDICTIONS_HEADER):
+                raise ValueError(f"{len(row)} fields, expected {len(PREDICTIONS_HEADER)}")
+            q, p, c = int(row[0]), int(row[1]), float(row[2])
+            if q not in _INT64 or p not in _INT64:
+                raise ValueError("index does not fit in 64 bits")
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite confidence {row[2]!r}")
+        except ValueError as exc:
+            raise FormatError(f"{path}: predictions row {number}: {exc}") from exc
+        queries.append(q)
+        predicted.append(p)
+        confidence.append(c)
+    return (
+        np.array(queries, dtype=np.int64),
+        np.array(predicted, dtype=np.int64),
+        np.array(confidence, dtype=np.float64),
+    )

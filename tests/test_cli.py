@@ -160,6 +160,132 @@ def test_unknown_subcommand_exits_nonzero(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+_STORE_HELP = """\
+  --manifest MANIFEST   dataset manifest JSON
+  --config CONFIG       tripartite config JSON
+  --store STORE         calibration store file
+  --threshold THRESHOLD
+                        posterior acceptance threshold; strict comparison
+                        (posterior must exceed it), overrides the config value
+  --no-timestamp
+"""
+
+# ``--help`` of the program and of each subcommand at 80 columns, as the
+# parser that built every subcommand's arguments printed them
+HELP_TEXTS = {
+    (): """\
+usage: switchfuse [-h] {synth,calibrate,run,evaluate,compare} ...
+
+Bayesian technique switching plus similarity-vector fusion for visual place
+recognition.
+
+positional arguments:
+  {synth,calibrate,run,evaluate,compare}
+    synth               generate a synthetic dataset
+    calibrate           build a calibration store
+    run                 run switch-fuse over a dataset
+    evaluate            score a predictions file
+    compare             run all method families and compare
+
+options:
+  -h, --help            show this help message and exit
+""",
+    ("synth",): """\
+usage: switchfuse synth [-h] --spec SPEC --seed SEED --out OUT
+
+options:
+  -h, --help   show this help message and exit
+  --spec SPEC  synthetic spec JSON
+  --seed SEED
+  --out OUT    output directory
+""",
+    ("calibrate",): """\
+usage: switchfuse calibrate [-h] --manifest MANIFEST --config CONFIG --out OUT
+                            [--bins BINS] [--alpha ALPHA]
+                            [--min-samples MIN_SAMPLES]
+
+options:
+  -h, --help            show this help message and exit
+  --manifest MANIFEST   dataset manifest JSON
+  --config CONFIG       tripartite config JSON
+  --out OUT             output store path
+  --bins BINS
+  --alpha ALPHA
+  --min-samples MIN_SAMPLES
+""",
+    ("run",): """\
+usage: switchfuse run [-h] --manifest MANIFEST --config CONFIG --store STORE
+                      [--threshold THRESHOLD] [--no-timestamp] --out OUT
+
+options:
+  -h, --help            show this help message and exit
+""" + _STORE_HELP + """\
+  --out OUT             predictions CSV path
+""",
+    ("evaluate",): """\
+usage: switchfuse evaluate [-h] --predictions PREDICTIONS --manifest MANIFEST
+                           --out OUT [--svg] [--no-timestamp]
+
+options:
+  -h, --help            show this help message and exit
+  --predictions PREDICTIONS
+  --manifest MANIFEST
+  --out OUT             output directory
+  --svg                 also emit a PR-curve SVG
+  --no-timestamp
+""",
+    ("compare",): """\
+usage: switchfuse compare [-h] --manifest MANIFEST --config CONFIG --store
+                          STORE [--threshold THRESHOLD] [--no-timestamp] --out
+                          OUT [--svg]
+
+options:
+  -h, --help            show this help message and exit
+""" + _STORE_HELP + """\
+  --out OUT             output directory
+  --svg
+""",
+}
+
+_TOP_USAGE = "usage: switchfuse [-h] {synth,calibrate,run,evaluate,compare} ...\n"
+
+# usage errors on standard error, which name subcommands the argv does not
+USAGE_ERRORS = {
+    (): _TOP_USAGE
+    + "switchfuse: error: the following arguments are required: command\n",
+    ("frobnicate",): _TOP_USAGE
+    + "switchfuse: error: argument command: invalid choice: 'frobnicate' "
+    "(choose from 'synth', 'calibrate', 'run', 'evaluate', 'compare')\n",
+    ("evaluate", "--out", "run"): """\
+usage: switchfuse evaluate [-h] --predictions PREDICTIONS --manifest MANIFEST
+                           --out OUT [--svg] [--no-timestamp]
+switchfuse evaluate: error: the following arguments are required: --predictions, --manifest
+""",
+    ("run", "--manifest", "m", "--config", "c", "--store", "s", "--out", "o",
+     "extra"): _TOP_USAGE + "switchfuse: error: unrecognized arguments: extra\n",
+}
+
+
+@pytest.mark.parametrize("argv", list(HELP_TEXTS), ids=lambda a: "-".join(a) or "top")
+def test_help_text_is_pinned(capsys, monkeypatch, argv):
+    """The parser builds only the subcommand its argv names; what it
+    prints must not change with that."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == HELP_TEXTS[argv]
+
+
+@pytest.mark.parametrize("argv", list(USAGE_ERRORS), ids=lambda a: "-".join(a) or "none")
+def test_usage_errors_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == USAGE_ERRORS[argv]
+
+
 def test_missing_file_reports_error_code(tmp_path, capsys):
     config = tmp_path / "config.json"
     write_config(config, [["a"]])
@@ -345,6 +471,24 @@ def test_calibrate_rejects_nonpositive_alpha(tmp_path, capsys, alpha):
     assert not (tmp_path / "s.sfcal").exists()
 
 
+def test_calibrate_accepts_a_tiny_normal_alpha(pipeline_dir):
+    """1e-300 keeps an empty bin's smoothed mass above 0, so calibrate
+    takes it; only an alpha whose mass rounds to 0 is refused."""
+    d = pipeline_dir
+    run_cli("synth", "--spec", d / "spec.json", "--seed", 5, "--out", d / "data")
+    rc = run_cli(
+        "calibrate",
+        "--manifest", d / "data" / "calib_manifest.json",
+        "--config", d / "config.json",
+        "--out", d / "s.sfcal",
+        "--alpha", "1e-300",
+    )
+    assert rc == 0
+    histogram = load_store(d / "s.sfcal").techniques["a"].histogram
+    assert histogram.smoothing_alpha == 1e-300
+    assert histogram.mismatched_masses.min() > 0.0
+
+
 def test_unsmoothed_store_fails_run_on_an_empty_bin(pipeline_dir, capsys):
     d = pipeline_dir
     _synth_and_calibrate(d)
@@ -509,6 +653,7 @@ CALIBRATE_FLAG_CASES = ("calibrate_bins", "calibrate_min_samples", "calibrate_al
         ("calibrate_min_samples_41", "SF-INPUT"),  # 40 calibration queries
         ("calibrate_alpha_inf", "SF-INPUT"),
         ("calibrate_alpha_1e308", "SF-INPUT"),  # alpha x bins overflows
+        ("calibrate_alpha_5e-324", "SF-INPUT"),  # an empty bin's mass rounds to 0
         *[(f"{cmd}_{bad}", "SF-FORMAT") for bad in BAD_CONFIGS for cmd in ("calibrate", "run")],
         *[(f"synth_{bad}", "SF-FORMAT") for bad in BAD_SPECS],
         *[(f"run_store_{bad}", "SF-FORMAT") for bad in BAD_STORES],

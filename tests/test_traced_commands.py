@@ -1,11 +1,13 @@
-"""``calibrate`` and ``run`` under the benchmark's span tracer.
+"""``calibrate``, ``run`` and ``evaluate`` under the benchmark's span tracer.
 
 ``perfbench/tracer.py`` wraps the package's layer functions by name, keys
 ``compute_descriptor`` spans by their technique argument and reads some
 results (a loaded descriptor set's matrix, a decoded PGM file's size).
 Running the commands under it here makes a renamed function or a changed
 result shape that the tracer relies on fail in the tests, not only in a
-traced benchmark run.
+traced benchmark run.  ``perfbench/layers.py`` reads the ``evaluate.reports``
+metrics from the ``reports.read_predictions`` and ``reports.write_*``
+spans, so those must exist too.
 """
 
 import importlib.util
@@ -59,6 +61,14 @@ def image_inputs(d: Path):
     return manifests[0], manifests[1], d / "config.json"
 
 
+# spans every dataset's commands record
+REPORT_SPANS = [
+    "reports.write_predictions",
+    "reports.read_predictions",
+    "reports.write_report_csvs",
+]
+
+
 @pytest.mark.parametrize(
     "make, spans",
     [
@@ -82,6 +92,8 @@ def test_calibrate_and_run_under_the_tracer(tmp_path, make, spans):
                       "--out", store],
         "run": ["run", "--manifest", evaluation, "--config", config,
                 "--store", store, "--out", tmp_path / "p.csv"],
+        "evaluate": ["evaluate", "--predictions", tmp_path / "p.csv",
+                     "--manifest", evaluation, "--out", tmp_path / "report"],
     }
     tracer = tracing.Tracer()
     for label, argv in commands.items():
@@ -90,7 +102,7 @@ def test_calibrate_and_run_under_the_tracer(tmp_path, make, spans):
     payloads = {}
     for at, name in enumerate(tracer.name):
         payloads.setdefault(tracer.names[name], []).append(tracer.a[at])
-    for name in spans:
+    for name in spans + REPORT_SPANS:
         assert name in payloads, f"no {name} span"
     # the payloads read a loaded set's matrix and a decoded file's size
     for name in {"descriptors.load_descriptor_set", "pgm.load_pgm"} & set(spans):
@@ -98,3 +110,6 @@ def test_calibrate_and_run_under_the_tracer(tmp_path, make, spans):
     for label, first, stop in tracer.segments:
         stats = tracing.segment_stats(tracer, first, stop)
         assert stats.count[f"bench.{label}"] == 1
+        if label == "evaluate":  # what evaluate.reports.read_ms/write_ms sum
+            assert stats.total_ns["reports.read_predictions"] > 0
+            assert stats.total_ns["reports.write_report_csvs"] > 0
