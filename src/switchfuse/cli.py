@@ -278,7 +278,7 @@ def build_parser(words=None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser(set(argv)).parse_args(argv)
     try:
         return args.fn(args)
