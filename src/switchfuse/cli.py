@@ -127,14 +127,16 @@ def cmd_calibrate(args) -> int:
         raise InvalidInputError(
             f"--alpha times --bins must be finite, got {args.alpha} x {args.bins}"
         )
-    # an empty bin's smoothed mass is at least alpha / (queries + alpha x
-    # bins); a subnormal alpha rounds it to 0 under both hypotheses, and a
-    # later run would find the evidence of such a bin undefined
-    if args.alpha / (queries + args.alpha * args.bins) == 0.0:
+    # every smoothed mass is at least alpha / (queries + alpha x bins), and
+    # switching multiplies two of them (a primary's mismatch mass by a pair
+    # histogram's); a product that rounds to 0 leaves a later run with
+    # undefined evidence wherever a query lands in two empty bins
+    least_mass = args.alpha / (queries + args.alpha * args.bins)
+    if least_mass * least_mass == 0.0:
         raise InvalidInputError(
-            f"--alpha is too small: an empty bin's smoothed mass, alpha / "
-            f"(calibration query count {queries} + alpha x bins), rounds to 0, "
-            f"got {args.alpha}"
+            f"--alpha is too small: the product of two empty bins' smoothed "
+            f"masses, (alpha / (calibration query count {queries} + alpha x "
+            f"bins))^2, rounds to 0, got {args.alpha}"
         )
     if args.min_samples > queries:
         raise InvalidInputError(
@@ -209,9 +211,9 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def build_parser(words=None) -> argparse.ArgumentParser:
+def build_parser(words) -> argparse.ArgumentParser:
     """The ``switchfuse`` parser.  Every subcommand is listed, but only
-    those named in ``words`` (all when None) get their arguments:
+    those named in ``words`` get their arguments:
     argparse dispatches to the subcommand its argv names, so ``main``
     passes that argv's words and builds only what it parses."""
     parser = argparse.ArgumentParser(
@@ -224,7 +226,7 @@ def build_parser(words=None) -> argparse.ArgumentParser:
     def command(name, help_line, fn):
         """The subparser of ``name`` when it gets its arguments, else None."""
         p = sub.add_parser(name, help=help_line)
-        if words is not None and name not in words:
+        if name not in words:
             return None
         p.set_defaults(fn=fn)
         return p

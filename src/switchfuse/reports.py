@@ -75,12 +75,11 @@ def _read_csv_rows(path):
     return header, list(reader)
 
 
-def _distinct_texts(values: np.ndarray, fmt: str) -> list[str]:
-    """``fmt % v`` for every value, each distinct value (by its bits, so
-    -0.0 and 0.0 stay apart) formatted once."""
-    values = np.asarray(values, dtype=np.float64)
-    distinct, at = np.unique(values.view(np.int64), return_inverse=True)
-    texts = np.array([fmt % v for v in distinct.view(np.float64).tolist()], object)
+def _posterior_texts(posterior: np.ndarray) -> list[str]:
+    """Every posterior as ``%.9f`` text.  Posteriors come from per-bin
+    tables, so each distinct value is formatted once."""
+    distinct, at = np.unique(posterior, return_inverse=True)
+    texts = np.array(["%.9f" % p for p in distinct.tolist()], object)
     return texts[at].tolist()
 
 
@@ -105,18 +104,18 @@ def write_predictions(
     columns = [
         range(len(report.predicted)),
         report.predicted.tolist(),
-        _distinct_texts(report.confidence, "%.9f"),
+        report.confidence.tolist(),
     ]
-    template = "%d,%d,%s,,,\n"
+    template = "%d,%d,%.9f,,,\n"
     units = report.decisions
     if units is not None:
         unit_count = len(units)
         template = (
-            "%d,%d,%s,%s," + "|".join(["%s"] * unit_count)
+            "%d,%d,%.9f,%s," + "|".join(["%s"] * unit_count)
             + "," + "|".join(["%d"] * unit_count) + "\n"
         )
         columns.append(_selected_texts(units))
-        columns += [_distinct_texts(unit.posterior, "%.9f") for unit in units]
+        columns += [_posterior_texts(unit.posterior) for unit in units]
         columns += [unit.fallback.astype(np.uint8).tolist() for unit in units]
     _write_csv(path, _PREDICTIONS_HEADER, _rows_text(template, *columns), timestamp)
 
@@ -205,10 +204,10 @@ def write_report_csvs(
         paths["outcomes"],
         ["query", "predicted", "confidence", "correct"],
         _rows_text(
-            "%d,%d,%s,%d\n",
+            "%d,%d,%.9f,%d\n",
             range(report.query_count),
             report.predicted.tolist(),
-            _distinct_texts(report.confidence, "%.9f"),
+            report.confidence.tolist(),
             report.correct.astype(np.uint8).tolist(),
         ),
         timestamp,

@@ -471,9 +471,10 @@ def test_calibrate_rejects_nonpositive_alpha(tmp_path, capsys, alpha):
     assert not (tmp_path / "s.sfcal").exists()
 
 
-def test_calibrate_accepts_a_tiny_normal_alpha(pipeline_dir):
-    """1e-300 keeps an empty bin's smoothed mass above 0, so calibrate
-    takes it; only an alpha whose mass rounds to 0 is refused."""
+def test_calibrate_accepts_a_tiny_alpha_that_run_can_use(pipeline_dir):
+    """1e-160 is about the smallest alpha whose two empty-bin masses, for
+    40 calibration queries and 20 bins, multiply to more than 0; calibrate
+    takes it and run and compare then finish on both splits."""
     d = pipeline_dir
     run_cli("synth", "--spec", d / "spec.json", "--seed", 5, "--out", d / "data")
     rc = run_cli(
@@ -481,12 +482,17 @@ def test_calibrate_accepts_a_tiny_normal_alpha(pipeline_dir):
         "--manifest", d / "data" / "calib_manifest.json",
         "--config", d / "config.json",
         "--out", d / "s.sfcal",
-        "--alpha", "1e-300",
+        "--alpha", "1e-160",
     )
     assert rc == 0
     histogram = load_store(d / "s.sfcal").techniques["a"].histogram
-    assert histogram.smoothing_alpha == 1e-300
-    assert histogram.mismatched_masses.min() > 0.0
+    assert histogram.smoothing_alpha == 1e-160
+    assert (histogram.mismatched_masses.min() ** 2) > 0.0
+    for split in ("calib", "eval"):
+        common = ["--manifest", d / "data" / f"{split}_manifest.json",
+                  "--config", d / "config.json", "--store", d / "s.sfcal"]
+        assert run_cli("run", *common, "--out", d / f"{split}.csv") == 0
+        assert run_cli("compare", *common, "--out", d / f"{split}_cmp") == 0
 
 
 def test_unsmoothed_store_fails_run_on_an_empty_bin(pipeline_dir, capsys):
@@ -654,6 +660,7 @@ CALIBRATE_FLAG_CASES = ("calibrate_bins", "calibrate_min_samples", "calibrate_al
         ("calibrate_alpha_inf", "SF-INPUT"),
         ("calibrate_alpha_1e308", "SF-INPUT"),  # alpha x bins overflows
         ("calibrate_alpha_5e-324", "SF-INPUT"),  # an empty bin's mass rounds to 0
+        ("calibrate_alpha_1e-300", "SF-INPUT"),  # two such masses multiply to 0
         *[(f"{cmd}_{bad}", "SF-FORMAT") for bad in BAD_CONFIGS for cmd in ("calibrate", "run")],
         *[(f"synth_{bad}", "SF-FORMAT") for bad in BAD_SPECS],
         *[(f"run_store_{bad}", "SF-FORMAT") for bad in BAD_STORES],
