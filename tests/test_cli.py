@@ -472,9 +472,9 @@ def test_calibrate_rejects_nonpositive_alpha(tmp_path, capsys, alpha):
 
 
 def test_calibrate_accepts_a_tiny_alpha_that_run_can_use(pipeline_dir):
-    """1e-160 is about the smallest alpha whose two empty-bin masses, for
-    40 calibration queries and 20 bins, multiply to more than 0; calibrate
-    takes it and run and compare then finish on both splits."""
+    """With 40 calibration queries and 20 bins, two empty-bin masses
+    multiply to more than 0 from an alpha of about 6.3e-161 up; calibrate
+    takes 1e-160, and run and compare then finish on both splits."""
     d = pipeline_dir
     run_cli("synth", "--spec", d / "spec.json", "--seed", 5, "--out", d / "data")
     rc = run_cli(
