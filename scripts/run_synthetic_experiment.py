@@ -2,21 +2,27 @@
 """Run the full method comparison on a seeded synthetic dataset.
 
 Generates a 3-unit, 9-technique score-mode dataset with complementary
-overlaps, calibrates on a disjoint half, evaluates switch-fuse against the
-pooled switching baseline, fuse-everything and every single technique, and
-writes comparison CSV plus a PR-curve SVG.
+overlaps and exports its calibration and eval halves into ``--out`` the way
+``switchfuse synth`` does (``calib_manifest.json``, ``eval_manifest.json``
+and their SFDESC and ground-truth files), with the tripartite config as
+``config.json``.  It then calibrates on the first half, evaluates
+switch-fuse against the pooled switching baseline, fuse-everything and
+every single technique on the second, and writes comparison CSV plus a
+PR-curve SVG.  ``switchfuse calibrate`` and ``switchfuse compare`` on the
+written files give the same comparison.
 """
 
 import argparse
 from pathlib import Path
 
 from switchfuse.calibration import build_store, collect_run
+from switchfuse.datasets import DatasetRuntime, load_manifest, save_config
 from switchfuse.evaluation import compare_methods
 from switchfuse.reports import svg_pr_plot, write_comparison_csv, write_svg
 from switchfuse.switching import TripartiteConfig, UnitConfig
 from switchfuse.synthetic import (
-    SubsetRuntime,
     TechniqueProfile,
+    export_dataset,
     generate,
     split_calibration_eval,
 )
@@ -57,14 +63,18 @@ def main():
     ids = [p.technique_id for p in profiles]
     dataset = generate(profiles, args.queries, args.references, args.seed)
     calib_idx, eval_idx = split_calibration_eval(dataset, 0.5, args.seed)
-    store = build_store(collect_run(SubsetRuntime(dataset, calib_idx), ids), ids)
+    calib_manifest = export_dataset(dataset, calib_idx, args.out, "calib")
+    eval_manifest = export_dataset(dataset, eval_idx, args.out, "eval")
+    calib = DatasetRuntime(load_manifest(calib_manifest))
+    runtime = DatasetRuntime(load_manifest(eval_manifest))
+    store = build_store(collect_run(calib, ids), ids)
     config = TripartiteConfig(
         units=tuple(
             UnitConfig(label, tuple(f"{label}_{i}" for i in range(3)))
             for label in UNIT_LABELS
         )
     )
-    runtime = SubsetRuntime(dataset, eval_idx)
+    save_config(config, args.out / "config.json")
     reports = compare_methods(runtime, config, store, runtime.ground_truth())
     for report in reports:
         print(
@@ -72,7 +82,6 @@ def main():
             f"correct {report.correct_count}/{report.query_count}"
         )
 
-    args.out.mkdir(parents=True, exist_ok=True)
     write_comparison_csv(reports, args.out / "comparison.csv")
     curves = [
         (r.method, r.pr_points)

@@ -66,7 +66,10 @@ def _write_csv(path, header, body: str, timestamp: bool) -> None:
 
 def _read_csv_rows(path):
     with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
+        try:
+            lines = [ln for ln in fh if not ln.startswith("#")]
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     reader = csv.reader(lines)
     try:
         header = next(reader)

@@ -21,9 +21,9 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .datasets import query_positions, save_ground_truth_file
+from .datasets import save_ground_truth_file
 from .descriptors import DescriptorSet, save_descriptor_set
-from .errors import InvalidInputError, InvalidSpecError, UnknownTechniqueError
+from .errors import InvalidInputError, InvalidSpecError
 from .evaluation import GroundTruth
 from .pgm import save_pgm
 
@@ -65,11 +65,6 @@ class SyntheticDataset:
     @property
     def reference_count(self) -> int:
         return next(iter(self.sims.values())).shape[1]
-
-    def ground_truth(self) -> GroundTruth:
-        return GroundTruth.from_sets(
-            [{int(r)} for r in self.true_refs], self.reference_count
-        )
 
 
 # 64-point Gauss-Legendre rule on [-1, 1] for the bivariate normal CDF
@@ -220,54 +215,6 @@ def split_calibration_eval(
     return np.sort(perm[:cut]), np.sort(perm[cut:])
 
 
-class SubsetRuntime:
-    """Runtime view over a subset of a synthetic dataset's queries."""
-
-    def __init__(self, dataset: SyntheticDataset, query_indices):
-        self.dataset = dataset
-        self.indices = np.asarray(query_indices, dtype=np.int64)
-
-    @property
-    def query_count(self) -> int:
-        return len(self.indices)
-
-    @property
-    def reference_count(self) -> int:
-        return self.dataset.reference_count
-
-    def score(self, technique_ids, query_indices) -> np.ndarray:
-        """The checked positions of the listed subset queries, once every
-        listed technique is known; the dataset holds every row already."""
-        for tid in technique_ids:
-            if tid not in self.dataset.sims:
-                raise UnknownTechniqueError(f"technique {tid!r} not in dataset")
-        return query_positions(query_indices, self.query_count)
-
-    def similarity_rows(self, technique_id: str, query_indices) -> np.ndarray:
-        """Read-only block of the listed subset queries' similarity rows."""
-        positions = self.score([technique_id], query_indices)
-        rows = self.dataset.sims[technique_id][self.indices[positions]]
-        if not np.all(np.isfinite(rows)):
-            raise InvalidInputError("similarity scores must be finite")
-        rows.setflags(write=False)
-        return rows
-
-    def matches(
-        self, technique_id: str, query_indices
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(first-maximum reference, value there) of each listed query's
-        similarity row."""
-        rows = self.similarity_rows(technique_id, query_indices)
-        best = rows.argmax(axis=1)
-        return best, rows[np.arange(len(rows)), best]
-
-    def ground_truth(self) -> GroundTruth:
-        return GroundTruth.from_sets(
-            [{int(self.dataset.true_refs[i])} for i in self.indices],
-            self.dataset.reference_count,
-        )
-
-
 def export_dataset(
     dataset: SyntheticDataset,
     query_indices,
@@ -284,7 +231,10 @@ def export_dataset(
     calibration and an eval split of one dataset score on slightly different
     scales (10.5468 against 10.4862, 0.58% apart, on the score-r200 benchmark
     workload at seed 7), and the calibration histograms bin eval scores that
-    are shifted by as much.  Returns the manifest path.
+    are shifted by as much.  This is the only way a generated dataset is
+    run: ``switchfuse synth``, the example script and every test, acceptance
+    criterion 5 included, read these files through ``DatasetRuntime``, so
+    all of them carry the per-export scale.  Returns the manifest path.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -22,7 +22,8 @@ from switchfuse.errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from switchfuse.synthetic import SubsetRuntime, TechniqueProfile, generate
+from switchfuse.synthetic import TechniqueProfile, generate
+from tests.exported import exported_runtime
 from tests.oracle import (
     MATCH,
     MISMATCH,
@@ -232,7 +233,7 @@ def test_collected_store_matches_tuple_list_store(tmp_path):
          for t, r in zip(techniques, (0.6, 0.5, 0.4))],
         120, 30, seed=17,
     )
-    runtime = SubsetRuntime(ds, np.arange(0, 120, 2))
+    runtime = exported_runtime(ds, np.arange(0, 120, 2), tmp_path)
     save_store(build_store(collect_run(runtime, techniques), techniques), tmp_path / "a")
     save_store(tuple_list_store(runtime, techniques), tmp_path / "b")
     assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()

@@ -650,6 +650,8 @@ CALIBRATE_FLAG_CASES = ("calibrate_bins", "calibrate_min_samples", "calibrate_al
         ("negative_predicted", "SF-INPUT"),
         ("predicted_past_references", "SF-INPUT"),
         ("predicted_past_int64", "SF-FORMAT"),
+        ("non_utf8_row", "SF-FORMAT"),
+        ("non_utf8_header", "SF-FORMAT"),
         ("compare_store_missing_technique", "SF-CALIBRATION"),
         ("calibrate_bins_0", "SF-INPUT"),
         ("calibrate_bins_1", "SF-INPUT"),
@@ -728,16 +730,25 @@ def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
         named.write_text(json.dumps(BAD_SPECS[case[len("synth_"):]](spec)))
         argv = ["synth", "--spec", named, "--seed", 1, "--out", d / "synth"]
     else:
-        edit = {
-            "duplicate_query": (1, 0, 0.5),
-            "nan_confidence": (2, 0, "nan"),
-            "inf_confidence": (2, 0, "-inf"),
-            "negative_predicted": (2, -5, 0.5),
-            "predicted_past_references": (2, 10**9, 0.5),
-            "predicted_past_int64": (2, 2**63, 0.5),
-        }[case]
         preds = d / "preds.csv"
-        _predictions_csv(preds, load_manifest(manifest).query_count, {2: edit})
+        query_count = load_manifest(manifest).query_count
+        if case.startswith("non_utf8"):
+            # one byte 0xff, which no UTF-8 text holds, in the header or row 3
+            named = preds
+            _predictions_csv(preds, query_count)
+            lines = preds.read_bytes().split(b"\n")
+            lines[0 if case.endswith("header") else 3] += b"\xff"
+            preds.write_bytes(b"\n".join(lines))
+        else:
+            edit = {
+                "duplicate_query": (1, 0, 0.5),
+                "nan_confidence": (2, 0, "nan"),
+                "inf_confidence": (2, 0, "-inf"),
+                "negative_predicted": (2, -5, 0.5),
+                "predicted_past_references": (2, 10**9, 0.5),
+                "predicted_past_int64": (2, 2**63, 0.5),
+            }[case]
+            _predictions_csv(preds, query_count, {2: edit})
         argv = ["evaluate", "--predictions", preds, "--manifest", manifest,
                 "--out", d / "report"]
     capsys.readouterr()

@@ -16,17 +16,12 @@ from switchfuse import (
     run_method,
     score_outcomes,
 )
+from switchfuse import datasets
 from switchfuse.calibration import build_store, collect_run
 from switchfuse.errors import InvalidInputError
 from switchfuse.reports import write_comparison_csv
-from switchfuse.datasets import DatasetRuntime, load_manifest
-from switchfuse.synthetic import (
-    SubsetRuntime,
-    SyntheticDataset,
-    TechniqueProfile,
-    export_dataset,
-    generate,
-)
+from switchfuse.synthetic import SyntheticDataset, TechniqueProfile, generate
+from tests.exported import exported_runtime
 from tests.oracle import (
     QueryOutcome,
     UnitDecision,
@@ -319,23 +314,22 @@ class TestPrCurve:
         assert points[-1][1] == pytest.approx(accuracy)
 
 
-def small_synthetic():
+def small_synthetic(directory):
     ids = ["a", "b", "c", "d"]
     profiles = [
         TechniqueProfile(tid, rate, 0.75, 0.08, 0.45, 0.08)
         for tid, rate in zip(ids, [0.5, 0.6, 0.55, 0.45])
     ]
     ds = generate(profiles, 200, 40, seed=99)
-    calib_idx = np.arange(0, 100)
-    eval_idx = np.arange(100, 200)
-    store = build_store(collect_run(SubsetRuntime(ds, calib_idx), ids), ids)
-    runtime = SubsetRuntime(ds, eval_idx)
-    return ds, store, runtime
+    calib = exported_runtime(ds, np.arange(0, 100), directory, "calib")
+    store = build_store(collect_run(calib, ids), ids)
+    runtime = exported_runtime(ds, np.arange(100, 200), directory, "eval")
+    return store, runtime
 
 
 class TestRunMethod:
-    def test_collapse_case_single_unit_single_technique(self):
-        ds, store, runtime = small_synthetic()
+    def test_collapse_case_single_unit_single_technique(self, tmp_path):
+        store, runtime = small_synthetic(tmp_path)
         config = TripartiteConfig(units=(UnitConfig("u", ("a",)),))
         gt = runtime.ground_truth()
         preds = {}
@@ -349,8 +343,8 @@ class TestRunMethod:
             == preds["single:a"]
         )
 
-    def test_fuse_all_ignores_switching(self):
-        ds, store, runtime = small_synthetic()
+    def test_fuse_all_ignores_switching(self, tmp_path):
+        store, runtime = small_synthetic(tmp_path)
         config = TripartiteConfig(
             units=(UnitConfig("u0", ("a", "b")), UnitConfig("u1", ("c", "d")))
         )
@@ -358,8 +352,8 @@ class TestRunMethod:
         rep = run_method("fuse-all", runtime, config, None, gt)
         assert rep.query_count == runtime.query_count
 
-    def test_single_matches_raw_argmax(self):
-        ds, store, runtime = small_synthetic()
+    def test_single_matches_raw_argmax(self, tmp_path):
+        store, runtime = small_synthetic(tmp_path)
         config = TripartiteConfig(units=(UnitConfig("u", ("a", "b")),))
         gt = runtime.ground_truth()
         rep = run_method("single:b", runtime, config, None, gt)
@@ -367,8 +361,8 @@ class TestRunMethod:
             row = runtime.similarity_rows("b", [q])[0]
             assert predicted == int(np.argmax(row))
 
-    def test_unknown_method(self):
-        ds, store, runtime = small_synthetic()
+    def test_unknown_method(self, tmp_path):
+        store, runtime = small_synthetic(tmp_path)
         config = TripartiteConfig(units=(UnitConfig("u", ("a",)),))
         with pytest.raises(InvalidInputError):
             run_method("borda", runtime, config, store, runtime.ground_truth())
@@ -377,8 +371,8 @@ class TestRunMethod:
                 "single:zzz", runtime, config, store, runtime.ground_truth()
             )
 
-    def test_deterministic(self):
-        ds, store, runtime = small_synthetic()
+    def test_deterministic(self, tmp_path):
+        store, runtime = small_synthetic(tmp_path)
         config = TripartiteConfig(
             units=(UnitConfig("u0", ("a", "b")), UnitConfig("u1", ("c", "d")))
         )
@@ -388,14 +382,14 @@ class TestRunMethod:
         assert r1.predicted.tolist() == r2.predicted.tolist()
         assert r1.pr_points == r2.pr_points
 
-    def test_switch_fuse_requires_store(self):
-        ds, store, runtime = small_synthetic()
+    def test_switch_fuse_requires_store(self, tmp_path):
+        store, runtime = small_synthetic(tmp_path)
         config = TripartiteConfig(units=(UnitConfig("u", ("a",)),))
         with pytest.raises(InvalidInputError):
             run_method("switch-fuse", runtime, config, None, runtime.ground_truth())
 
-    def test_compare_methods_runs_every_family_in_order(self):
-        ds, store, runtime = small_synthetic()
+    def test_compare_methods_runs_every_family_in_order(self, tmp_path):
+        store, runtime = small_synthetic(tmp_path)
         config = TripartiteConfig(
             units=(UnitConfig("u0", ("c", "a")), UnitConfig("u1", ("d", "c", "b")))
         )
@@ -410,8 +404,8 @@ class TestRunMethod:
             assert report.confidence.tolist() == alone.confidence.tolist()
             assert (report.decisions is None) == (report.method != "switch-fuse")
 
-    def test_compare_reports_derive_their_pr_points(self):
-        ds, store, runtime = small_synthetic()
+    def test_compare_reports_derive_their_pr_points(self, tmp_path):
+        store, runtime = small_synthetic(tmp_path)
         config = TripartiteConfig(
             units=(UnitConfig("u0", ("c", "a")), UnitConfig("u1", ("d", "b")))
         )
@@ -459,8 +453,8 @@ def scalar_outcome(method, runtime, config, store, q):
 
 
 @pytest.mark.parametrize("threshold", [0.5, 0.75])
-def test_every_method_matches_scalar_oracle(threshold):
-    ds, store, runtime = small_synthetic()
+def test_every_method_matches_scalar_oracle(threshold, tmp_path):
+    store, runtime = small_synthetic(tmp_path)
     config = TripartiteConfig(
         units=(
             UnitConfig("u0", ("a", "b")),
@@ -544,8 +538,7 @@ def test_ground_truth_names_the_first_bad_query(sets, message):
         GroundTruth.from_sets(sets, 4)
 
 
-@pytest.mark.parametrize("kind", ["subset", "sfdesc"])
-def test_signed_zero_maxima_match_scalar_oracle(kind, tmp_path, monkeypatch):
+def test_signed_zero_maxima_match_scalar_oracle(tmp_path, monkeypatch):
     """Rows whose maximum 0.0 is held as both -0.0 and +0.0, in either
     order: the match score is the value at the first maximum, so its bin,
     the decisions and the raw-score confidences (sign included) equal the
@@ -560,21 +553,15 @@ def test_signed_zero_maxima_match_scalar_oracle(kind, tmp_path, monkeypatch):
         rows[3::6, 1], rows[3::6, 4] = 0.0, -0.0
         sims[tid] = rows
     ds = SyntheticDataset(sims, rng.integers(0, r, q))
-    store = build_store(collect_run(SubsetRuntime(ds, np.arange(q)), ids), ids, bins=4)
-    if kind == "subset":
-        runtime = SubsetRuntime(ds, np.arange(q))
-    else:
-        from switchfuse import datasets
-
-        # the exported descriptors hold the rows themselves, so a kernel
-        # that returns them (minus the padding coordinate) serves them
-        monkeypatch.setattr(
-            datasets,
-            "similarity_block",
-            lambda queries, refs, ref_norms=None: np.array(queries[:, :-1], np.float64),
-        )
-        manifest = export_dataset(ds, np.arange(q), tmp_path, "z")
-        runtime = DatasetRuntime(load_manifest(manifest))
+    # the exported descriptors hold the rows themselves, so a kernel that
+    # returns them (minus the padding coordinate) serves them
+    monkeypatch.setattr(
+        datasets,
+        "similarity_block",
+        lambda queries, refs, ref_norms=None: np.array(queries[:, :-1], np.float64),
+    )
+    runtime = exported_runtime(ds, np.arange(q), tmp_path)
+    store = build_store(collect_run(runtime, ids), ids, bins=4)
 
     signs = set()
     for tid in ids:

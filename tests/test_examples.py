@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+from switchfuse.cli import main as cli_main
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -38,6 +40,9 @@ def test_example_script_runs(tmp_path, script, args, outputs):
 
 
 def test_synthetic_experiment_compares_every_method(tmp_path):
+    """The script's comparison holds every method, and ``calibrate`` and
+    ``compare`` on the manifests and config it writes reproduce it byte for
+    byte."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     script = ROOT / "scripts" / "run_synthetic_experiment.py"
     out = subprocess.run(
@@ -60,3 +65,17 @@ def test_synthetic_experiment_compares_every_method(tmp_path):
         + [f"single:{tid}" for tid in techniques]
     )
     assert [float(v) for v in rows[0][3:]] == [0.0, 0.0]
+
+    config = tmp_path / "config.json"
+    assert cli_main([
+        "calibrate", "--manifest", str(tmp_path / "calib_manifest.json"),
+        "--config", str(config), "--out", str(tmp_path / "store.sfcal"),
+    ]) == 0
+    assert cli_main([
+        "compare", "--manifest", str(tmp_path / "eval_manifest.json"),
+        "--config", str(config), "--store", str(tmp_path / "store.sfcal"),
+        "--out", str(tmp_path / "cli"), "--no-timestamp",
+    ]) == 0
+    # the script's file after its "# generated" line
+    unstamped = (tmp_path / "comparison.csv").read_bytes().split(b"\n", 1)[1]
+    assert (tmp_path / "cli" / "comparison.csv").read_bytes() == unstamped

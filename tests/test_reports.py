@@ -19,14 +19,10 @@ from switchfuse.reports import (
     write_report_csvs,
 )
 from switchfuse.switching import BlockDecisions, TripartiteConfig, UnitConfig
-from switchfuse.synthetic import (
-    SubsetRuntime,
-    TechniqueProfile,
-    generate,
-    split_calibration_eval,
-)
+from switchfuse.synthetic import TechniqueProfile, generate, split_calibration_eval
 
 from . import oracle
+from .exported import exported_runtime
 from .test_evaluation import query_outcomes
 
 # technique ids that csv.writer must quote (or, for "|", that the joined
@@ -101,12 +97,13 @@ def test_switch_fuse_predictions_match_row_formatting(tmp_path, threshold):
         300, 25, seed=41,
     )
     calib_idx, eval_idx = split_calibration_eval(ds, 0.5, seed=41)
-    store = build_store(collect_run(SubsetRuntime(ds, calib_idx), techniques), techniques)
+    calib = exported_runtime(ds, calib_idx, tmp_path, "calib")
+    store = build_store(collect_run(calib, techniques), techniques)
     config = TripartiteConfig(
         units=(UnitConfig("u0", ("a", "b")), UnitConfig("u1", ("c", "d", "a"))),
         posterior_threshold=threshold,
     )
-    runtime = SubsetRuntime(ds, eval_idx)
+    runtime = exported_runtime(ds, eval_idx, tmp_path, "eval")
     report = run_method("switch-fuse", runtime, config, store, runtime.ground_truth())
     path = tmp_path / "p.csv"
     write_predictions(report, path, timestamp=False)

@@ -8,14 +8,13 @@ from switchfuse.calibration import build_store, collect_run
 from switchfuse.datasets import DatasetRuntime, load_manifest
 from switchfuse.errors import InvalidSpecError
 from switchfuse.synthetic import (
-    SubsetRuntime,
     TechniqueProfile,
-    export_dataset,
     export_image_dataset,
     generate,
     generate_image_dataset,
     split_calibration_eval,
 )
+from tests.exported import exported_runtime
 from tests.oracle import is_correct, similarity
 from tests.test_acceptance import ACCEPTANCE_SEED, acceptance_profiles
 
@@ -114,40 +113,35 @@ def test_split_disjoint_and_seeded():
     assert not np.array_equal(c1, c3)
 
 
-def test_calibration_prior_tracks_profile_rate():
+def test_calibration_prior_tracks_profile_rate(tmp_path):
     ds = generate([profile("a", 0.55)], 2000, 50, seed=9)
     calib_idx, _ = split_calibration_eval(ds, 0.5, seed=9)
-    store = build_store(collect_run(SubsetRuntime(ds, calib_idx), ["a"]), ["a"])
+    runtime = exported_runtime(ds, calib_idx, tmp_path)
+    store = build_store(collect_run(runtime, ["a"]), ["a"])
     assert abs(store.techniques["a"].prior_match - 0.55) <= 0.05
 
 
-def test_export_round_trips_through_ingestion(tmp_path):
+@pytest.mark.parametrize(
+    "indices", [np.arange(40), np.array([5, 7, 9])], ids=["every_query", "subset"]
+)
+def test_export_round_trips_through_ingestion(tmp_path, indices):
     profiles = [profile("a", 0.6), profile("b", 0.5)]
     ds = generate(profiles, 40, 25, seed=13)
-    indices = np.arange(40)
-    manifest_path = export_dataset(ds, indices, tmp_path, "full")
-    runtime = DatasetRuntime(load_manifest(manifest_path))
-    assert runtime.query_count == 40
+    runtime = exported_runtime(ds, indices, tmp_path)
+    assert runtime.query_count == len(indices)
     assert runtime.reference_count == 25
     gt = runtime.ground_truth()
     # cosine against the exported basis preserves ranking, so every argmax
-    # matches the in-memory dataset
-    for q in range(40):
+    # matches the in-memory dataset row of the exported query
+    for q, source in enumerate(indices):
         for tid in ("a", "b"):
             exported = similarity(runtime, q, tid).scores
-            direct = ds.sims[tid][q]
+            direct = ds.sims[tid][source]
             assert int(np.argmax(exported)) == int(np.argmax(direct))
             # scores agree up to one global positive scale
             ratio = exported[np.abs(direct) > 1e-6] / direct[np.abs(direct) > 1e-6]
             assert np.allclose(ratio, ratio[0], rtol=1e-4)
-    assert gt.accepted == ds.ground_truth().accepted
-
-
-def test_subset_runtime_views():
-    ds = generate([profile("a", 0.6)], 30, 10, seed=14)
-    rt = SubsetRuntime(ds, [5, 7, 9])
-    assert rt.query_count == 3
-    assert np.array_equal(similarity(rt, 1, "a").scores, ds.sims["a"][7])
+    assert gt.accepted == tuple(frozenset({int(r)}) for r in ds.true_refs[indices])
 
 
 def test_image_mode_dataset(tmp_path):
