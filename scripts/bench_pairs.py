@@ -12,7 +12,10 @@ not favour one side.  Writes ``BENCH_<label>.json`` at the repository root::
 
 For each side the file holds the git revision, the env line and the median
 and quartiles of every end-to-end metric of ``BENCHMARK.json``, with the
-per-pair values.  ``comparison`` gives, per metric, the pairs in which the
+per-pair values.  Beside them go each run's probe median (``probe_s``) and
+each command's raw wall-time throughput (``raw_qps``, not normalised by
+the probe), read from the run's ``.perfbench/results`` record, so that a
+probe slowed by contention shows in the file.  ``comparison`` gives, per metric, the pairs in which the
 working tree was better in the metric's own direction (``wins``), the
 difference of the medians, the base's interquartile range and a
 ``verdict``: ``better`` or ``worse`` when the working tree wins or loses at
@@ -68,11 +71,15 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             f"{proc.stderr.strip()[-2000:]}"
         ) from None
     env = next((json.loads(l[4:]) for l in lines if l.startswith("env ")), None)
+    record = next((l[len("record "):] for l in lines if l.startswith("record ")), None)
+    details = json.loads(Path(record).read_text())["result"]["details"] if record else {}
     return {
         "exit": proc.returncode,
         "env": env,
         "failures": [l[len("FAILED "):] for l in lines if l.startswith("FAILED ")],
         "metrics": {k: v["value"] for k, v in summary["metrics"].items()},
+        "probe_s": details.get("probe_s"),
+        "raw_qps": details.get("raw_qps", {}),
     }
 
 
@@ -82,6 +89,13 @@ def quartiles(values: list[float]) -> dict:
     else:
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def spread(values: list, unit: str) -> dict:
+    """Median and quartiles of the values a run recorded, with every
+    run's value (None where it recorded none)."""
+    known = [v for v in values if v is not None]
+    return {"unit": unit, **(quartiles(known) if known else {}), "values": values}
 
 
 def verdict(gains: list[float], lead: float, iqr: float) -> str:
@@ -114,6 +128,15 @@ def summarise(label, workload, seconds, seeds, sides, runs, metrics) -> dict:
             "env": runs[side][0]["env"],
             "failures": [f for r in runs[side] for f in r["failures"]],
             "metrics": {},
+            "probe_s": spread([r.get("probe_s") for r in runs[side]], "s"),
+            "raw_qps": {
+                command: spread(
+                    [r["raw_qps"].get(command) for r in runs[side]], "queries/s"
+                )
+                for command in dict.fromkeys(
+                    c for r in runs[side] for c in r.get("raw_qps", {})
+                )
+            },
         }
         for m in metrics:
             values = [r["metrics"][m["name"]] for r in runs[side]]
@@ -193,6 +216,8 @@ def main(argv=None) -> int:
             f"wins {doc['comparison'][name]['wins']}/{len(args.seeds)}  "
             f"{doc['comparison'][name]['verdict']}"
         )
+    probes = {s: doc["sides"][s]["probe_s"].get("median") for s in sides}
+    print(f"probe median (s): base {probes['base']}, change {probes['change']}")
     print(f"wrote {out}")
     failed = any(doc["sides"][s]["failures"] for s in sides) or any(
         r["exit"] != 0 for side in runs.values() for r in side

@@ -85,6 +85,8 @@ def _load_spec(path):
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:  # the generator's seed sequence takes none
+        raise InvalidInputError(f"--seed must be >= 0, got {args.seed}")
     # imported here, not at module level: loading the generator, with
     # ``statistics`` and ``numpy.polynomial``, adds about 1.8 MiB of peak RSS
     # and 25 ms to a process, which only ``synth`` needs

@@ -51,11 +51,12 @@ class DatasetManifest:
 
 
 def read_json(path):
-    """Parse one JSON file; malformed text raises ``FormatError``."""
+    """Parse one JSON file; malformed text, or nesting deeper than the
+    parser's recursion limit, raises ``FormatError``."""
     with open(path) as fh:
         try:
             return json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             raise FormatError(f"{path}: malformed JSON: {exc}") from exc
 
 
@@ -287,7 +288,9 @@ class DatasetRuntime:
     also records each row's best match (first-maximum reference and its
     value) in two query-long columns per technique, which ``matches`` serves
     without touching the rows: switching, calibration and the raw-score
-    baselines read these, and only fusion reads whole rows.
+    baselines read these, and only fusion reads whole rows, which
+    ``copy_rows`` copies out of the fragments a few at a time once they are
+    scored.
 
     ``score(technique_ids, queries)`` scores several techniques in one
     call, and its built-ins share one decode of each image: of every
@@ -404,27 +407,52 @@ class DatasetRuntime:
         similarities, one row per listed query.
 
         A request equal to one fragment gets that fragment itself.  Any
-        other is gathered from the fragments holding its rows, grouped by
-        one stable sort, so its cost grows with the request and the
-        fragments it touches, not with the fragments held.
+        other is copied out of the fragments by ``copy_rows``.
         """
         queries = self.score([technique_id], query_indices)
-        fragments = self._fragments[technique_id]
         frag, row = self._where[technique_id][:, queries]
         if len(frag) and (frag == frag[0]).all():
-            block = fragments[frag[0]]
+            block = self._fragments[technique_id][frag[0]]
             if len(row) == len(block) and np.array_equal(row, np.arange(len(row))):
                 return block
-            rows = block[row]
-        else:
-            rows = np.empty((len(queries), self.reference_count))
-            order = np.argsort(frag, kind="stable")
-            starts = np.flatnonzero(np.diff(frag[order], prepend=-1))
-            for a, b in zip(starts.tolist(), [*starts[1:].tolist(), len(order)]):
-                part = order[a:b]
-                rows[part] = fragments[frag[part[0]]][row[part]]
+        rows = np.empty((len(queries), self.reference_count))
+        self.copy_rows(technique_id, queries, rows)
         rows.setflags(write=False)
         return rows
+
+    def copy_rows(
+        self, technique_id: str, queries: np.ndarray, out: np.ndarray, at=None
+    ) -> None:
+        """Copy the similarity row of each of ``queries``, an int64 array of
+        queries already scored for the technique, into ``out``: the row of
+        ``queries[j]`` into ``out[at[j]]``, or into ``out[j]`` when ``at``
+        is None.
+
+        Nothing is checked or scored, so a caller that scored its rows once
+        with ``score`` can copy them many times, a few at a time.  Rows of
+        one fragment into ``out[j]`` are taken straight into ``out``.  A
+        request spanning fragments is grouped by fragment with one stable
+        sort, so its cost grows with the request and the fragments it
+        touches, not with the fragments held.
+        """
+        frag, row = self._where[technique_id][:, queries]
+        fragments = self._fragments[technique_id]
+        if not len(frag):
+            return
+        if (frag == frag[0]).all():
+            if at is None:
+                np.take(fragments[frag[0]], row, axis=0, out=out, mode="clip")
+            else:
+                out[at] = fragments[frag[0]][row]
+            return
+        if at is None:
+            at = np.arange(len(queries))
+        order = np.argsort(frag, kind="stable")
+        ranked = frag[order]
+        ends = [*(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(order)]
+        for a, b in zip([0, *ends], ends):
+            part = order[a:b]
+            out[at[part]] = fragments[frag[part[0]]][row[part]]
 
     def matches(
         self, technique_id: str, query_indices

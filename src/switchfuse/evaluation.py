@@ -5,9 +5,9 @@ switch-then-fuse pipeline, a pooled switch-only baseline, fuse-everything,
 and single-technique matching; ``compare_methods`` runs every family in
 comparison order.  Every family handles all queries at once.  Switching and
 the raw-score baselines read the runtime's best-match columns
-(``matches``); only fusion reads whole blocks of similarity rows.  Per-query
-records stay columns of one ``EvaluationReport`` per method through scoring
-and the PR sweep.
+(``matches``); only fusion reads similarity rows, a tile of queries at a
+time.  Per-query records stay columns of one ``EvaluationReport`` per
+method through scoring and the PR sweep.
 """
 
 from __future__ import annotations
@@ -230,29 +230,46 @@ def _best_raw(runtime, pool, choice):
     return predicted, confidence
 
 
+# queries fused at a time: fusion's two buffers of this many rows stay in
+# cache and take no fresh pages per call; on R = 200, 32-row tiles ran
+# slower than whole-Q buffers, and 128 and 256 fastest
+_FUSE_TILE = 128
+
+
 def _best_fused(runtime, picks):
     """Min-max normalise and sum each query's picked similarity rows, one
     contributor at a time in order, then take the best reference.
 
     ``picks`` holds one (technique pool, per-query index into it) pair per
-    contributor.  A contributor's picked rows are gathered into one
-    reusable buffer in query order and normalised there in place, or
-    normalised straight into it from the runtime's block when every query
-    picked one technique; the buffer is then added to the total whole.
+    contributor.  Each contributor's picked rows are scored once; then the
+    queries go in tiles of ``_FUSE_TILE``.  For each tile, every
+    contributor's picked rows are copied from the runtime into one tile
+    buffer, normalised there in place and added to the tile's total, so
+    every sum keeps its contributor order and no buffer grows with Q.
     """
     n = runtime.query_count
-    total = np.zeros((n, runtime.reference_count))
+    contributors = [list(_picked(pool, choice)) for pool, choice in picks]
+    for tid, queries in chain.from_iterable(contributors):
+        runtime.score([tid], queries)
+    total = np.empty((min(n, _FUSE_TILE), runtime.reference_count))
     unit = np.empty_like(total)
-    for pool, choice in picks:
-        for tid, queries in _picked(pool, choice):
-            if len(queries) == n:
-                rows = runtime.similarity_rows(tid, queries)
-            else:
-                unit[queries] = runtime.similarity_rows(tid, queries)
-                rows = unit
-        normalize_rows(rows, out=unit)
-        total += unit
-    return best_matches(total, len(picks))
+    predicted = np.empty(n, dtype=np.int64)
+    confidence = np.empty(n)
+    for lo in range(0, n, _FUSE_TILE):
+        hi = min(lo + _FUSE_TILE, n)
+        tile_total, tile_unit = total[: hi - lo], unit[: hi - lo]
+        tile_total.fill(0.0)
+        for picked in contributors:
+            for tid, queries in picked:
+                a, b = np.searchsorted(queries, (lo, hi)).tolist()
+                if b - a == hi - lo:  # every query of the tile picked tid
+                    runtime.copy_rows(tid, queries[a:b], tile_unit)
+                elif b > a:
+                    runtime.copy_rows(tid, queries[a:b], tile_unit, queries[a:b] - lo)
+            normalize_rows(tile_unit, out=tile_unit)
+            tile_total += tile_unit
+        predicted[lo:hi], confidence[lo:hi] = best_matches(tile_total, len(picks))
+    return predicted, confidence
 
 
 def run_method(
@@ -265,8 +282,9 @@ def run_method(
     """Evaluate one method family over every query of a dataset runtime.
 
     ``method`` is ``switch-fuse``, ``switch-only``, ``fuse-all`` or
-    ``single:<technique_id>``.  The runtime provides ``query_count``,
-    ``reference_count``, ``similarity_rows(technique_id, queries)`` and
+    ``single:<technique_id>``.  The runtime is a ``DatasetRuntime``: it
+    provides ``query_count``, ``reference_count``, ``score``,
+    ``copy_rows``, which fusion reads rows with, and
     ``matches(technique_id, queries)``, each query's (best reference,
     match score).
     Switch-only runs one unit pooling every configured technique, first

@@ -73,9 +73,11 @@ def _read_csv_rows(path):
     reader = csv.reader(lines)
     try:
         header = next(reader)
+        return header, list(reader)
     except StopIteration:
         raise FormatError(f"{path}: empty CSV") from None
-    return header, list(reader)
+    except csv.Error as exc:  # a field over the module's size limit, say
+        raise FormatError(f"{path}: malformed CSV: {exc}") from exc
 
 
 def _posterior_texts(posterior: np.ndarray) -> list[str]:

@@ -1,8 +1,10 @@
 """Per-query reference forms of the product's block code.
 
 Each function here handles one query (or one score) at a time, the way the
-method is stated: cosine similarity of one descriptor, a histogram mass of
-one score, one unit's switching loop with its trace, min-max fusion of one
+method is stated: cosine similarity of one descriptor, the built-in
+descriptors as their earlier straightforward array forms (``np.ix_``
+gathers, ``np.add.at`` votes, ``np.histogram``), a histogram mass of one
+score, one unit's switching loop with its trace, min-max fusion of one
 query's vectors, and scoring and the PR sweep over per-query records.  The
 tests hold the block code to these forms decision for decision and bit for
 bit.  The report files have their row-at-a-time forms too: ``csv.writer``
@@ -109,6 +111,67 @@ def similarity(runtime, query_index: int, technique_id: str) -> SimilarityVector
     return SimilarityVector(
         technique_id, runtime.similarity_rows(technique_id, [query_index])[0]
     )
+
+
+# -- descriptors ------------------------------------------------------------
+
+
+def oracle_resize(img, out_h, out_w):
+    in_h, in_w = img.shape
+    ys = (np.arange(out_h) + 0.5) * (in_h / out_h) - 0.5
+    xs = (np.arange(out_w) + 0.5) * (in_w / out_w) - 0.5
+    y0 = np.clip(np.floor(ys).astype(int), 0, in_h - 1)
+    x0 = np.clip(np.floor(xs).astype(int), 0, in_w - 1)
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    fy = np.clip(ys - y0, 0.0, 1.0)[:, None]
+    fx = np.clip(xs - x0, 0.0, 1.0)[None, :]
+    top = img[np.ix_(y0, x0)] * (1 - fx) + img[np.ix_(y0, x1)] * fx
+    bot = img[np.ix_(y1, x0)] * (1 - fx) + img[np.ix_(y1, x1)] * fx
+    return top * (1 - fy[:, 0])[:, None] + bot * fy[:, 0][:, None]
+
+
+def oracle_gradients(img):
+    padded = np.pad(img, 1, mode="edge")
+    gx = (padded[1:-1, 2:] - padded[1:-1, :-2]) / 2.0
+    gy = (padded[2:, 1:-1] - padded[:-2, 1:-1]) / 2.0
+    return gx, gy
+
+
+def oracle_hog(img):
+    gx, gy = oracle_gradients(oracle_resize(img, 64, 64))
+    mag = np.hypot(gx, gy)
+    theta = np.degrees(np.arctan2(gy, gx)) % 180.0
+    pos = theta / (180.0 / 9) - 0.5
+    k0 = np.floor(pos).astype(int)
+    frac = pos - k0
+    k0 = k0 % 9
+    k1 = (k0 + 1) % 9
+    hist = np.zeros((8, 8, 9))
+    cy = np.arange(64) // 8
+    cell_y = np.repeat(cy, 64).reshape(64, 64)
+    cell_x = cell_y.T
+    np.add.at(hist, (cell_y, cell_x, k0), mag * (1.0 - frac))
+    np.add.at(hist, (cell_y, cell_x, k1), mag * frac)
+    out = np.empty((7, 7, 36))
+    for by in range(7):
+        for bx in range(7):
+            block = hist[by : by + 2, bx : bx + 2].ravel()
+            norm = np.linalg.norm(block)
+            out[by, bx] = block / norm if norm > 0 else 0.0
+    return out.ravel()
+
+
+def oracle_intensity_hist(img):
+    counts, _ = np.histogram(img.ravel(), bins=64, range=(0.0, 1.0))
+    return counts / img.size
+
+
+def oracle_tiny_patch(img):
+    patch = oracle_resize(img, 16, 16).ravel()
+    patch = patch - patch.mean()
+    norm = np.linalg.norm(patch)
+    return patch / norm if norm > 0 else np.zeros_like(patch)
 
 
 # -- calibration lookups ----------------------------------------------------

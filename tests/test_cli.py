@@ -555,8 +555,22 @@ def _predictions_csv(path, query_count, edit=None):
     path.write_text("\n".join(lines) + "\n")
 
 
+class RawJson(str):
+    """A bad document's text, written as it is rather than through
+    ``json.dumps``."""
+
+
+# one list nested deeper than the JSON parser's recursion limit
+NESTED_DEEP = RawJson("[" * 100_000 + "]" * 100_000)
+
+
+def _json_text(doc) -> str:
+    return doc if isinstance(doc, RawJson) else json.dumps(doc)
+
+
 # config documents of the wrong shape, from the valid one
 BAD_CONFIGS = {
+    "config_nested_deep": lambda doc: NESTED_DEEP,
     "threshold_string": lambda doc: {**doc, "threshold": "x"},
     "units_object": lambda doc: {**doc, "units": {"u0": doc["units"][0]}},
     "config_list": lambda doc: [doc],
@@ -568,6 +582,7 @@ BAD_CONFIGS = {
 # synthetic specs of the wrong shape, from the valid one
 BAD_SPECS = {
     "spec_list": lambda doc: [doc],
+    "spec_nested_deep": lambda doc: NESTED_DEEP,
     "profiles_number": lambda doc: {**doc, "profiles": 3},
     "correct_rate_string": lambda doc: {
         **doc, "profiles": [{**doc["profiles"][0], "correct_rate": "high"}]
@@ -579,6 +594,7 @@ BAD_SPECS = {
 # SFDESC1 one
 BAD_MANIFESTS = {
     "top_level_list": lambda doc: [doc],
+    "nested_deep": lambda doc: NESTED_DEEP,
     "techniques_list": lambda doc: {**doc, "techniques": []},
     "query_count_string": lambda doc: {**doc, "query_count": "x"},
     "query_count_fraction": lambda doc: {**doc, "query_count": 1000.7},
@@ -606,6 +622,7 @@ BAD_GROUND_TRUTHS = {
     "short": lambda doc: {**doc, "accepted": doc["accepted"][:-1]},
     "long": lambda doc: {**doc, "accepted": [*doc["accepted"], [0]]},
     "empty": lambda doc: {**doc, "accepted": [[], *doc["accepted"][1:]]},
+    "nested_deep": lambda doc: NESTED_DEEP,
     "out_of_range": lambda doc: {
         **doc, "accepted": [[doc["reference_count"]], *doc["accepted"][1:]]
     },
@@ -652,6 +669,8 @@ CALIBRATE_FLAG_CASES = ("calibrate_bins", "calibrate_min_samples", "calibrate_al
         ("predicted_past_int64", "SF-FORMAT"),
         ("non_utf8_row", "SF-FORMAT"),
         ("non_utf8_header", "SF-FORMAT"),
+        ("oversized_field", "SF-FORMAT"),  # past the csv module's field limit
+        ("synth_seed_-1", "SF-INPUT"),
         ("compare_store_missing_technique", "SF-CALIBRATION"),
         ("calibrate_bins_0", "SF-INPUT"),
         ("calibrate_bins_1", "SF-INPUT"),
@@ -693,13 +712,13 @@ def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
     elif case.startswith("run_manifest"):
         named = d / "data" / "bad_manifest.json"
         doc = json.loads(manifest.read_text())
-        named.write_text(json.dumps(BAD_MANIFESTS[case[len("run_manifest_"):]](doc)))
+        named.write_text(_json_text(BAD_MANIFESTS[case[len("run_manifest_"):]](doc)))
         argv = ["run", "--manifest", named, "--config", d / "config.json",
                 "--store", d / "store.sfcal", "--out", d / "p.csv"]
     elif case.startswith("run_gt"):
         named = d / "data" / "eval_gt.json"
         doc = json.loads(named.read_text())
-        named.write_text(json.dumps(BAD_GROUND_TRUTHS[case[len("run_gt_"):]](doc)))
+        named.write_text(_json_text(BAD_GROUND_TRUTHS[case[len("run_gt_"):]](doc)))
         argv = ["run", "--manifest", manifest, "--config", d / "config.json",
                 "--store", d / "store.sfcal", "--out", d / "p.csv"]
     elif case.startswith(CALIBRATE_FLAG_CASES):
@@ -717,17 +736,26 @@ def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
         command, bad = case.split("_", 1)
         named = d / "bad_config.json"
         named.write_text(
-            json.dumps(BAD_CONFIGS[bad](json.loads((d / "config.json").read_text())))
+            _json_text(BAD_CONFIGS[bad](json.loads((d / "config.json").read_text())))
         )
         argv = {
             "calibrate": [*calibrate[:3], "--config", named, "--out", d / "s.sfcal"],
             "run": ["run", "--manifest", manifest, "--config", named,
                     "--store", d / "store.sfcal", "--out", d / "p.csv"],
         }[command]
+    elif case == "synth_seed_-1":
+        argv = ["synth", "--spec", d / "spec.json", "--seed", -1, "--out", d / "synth"]
+        # the seed is refused before the spec is read
+        from switchfuse import cli
+
+        def never(path):
+            raise AssertionError("spec read")
+
+        monkeypatch.setattr(cli, "_load_spec", never)
     elif case.startswith("synth"):
         named = d / "bad_spec.json"
         spec = json.loads((d / "spec.json").read_text())
-        named.write_text(json.dumps(BAD_SPECS[case[len("synth_"):]](spec)))
+        named.write_text(_json_text(BAD_SPECS[case[len("synth_"):]](spec)))
         argv = ["synth", "--spec", named, "--seed", 1, "--out", d / "synth"]
     else:
         preds = d / "preds.csv"
@@ -739,6 +767,9 @@ def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
             lines = preds.read_bytes().split(b"\n")
             lines[0 if case.endswith("header") else 3] += b"\xff"
             preds.write_bytes(b"\n".join(lines))
+        elif case == "oversized_field":
+            named = preds
+            _predictions_csv(preds, query_count, {2: (2, 0, "5" * 200_000)})
         else:
             edit = {
                 "duplicate_query": (1, 0, 0.5),
@@ -757,12 +788,24 @@ def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
     assert err.startswith(code) and "Traceback" not in err
     if case.startswith(CALIBRATE_FLAG_CASES):
         assert flag in err
+    if case.startswith("synth_seed"):
+        assert "--seed" in err
     if code == "SF-FORMAT" and named is None:
         assert str(d / "preds.csv") in err and "row 3" in err
     elif code == "SF-FORMAT":
         assert str(named) in err
     for out in ("s.sfcal", "p.csv", "synth"):
         assert not (d / out).exists()
+
+
+
+def test_synth_takes_a_seed_past_int64(pipeline_dir):
+    """Only a negative ``--seed`` is refused: the generator's seed sequence
+    takes any other integer, however large."""
+    d = pipeline_dir
+    argv = ["synth", "--spec", d / "spec.json", "--seed", 2**70, "--out", d / "data"]
+    assert run_cli(*argv) == 0
+    assert (d / "data" / "eval_manifest.json").exists()
 
 
 # JSON values of each kind
@@ -1094,3 +1137,32 @@ def test_bench_pairs_verdict_needs_nine_of_ten_and_a_lead_beyond_the_iqr():
     assert verdicts([v + 2.0 for v in base[:8]] + [0.0, 0.0]) == ("unchanged",) * 2
     # every pair won, but by less than the base's IQR
     assert verdicts([v + 0.1 for v in base]) == ("unchanged",) * 2
+
+
+def test_bench_pairs_records_probe_and_raw_throughput():
+    """Each side of a ``BENCH_*.json`` keeps its runs' probe medians and raw
+    wall-time throughputs, a run that recorded none included."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
+    )
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    metrics = [{"name": "m", "unit": "x", "better": "higher"}]
+    probes = {"base": [0.002, 0.001, None], "change": [0.003, 0.001, 0.002]}
+    runs = {
+        side: [
+            {"env": None, "failures": [], "metrics": {"m": 1.0}, "probe_s": probe,
+             "raw_qps": {} if probe is None else {"run": 1 / probe}}
+            for probe in values
+        ]
+        for side, values in probes.items()
+    }
+    doc = bench_pairs.summarise(
+        "l", "w", 1.0, [1, 2, 3], {"base": "a", "change": "b"}, runs, metrics
+    )
+    base, change = doc["sides"]["base"], doc["sides"]["change"]
+    assert base["probe_s"]["values"] == [0.002, 0.001, None]
+    assert base["probe_s"]["median"] == 0.0015
+    assert change["probe_s"]["median"] == 0.002
+    assert base["raw_qps"]["run"]["values"] == [500.0, 1000.0, None]
+    assert change["raw_qps"]["run"]["median"] == 500.0

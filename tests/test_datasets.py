@@ -382,7 +382,8 @@ def test_matches_are_first_argmax_of_rows(
 def test_compare_reads_rows_only_for_fusion(switching_dataset, tmp_path, monkeypatch):
     """In ``compare``, one ``score`` call scores every technique up front;
     then switch-only and every single-technique method read best-match
-    columns only, never a similarity row."""
+    columns only, never a similarity row, whether served whole
+    (``similarity_rows``) or copied out (``copy_rows``)."""
     manifest_path, store = switching_dataset
     config = TripartiteConfig(
         units=(UnitConfig("u0", ("a", "b")), UnitConfig("u1", ("c", "a")))
@@ -393,12 +394,17 @@ def test_compare_reads_rows_only_for_fusion(switching_dataset, tmp_path, monkeyp
     up_front = []
     current = [None]
     rows = DatasetRuntime.similarity_rows
+    copy = DatasetRuntime.copy_rows
     score = DatasetRuntime.score
     run = evaluation.run_method
 
     def spy_rows(self, tid, queries):
         calls[current[0]] += 1
         return rows(self, tid, queries)
+
+    def spy_copy(self, tid, queries, out, at=None):
+        calls[current[0]] += 1
+        return copy(self, tid, queries, out, at)
 
     def spy_score(self, tids, queries):
         if current[0] is None:
@@ -410,6 +416,7 @@ def test_compare_reads_rows_only_for_fusion(switching_dataset, tmp_path, monkeyp
         return run(method, *args, **kwargs)
 
     monkeypatch.setattr(DatasetRuntime, "similarity_rows", spy_rows)
+    monkeypatch.setattr(DatasetRuntime, "copy_rows", spy_copy)
     monkeypatch.setattr(DatasetRuntime, "score", spy_score)
     monkeypatch.setattr(evaluation, "run_method", tagged)
     argv = [

@@ -1,5 +1,6 @@
 import csv
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +17,7 @@ from switchfuse import (
     run_method,
     score_outcomes,
 )
-from switchfuse import datasets
+from switchfuse import datasets, evaluation
 from switchfuse.calibration import build_store, collect_run
 from switchfuse.errors import InvalidInputError
 from switchfuse.reports import write_comparison_csv
@@ -624,3 +625,132 @@ def test_window_ground_truth_matches_per_query_sets(queries, refs, k):
     assert gt.correct(predicted).tolist() == [
         int(p) in s for p, s in zip(predicted, sets)
     ]
+
+
+def _row_runtime(directory, monkeypatch, sims) -> datasets.DatasetRuntime:
+    """A runtime whose similarity rows are ``sims`` (technique -> Q×R rows)
+    divided by the export's one positive scale: the exported descriptors
+    hold the rows themselves, so a kernel that returns them (minus the
+    padding coordinate) serves them."""
+    monkeypatch.setattr(
+        datasets,
+        "similarity_block",
+        lambda queries, refs, ref_norms=None: np.array(queries[:, :-1], np.float64),
+    )
+    q = len(next(iter(sims.values())))
+    ds = SyntheticDataset(sims, np.zeros(q, dtype=np.int64))
+    return exported_runtime(ds, np.arange(q), directory)
+
+
+def assert_fusion_matches_oracle(runtime, picks) -> None:
+    """``_best_fused`` gives every query the oracle's fused best match, its
+    confidence bit for bit; the oracle reads each row after fusion scored
+    it."""
+    predicted, confidence = evaluation._best_fused(runtime, picks)
+    for q in range(runtime.query_count):
+        fused = fuse(
+            normalize(similarity(runtime, q, pool[choice[q]]))
+            for pool, choice in picks
+        )
+        idx, conf = best_match(fused)
+        assert predicted[q] == idx, q
+        assert confidence[q : q + 1].tobytes() == np.float64(conf).tobytes(), q
+
+
+@pytest.mark.parametrize("q", [1, 127, 128, 129, 300])
+def test_tiled_fusion_matches_per_query_oracle(q, tmp_path, monkeypatch):
+    """Query counts below, at and past one tile and over several tiles, with
+    switch-fuse's mixed pools and fuse-all's one-technique contributors."""
+    rng = np.random.default_rng(q)
+    sims = {tid: rng.uniform(-1, 1, (q, 9)) for tid in "abcd"}
+    runtime = _row_runtime(tmp_path, monkeypatch, sims)
+    everyone = np.zeros(q, dtype=np.int64)
+    assert_fusion_matches_oracle(
+        runtime,
+        [
+            (("a", "b", "c"), rng.integers(0, 3, q)),
+            (("c", "d"), rng.integers(0, 2, q)),
+            (("b",), everyone),
+        ],
+    )
+    assert_fusion_matches_oracle(runtime, [((tid,), everyone) for tid in "abcd"])
+
+
+def test_tiled_fusion_skips_pool_techniques_no_query_picks(tmp_path, monkeypatch):
+    """A pool technique that no query picks is never scored, and fusion
+    never asks the runtime for its rows."""
+    rng = np.random.default_rng(4)
+    q = 200
+    sims = {tid: rng.uniform(-1, 1, (q, 7)) for tid in "abc"}
+    runtime = _row_runtime(tmp_path, monkeypatch, sims)
+    picks = [
+        (("a", "c", "b"), rng.integers(0, 2, q) * 2),  # never "c"
+        (("b", "c"), np.zeros(q, dtype=np.int64)),
+    ]
+    assert_fusion_matches_oracle(runtime, picks)
+    assert "c" not in runtime._where  # no request ever named it
+
+
+def test_tiled_fusion_reads_a_tile_from_two_fragments(tmp_path, monkeypatch):
+    """Rows of one technique scored in two requests sit in two fragments,
+    interleaved within each tile."""
+    rng = np.random.default_rng(5)
+    q = 300
+    sims = {tid: rng.uniform(-1, 1, (q, 8)) for tid in "ab"}
+    runtime = _row_runtime(tmp_path, monkeypatch, sims)
+    runtime.score(["a"], np.arange(1, q, 3))
+    picks = [
+        (("a",), np.zeros(q, dtype=np.int64)),
+        (("b", "a"), rng.integers(0, 2, q)),
+    ]
+    assert_fusion_matches_oracle(runtime, picks)
+    assert [len(f) for f in runtime._fragments["a"]] == [q // 3, q - q // 3]
+
+
+def test_tiled_fusion_constant_and_signed_zero_rows(tmp_path, monkeypatch):
+    """Constant rows, constant rows of mixed -0.0 and +0.0 and rows whose
+    minimum or maximum is a signed zero fuse as the oracle does, the sign
+    of a zero confidence included."""
+    rng = np.random.default_rng(6)
+    q, r = 140, 6
+    sims = {}
+    for tid in "ab":
+        rows = rng.uniform(-1, 1, (q, r))
+        rows[0::7] = 0.25
+        rows[1::7] = [-0.0, 0.0, -0.0, 0.0, 0.0, -0.0]
+        rows[2::7] = rng.uniform(0.1, 1, (q // 7, r))
+        rows[2::7, 1], rows[2::7, 4] = -0.0, 0.0
+        rows[3::7] = -rng.uniform(0.1, 1, (q // 7, r))
+        rows[3::7, 0], rows[3::7, 5] = 0.0, -0.0
+        rows[4::7] = -0.0
+        sims[tid] = rows
+    sims["b"][5::7] = 0.0
+    runtime = _row_runtime(tmp_path, monkeypatch, sims)
+    picks = [
+        (("a", "b"), rng.integers(0, 2, q)),
+        (("b", "a"), rng.integers(0, 2, q)),
+    ]
+    assert_fusion_matches_oracle(runtime, picks)
+    _, confidence = evaluation._best_fused(runtime, picks)
+    assert np.any(confidence == 0.0)
+
+
+def test_fusion_allocates_tiles_not_query_blocks(tmp_path, monkeypatch):
+    """With every row scored, fusing Q = 1000 queries against R = 200
+    references allocates less than one Q×R float64 block at its peak."""
+    rng = np.random.default_rng(7)
+    q, r = 1000, 200
+    sims = {tid: rng.uniform(-1, 1, (q, r)) for tid in "abc"}
+    runtime = _row_runtime(tmp_path, monkeypatch, sims)
+    runtime.score("abc", range(q))
+    picks = [
+        (("a", "b"), rng.integers(0, 2, q)),
+        (("c",), np.zeros(q, dtype=np.int64)),
+    ]
+    tracemalloc.start()
+    try:
+        evaluation._best_fused(runtime, picks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < q * r * 8
