@@ -15,8 +15,8 @@ and quartiles of every end-to-end metric of ``BENCHMARK.json``, with the
 per-pair values.  Beside them go each run's probe median (``probe_s``) and
 each command's raw wall-time throughput (``raw_qps``, not normalised by
 the probe), read from the run's ``.perfbench/results`` record, so that a
-probe slowed by contention shows in the file.  ``comparison`` gives, per metric, the pairs in which the
-working tree was better in the metric's own direction (``wins``), the
+probe slowed by contention shows in the file.  ``comparison`` gives, per
+metric, the pairs in which the working tree was better in the metric's own direction (``wins``), the
 difference of the medians, the base's interquartile range and a
 ``verdict``: ``better`` or ``worse`` when the working tree wins or loses at
 least 90% of the pairs and the medians differ in that direction by more

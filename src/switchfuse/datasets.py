@@ -440,7 +440,7 @@ class DatasetRuntime:
         if not len(frag):
             return
         if (frag == frag[0]).all():
-            if at is None:
+            if at is None:  # "clip": the default "raise" buffers ``out``
                 np.take(fragments[frag[0]], row, axis=0, out=out, mode="clip")
             else:
                 out[at] = fragments[frag[0]][row]

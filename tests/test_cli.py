@@ -555,17 +555,14 @@ def _predictions_csv(path, query_count, edit=None):
     path.write_text("\n".join(lines) + "\n")
 
 
-class RawJson(str):
-    """A bad document's text, written as it is rather than through
-    ``json.dumps``."""
-
-
-# one list nested deeper than the JSON parser's recursion limit
-NESTED_DEEP = RawJson("[" * 100_000 + "]" * 100_000)
+# one list nested deeper than the JSON parser's recursion limit, as text
+NESTED_DEEP = "[" * 100_000 + "]" * 100_000
 
 
 def _json_text(doc) -> str:
-    return doc if isinstance(doc, RawJson) else json.dumps(doc)
+    """A bad document given as text is written as it is; any other goes
+    through ``json.dumps``."""
+    return doc if isinstance(doc, str) else json.dumps(doc)
 
 
 # config documents of the wrong shape, from the valid one
@@ -796,7 +793,6 @@ def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
         assert str(named) in err
     for out in ("s.sfcal", "p.csv", "synth"):
         assert not (d / out).exists()
-
 
 
 def test_synth_takes_a_seed_past_int64(pipeline_dir):

@@ -3,11 +3,11 @@
 The oracles, kept in ``tests/oracle.py``, are the earlier straightforward
 implementations: four ``np.ix_`` gathers for the resize, two ``np.add.at``
 votes and a Python loop over blocks for HOG, and ``np.histogram`` for the
-intensity histogram.  The expression-form oracles below pin the in-place resize, gradients and tiny patch
-against the expressions they evaluate step by step.  The
-production kernels must reproduce them bit for bit, not merely within a
-tolerance, so that stored descriptors and every score derived from them stay
-byte-stable.
+intensity histogram.  The expression-form oracles below pin the in-place
+resize, gradients and tiny patch against the expressions they evaluate step
+by step.  The production kernels must reproduce them bit for bit, not
+merely within a tolerance, so that stored descriptors and every score
+derived from them stay byte-stable.
 """
 
 import numpy as np
