@@ -15,7 +15,11 @@ and quartiles of every end-to-end metric of ``BENCHMARK.json``, with the
 per-pair values.  Beside them go each run's probe median (``probe_s``) and
 each command's raw wall-time throughput (``raw_qps``, not normalised by
 the probe), read from the run's ``.perfbench/results`` record, so that a
-probe slowed by contention shows in the file.  ``comparison`` gives, per
+probe slowed by contention shows in the file.  Next to them go the
+benchmark process's minor page faults and user and system CPU seconds
+(``child_usage``), each a ``getrusage(RUSAGE_CHILDREN)`` delta around the
+run divided by its attempted operations; these are informational, with no
+verdict.  ``comparison`` gives, per
 metric, the pairs in which the working tree was better in the metric's own direction (``wins``), the
 difference of the medians, the base's interquartile range and a
 ``verdict``: ``better`` or ``worse`` when the working tree wins or loses at
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -52,9 +57,18 @@ def git(*args: str) -> str:
     ).stdout.strip()
 
 
+# per-operation usage of the benchmark process: name -> (rusage field, unit)
+CHILD_USAGE = {
+    "minor_faults": ("ru_minflt", "faults/op"),
+    "user_s": ("ru_utime", "s/op"),
+    "system_s": ("ru_stime", "s/op"),
+}
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     """One untraced benchmark run in ``tree``: its metrics, env line and
     check results."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
@@ -62,6 +76,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         capture_output=True,
         text=True,
     )
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     lines = proc.stdout.splitlines()
     try:
         summary = json.loads(lines[-1])
@@ -73,6 +88,7 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     env = next((json.loads(l[4:]) for l in lines if l.startswith("env ")), None)
     record = next((l[len("record "):] for l in lines if l.startswith("record ")), None)
     details = json.loads(Path(record).read_text())["result"]["details"] if record else {}
+    ops = max(summary.get("attempted", 0), 1)
     return {
         "exit": proc.returncode,
         "env": env,
@@ -80,6 +96,10 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         "metrics": {k: v["value"] for k, v in summary["metrics"].items()},
         "probe_s": details.get("probe_s"),
         "raw_qps": details.get("raw_qps", {}),
+        "child_usage": {
+            name: (getattr(after, field) - getattr(before, field)) / ops
+            for name, (field, _) in CHILD_USAGE.items()
+        },
     }
 
 
@@ -136,6 +156,12 @@ def summarise(label, workload, seconds, seeds, sides, runs, metrics) -> dict:
                 for command in dict.fromkeys(
                     c for r in runs[side] for c in r.get("raw_qps", {})
                 )
+            },
+            "child_usage": {
+                name: spread(
+                    [r.get("child_usage", {}).get(name) for r in runs[side]], unit
+                )
+                for name, (_, unit) in CHILD_USAGE.items()
             },
         }
         for m in metrics:
@@ -218,6 +244,9 @@ def main(argv=None) -> int:
         )
     probes = {s: doc["sides"][s]["probe_s"].get("median") for s in sides}
     print(f"probe median (s): base {probes['base']}, change {probes['change']}")
+    for name in CHILD_USAGE:
+        b, c = (doc["sides"][s]["child_usage"][name].get("median") for s in sides)
+        print(f"{name} per op (median): base {b}, change {c}")
     print(f"wrote {out}")
     failed = any(doc["sides"][s]["failures"] for s in sides) or any(
         r["exit"] != 0 for side in runs.values() for r in side

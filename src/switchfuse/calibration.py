@@ -277,17 +277,15 @@ def build_store(
 
 def collect_run(runtime, technique_ids) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Per-technique (match scores, correct) columns over every query of a
-    runtime, in query order: the runtime's ``matches`` (the value at the
-    first maximum of each query's similarity row) and whether the runtime's
-    ground truth accepts that reference.  Every technique's rows are scored
-    in one ``runtime.score`` call.  The result feeds ``build_store``."""
+    runtime, in query order: the runtime's ``best_matches`` (the value at
+    the first maximum of each query's similarity row), which keep no row,
+    and whether the runtime's ground truth accepts that reference.  The
+    result feeds ``build_store``."""
     truth = runtime.ground_truth()
-    queries = runtime.score(technique_ids, range(runtime.query_count))
-    run = {}
-    for tid in technique_ids:
-        best, scores = runtime.matches(tid, queries)
-        run[tid] = (scores, truth.correct(best))
-    return run
+    return {
+        tid: (scores, truth.correct(best))
+        for tid, (best, scores) in runtime.best_matches(technique_ids).items()
+    }
 
 
 def _pack_str(s: str) -> bytes:

@@ -276,6 +276,12 @@ def query_positions(query_indices, query_count: int) -> np.ndarray:
 _SCORE_CHUNK = 64
 
 
+def _first_maxima(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(first-maximum column, value there) of each row of ``block``."""
+    first = block.argmax(axis=1)
+    return first, block[np.arange(len(block)), first]
+
+
 class DatasetRuntime:
     """Serves similarity rows and best matches for (technique, queries) of
     a manifest.
@@ -287,20 +293,20 @@ class DatasetRuntime:
     scored once, and only if some request asks for it.  Scoring a fragment
     also records each row's best match (first-maximum reference and its
     value) in two query-long columns per technique, which ``matches`` serves
-    without touching the rows: switching, calibration and the raw-score
-    baselines read these, and only fusion reads whole rows, which
-    ``copy_rows`` copies out of the fragments a few at a time once they are
-    scored.
+    without touching the rows: switching and the raw-score baselines read
+    these, and only fusion reads whole rows, which ``copy_rows`` copies out
+    of the fragments a few at a time once they are scored.  Calibration
+    reads ``best_matches``, which scores every query's best match and keeps
+    no row.
 
     ``score(technique_ids, queries)`` scores several techniques in one
     call, and its built-ins share one decode of each image: of every
     reference image for the built-ins without reference descriptors yet,
-    and of every query image they score.  ``similarity_rows`` and
-    ``matches`` score their one technique through it, so a lazy request
-    decodes its images again for each built-in it reads; ``run`` therefore
-    scores every unit's primary in one call first.  Decoded images are not
-    kept.  Built-in query descriptors are extracted in chunks of at most
-    ``_SCORE_CHUNK`` images.
+    and of every query image they score.  ``matches`` scores its one
+    technique through it, so a lazy request decodes its images again for
+    each built-in it reads; ``run`` therefore scores every unit's primary
+    in one call first.  Decoded images are not kept.  Built-in query
+    descriptors are extracted in chunks of at most ``_SCORE_CHUNK`` images.
 
     A technique's SFDESC1 query payload is read and checked whole on its
     first request, kept as float32, widened to float64 only for the rows
@@ -358,6 +364,18 @@ class DatasetRuntime:
     def reference_count(self) -> int:
         return self.manifest.reference_count
 
+    def _bindings(self, technique_ids) -> list[TechniqueBinding]:
+        """The binding of each distinct listed technique, in order; an
+        unbound one raises ``UnknownTechniqueError`` before anything is
+        read."""
+        bindings = []
+        for tid in dict.fromkeys(technique_ids):
+            binding = self.manifest.bindings.get(tid)
+            if binding is None:
+                raise UnknownTechniqueError(f"technique {tid!r} not bound in manifest")
+            bindings.append(binding)
+        return bindings
+
     def score(self, technique_ids, query_indices) -> np.ndarray:
         """Score every listed technique's rows of the listed queries not yet
         scored, and return the checked query positions.
@@ -369,12 +387,7 @@ class DatasetRuntime:
         no reference descriptors yet, and the query images once per chunk
         for the built-ins with the same rows to score.
         """
-        bindings = []
-        for tid in dict.fromkeys(technique_ids):
-            binding = self.manifest.bindings.get(tid)
-            if binding is None:
-                raise UnknownTechniqueError(f"technique {tid!r} not bound in manifest")
-            bindings.append(binding)
+        bindings = self._bindings(technique_ids)
         queries = query_positions(query_indices, self.query_count)
         # the bytes of the rows to score -> the built-in bindings that need
         # exactly those rows, which share their query decodes
@@ -388,37 +401,67 @@ class DatasetRuntime:
                 self._record(binding.technique_id, todo, rows)
             else:
                 builtins.setdefault(todo.tobytes(), []).append(binding)
-        wanted = {b.builtin for group in builtins.values() for b in group}
-        missing = sorted(wanted - self._references.keys())
-        if missing:
-            extracted = self._builtin_descriptors(
-                missing, self.manifest.reference_images
-            )
-            for builtin, matrix in extracted.items():
-                self._keep_references(builtin, matrix)
+        self._keep_builtin_references(
+            [b for group in builtins.values() for b in group]
+        )
         for key, group in builtins.items():
             todo = np.frombuffer(key, dtype=np.int64)
-            for binding, block in zip(group, self._builtin_rows(group, todo)):
+            blocks = [np.empty((len(todo), self.reference_count)) for _ in group]
+            for start, stop, descriptors in self._builtin_chunks(group, todo):
+                for binding, block in zip(group, blocks):
+                    self._builtin_block(binding, descriptors, block[start:stop])
+            for binding, block in zip(group, blocks):
                 self._record(binding.technique_id, todo, block)
         return queries
 
-    def similarity_rows(self, technique_id: str, query_indices) -> np.ndarray:
-        """Read-only (len(query_indices), reference_count) block of cosine
-        similarities, one row per listed query.
+    def best_matches(self, technique_ids) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """(best reference, match score) columns over every query for each
+        listed technique: bit for bit what ``score`` then ``matches`` give
+        for every query, with no row kept.
 
-        A request equal to one fragment gets that fragment itself.  Any
-        other is copied out of the fragments by ``copy_rows``.
+        Every technique is checked before anything is read, and each
+        SFDESC1 payload is read and checked whole, as ``score`` does.  Each
+        payload is then widened into one float64 buffer and scored by one
+        ``similarity_block`` call, the product ``score`` would keep as a
+        fragment, into one Q x R buffer that every technique reuses.
+        Built-ins go in ``score``'s chunks with their shared decodes, and
+        each chunk's rows are dropped once its best matches are read.  A
+        technique that already has state is served by ``score`` and
+        ``matches``, so its rows stay where they are.
         """
-        queries = self.score([technique_id], query_indices)
-        frag, row = self._where[technique_id][:, queries]
-        if len(frag) and (frag == frag[0]).all():
-            block = self._fragments[technique_id][frag[0]]
-            if len(row) == len(block) and np.array_equal(row, np.arange(len(row))):
-                return block
-        rows = np.empty((len(queries), self.reference_count))
-        self.copy_rows(technique_id, queries, rows)
-        rows.setflags(write=False)
-        return rows
+        bindings = self._bindings(technique_ids)
+        every = np.arange(self.query_count)
+        held = [b.technique_id for b in bindings if b.technique_id in self._where]
+        self.score(held, every)
+        columns = {tid: self.matches(tid, every) for tid in held}
+        fresh = [b for b in bindings if b.technique_id not in self._where]
+        rows = np.empty((self.query_count, self.reference_count))
+        wide = np.empty(0)
+        for binding in (b for b in fresh if b.kind == "sfdesc"):
+            refs, ref_norms = self._sfdesc_references(binding)
+            payload = self._read_payload(binding, refs.shape)
+            if wide.size < payload.size:
+                wide = np.empty(payload.size)
+            queries = wide[: payload.size].reshape(payload.shape)
+            queries[...] = payload
+            del payload
+            columns[binding.technique_id] = _first_maxima(
+                similarity_block(queries, refs, ref_norms=ref_norms, out=rows)
+            )
+        del wide
+        group = [b for b in fresh if b.kind == "builtin"]
+        self._keep_builtin_references(group)
+        for binding in group:
+            columns[binding.technique_id] = (
+                np.empty(self.query_count, dtype=np.int64),
+                np.empty(self.query_count),
+            )
+        for start, stop, descriptors in self._builtin_chunks(group, every):
+            for binding in group:
+                block = self._builtin_block(binding, descriptors, rows[: stop - start])
+                best, score = columns[binding.technique_id]
+                best[start:stop], score[start:stop] = _first_maxima(block)
+        return {b.technique_id: columns[b.technique_id] for b in bindings}
 
     def copy_rows(
         self, technique_id: str, queries: np.ndarray, out: np.ndarray, at=None
@@ -458,8 +501,8 @@ class DatasetRuntime:
         self, technique_id: str, query_indices
     ) -> tuple[np.ndarray, np.ndarray]:
         """(best reference, match score) of each listed query: the first
-        maximum of its similarity row and the value there.  Scores the rows
-        ``similarity_rows`` would for the same request, and reads no row."""
+        maximum of its similarity row and the value there.  Scores the
+        listed queries' rows with ``score`` and reads no row."""
         queries = self.score([technique_id], query_indices)
         best, score = self._matches[technique_id]
         return best[queries], score[queries]
@@ -486,52 +529,75 @@ class DatasetRuntime:
         where[1, todo] = np.arange(len(todo))
         fragments.append(block)
         best, score = self._matches[technique_id]
-        first = block.argmax(axis=1)
-        best[todo] = first
-        score[todo] = block[np.arange(len(todo)), first]
+        best[todo], score[todo] = _first_maxima(block)
         if where[0].min() >= 0:
             self._payloads.pop(technique_id, None)
 
     def _sfdesc_rows(self, binding: TechniqueBinding, todo: np.ndarray) -> np.ndarray:
         """SFDESC1 similarity rows of the sorted queries ``todo``, from one
         matrix product."""
-        tid = binding.technique_id
-        path = self.manifest.base_dir / binding.references_path
-        refs, ref_norms = self._references.get(path) or self._keep_references(
-            path, load_descriptor_set(path).matrix.astype(np.float64)
-        )
-        payload = self._payloads.get(tid)
+        refs, ref_norms = self._sfdesc_references(binding)
+        payload = self._payloads.get(binding.technique_id)
         if payload is None:
-            payload = load_descriptor_set(
-                self.manifest.base_dir / binding.queries_path, tid
-            ).matrix
-            # the files may have been replaced since their headers were checked
-            self._check_shapes(tid, payload.shape, refs.shape)
-            self._payloads[tid] = payload
+            payload = self._read_payload(binding, refs.shape)
+            self._payloads[binding.technique_id] = payload
         if len(todo) < len(payload):
             payload = payload[todo]
         return similarity_block(payload, refs, ref_norms=ref_norms)
 
-    def _builtin_rows(self, group, todo: np.ndarray) -> list[np.ndarray]:
-        """Similarity rows of the sorted queries ``todo`` for each built-in
-        binding of ``group``, whose reference descriptors are kept.  The
-        queries go in equal chunks of at most ``_SCORE_CHUNK``, which bound
-        the memory their descriptors take at once; each chunk's images are
-        decoded once for the whole group."""
+    def _sfdesc_references(self, binding: TechniqueBinding):
+        """(float64 matrix, row norms) of a technique's reference file."""
+        path = self.manifest.base_dir / binding.references_path
+        return self._references.get(path) or self._keep_references(
+            path, load_descriptor_set(path).matrix.astype(np.float64)
+        )
+
+    def _read_payload(self, binding: TechniqueBinding, ref_shape) -> np.ndarray:
+        """A technique's whole SFDESC1 query payload as float32, read and
+        checked."""
+        tid = binding.technique_id
+        payload = load_descriptor_set(
+            self.manifest.base_dir / binding.queries_path, tid
+        ).matrix
+        # the files may have been replaced since their headers were checked
+        self._check_shapes(tid, payload.shape, ref_shape)
+        return payload
+
+    def _keep_builtin_references(self, group) -> None:
+        """Keep the reference descriptors of every built-in of ``group``
+        that has none yet, from one decode of each reference image."""
+        missing = sorted({b.builtin for b in group} - self._references.keys())
+        if missing:
+            extracted = self._builtin_descriptors(
+                missing, self.manifest.reference_images
+            )
+            for builtin, matrix in extracted.items():
+                self._keep_references(builtin, matrix)
+
+    def _builtin_chunks(self, group, todo: np.ndarray):
+        """(start, stop, descriptors) of each chunk ``todo[start:stop]`` of
+        the sorted queries ``todo``, with the chunk's descriptors for every
+        built-in of ``group``.  The queries go in equal chunks of at most
+        ``_SCORE_CHUNK``, which bound the memory their descriptors take at
+        once; each chunk's images are decoded once for the whole group."""
+        if not group:
+            return
         builtins = sorted({b.builtin for b in group})
-        blocks = [np.empty((len(todo), self.reference_count)) for _ in group]
         start = 0
         for chunk in np.array_split(todo, -(-len(todo) // _SCORE_CHUNK)):
             descriptors = self._builtin_descriptors(
                 builtins, [self.manifest.query_images[q] for q in chunk.tolist()]
             )
-            for binding, block in zip(group, blocks):
-                refs, ref_norms = self._references[binding.builtin]
-                block[start : start + len(chunk)] = similarity_block(
-                    descriptors[binding.builtin], refs, ref_norms=ref_norms
-                )
+            yield start, start + len(chunk), descriptors
             start += len(chunk)
-        return blocks
+
+    def _builtin_block(self, binding, descriptors, out) -> np.ndarray:
+        """A built-in's similarity rows of one chunk's ``descriptors``,
+        scored into ``out`` against its kept reference descriptors."""
+        refs, ref_norms = self._references[binding.builtin]
+        return similarity_block(
+            descriptors[binding.builtin], refs, ref_norms=ref_norms, out=out
+        )
 
     def _keep_references(self, key, matrix) -> tuple[np.ndarray, np.ndarray]:
         """Keep a reference matrix and its row norms for the runtime's life,

@@ -288,12 +288,17 @@ def load_descriptor_set(path, technique_id: str | None = None) -> DescriptorSet:
     float32 matrix.  Any non-finite value raises ``DataError``."""
     with open(path, "rb") as fh:
         count, dim = _read_header(fh, path)
-        payload = fh.read()
-    if len(payload) != 4 * count * dim:  # the file changed while being read
+        # read straight into the matrix: ``fh.read()`` would join the
+        # buffered head to the rest of the file, holding the payload twice
+        matrix = np.empty((count, dim), dtype="<f4")
+        size = fh.readinto(matrix.reshape(-1).view(np.uint8))
+        grown = fh.read(1)
+    if size != 4 * count * dim or grown:  # the file changed while being read
         raise FormatError(
-            f"{path}: payload size {len(payload)} bytes, expected {4 * count * dim}"
+            f"{path}: payload changed while being read, expected "
+            f"{4 * count * dim} bytes"
         )
-    matrix = np.frombuffer(payload, dtype="<f4").reshape(count, dim)
+    matrix.setflags(write=False)
     if not np.all(np.isfinite(matrix)):
         raise DataError(f"{path}: non-finite descriptor values")
     tid = technique_id if technique_id is not None else "external"
@@ -304,14 +309,16 @@ def load_descriptor_set(path, technique_id: str | None = None) -> DescriptorSet:
 _NORM_ROWS = 64
 
 
-def similarity_block(queries, refs, ref_norms=None) -> np.ndarray:
+def similarity_block(queries, refs, ref_norms=None, out=None) -> np.ndarray:
     """Cosine similarity of every query row against every reference row.
 
     Returns the Q x R block from one matrix product, divided in place by
     the norm products ``_NORM_ROWS`` rows at a time; an entry whose norm
     product is not positive is +0.0, so a zero-norm row scores 0 against
     anything.  ``ref_norms`` are the reference row norms when the caller
-    keeps them across blocks.
+    keeps them across blocks.  ``out``, a C-contiguous float64 Q x R array,
+    takes the block in place of a new one: the same product, bit for bit,
+    with no fresh pages to fault in.
     """
     queries = np.asarray(queries, dtype=np.float64)
     refs = np.asarray(refs, dtype=np.float64)
@@ -321,7 +328,7 @@ def similarity_block(queries, refs, ref_norms=None) -> np.ndarray:
             f"{refs.shape}"
         )
     rn = np.linalg.norm(refs, axis=1) if ref_norms is None else ref_norms
-    block = queries @ refs.T
+    block = np.matmul(queries, refs.T, out=out)
     # entries with a zero norm product are reset to +0.0, so the warnings
     # of their division say nothing
     with np.errstate(divide="ignore", invalid="ignore"):

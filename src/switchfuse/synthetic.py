@@ -45,6 +45,9 @@ class TechniqueProfile:
             raise InvalidSpecError(
                 f"{self.technique_id}: correct_rate must lie in (0, 1)"
             )
+        for name in ("mean_m", "sd_m", "mean_mm", "sd_mm"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidSpecError(f"{self.technique_id}: {name} must be finite")
         if self.sd_m <= 0 or self.sd_mm <= 0:
             raise InvalidSpecError(f"{self.technique_id}: sd must be positive")
 
@@ -176,8 +179,14 @@ def generate(
     chol = np.linalg.cholesky(corr)
     thresholds = np.array([NormalDist().inv_cdf(p.correct_rate) for p in profiles])
 
-    sims = {tid: np.empty((query_count, reference_count)) for tid in ids}
-    true_refs = np.empty(query_count, dtype=np.int64)
+    try:
+        sims = {tid: np.empty((query_count, reference_count)) for tid in ids}
+        true_refs = np.empty(query_count, dtype=np.int64)
+    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+        raise InvalidInputError(
+            f"query_count {query_count} x reference_count {reference_count} "
+            f"x {len(ids)} techniques is too large to allocate"
+        ) from None
     for q in range(query_count):
         qrng = _query_rng(seed, q)
         true_ref = int(qrng.integers(reference_count))

@@ -32,6 +32,7 @@ from switchfuse.errors import FormatError, InvalidInputError, UndefinedEvidenceE
 from switchfuse.evaluation import GroundTruth
 from switchfuse.fusion import EPSILON
 from switchfuse.switching import TripartiteConfig, UnitConfig
+from tests.exported import similarity_rows
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -107,9 +108,9 @@ def raw_match_score(sim: SimilarityVector) -> MatchScore:
 
 
 def similarity(runtime, query_index: int, technique_id: str) -> SimilarityVector:
-    """One query's row of a runtime's ``similarity_rows``."""
+    """One query's similarity row of a runtime."""
     return SimilarityVector(
-        technique_id, runtime.similarity_rows(technique_id, [query_index])[0]
+        technique_id, similarity_rows(runtime, technique_id, [query_index])[0]
     )
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from switchfuse.errors import (
     InsufficientDataError,
     InvalidInputError,
 )
-from switchfuse.synthetic import TechniqueProfile, generate
+from switchfuse.synthetic import SyntheticDataset, TechniqueProfile, generate
 from tests.exported import exported_runtime
 from tests.oracle import (
     MATCH,
@@ -357,3 +358,26 @@ def test_histogram_invariants():
             counts_matched=np.zeros(2, dtype=np.int64),
             counts_mismatched=np.zeros(2, dtype=np.int64),
         )
+
+
+def test_collect_run_keeps_no_rows(tmp_path):
+    """``collect_run`` over Q = 1000 queries, R = 200 references and T = 9
+    SFDESC techniques allocates less than three Q x R float64 blocks at its
+    peak: one reused score buffer and one widened payload, where keeping
+    each technique's rows would hold nine blocks."""
+    rng = np.random.default_rng(29)
+    q, r = 1000, 200
+    ids = [f"t{i}" for i in range(9)]
+    ds = SyntheticDataset(
+        {tid: rng.uniform(-1, 1, (q, r)) for tid in ids}, rng.integers(0, r, q)
+    )
+    runtime = exported_runtime(ds, np.arange(q), tmp_path)
+    tracemalloc.start()
+    try:
+        run = collect_run(runtime, ids)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert list(run) == ids
+    assert runtime._fragments == {}
+    assert peak < 3 * q * r * 8

@@ -2,12 +2,14 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import os
 import shutil
 import struct
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -587,6 +589,30 @@ BAD_SPECS = {
 }
 
 
+
+def _profile_value(field, value):
+    """A spec whose first profile's ``field`` is ``value``."""
+    return lambda doc: {**doc, "profiles": [{**doc["profiles"][0], field: value}]}
+
+
+# synthetic specs with a non-finite mean or sd, written as JSON's NaN and
+# Infinity literals
+NON_FINITE_SPECS = {
+    "mean_m_nan": _profile_value("mean_m", math.nan),
+    "sd_m_nan": _profile_value("sd_m", math.nan),
+    "mean_mm_-inf": _profile_value("mean_mm", -math.inf),
+    "sd_mm_inf": _profile_value("sd_mm", math.inf),
+}
+
+# synthetic specs whose generated arrays cannot be allocated; each fails at
+# once, without touching memory
+HUGE_SPECS = {
+    "query_count_1e12": lambda doc: {**doc, "query_count": 10**12},
+    "reference_count_1e12": lambda doc: {**doc, "reference_count": 10**12},
+    "query_count_1e20": lambda doc: {**doc, "query_count": 10**20},
+}
+
+
 # dataset manifests of the wrong shape, from the valid explicit-ground-truth
 # SFDESC1 one
 BAD_MANIFESTS = {
@@ -681,6 +707,8 @@ CALIBRATE_FLAG_CASES = ("calibrate_bins", "calibrate_min_samples", "calibrate_al
         ("calibrate_alpha_1e-300", "SF-INPUT"),  # two such masses multiply to 0
         *[(f"{cmd}_{bad}", "SF-FORMAT") for bad in BAD_CONFIGS for cmd in ("calibrate", "run")],
         *[(f"synth_{bad}", "SF-FORMAT") for bad in BAD_SPECS],
+        *[(f"synth_{bad}", "SF-SPEC") for bad in NON_FINITE_SPECS],
+        *[(f"synth_{bad}", "SF-INPUT") for bad in HUGE_SPECS],
         *[(f"run_store_{bad}", "SF-FORMAT") for bad in BAD_STORES],
         *[(f"run_manifest_{bad}", "SF-FORMAT") for bad in BAD_MANIFESTS],
         *[(f"run_gt_{bad}", "SF-FORMAT") for bad in BAD_GROUND_TRUTHS],
@@ -752,7 +780,9 @@ def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
     elif case.startswith("synth"):
         named = d / "bad_spec.json"
         spec = json.loads((d / "spec.json").read_text())
-        named.write_text(_json_text(BAD_SPECS[case[len("synth_"):]](spec)))
+        bad = case[len("synth_"):]
+        edit = {**BAD_SPECS, **NON_FINITE_SPECS, **HUGE_SPECS}[bad]
+        named.write_text(_json_text(edit(spec)))
         argv = ["synth", "--spec", named, "--seed", 1, "--out", d / "synth"]
     else:
         preds = d / "preds.csv"
@@ -787,6 +817,10 @@ def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
         assert flag in err
     if case.startswith("synth_seed"):
         assert "--seed" in err
+    if case[len("synth_"):] in NON_FINITE_SPECS:  # the technique and field
+        assert err.startswith(f"SF-SPEC: a: {case[len('synth_'):].rsplit('_', 1)[0]} ")
+    if case[len("synth_"):] in HUGE_SPECS:
+        assert "query_count" in err and "reference_count" in err
     if code == "SF-FORMAT" and named is None:
         assert str(d / "preds.csv") in err and "row 3" in err
     elif code == "SF-FORMAT":
@@ -1135,9 +1169,10 @@ def test_bench_pairs_verdict_needs_nine_of_ten_and_a_lead_beyond_the_iqr():
     assert verdicts([v + 0.1 for v in base]) == ("unchanged",) * 2
 
 
-def test_bench_pairs_records_probe_and_raw_throughput():
-    """Each side of a ``BENCH_*.json`` keeps its runs' probe medians and raw
-    wall-time throughputs, a run that recorded none included."""
+def test_bench_pairs_records_probe_and_raw_throughput(monkeypatch):
+    """Each side of a ``BENCH_*.json`` keeps its runs' probe medians, raw
+    wall-time throughputs and per-operation child usage (minor faults, user
+    and system seconds), a run that recorded none included."""
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
     )
@@ -1148,7 +1183,10 @@ def test_bench_pairs_records_probe_and_raw_throughput():
     runs = {
         side: [
             {"env": None, "failures": [], "metrics": {"m": 1.0}, "probe_s": probe,
-             "raw_qps": {} if probe is None else {"run": 1 / probe}}
+             "raw_qps": {} if probe is None else {"run": 1 / probe},
+             **({} if probe is None else {"child_usage": {
+                 "minor_faults": probe * 1e6, "user_s": probe, "system_s": probe / 2,
+             }})}
             for probe in values
         ]
         for side, values in probes.items()
@@ -1162,3 +1200,23 @@ def test_bench_pairs_records_probe_and_raw_throughput():
     assert change["probe_s"]["median"] == 0.002
     assert base["raw_qps"]["run"]["values"] == [500.0, 1000.0, None]
     assert change["raw_qps"]["run"]["median"] == 500.0
+    assert base["child_usage"]["minor_faults"]["values"] == [2000.0, 1000.0, None]
+    assert base["child_usage"]["minor_faults"]["unit"] == "faults/op"
+    assert change["child_usage"]["user_s"]["median"] == 0.002
+    assert change["child_usage"]["system_s"]["median"] == 0.001
+    assert change["child_usage"]["system_s"]["unit"] == "s/op"
+
+    # one run: the children's usage delta around it over its attempted ops
+    usage = iter([
+        SimpleNamespace(ru_minflt=100, ru_utime=1.0, ru_stime=0.5),
+        SimpleNamespace(ru_minflt=900, ru_utime=3.0, ru_stime=1.5),
+    ])
+    monkeypatch.setattr(bench_pairs.resource, "getrusage", lambda who: next(usage))
+    summary = json.dumps({"attempted": 4, "metrics": {"m": {"value": 2.0}}})
+    monkeypatch.setattr(
+        bench_pairs.subprocess, "run",
+        lambda *a, **k: SimpleNamespace(returncode=0, stdout=summary, stderr=""),
+    )
+    run = bench_pairs.run_once(ROOT, "w", 1, 1.0)
+    assert run["metrics"] == {"m": 2.0}
+    assert run["child_usage"] == {"minor_faults": 200.0, "user_s": 0.5, "system_s": 0.25}

@@ -20,12 +20,14 @@ from switchfuse.descriptors import (
     DescriptorSet,
     ImageGray,
     compute_descriptor,
+    save_descriptor_set,
 )
 from switchfuse.errors import FormatError, InvalidInputError, UnknownTechniqueError
 from switchfuse.evaluation import run_method
 from switchfuse.pgm import load_pgm
 from switchfuse.switching import TripartiteConfig, UnitConfig
 from switchfuse.synthetic import (
+    SyntheticDataset,
     TechniqueProfile,
     export_dataset,
     export_image_dataset,
@@ -33,6 +35,7 @@ from switchfuse.synthetic import (
     generate_image_dataset,
     split_calibration_eval,
 )
+from tests.exported import similarity_rows
 from tests.oracle import (
     best_match,
     fuse,
@@ -159,18 +162,19 @@ def test_sfdesc_fragments_serve_rows_bit_exact(switching_dataset):
     repeats, bit for bit as one whole-block request gives them."""
     manifest = load_manifest(switching_dataset[0])
     q = manifest.query_count
-    whole = DatasetRuntime(manifest).similarity_rows("a", range(q))
+    whole = similarity_rows(DatasetRuntime(manifest), "a", range(q))
     runtime = DatasetRuntime(manifest)
     for request in ([5], [2], [7, 5, 2, 5], [q - 1, 0], list(range(0, q, 3)),
                     list(range(q)), [], [4, 4]):
-        rows = runtime.similarity_rows("a", request)
+        rows = similarity_rows(runtime, "a", request)
         assert rows.shape == (len(request), manifest.reference_count)
         assert not rows.flags.writeable
         assert rows.tobytes() == whole[request].tobytes()
-    # a request equal to the rows one request scored gets them uncopied
-    runtime.similarity_rows("b", [3, 1, 2])
-    block = runtime.similarity_rows("b", [1, 2, 3])
-    assert runtime.similarity_rows("b", [1, 2, 3]) is block
+    # the rows one request scored are kept as one fragment, in query order
+    similarity_rows(runtime, "b", [3, 1, 2])
+    (block,) = runtime._fragments["b"]
+    assert not block.flags.writeable
+    assert similarity_rows(runtime, "b", [1, 2, 3]).tobytes() == block.tobytes()
 
 
 def test_truncated_sfdesc_fails_at_construction(switching_dataset):
@@ -270,7 +274,7 @@ def test_builtin_rows_match_scalar_oracle(image_manifest, monkeypatch, chunk):
         )
         # overlapping, repeated and out-of-order requests
         for block in ([4, 1, 4], list(range(m.query_count)), [2]):
-            rows = runtime.similarity_rows(tid, block)
+            rows = similarity_rows(runtime, tid, block)
             assert rows.shape == (len(block), m.reference_count)
             assert not rows.flags.writeable
             for q, row in zip(block, rows):
@@ -281,8 +285,8 @@ def test_builtin_rows_match_scalar_oracle(image_manifest, monkeypatch, chunk):
 def test_builtin_zero_norm_query_scores_zero(image_manifest):
     runtime = DatasetRuntime(image_manifest)
     for tid in ("tiny_patch", "hog"):
-        assert np.all(runtime.similarity_rows(tid, [2, 2]) == 0.0)
-    assert np.all(runtime.similarity_rows("intensity_hist", [2]) > 0.0)
+        assert np.all(similarity_rows(runtime, tid, [2, 2]) == 0.0)
+    assert np.all(similarity_rows(runtime, "intensity_hist", [2]) > 0.0)
 
 
 def test_builtin_descriptors_extracted_once(tmp_path, monkeypatch):
@@ -312,7 +316,7 @@ def test_builtin_descriptors_extracted_once(tmp_path, monkeypatch):
     n = 12  # queries and references alike
     runtime = DatasetRuntime(splits["eval"])
     for block in ([0], [3, 1], list(range(n)), [11, 0]):
-        runtime.similarity_rows("hog", block)
+        similarity_rows(runtime, "hog", block)
     assert calls == {"hog": 2 * n}
 
     calls.clear()
@@ -364,7 +368,7 @@ def test_matches_are_first_argmax_of_rows(
     for tid in tids:
         for request in _matches_requests(manifest.query_count):
             scored.clear()
-            rows = by_rows.similarity_rows(tid, request)
+            rows = similarity_rows(by_rows, tid, request)
             from_rows = list(scored)
             scored.clear()
             best, score = by_matches.matches(tid, request)
@@ -375,15 +379,15 @@ def test_matches_are_first_argmax_of_rows(
             assert np.array_equal(best, want)
             assert score.tobytes() == rows[np.arange(len(rows)), want].tobytes()
             # and the rows served afterwards are the ones matched
-            again = by_matches.similarity_rows(tid, request)
+            again = similarity_rows(by_matches, tid, request)
             assert again.tobytes() == rows.tobytes()
 
 
 def test_compare_reads_rows_only_for_fusion(switching_dataset, tmp_path, monkeypatch):
     """In ``compare``, one ``score`` call scores every technique up front;
     then switch-only and every single-technique method read best-match
-    columns only, never a similarity row, whether served whole
-    (``similarity_rows``) or copied out (``copy_rows``)."""
+    columns only, never copying a similarity row out (``copy_rows``, the
+    runtime's one row path)."""
     manifest_path, store = switching_dataset
     config = TripartiteConfig(
         units=(UnitConfig("u0", ("a", "b")), UnitConfig("u1", ("c", "a")))
@@ -393,14 +397,9 @@ def test_compare_reads_rows_only_for_fusion(switching_dataset, tmp_path, monkeyp
     calls = Counter()
     up_front = []
     current = [None]
-    rows = DatasetRuntime.similarity_rows
     copy = DatasetRuntime.copy_rows
     score = DatasetRuntime.score
     run = evaluation.run_method
-
-    def spy_rows(self, tid, queries):
-        calls[current[0]] += 1
-        return rows(self, tid, queries)
 
     def spy_copy(self, tid, queries, out, at=None):
         calls[current[0]] += 1
@@ -415,7 +414,6 @@ def test_compare_reads_rows_only_for_fusion(switching_dataset, tmp_path, monkeyp
         current[0] = method
         return run(method, *args, **kwargs)
 
-    monkeypatch.setattr(DatasetRuntime, "similarity_rows", spy_rows)
     monkeypatch.setattr(DatasetRuntime, "copy_rows", spy_copy)
     monkeypatch.setattr(DatasetRuntime, "score", spy_score)
     monkeypatch.setattr(evaluation, "run_method", tagged)
@@ -516,8 +514,8 @@ def test_run_scores_a_later_primary_hopped_to_as_one_fragment(tmp_path, monkeypa
     assert (hogs.hops > 0).any() and (hogs.selected == 1).any()
     (fragment,) = runtime._fragments["tiny_patch"]
     assert fragment.shape == (runtime.query_count, runtime.reference_count)
-    compared = seen["compare"][0].similarity_rows(
-        "tiny_patch", range(runtime.query_count)
+    compared = similarity_rows(
+        seen["compare"][0], "tiny_patch", range(runtime.query_count)
     )
     assert fragment.tobytes() == compared.tobytes()
 
@@ -531,7 +529,7 @@ def test_score_over_unequal_scored_sets_matches_scalar_oracle(
     monkeypatch.setattr(datasets, "_SCORE_CHUNK", 2)
     m = image_manifest
     runtime = DatasetRuntime(m)
-    runtime.similarity_rows("hog", [1, 4])
+    similarity_rows(runtime, "hog", [1, 4])
     runtime.matches("tiny_patch", [0])
     decoded = _count_decodes(monkeypatch)
     everyone = list(range(m.query_count))
@@ -547,7 +545,7 @@ def test_score_over_unequal_scored_sets_matches_scalar_oracle(
         refs = DescriptorSet(
             tid, np.stack([descriptor(r, tid) for r in m.reference_images])
         )
-        rows = runtime.similarity_rows(tid, everyone)
+        rows = similarity_rows(runtime, tid, everyone)
         best, score = runtime.matches(tid, everyone)
         for q, row in enumerate(rows):
             want = similarity_vector(descriptor(m.query_images[q], tid), refs)
@@ -636,3 +634,108 @@ def test_fusion_with_a_technique_in_two_units_matches_oracle(tmp_path, monkeypat
         got = report.confidence[q : q + 1]
         assert got.tobytes() == np.float64(conf).tobytes()
     assert 0 < both < runtime.query_count, both
+
+
+def _sfdesc_variant(variant, tmp_path, monkeypatch):
+    """(manifest, techniques) of an SFDESC1 case for ``best_matches``.
+
+    ``zero_norm``: two techniques of random descriptors in which query 3 is
+    all zeros, scored by the real kernel.  ``signed_zero``: exported rows
+    whose maximum 0.0 is held as both -0.0 and +0.0, in either order, served
+    by a kernel that returns the rows themselves (minus the padding
+    coordinate), as the exported descriptors hold them.
+    """
+    rng = np.random.default_rng(41)
+    q, r = 9, 7
+    if variant == "zero_norm":
+        refs = rng.normal(size=(r, 5))
+        save_descriptor_set(DescriptorSet("refs", refs), tmp_path / "refs.sfdesc")
+        techniques = {}
+        for tid in ("x", "y"):
+            queries = rng.normal(size=(q, 5))
+            queries[3] = 0.0
+            save_descriptor_set(
+                DescriptorSet(tid, queries), tmp_path / f"{tid}.sfdesc"
+            )
+            techniques[tid] = {
+                "kind": "sfdesc", "references": "refs.sfdesc",
+                "queries": f"{tid}.sfdesc",
+            }
+        doc = {
+            "query_count": q, "reference_count": r, "techniques": techniques,
+            "ground_truth": {"kind": "window", "k": 1},
+        }
+        (tmp_path / "m.json").write_text(json.dumps(doc))
+        return load_manifest(tmp_path / "m.json"), ("x", "y")
+
+    def rows_kernel(queries, refs, ref_norms=None, out=None):
+        block = np.array(queries[:, :-1], np.float64)
+        if out is None:
+            return block
+        out[...] = block
+        return out
+
+    monkeypatch.setattr(datasets, "similarity_block", rows_kernel)
+    sims = {}
+    for tid in ("a", "b"):
+        rows = -rng.uniform(0.1, 1, (q, r))
+        rows[0::2, 1], rows[0::2, 4] = -0.0, 0.0
+        rows[1::2, 1], rows[1::2, 4] = 0.0, -0.0
+        sims[tid] = rows
+    ds = SyntheticDataset(sims, rng.integers(0, r, q))
+    return load_manifest(export_dataset(ds, np.arange(q), tmp_path, "sz")), ("a", "b")
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 64])
+@pytest.mark.parametrize("variant", ["zero_norm", "signed_zero", "builtin"])
+def test_best_matches_equal_score_then_matches(
+    variant, chunk, image_manifest, tmp_path, monkeypatch
+):
+    """``best_matches`` gives, byte for byte, the columns ``score`` then
+    ``matches`` give over every query, and keeps no row: for SFDESC1 and
+    built-in techniques, any built-in chunk size, a zero-norm query and a
+    maximum 0.0 held as both -0.0 and +0.0."""
+    monkeypatch.setattr(datasets, "_SCORE_CHUNK", chunk)
+    if variant == "builtin":
+        manifest, tids = image_manifest, tuple(BUILTIN_DIMS)
+    else:
+        manifest, tids = _sfdesc_variant(variant, tmp_path, monkeypatch)
+    every = range(manifest.query_count)
+    by_score, by_best = DatasetRuntime(manifest), DatasetRuntime(manifest)
+    by_score.score(tids, every)
+    got = by_best.best_matches(tids)
+    assert list(got) == list(tids)
+    signs = set()
+    for tid in tids:
+        best, score = by_score.matches(tid, every)
+        assert got[tid][0].dtype == np.int64
+        assert got[tid][0].tobytes() == best.tobytes()
+        assert got[tid][1].tobytes() == score.tobytes()
+        signs.update(np.copysign(1.0, score[score == 0.0]).tolist())
+    assert by_best._fragments == {} and by_best._payloads == {}
+    if variant == "signed_zero":
+        assert signs == {-1.0, 1.0}
+    else:  # the zero-norm query scores +0.0 against every reference
+        assert 1.0 in signs
+
+
+def test_best_matches_serves_techniques_with_rows_from_them(switching_dataset):
+    """A technique that already has rows is matched from them, as
+    ``matches`` would match it; the others are scored without keeping rows,
+    and an unbound technique fails before anything is read."""
+    manifest = load_manifest(switching_dataset[0])
+    every = range(manifest.query_count)
+    runtime = DatasetRuntime(manifest)
+    runtime.score(["b"], [4, 0, 2])
+    with pytest.raises(UnknownTechniqueError):
+        runtime.best_matches(["a", "nope"])
+    assert set(runtime._where) == {"b"}
+    got = runtime.best_matches(["a", "b", "a"])
+    assert list(got) == ["a", "b"]
+    mirror = DatasetRuntime(manifest)
+    mirror.score(["b"], [4, 0, 2])
+    mirror.score(["a", "b"], every)
+    for tid in ("a", "b"):
+        want = mirror.matches(tid, every)
+        assert [c.tobytes() for c in got[tid]] == [c.tobytes() for c in want]
+    assert "a" not in runtime._fragments and len(runtime._fragments["b"]) == 2

@@ -22,7 +22,7 @@ from switchfuse.calibration import build_store, collect_run
 from switchfuse.errors import InvalidInputError
 from switchfuse.reports import write_comparison_csv
 from switchfuse.synthetic import SyntheticDataset, TechniqueProfile, generate
-from tests.exported import exported_runtime
+from tests.exported import exported_runtime, similarity_rows
 from tests.oracle import (
     QueryOutcome,
     UnitDecision,
@@ -359,7 +359,7 @@ class TestRunMethod:
         gt = runtime.ground_truth()
         rep = run_method("single:b", runtime, config, None, gt)
         for q, predicted in enumerate(rep.predicted.tolist()):
-            row = runtime.similarity_rows("b", [q])[0]
+            row = similarity_rows(runtime, "b", [q])[0]
             assert predicted == int(np.argmax(row))
 
     def test_unknown_method(self, tmp_path):
@@ -559,7 +559,9 @@ def test_signed_zero_maxima_match_scalar_oracle(tmp_path, monkeypatch):
     monkeypatch.setattr(
         datasets,
         "similarity_block",
-        lambda queries, refs, ref_norms=None: np.array(queries[:, :-1], np.float64),
+        lambda queries, refs, ref_norms=None, out=None: np.array(
+            queries[:, :-1], np.float64
+        ),
     )
     runtime = exported_runtime(ds, np.arange(q), tmp_path)
     store = build_store(collect_run(runtime, ids), ids, bins=4)
@@ -635,7 +637,9 @@ def _row_runtime(directory, monkeypatch, sims) -> datasets.DatasetRuntime:
     monkeypatch.setattr(
         datasets,
         "similarity_block",
-        lambda queries, refs, ref_norms=None: np.array(queries[:, :-1], np.float64),
+        lambda queries, refs, ref_norms=None, out=None: np.array(
+            queries[:, :-1], np.float64
+        ),
     )
     q = len(next(iter(sims.values())))
     ds = SyntheticDataset(sims, np.zeros(q, dtype=np.int64))
