@@ -444,7 +444,7 @@ class DatasetRuntime:
                 wide = np.empty(payload.size)
             queries = wide[: payload.size].reshape(payload.shape)
             queries[...] = payload
-            del payload
+            del payload  # the next payload is read while the buffers are held
             columns[binding.technique_id] = _first_maxima(
                 similarity_block(queries, refs, ref_norms=ref_norms, out=rows)
             )
