@@ -22,6 +22,7 @@ from .errors import (
     InsufficientDataError,
     InvalidInputError,
 )
+from .files import write_atomic
 
 DEFAULT_BINS = 20
 DEFAULT_ALPHA = 1.0
@@ -337,8 +338,7 @@ def save_store(store: CalibrationStore, path) -> None:
         parts.append(_pack_str(a))
         parts.append(_pack_str(b))
         parts.append(_pack_hist(store.pairs[(a, b)]))
-    with open(path, "wb") as fh:
-        fh.write(b"".join(parts))
+    write_atomic(path, *parts)
 
 
 def load_store(path) -> CalibrationStore:

@@ -25,6 +25,7 @@ from .descriptors import (
 )
 from .errors import FormatError, InvalidInputError, UnknownTechniqueError
 from .evaluation import GroundTruth
+from .files import write_atomic
 from .pgm import load_pgm
 
 
@@ -218,9 +219,7 @@ def save_config(config, path) -> None:
             for u in config.units
         ],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_atomic(path, json.dumps(doc, indent=2), "\n")
 
 
 def load_ground_truth_file(path, reference_count: int) -> GroundTruth:
@@ -252,9 +251,7 @@ def save_ground_truth_file(gt: GroundTruth, path) -> None:
         "reference_count": gt.reference_count,
         "accepted": [sorted(s) for s in gt.accepted],
     }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_atomic(path, json.dumps(doc), "\n")
 
 
 def query_positions(query_indices, query_count: int) -> np.ndarray:
@@ -328,15 +325,18 @@ class DatasetRuntime:
         self._payloads: dict[str, np.ndarray] = {}  # SFDESC1 query payloads
         # reference file path or built-in name -> (matrix, row norms)
         self._references: dict[object, tuple[np.ndarray, np.ndarray]] = {}
+        # file path -> (count, dim): a file bound by several techniques, such
+        # as one reference set shared by all, is read once
+        headers: dict[Path, tuple[int, int]] = {}
         for tid, binding in manifest.bindings.items():
             if binding.kind == "sfdesc":
-                self._check_shapes(
-                    tid,
-                    read_descriptor_header(manifest.base_dir / binding.queries_path),
-                    read_descriptor_header(
-                        manifest.base_dir / binding.references_path
-                    ),
-                )
+                shapes = []
+                for name in (binding.queries_path, binding.references_path):
+                    path = manifest.base_dir / name
+                    if path not in headers:
+                        headers[path] = read_descriptor_header(path)
+                    shapes.append(headers[path])
+                self._check_shapes(tid, *shapes)
 
     def _check_shapes(self, tid: str, query_shape, ref_shape) -> None:
         """(count, dim) of a technique's query and reference descriptors

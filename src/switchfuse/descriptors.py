@@ -22,6 +22,7 @@ from .errors import (
     InvalidInputError,
     UnknownTechniqueError,
 )
+from .files import write_atomic
 
 SFDESC_MAGIC = b"SFDESC1\0"
 
@@ -254,10 +255,7 @@ def compute_descriptor(image: ImageGray, technique: str) -> np.ndarray:
 def save_descriptor_set(dset: DescriptorSet, path) -> None:
     """Write the SFDESC1 binary layout (little-endian, float32 rows)."""
     payload = np.ascontiguousarray(dset.matrix, dtype="<f4")
-    with open(path, "wb") as fh:
-        fh.write(SFDESC_MAGIC)
-        fh.write(struct.pack("<II", dset.count, dset.dim))
-        fh.write(payload.tobytes())
+    write_atomic(path, SFDESC_MAGIC, struct.pack("<II", dset.count, dset.dim), payload)
 
 
 def _read_header(fh, path) -> tuple[int, int]:

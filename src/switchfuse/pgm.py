@@ -6,6 +6,7 @@ import numpy as np
 
 from .descriptors import ImageGray
 from .errors import FormatError
+from .files import write_atomic
 
 
 def _read_token(blob: bytes, pos: int) -> tuple[bytes, int]:
@@ -56,6 +57,4 @@ def load_pgm(path) -> ImageGray:
 
 def save_pgm(image: ImageGray, path) -> None:
     arr = np.clip(np.round(image.pixels * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{image.width} {image.height}\n255\n".encode())
-        fh.write(arr.tobytes())
+    write_atomic(path, f"P5\n{image.width} {image.height}\n255\n", arr)

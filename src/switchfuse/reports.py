@@ -2,8 +2,10 @@
 
 CSV dialect: comma-separated, header row, ``.`` decimal separator, LF line
 endings.  An optional timestamp comment line (prefixed ``#``) precedes the
-header unless suppressed; readers skip ``#`` lines.  All files are written
-atomically (temp file then rename).
+header unless suppressed; readers skip ``#`` lines.  Each CSV and SVG file
+goes through ``files.write_atomic``, the writer of every output: a
+temporary file beside the target, then a rename, with FIFOs and devices
+written in place, so ``--out /dev/stdout`` works.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import os
 from datetime import datetime, timezone
 from itertools import chain, islice
 from pathlib import Path
@@ -20,20 +21,13 @@ import numpy as np
 
 from .errors import FormatError, InvalidInputError
 from .evaluation import EvaluationReport
+from .files import write_atomic
 
 _INT64 = range(-(2**63), 2**63)
 
 _PREDICTIONS_HEADER = (
     "query", "predicted", "confidence", "selected", "posteriors", "fallbacks"
 )
-
-
-def _atomic_write_text(path, text: str) -> None:
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
 
 
 def _csv_rows(rows) -> str:
@@ -61,7 +55,7 @@ def _write_csv(path, header, body: str, timestamp: bool) -> None:
     """Write the optional timestamp comment, ``header`` (plain names, no
     quoting needed) and ``body``, CSV rows already formatted."""
     stamp = f"# generated {datetime.now(timezone.utc).isoformat()}\n" if timestamp else ""
-    _atomic_write_text(path, stamp + ",".join(header) + "\n" + body)
+    write_atomic(path, stamp, ",".join(header), "\n", body)
 
 
 def _read_csv_rows(path):
@@ -307,4 +301,4 @@ def svg_pr_plot(curves, width: int = 520, height: int = 400) -> str:
 
 
 def write_svg(text: str, path) -> None:
-    _atomic_write_text(path, text)
+    write_atomic(path, text)

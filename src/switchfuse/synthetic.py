@@ -25,6 +25,7 @@ from .datasets import save_ground_truth_file
 from .descriptors import DescriptorSet, save_descriptor_set
 from .errors import InvalidInputError, InvalidSpecError
 from .evaluation import GroundTruth
+from .files import write_atomic
 from .pgm import save_pgm
 
 _PLANT_LO = -0.9  # planted scores clip here so background fits below
@@ -293,9 +294,7 @@ def export_dataset(
         "ground_truth": {"kind": "explicit", "path": gt_file},
     }
     manifest_path = out_dir / f"{name}_manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True), "\n")
     return manifest_path
 
 
@@ -352,7 +351,5 @@ def export_image_dataset(references, queries, out_dir, name: str) -> Path:
         "ground_truth": {"kind": "window", "k": 0},
     }
     manifest_path = out_dir / f"{name}_manifest.json"
-    with open(manifest_path, "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True), "\n")
     return manifest_path

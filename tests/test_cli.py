@@ -829,6 +829,48 @@ def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
         assert not (d / out).exists()
 
 
+@pytest.fixture(scope="module")
+def score_pipeline(tmp_path_factory):
+    """``pipeline_dir``'s spec and config, synthesised once: 40 calibration
+    queries and 30 references over three techniques in two units."""
+    d = tmp_path_factory.mktemp("score_pipeline")
+    write_spec(d / "spec.json", [("a", 0.6), ("b", 0.5), ("c", 0.55)])
+    write_config(d / "config.json", [["a", "b"], ["c", "a"]])
+    assert run_cli("synth", "--spec", d / "spec.json", "--seed", 5,
+                   "--out", d / "data") == 0
+    return d
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    bins=st.integers(2, 40),  # 2..max(40 calibration queries, 20)
+    alpha=st.floats(0, math.inf, exclude_min=True, exclude_max=True),
+    min_samples=st.integers(1, 40),
+    threshold=st.floats(0, 1, exclude_min=True, exclude_max=True),
+)
+def test_a_store_calibrate_accepts_runs_and_compares(
+    score_pipeline, bins, alpha, min_samples, threshold
+):
+    """Whenever ``calibrate`` exits 0 on flags drawn from their accepted
+    ranges, ``run`` and ``compare`` on its store exit 0 at any threshold
+    in (0, 1)."""
+    d = score_pipeline
+    data = d / "data"
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        if run_cli("calibrate", "--manifest", data / "calib_manifest.json",
+                   "--config", d / "config.json", "--out", d / "s.sfcal",
+                   "--bins", bins, "--alpha", repr(alpha),
+                   "--min-samples", min_samples) != 0:
+            assert err.getvalue().startswith("SF-"), err.getvalue()
+            return
+        common = ["--manifest", data / "eval_manifest.json", "--config",
+                  d / "config.json", "--store", d / "s.sfcal",
+                  "--threshold", repr(threshold), "--no-timestamp"]
+        assert run_cli("run", *common, "--out", d / "p.csv") == 0, err.getvalue()
+        assert run_cli("compare", *common, "--out", d / "cmp") == 0, err.getvalue()
+
+
 def test_synth_takes_a_seed_past_int64(pipeline_dir):
     """Only a negative ``--seed`` is refused: the generator's seed sequence
     takes any other integer, however large."""
@@ -1124,9 +1166,9 @@ def test_diff_outputs_generates_workload_inputs_per_root(tmp_path):
     shutil.copytree(ROOT / "src" / "switchfuse", other / "switchfuse")
     synthetic_py = other / "switchfuse" / "synthetic.py"
     text = synthetic_py.read_text()
-    assert text.count("json.dump(manifest, fh, indent=2") == 2
+    assert text.count("json.dumps(manifest, indent=2") == 2
     synthetic_py.write_text(
-        text.replace("json.dump(manifest, fh, indent=2", "json.dump(manifest, fh, indent=1")
+        text.replace("json.dumps(manifest, indent=2", "json.dumps(manifest, indent=1")
     )
     out = subprocess.run(
         [sys.executable, ROOT / "scripts" / "diff_outputs.py", ROOT / "src", other,

@@ -205,6 +205,49 @@ def test_each_descriptor_file_is_read_once(switching_dataset, monkeypatch):
     )
 
 
+def test_each_descriptor_header_is_read_once(tmp_path, monkeypatch):
+    """Nine techniques bind one reference file, as in the score workloads:
+    set-up reads one header per file, ten in all, not two per binding."""
+    tids = [f"t{i}" for i in range(9)]
+    ds = generate([profile(t, 0.6) for t in tids], 20, 10, seed=5)
+    manifest = load_manifest(export_dataset(ds, np.arange(20), tmp_path, "eval"))
+    reads = Counter()
+    read_header = datasets.read_descriptor_header
+
+    def counted(path):
+        reads[Path(path).name] += 1
+        return read_header(path)
+
+    monkeypatch.setattr(datasets, "read_descriptor_header", counted)
+    DatasetRuntime(manifest)
+    assert reads == Counter(
+        ["eval_refs.sfdesc"] + [f"eval_queries_{t}.sfdesc" for t in tids]
+    )
+
+
+@pytest.mark.parametrize(
+    "field, name, message",
+    [
+        ("queries", "eval_refs.sfdesc", "query descriptor count 20 != 60"),
+        ("references", "eval_queries_a.sfdesc", "reference descriptor count 60 != 20"),
+        ("queries", "narrow.sfdesc", "query dim 5 != reference dim 21"),
+    ],
+)
+def test_every_binding_keeps_its_shape_check(switching_dataset, field, name, message):
+    """The last technique binds a file whose header an earlier binding read
+    in the other role, or one of the wrong dim: its own check still fails."""
+    manifest_path = switching_dataset[0]
+    save_descriptor_set(
+        DescriptorSet("narrow", np.ones((60, 5))), manifest_path.parent / "narrow.sfdesc"
+    )
+    doc = json.loads(manifest_path.read_text())
+    doc["techniques"]["c"][field] = name
+    bad = manifest_path.parent / "bad_manifest.json"
+    bad.write_text(json.dumps(doc))
+    with pytest.raises(InvalidInputError, match=f"^c: {message}$"):
+        DatasetRuntime(load_manifest(bad))
+
+
 def test_builtin_extraction_stays_lazy(tmp_path, monkeypatch):
     """``run`` computes a built-in descriptor only for the references of a
     technique some query visits and for each visited (query, technique)."""
