@@ -12,7 +12,6 @@ import threading
 import pytest
 
 from switchfuse import calibration as cal
-from switchfuse.cli import main
 from switchfuse.datasets import DatasetRuntime, load_config, load_manifest, save_config
 from switchfuse.descriptors import load_descriptor_set, save_descriptor_set
 from switchfuse.evaluation import run_method
@@ -68,10 +67,6 @@ class HalfWritingFile:
             data = memoryview(data).cast("B")
         self._fh.write(data[: len(data) // 2])
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    def writelines(self, lines):
-        for line in lines:
-            self.write(line)
 
     def __getattr__(self, name):
         return getattr(self._fh, name)
@@ -134,11 +129,9 @@ def test_run_out_directory_exits_sf_io_and_leaves_nothing(made, tmp_path, capsys
     d, target = made["dir"], tmp_path / "preds"
     target.mkdir()
     capsys.readouterr()
-    assert main([
-        "run", "--manifest", str(d / "data" / "eval_manifest.json"),
-        "--config", str(d / "config.json"), "--store", str(d / "store.sfcal"),
-        "--out", str(target),
-    ]) == 1
+    assert run_cli("run", "--manifest", d / "data" / "eval_manifest.json",
+                   "--config", d / "config.json", "--store", d / "store.sfcal",
+                   "--out", target) == 1
     err = capsys.readouterr().err
     assert err.startswith("SF-IO: ") and "Traceback" not in err
     assert list(tmp_path.iterdir()) == [target]
