@@ -164,9 +164,8 @@ def cmd_run(args) -> int:
     runtime = _load_runtime(args)
     config = load_config(args.config, args.threshold)
     store = cal.load_store(args.store)
-    gt = runtime.ground_truth()
-    report = ev.run_method("switch-fuse", runtime, config, store, gt)
-    reports.write_predictions(report, args.out, timestamp=not args.no_timestamp)
+    columns = ev.run_method("switch-fuse", runtime, config, store)
+    reports.write_predictions(*columns, args.out, timestamp=not args.no_timestamp)
     print(f"wrote {args.out}")
     return 0
 

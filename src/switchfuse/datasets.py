@@ -127,6 +127,9 @@ def load_manifest(path) -> DatasetManifest:
         raise InvalidInputError(f"{path}: manifest missing key {exc}") from exc
     if manifest.query_count < 1 or manifest.reference_count < 1:
         raise InvalidInputError(f"{path}: empty query or reference list")
+    # ground truth keys each accepted pair as query * reference_count + reference
+    if manifest.query_count * manifest.reference_count >= 2**63:
+        raise FormatError(f"{path}: query_count x reference_count exceeds int64")
     if manifest.ground_truth_kind not in ("explicit", "window"):
         raise InvalidInputError(
             f"{path}: unknown ground-truth kind {manifest.ground_truth_kind!r}"

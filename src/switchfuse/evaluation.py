@@ -1,18 +1,18 @@
-"""Scoring, PR curves and the baseline comparison harness.
+"""Prediction, scoring, PR curves and the baseline comparison harness.
 
-``run_method`` drives four method families over a dataset runtime: the full
-switch-then-fuse pipeline, a pooled switch-only baseline, fuse-everything,
-and single-technique matching; ``compare_methods`` runs every family in
+``run_method`` predicts with one of four method families over a dataset
+runtime, reading no ground truth: the full switch-then-fuse pipeline, a
+pooled switch-only baseline, fuse-everything, and single-technique
+matching.  ``score_outcomes``, the one scorer, turns its columns into an
+``EvaluationReport``; ``compare_methods`` runs and scores every family in
 comparison order.  Every family handles all queries at once.  Switching and
 the raw-score baselines read the runtime's best-match columns
-(``matches``); only fusion reads similarity rows, a tile of queries at a
-time.  Per-query records stay columns of one ``EvaluationReport`` per
-method through scoring and the PR sweep.
+(``matches``); only fusion reads similarity rows, a tile at a time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -105,18 +105,13 @@ class GroundTruth:
 
 @dataclass(frozen=True, eq=False)
 class EvaluationReport:
-    """One method's per-query records as parallel columns, row i being
-    query i.  Its PR points are swept over them on first read.
-
-    ``decisions`` holds one ``BlockDecisions`` per unit, in unit order, for
-    switch-fuse, and is None for methods that do not switch per unit.
-    """
+    """One method's scored per-query records as parallel columns, row i
+    being query i.  Its PR points are swept over them on first read."""
 
     method: str
     predicted: np.ndarray  # int64
     confidence: np.ndarray  # float64
     correct: np.ndarray  # bool
-    decisions: tuple[BlockDecisions, ...] | None = None
 
     @cached_property
     def pr_points(self) -> tuple[tuple[float, float, float], ...]:
@@ -277,9 +272,11 @@ def run_method(
     runtime,
     config: TripartiteConfig,
     store: CalibrationStore | None,
-    ground_truth: GroundTruth,
-) -> EvaluationReport:
-    """Evaluate one method family over every query of a dataset runtime.
+) -> tuple[np.ndarray, np.ndarray, tuple[BlockDecisions, ...] | None]:
+    """Predict with one method family for every query of a dataset runtime,
+    reading no ground truth: the columns (predicted, confidence, decisions),
+    row i being query i.  ``decisions`` holds one ``BlockDecisions`` per
+    unit, in unit order, for switch-fuse, and is None for the other methods.
 
     ``method`` is ``switch-fuse``, ``switch-only``, ``fuse-all`` or
     ``single:<technique_id>``.  The runtime is a ``DatasetRuntime``: it
@@ -320,7 +317,9 @@ def run_method(
         predicted, confidence = _best_fused(
             runtime, [(b.techniques, b.selected) for b in blocks]
         )
-    elif method == "switch-only":
+        # the blocks hold their rows in query order, as the columns do
+        return predicted, confidence, tuple(blocks)
+    if method == "switch-only":
         predicted, confidence = _best_raw(
             runtime, blocks[0].techniques, blocks[0].selected
         )
@@ -335,11 +334,7 @@ def run_method(
         predicted, confidence = _best_raw(runtime, (tid,), everyone)
     else:
         raise InvalidInputError(f"unknown method {method!r}")
-    report = score_outcomes(np.arange(n), predicted, confidence, ground_truth, method)
-    if method != "switch-fuse":
-        return report
-    # the blocks hold their rows in query order, as the report does
-    return replace(report, decisions=tuple(blocks))
+    return predicted, confidence, None
 
 
 def compare_methods(
@@ -360,4 +355,9 @@ def compare_methods(
     runtime.score(techniques, range(runtime.query_count))
     methods = ["switch-fuse", "switch-only", "fuse-all"]
     methods += [f"single:{tid}" for tid in techniques]
-    return [run_method(m, runtime, config, store, ground_truth) for m in methods]
+    queries = np.arange(runtime.query_count)
+    reports = []
+    for m in methods:
+        predicted, confidence, _ = run_method(m, runtime, config, store)
+        reports.append(score_outcomes(queries, predicted, confidence, ground_truth, m))
+    return reports

@@ -95,18 +95,14 @@ def _selected_texts(units) -> list[str]:
 
 
 def write_predictions(
-    report: EvaluationReport, path, timestamp: bool = True
+    predicted: np.ndarray, confidence: np.ndarray, units, path, timestamp: bool = True
 ) -> None:
-    """One row per query with the full switching trace summary: each
-    unit's selected technique, posterior and fallback flag, in unit order
-    and joined by ``|``."""
-    columns = [
-        range(len(report.predicted)),
-        report.predicted.tolist(),
-        report.confidence.tolist(),
-    ]
+    """One row per query of ``run_method``'s columns, with the full
+    switching trace summary when ``units`` holds one ``BlockDecisions``
+    per unit: each unit's selected technique, posterior and fallback flag,
+    in unit order and joined by ``|``."""
+    columns = [range(len(predicted)), predicted.tolist(), confidence.tolist()]
     template = "%d,%d,%.9f,,,\n"
-    units = report.decisions
     if units is not None:
         unit_count = len(units)
         template = (

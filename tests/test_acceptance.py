@@ -19,13 +19,12 @@ from switchfuse.calibration import (
     collect_run,
 )
 from switchfuse.cli import main as cli_main
-from switchfuse.evaluation import run_method
 from switchfuse.synthetic import (
     TechniqueProfile,
     generate,
     split_calibration_eval,
 )
-from tests.exported import exported_runtime
+from tests.exported import exported_runtime, scored_run
 from tests.oracle import (
     MATCH,
     MISMATCH,
@@ -234,9 +233,8 @@ def test_criterion_5_synthetic_superiority(tmp_path):
         config = acceptance_config()
         accuracy = {}
         for method in EXPECTED_ACCURACY:
-            accuracy[method] = run_method(
-                method, runtime, config, store, gt
-            ).accuracy
+            report, _ = scored_run(method, runtime, config, store, gt)
+            accuracy[method] = report.accuracy
         for method, expected in EXPECTED_ACCURACY.items():
             assert abs(accuracy[method] - expected) <= 0.005, method
         best_single = max(

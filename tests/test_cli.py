@@ -651,6 +651,10 @@ BAD_GROUND_TRUTHS = {
     },
 }
 
+# manifest reference counts at which a ground-truth key, query x
+# reference_count + reference, no longer fits in int64
+HUGE_REFERENCE_COUNTS = {"2^62": 2**62, "2^63-1": 2**63 - 1, "2e23": 2 * 10**23}
+
 # corrupt values in the first technique's record of an SFCAL1 store:
 # (struct format, offset from the histogram's start, value); the prior
 # sits 12 bytes before the histogram
@@ -711,7 +715,12 @@ CALIBRATE_FLAG_CASES = ("calibrate_bins", "calibrate_min_samples", "calibrate_al
         *[(f"synth_{bad}", "SF-INPUT") for bad in HUGE_SPECS],
         *[(f"run_store_{bad}", "SF-FORMAT") for bad in BAD_STORES],
         *[(f"run_manifest_{bad}", "SF-FORMAT") for bad in BAD_MANIFESTS],
-        *[(f"run_gt_{bad}", "SF-FORMAT") for bad in BAD_GROUND_TRUTHS],
+        *[
+            (f"{cmd}_gt_{bad}", "SF-FORMAT")
+            for bad in BAD_GROUND_TRUTHS
+            for cmd in ("evaluate", "compare")
+        ],
+        *[(f"evaluate_reference_count_{n}", "SF-FORMAT") for n in HUGE_REFERENCE_COUNTS],
     ],
 )
 def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
@@ -721,7 +730,28 @@ def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
     named = None  # the file an SF-FORMAT message names
     calibrate = ["calibrate", "--manifest", d / "data" / "calib_manifest.json",
                  "--config", d / "config.json", "--out", d / "s.sfcal"]
-    if case.startswith("compare"):
+    preds = d / "preds.csv"
+    if "_gt_" in case:
+        command, bad = case.split("_gt_")
+        named = d / "data" / "eval_gt.json"
+        doc = json.loads(named.read_text())
+        named.write_text(_json_text(BAD_GROUND_TRUTHS[bad](doc)))
+        _predictions_csv(preds, load_manifest(manifest).query_count)
+        argv = {
+            "evaluate": ["evaluate", "--predictions", preds, "--manifest", manifest,
+                         "--out", d / "report"],
+            "compare": ["compare", "--manifest", manifest, "--config", d / "config.json",
+                        "--store", d / "store.sfcal", "--out", d / "cmp"],
+        }[command]
+    elif case.startswith("evaluate_reference_count"):
+        named = d / "data" / "bad_manifest.json"
+        doc = json.loads(manifest.read_text())
+        count = HUGE_REFERENCE_COUNTS[case[len("evaluate_reference_count_"):]]
+        named.write_text(json.dumps({**doc, "reference_count": count}))
+        _predictions_csv(preds, doc["query_count"])
+        argv = ["evaluate", "--predictions", preds, "--manifest", named,
+                "--out", d / "report"]
+    elif case.startswith("compare"):
         # a store calibrated without "c", which the second unit uses
         write_config(d / "ab.json", [["a", "b"]])
         assert run_cli("calibrate", "--manifest", d / "data" / "calib_manifest.json",
@@ -739,12 +769,6 @@ def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
         doc = json.loads(manifest.read_text())
         named.write_text(_json_text(BAD_MANIFESTS[case[len("run_manifest_"):]](doc)))
         argv = ["run", "--manifest", named, "--config", d / "config.json",
-                "--store", d / "store.sfcal", "--out", d / "p.csv"]
-    elif case.startswith("run_gt"):
-        named = d / "data" / "eval_gt.json"
-        doc = json.loads(named.read_text())
-        named.write_text(_json_text(BAD_GROUND_TRUTHS[case[len("run_gt_"):]](doc)))
-        argv = ["run", "--manifest", manifest, "--config", d / "config.json",
                 "--store", d / "store.sfcal", "--out", d / "p.csv"]
     elif case.startswith(CALIBRATE_FLAG_CASES):
         flag, value = case[len("calibrate_"):].rsplit("_", 1)
@@ -785,7 +809,6 @@ def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
         named.write_text(_json_text(edit(spec)))
         argv = ["synth", "--spec", named, "--seed", 1, "--out", d / "synth"]
     else:
-        preds = d / "preds.csv"
         query_count = load_manifest(manifest).query_count
         if case.startswith("non_utf8"):
             # one byte 0xff, which no UTF-8 text holds, in the header or row 3
@@ -827,6 +850,25 @@ def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
         assert str(named) in err
     for out in ("s.sfcal", "p.csv", "synth"):
         assert not (d / out).exists()
+
+
+@pytest.mark.parametrize("damage", [*BAD_GROUND_TRUTHS, "deleted"])
+def test_run_reads_no_ground_truth(pipeline_dir, damage):
+    """``run`` predicts without the ground truth: with the manifest's
+    ground-truth file malformed or deleted, it exits 0 and writes the
+    predictions that a valid file gives, byte for byte."""
+    d = pipeline_dir
+    _synth_and_calibrate(d)
+    run = ["run", "--manifest", d / "data" / "eval_manifest.json",
+           "--config", d / "config.json", "--store", d / "store.sfcal", "--no-timestamp"]
+    assert run_cli(*run, "--out", d / "valid.csv") == 0
+    gt = d / "data" / "eval_gt.json"
+    if damage == "deleted":
+        gt.unlink()
+    else:
+        gt.write_text(_json_text(BAD_GROUND_TRUTHS[damage](json.loads(gt.read_text()))))
+    assert run_cli(*run, "--out", d / "p.csv") == 0
+    assert (d / "p.csv").read_bytes() == (d / "valid.csv").read_bytes()
 
 
 @pytest.fixture(scope="module")
@@ -1080,9 +1122,9 @@ def test_compare_compiles_each_table_once(pipeline_dir, monkeypatch):
         return stores[-1]
 
     def running(method, *args):
-        report = run_method(method, *args)
+        columns = run_method(method, *args)
         tables[method] = compiled()
-        return report
+        return columns
 
     monkeypatch.setattr(calibration, "load_store", loading)
     monkeypatch.setattr(evaluation, "run_method", running)

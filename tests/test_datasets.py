@@ -110,12 +110,11 @@ def test_block_kernel_runs_once_per_technique_across_methods(
     config = TripartiteConfig(
         units=(UnitConfig("u0", ("a", "b")), UnitConfig("u1", ("c", "a")))
     )
-    gt = runtime.ground_truth()
     methods = ["switch-fuse", "switch-only", "fuse-all"] + [
         f"single:{t}" for t in TECHNIQUES
     ]
     for method in methods:
-        run_method(method, runtime, config, store, gt)
+        run_method(method, runtime, config, store)
     assert sum(rows) == len(TECHNIQUES) * runtime.query_count
 
 
@@ -199,7 +198,7 @@ def test_each_descriptor_file_is_read_once(switching_dataset, monkeypatch):
     runtime = DatasetRuntime(load_manifest(manifest_path))
     config = TripartiteConfig(units=(UnitConfig("u0", TECHNIQUES),))
     for method in ["switch-fuse", "fuse-all"] + [f"single:{t}" for t in TECHNIQUES]:
-        run_method(method, runtime, config, store, runtime.ground_truth())
+        run_method(method, runtime, config, store)
     assert sorted(reads) == sorted(
         ["eval_refs.sfdesc"] + [f"eval_queries_{t}.sfdesc" for t in TECHNIQUES]
     )
@@ -368,7 +367,7 @@ def test_builtin_descriptors_extracted_once(tmp_path, monkeypatch):
         f"single:{t}" for t in techniques
     ]
     for method in methods:
-        run_method(method, runtime, config, store, runtime.ground_truth())
+        run_method(method, runtime, config, store)
     assert calls == {tid: 2 * n for tid in techniques}
 
 
@@ -542,9 +541,9 @@ def test_run_scores_a_later_primary_hopped_to_as_one_fragment(tmp_path, monkeypa
     run = evaluation.run_method
 
     def kept(method, runtime, *args, **kwargs):
-        report = run(method, runtime, *args, **kwargs)
-        seen.setdefault(command[0], (runtime, report))
-        return report
+        columns = run(method, runtime, *args, **kwargs)
+        seen.setdefault(command[0], (runtime, columns))
+        return columns
 
     monkeypatch.setattr(evaluation, "run_method", kept)
     evaluated = ["--manifest", splits["eval"], *common, "--threshold", "0.99",
@@ -552,8 +551,8 @@ def test_run_scores_a_later_primary_hopped_to_as_one_fragment(tmp_path, monkeypa
     for command in (["run", "--out", tmp_path / "p.csv"],
                     ["compare", "--out", tmp_path / "cmp"]):
         assert cli_main([str(a) for a in command + evaluated]) == 0
-    runtime, report = seen["run"]
-    hogs = report.decisions[0]
+    runtime, (_, _, decisions) = seen["run"]
+    hogs = decisions[0]
     assert (hogs.hops > 0).any() and (hogs.selected == 1).any()
     (fragment,) = runtime._fragments["tiny_patch"]
     assert fragment.shape == (runtime.query_count, runtime.reference_count)
@@ -661,7 +660,7 @@ def test_fusion_with_a_technique_in_two_units_matches_oracle(tmp_path, monkeypat
 
     monkeypatch.setattr(evaluation, "best_matches", kept)
     runtime = DatasetRuntime(splits["eval"])
-    report = run_method("switch-fuse", runtime, config, store, runtime.ground_truth())
+    predicted, confidence, _ = run_method("switch-fuse", runtime, config, store)
     (total,) = fused_blocks
     both = 0
     # the oracle reads the rows the block path scored: a row scored in
@@ -673,8 +672,8 @@ def test_fusion_with_a_technique_in_two_units_matches_oracle(tmp_path, monkeypat
         fused = fuse(normalize(picked.similarity_cache[tid]) for tid in ids)
         assert total[q].tobytes() == fused.values.tobytes()
         idx, conf = best_match(fused)
-        assert report.predicted[q] == idx
-        got = report.confidence[q : q + 1]
+        assert predicted[q] == idx
+        got = confidence[q : q + 1]
         assert got.tobytes() == np.float64(conf).tobytes()
     assert 0 < both < runtime.query_count, both
 

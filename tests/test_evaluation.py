@@ -22,7 +22,7 @@ from switchfuse.calibration import build_store, collect_run
 from switchfuse.errors import InvalidInputError
 from switchfuse.reports import write_comparison_csv
 from switchfuse.synthetic import SyntheticDataset, TechniqueProfile, generate
-from tests.exported import exported_runtime, similarity_rows
+from tests.exported import exported_runtime, scored_run, similarity_rows
 from tests.oracle import (
     QueryOutcome,
     UnitDecision,
@@ -44,12 +44,12 @@ def outcome(q, predicted, confidence, correct):
     return QueryOutcome(q, predicted, confidence, correct)
 
 
-def query_decisions(report) -> list:
-    """Each query's ``UnitDecision`` tuple, in unit order, expanded from an
-    ``EvaluationReport``'s ``BlockDecisions`` columns (which carry no unit
+def query_decisions(decisions, query_count) -> list:
+    """Each query's ``UnitDecision`` tuple, in unit order, expanded from
+    ``run_method``'s ``BlockDecisions`` columns (which carry no unit
     label); None for every query when the method does not switch."""
-    if report.decisions is None:
-        return [None] * len(report.predicted)
+    if decisions is None:
+        return [None] * query_count
     units = [
         [
             UnitDecision("", unit.techniques[t], posterior, fallback)
@@ -59,14 +59,15 @@ def query_decisions(report) -> list:
                 unit.fallback.tolist(),
             )
         ]
-        for unit in report.decisions
+        for unit in decisions
     ]
     return list(zip(*units))
 
 
-def query_outcomes(report) -> list[QueryOutcome]:
-    """An ``EvaluationReport``'s rows as the oracle's per-query objects."""
-    decisions = query_decisions(report)
+def query_outcomes(report, decisions=None) -> list[QueryOutcome]:
+    """An ``EvaluationReport``'s rows, with ``run_method``'s decisions, as
+    the oracle's per-query objects."""
+    decisions = query_decisions(decisions, report.query_count)
     return [
         QueryOutcome(q, p, c, ok, d)
         for q, (p, c, ok, d) in enumerate(
@@ -332,11 +333,10 @@ class TestRunMethod:
     def test_collapse_case_single_unit_single_technique(self, tmp_path):
         store, runtime = small_synthetic(tmp_path)
         config = TripartiteConfig(units=(UnitConfig("u", ("a",)),))
-        gt = runtime.ground_truth()
         preds = {}
         for method in ("switch-fuse", "switch-only", "fuse-all", "single:a"):
-            rep = run_method(method, runtime, config, store, gt)
-            preds[method] = rep.predicted.tolist()
+            predicted, _, _ = run_method(method, runtime, config, store)
+            preds[method] = predicted.tolist()
         assert (
             preds["switch-fuse"]
             == preds["switch-only"]
@@ -349,16 +349,14 @@ class TestRunMethod:
         config = TripartiteConfig(
             units=(UnitConfig("u0", ("a", "b")), UnitConfig("u1", ("c", "d")))
         )
-        gt = runtime.ground_truth()
-        rep = run_method("fuse-all", runtime, config, None, gt)
+        rep, _ = scored_run("fuse-all", runtime, config, None)
         assert rep.query_count == runtime.query_count
 
     def test_single_matches_raw_argmax(self, tmp_path):
         store, runtime = small_synthetic(tmp_path)
         config = TripartiteConfig(units=(UnitConfig("u", ("a", "b")),))
-        gt = runtime.ground_truth()
-        rep = run_method("single:b", runtime, config, None, gt)
-        for q, predicted in enumerate(rep.predicted.tolist()):
+        best, _, _ = run_method("single:b", runtime, config, None)
+        for q, predicted in enumerate(best.tolist()):
             row = similarity_rows(runtime, "b", [q])[0]
             assert predicted == int(np.argmax(row))
 
@@ -366,20 +364,17 @@ class TestRunMethod:
         store, runtime = small_synthetic(tmp_path)
         config = TripartiteConfig(units=(UnitConfig("u", ("a",)),))
         with pytest.raises(InvalidInputError):
-            run_method("borda", runtime, config, store, runtime.ground_truth())
+            run_method("borda", runtime, config, store)
         with pytest.raises(InvalidInputError):
-            run_method(
-                "single:zzz", runtime, config, store, runtime.ground_truth()
-            )
+            run_method("single:zzz", runtime, config, store)
 
     def test_deterministic(self, tmp_path):
         store, runtime = small_synthetic(tmp_path)
         config = TripartiteConfig(
             units=(UnitConfig("u0", ("a", "b")), UnitConfig("u1", ("c", "d")))
         )
-        gt = runtime.ground_truth()
-        r1 = run_method("switch-fuse", runtime, config, store, gt)
-        r2 = run_method("switch-fuse", runtime, config, store, gt)
+        r1, _ = scored_run("switch-fuse", runtime, config, store)
+        r2, _ = scored_run("switch-fuse", runtime, config, store)
         assert r1.predicted.tolist() == r2.predicted.tolist()
         assert r1.pr_points == r2.pr_points
 
@@ -387,7 +382,7 @@ class TestRunMethod:
         store, runtime = small_synthetic(tmp_path)
         config = TripartiteConfig(units=(UnitConfig("u", ("a",)),))
         with pytest.raises(InvalidInputError):
-            run_method("switch-fuse", runtime, config, None, runtime.ground_truth())
+            run_method("switch-fuse", runtime, config, None)
 
     def test_compare_methods_runs_every_family_in_order(self, tmp_path):
         store, runtime = small_synthetic(tmp_path)
@@ -400,10 +395,12 @@ class TestRunMethod:
         methods += ["single:c", "single:a", "single:d", "single:b"]
         assert [r.method for r in reports] == methods
         for report in reports:
-            alone = run_method(report.method, runtime, config, store, gt)
-            assert report.predicted.tolist() == alone.predicted.tolist()
-            assert report.confidence.tolist() == alone.confidence.tolist()
-            assert (report.decisions is None) == (report.method != "switch-fuse")
+            predicted, confidence, decisions = run_method(
+                report.method, runtime, config, store
+            )
+            assert report.predicted.tolist() == predicted.tolist()
+            assert report.confidence.tolist() == confidence.tolist()
+            assert (decisions is None) == (report.method != "switch-fuse")
 
     def test_compare_reports_derive_their_pr_points(self, tmp_path):
         store, runtime = small_synthetic(tmp_path)
@@ -470,9 +467,9 @@ def test_every_method_matches_scalar_oracle(threshold, tmp_path):
     ]
     fallbacks = 0
     for method in methods:
-        report = run_method(method, runtime, config, store, gt)
+        report, decisions = scored_run(method, runtime, config, store, gt)
         assert report.pr_points == tuple(pr_curve(query_outcomes(report)))
-        for o in query_outcomes(report):
+        for o in query_outcomes(report, decisions):
             idx, conf, units = scalar_outcome(
                 method, runtime, config, store, o.query_index
             )
@@ -585,8 +582,8 @@ def test_signed_zero_maxima_match_scalar_oracle(tmp_path, monkeypatch):
     )
     gt = runtime.ground_truth()
     for method in ["switch-fuse", "switch-only", "single:a", "single:b"]:
-        report = run_method(method, runtime, config, store, gt)
-        for o in query_outcomes(report):
+        report, decisions = scored_run(method, runtime, config, store, gt)
+        for o in query_outcomes(report, decisions):
             idx, conf, units = scalar_outcome(
                 method, runtime, config, store, o.query_index
             )

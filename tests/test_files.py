@@ -33,13 +33,13 @@ def made(tmp_path_factory):
     store = cal.load_store(d / "store.sfcal")
     config = load_config(d / "config.json")
     runtime = DatasetRuntime(load_manifest(data / "eval_manifest.json"))
-    report = run_method("switch-fuse", runtime, config, store, runtime.ground_truth())
+    columns = run_method("switch-fuse", runtime, config, store)
     return {
         "dir": d,
         "store": store,
         "config": config,
         "descriptors": load_descriptor_set(data / "eval_queries_a.sfdesc"),
-        "report": report,
+        "columns": columns,
     }
 
 
@@ -50,7 +50,7 @@ WRITERS = {
     ),
     "save_config": lambda made, path: save_config(made["config"], path),
     "write_predictions": lambda made, path: write_predictions(
-        made["report"], path, timestamp=False
+        *made["columns"], path, timestamp=False
     ),
 }
 

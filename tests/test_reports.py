@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from switchfuse.calibration import build_store, collect_run
 from switchfuse.errors import FormatError, InvalidInputError
-from switchfuse.evaluation import EvaluationReport, run_method
+from switchfuse.evaluation import EvaluationReport
 from switchfuse.reports import (
     read_predictions,
     svg_pr_plot,
@@ -22,7 +22,7 @@ from switchfuse.switching import BlockDecisions, TripartiteConfig, UnitConfig
 from switchfuse.synthetic import TechniqueProfile, generate, split_calibration_eval
 
 from . import oracle
-from .exported import exported_runtime
+from .exported import exported_runtime, scored_run
 from .test_evaluation import query_outcomes
 
 # technique ids that csv.writer must quote (or, for "|", that the joined
@@ -73,12 +73,12 @@ def test_predictions_match_row_formatting_with_shared_decisions(tmp_path):
             unit_columns((t1, t2), [b, b, c, b, e, c, d, (t2, 2 / 3, True)]),
             unit_columns((AWKWARD_IDS[3],), [(AWKWARD_IDS[3], 0.25, False)] * 8),
         )
+        report = EvaluationReport("m", predicted, confidence, np.zeros(8, dtype=bool))
         for decisions in (units, units[:2], None):
-            report = EvaluationReport(
-                "m", predicted, confidence, np.zeros(8, dtype=bool), decisions
+            write_predictions(predicted, confidence, decisions, path, timestamp=False)
+            assert path.read_text() == oracle_predictions_text(
+                query_outcomes(report, decisions)
             )
-            write_predictions(report, path, timestamp=False)
-            assert path.read_text() == oracle_predictions_text(query_outcomes(report))
             # quoted ids, one holding a newline, do not shift the columns
             assert [col.tolist() for col in read_predictions(path)] == [
                 col.tolist() for col in oracle.read_predictions(path)
@@ -104,10 +104,10 @@ def test_switch_fuse_predictions_match_row_formatting(tmp_path, threshold):
         posterior_threshold=threshold,
     )
     runtime = exported_runtime(ds, eval_idx, tmp_path, "eval")
-    report = run_method("switch-fuse", runtime, config, store, runtime.ground_truth())
+    report, decisions = scored_run("switch-fuse", runtime, config, store)
     path = tmp_path / "p.csv"
-    write_predictions(report, path, timestamp=False)
-    assert path.read_text() == oracle_predictions_text(query_outcomes(report))
+    write_predictions(report.predicted, report.confidence, decisions, path, timestamp=False)
+    assert path.read_text() == oracle_predictions_text(query_outcomes(report, decisions))
     assert read_predictions(path)[0].tolist() == list(
         range(len(eval_idx))
     )
@@ -186,15 +186,12 @@ def test_timestamp_is_one_comment_line_before_the_untimed_bytes(tmp_path):
     then exactly the bytes it writes without the timestamp."""
     reports = awkward_reports()
     units = (unit_columns(AWKWARD_IDS[:2], [(AWKWARD_IDS[0], 0.5, True)] * 9),)
-    switching = EvaluationReport(
-        "switch-fuse", reports[0].predicted, reports[0].confidence,
-        reports[0].correct, units,
-    )
+    switching = (reports[0].predicted, reports[0].confidence, units)
 
     def written(stamp: bool) -> dict[str, bytes]:
         out = tmp_path / str(stamp)
         out.mkdir()
-        write_predictions(switching, out / "p.csv", timestamp=stamp)
+        write_predictions(*switching, out / "p.csv", timestamp=stamp)
         write_comparison_csv(reports, out / "c.csv", timestamp=stamp)
         write_report_csvs(reports[1], out, timestamp=stamp)
         return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
