@@ -296,11 +296,13 @@ class DatasetRuntime:
     without touching the rows: switching and the raw-score baselines read
     these, and only fusion reads whole rows, which ``copy_rows`` copies out
     of the fragments a few at a time once they are scored.  Calibration
-    reads ``best_matches``, which scores every query's best match and keeps
-    no row.
+    reads ``best_matches``, which scores every query's best match and
+    neither reads nor keeps the runtime's rows.
 
-    ``score(technique_ids, queries)`` scores several techniques in one
-    call, and its built-ins share one decode of each image: of every
+    One producer, ``_blocks``, scores every block that ``score`` and
+    ``best_matches`` use; they differ only in the buffers the blocks go
+    into.  ``score(technique_ids, queries)`` scores several techniques in
+    one call, and its built-ins share one decode of each image: of every
     reference image for the built-ins without reference descriptors yet,
     and of every query image they score.  ``matches`` scores its one
     technique through it, so a lazy request decodes its images again for
@@ -309,8 +311,9 @@ class DatasetRuntime:
     descriptors are extracted in chunks of at most ``_SCORE_CHUNK`` images.
 
     A technique's SFDESC1 query payload is read and checked whole on its
-    first request, kept as float32, widened to float64 only for the rows
-    being scored, and dropped once every row is scored.  Reference
+    first request, kept as float32 while some of its rows are unscored,
+    widened to float64 only for the rows being scored, and dropped once
+    every row is scored.  Reference
     descriptors and their row norms are built once per runtime: a reference
     file is read once however many techniques bind it, and a built-in
     descriptor is extracted from the reference images on the first request
@@ -383,88 +386,59 @@ class DatasetRuntime:
         """Score every listed technique's rows of the listed queries not yet
         scored, and return the checked query positions.
 
-        Every technique is checked before anything is read.  Each
-        technique's new rows become one fragment, and each new row's best
-        match is recorded.  Built-in techniques share their decodes: the
-        reference images are decoded once for every listed built-in with
-        no reference descriptors yet, and the query images once per chunk
-        for the built-ins with the same rows to score.
+        Every technique is checked before anything is read.  The techniques
+        with the same rows to score go to ``_blocks`` together, so their
+        built-ins share one decode of each query image; the reference images
+        are decoded once for every listed built-in with no reference
+        descriptors yet.  Each technique's new rows become one fragment, and
+        each new row's best match is recorded.
         """
         bindings = self._bindings(technique_ids)
         queries = query_positions(query_indices, self.query_count)
-        # the bytes of the rows to score -> the built-in bindings that need
-        # exactly those rows, which share their query decodes
-        builtins: dict[bytes, list[TechniqueBinding]] = {}
+        # the bytes of the rows to score -> the bindings that need exactly
+        # those rows
+        groups: dict[bytes, list[TechniqueBinding]] = {}
         for binding in bindings:
             todo = self._unscored(binding.technique_id, queries)
-            if not len(todo):
-                continue
-            if binding.kind == "sfdesc":
-                rows = self._sfdesc_rows(binding, todo)
-                self._record(binding.technique_id, todo, rows)
-            else:
-                builtins.setdefault(todo.tobytes(), []).append(binding)
-        self._keep_builtin_references(
-            [b for group in builtins.values() for b in group]
-        )
-        for key, group in builtins.items():
+            if len(todo):
+                groups.setdefault(todo.tobytes(), []).append(binding)
+        self._keep_builtin_references(bindings)
+        for key, group in groups.items():
             todo = np.frombuffer(key, dtype=np.int64)
-            blocks = [np.empty((len(todo), self.reference_count)) for _ in group]
-            for start, stop, descriptors in self._builtin_chunks(group, todo):
-                for binding, block in zip(group, blocks):
-                    self._builtin_block(binding, descriptors, block[start:stop])
-            for binding, block in zip(group, blocks):
-                self._record(binding.technique_id, todo, block)
+            fragments = {b: np.empty((len(todo), self.reference_count)) for b in group}
+            into = lambda binding, start, stop: fragments[binding][start:stop]
+            for binding, _, stop, _ in self._blocks(group, todo, into):
+                if stop == len(todo):
+                    self._record(binding.technique_id, todo, fragments[binding])
         return queries
 
     def best_matches(self, technique_ids) -> dict[str, tuple[np.ndarray, np.ndarray]]:
         """(best reference, match score) columns over every query for each
         listed technique: bit for bit what ``score`` then ``matches`` give
-        for every query, with no row kept.
+        for every query on a fresh runtime.
 
-        Every technique is checked before anything is read, and each
-        SFDESC1 payload is read and checked whole, as ``score`` does.  Each
-        payload is then widened into one float64 buffer and scored by one
-        ``similarity_block`` call, the product ``score`` would keep as a
-        fragment, into one Q x R buffer that every technique reuses.
-        Built-ins go in ``score``'s chunks with their shared decodes, and
-        each chunk's rows are dropped once its best matches are read.  A
-        technique that already has state is served by ``score`` and
-        ``matches``, so its rows stay where they are.
+        Every technique is checked before anything is read.  The blocks come
+        from ``_blocks``, as ``score``'s do, but each is scored into one
+        reused Q x R buffer and its best matches are read before the next is
+        scored.  Every SFDESC1 payload is read from its file, whatever the
+        runtime holds, and neither the runtime's rows nor its payloads are
+        read, kept or changed.
         """
         bindings = self._bindings(technique_ids)
-        every = np.arange(self.query_count)
-        held = [b.technique_id for b in bindings if b.technique_id in self._where]
-        self.score(held, every)
-        columns = {tid: self.matches(tid, every) for tid in held}
-        fresh = [b for b in bindings if b.technique_id not in self._where]
         rows = np.empty((self.query_count, self.reference_count))
-        wide = np.empty(0)
-        for binding in (b for b in fresh if b.kind == "sfdesc"):
-            refs, ref_norms = self._sfdesc_references(binding)
-            payload = self._read_payload(binding, refs.shape)
-            if wide.size < payload.size:
-                wide = np.empty(payload.size)
-            queries = wide[: payload.size].reshape(payload.shape)
-            queries[...] = payload
-            del payload  # the next payload is read while the buffers are held
-            columns[binding.technique_id] = _first_maxima(
-                similarity_block(queries, refs, ref_norms=ref_norms, out=rows)
-            )
-        del wide
-        group = [b for b in fresh if b.kind == "builtin"]
-        self._keep_builtin_references(group)
-        for binding in group:
-            columns[binding.technique_id] = (
+        columns = {
+            b.technique_id: (
                 np.empty(self.query_count, dtype=np.int64),
                 np.empty(self.query_count),
             )
-        for start, stop, descriptors in self._builtin_chunks(group, every):
-            for binding in group:
-                block = self._builtin_block(binding, descriptors, rows[: stop - start])
-                best, score = columns[binding.technique_id]
-                best[start:stop], score[start:stop] = _first_maxima(block)
-        return {b.technique_id: columns[b.technique_id] for b in bindings}
+            for b in bindings
+        }
+        every = np.arange(self.query_count)
+        into = lambda binding, start, stop: rows[: stop - start]
+        for binding, start, stop, block in self._blocks(bindings, every, into):
+            best, score = columns[binding.technique_id]
+            best[start:stop], score[start:stop] = _first_maxima(block)
+        return columns
 
     def copy_rows(
         self, technique_id: str, queries: np.ndarray, out: np.ndarray, at=None
@@ -525,28 +499,18 @@ class DatasetRuntime:
     def _record(self, technique_id: str, todo: np.ndarray, block: np.ndarray) -> None:
         """Keep ``block``, the rows of the sorted queries ``todo``, as the
         technique's next fragment and record each row's best match."""
+        best, score = self._matches[technique_id]
+        # matched while ``block`` is writeable: argmax copies a read-only
+        # array whole
+        best[todo], score[todo] = _first_maxima(block)
         block.setflags(write=False)
         where = self._where[technique_id]
         fragments = self._fragments[technique_id]
         where[0, todo] = len(fragments)
         where[1, todo] = np.arange(len(todo))
         fragments.append(block)
-        best, score = self._matches[technique_id]
-        best[todo], score[todo] = _first_maxima(block)
         if where[0].min() >= 0:
             self._payloads.pop(technique_id, None)
-
-    def _sfdesc_rows(self, binding: TechniqueBinding, todo: np.ndarray) -> np.ndarray:
-        """SFDESC1 similarity rows of the sorted queries ``todo``, from one
-        matrix product."""
-        refs, ref_norms = self._sfdesc_references(binding)
-        payload = self._payloads.get(binding.technique_id)
-        if payload is None:
-            payload = self._read_payload(binding, refs.shape)
-            self._payloads[binding.technique_id] = payload
-        if len(todo) < len(payload):
-            payload = payload[todo]
-        return similarity_block(payload, refs, ref_norms=ref_norms)
 
     def _sfdesc_references(self, binding: TechniqueBinding):
         """(float64 matrix, row norms) of a technique's reference file."""
@@ -555,21 +519,12 @@ class DatasetRuntime:
             path, load_descriptor_set(path).matrix.astype(np.float64)
         )
 
-    def _read_payload(self, binding: TechniqueBinding, ref_shape) -> np.ndarray:
-        """A technique's whole SFDESC1 query payload as float32, read and
-        checked."""
-        tid = binding.technique_id
-        payload = load_descriptor_set(
-            self.manifest.base_dir / binding.queries_path, tid
-        ).matrix
-        # the files may have been replaced since their headers were checked
-        self._check_shapes(tid, payload.shape, ref_shape)
-        return payload
-
     def _keep_builtin_references(self, group) -> None:
-        """Keep the reference descriptors of every built-in of ``group``
-        that has none yet, from one decode of each reference image."""
-        missing = sorted({b.builtin for b in group} - self._references.keys())
+        """Keep the reference descriptors of every built-in binding of
+        ``group`` that has none yet, from one decode of each reference
+        image."""
+        builtins = {b.builtin for b in group if b.kind == "builtin"}
+        missing = sorted(builtins - self._references.keys())
         if missing:
             extracted = self._builtin_descriptors(
                 missing, self.manifest.reference_images
@@ -577,30 +532,68 @@ class DatasetRuntime:
             for builtin, matrix in extracted.items():
                 self._keep_references(builtin, matrix)
 
-    def _builtin_chunks(self, group, todo: np.ndarray):
-        """(start, stop, descriptors) of each chunk ``todo[start:stop]`` of
-        the sorted queries ``todo``, with the chunk's descriptors for every
-        built-in of ``group``.  The queries go in equal chunks of at most
-        ``_SCORE_CHUNK``, which bound the memory their descriptors take at
-        once; each chunk's images are decoded once for the whole group."""
-        if not group:
+    def _blocks(self, group, todo: np.ndarray, into):
+        """Score every technique of ``group`` over the sorted queries
+        ``todo``, yielding ``(binding, start, stop, block)`` as each block is
+        scored: the technique's rows of ``todo[start:stop]``, scored into
+        ``into(binding, start, stop)``, a C-contiguous float64 buffer of
+        that many rows, which the caller may reuse once the next block is
+        asked for.
+
+        An SFDESC1 technique is one block.  A request for every query reads
+        its payload from the file; a smaller one reads the payload kept by
+        an earlier request, or reads and keeps it until every row is scored.
+        The payload is checked whole against the manifest, widened into one
+        float64 buffer that every technique of the group reuses, and dropped
+        before the product.  Built-ins go in equal chunks of at most
+        ``_SCORE_CHUNK`` queries, which bound the memory their descriptors
+        take at once; each chunk's images are decoded once for the group.
+        """
+        whole = len(todo) == self.query_count
+        wide = np.empty(0)
+        for binding in (b for b in group if b.kind == "sfdesc"):
+            tid = binding.technique_id
+            refs, ref_norms = self._sfdesc_references(binding)
+            payload = None if whole else self._payloads.get(tid)
+            if payload is None:
+                payload = load_descriptor_set(
+                    self.manifest.base_dir / binding.queries_path, tid
+                ).matrix
+                # the files may have been replaced since their headers were
+                # checked
+                self._check_shapes(tid, payload.shape, refs.shape)
+                if not whole:
+                    self._payloads[tid] = payload
+            if not whole:
+                payload = payload[todo]
+            if wide.size < payload.size:
+                wide = np.empty(payload.size)
+            queries = wide[: payload.size].reshape(payload.shape)
+            queries[...] = payload
+            del payload  # the next payload is read while the buffers are held
+            out = into(binding, 0, len(todo))
+            yield binding, 0, len(todo), similarity_block(
+                queries, refs, ref_norms=ref_norms, out=out
+            )
+        del wide
+        builtins = [b for b in group if b.kind == "builtin"]
+        if not builtins:
             return
-        builtins = sorted({b.builtin for b in group})
+        self._keep_builtin_references(builtins)
+        names = sorted({b.builtin for b in builtins})
         start = 0
         for chunk in np.array_split(todo, -(-len(todo) // _SCORE_CHUNK)):
             descriptors = self._builtin_descriptors(
-                builtins, [self.manifest.query_images[q] for q in chunk.tolist()]
+                names, [self.manifest.query_images[q] for q in chunk.tolist()]
             )
-            yield start, start + len(chunk), descriptors
-            start += len(chunk)
-
-    def _builtin_block(self, binding, descriptors, out) -> np.ndarray:
-        """A built-in's similarity rows of one chunk's ``descriptors``,
-        scored into ``out`` against its kept reference descriptors."""
-        refs, ref_norms = self._references[binding.builtin]
-        return similarity_block(
-            descriptors[binding.builtin], refs, ref_norms=ref_norms, out=out
-        )
+            stop = start + len(chunk)
+            for binding in builtins:
+                refs, ref_norms = self._references[binding.builtin]
+                out = into(binding, start, stop)
+                yield binding, start, stop, similarity_block(
+                    descriptors[binding.builtin], refs, ref_norms=ref_norms, out=out
+                )
+            start = stop
 
     def _keep_references(self, key, matrix) -> tuple[np.ndarray, np.ndarray]:
         """Keep a reference matrix and its row norms for the runtime's life,

@@ -216,12 +216,18 @@ def generate(
 def split_calibration_eval(
     dataset: SyntheticDataset, fraction: float = 0.5, seed: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Disjoint seeded query-index split; first element is the calibration half."""
+    """Disjoint seeded query-index split; first element is the calibration
+    half.  A fraction that leaves either half with no queries is refused."""
     if not (0.0 < fraction < 1.0):
         raise InvalidInputError("split fraction must lie in (0, 1)")
+    cut = int(round(dataset.query_count * fraction))
+    if not 0 < cut < dataset.query_count:
+        raise InvalidInputError(
+            f"calibration fraction {fraction} of {dataset.query_count} queries "
+            "leaves a split with no queries"
+        )
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, 2])))
     perm = rng.permutation(dataset.query_count)
-    cut = int(round(dataset.query_count * fraction))
     return np.sort(perm[:cut]), np.sort(perm[cut:])
 
 

@@ -612,6 +612,15 @@ HUGE_SPECS = {
     "query_count_1e20": lambda doc: {**doc, "query_count": 10**20},
 }
 
+# synthetic specs of two queries whose calibration fraction leaves the eval
+# half (0.9) or the calibration half (0.2) with no queries
+EMPTY_SPLIT_SPECS = {
+    f"fraction_{fraction}": lambda doc, fraction=fraction: {
+        **doc, "query_count": 2, "calibration_fraction": fraction
+    }
+    for fraction in (0.9, 0.2)
+}
+
 
 # dataset manifests of the wrong shape, from the valid explicit-ground-truth
 # SFDESC1 one
@@ -713,6 +722,7 @@ CALIBRATE_FLAG_CASES = ("calibrate_bins", "calibrate_min_samples", "calibrate_al
         *[(f"synth_{bad}", "SF-FORMAT") for bad in BAD_SPECS],
         *[(f"synth_{bad}", "SF-SPEC") for bad in NON_FINITE_SPECS],
         *[(f"synth_{bad}", "SF-INPUT") for bad in HUGE_SPECS],
+        *[(f"synth_{bad}", "SF-INPUT") for bad in EMPTY_SPLIT_SPECS],
         *[(f"run_store_{bad}", "SF-FORMAT") for bad in BAD_STORES],
         *[(f"run_manifest_{bad}", "SF-FORMAT") for bad in BAD_MANIFESTS],
         *[
@@ -805,7 +815,7 @@ def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
         named = d / "bad_spec.json"
         spec = json.loads((d / "spec.json").read_text())
         bad = case[len("synth_"):]
-        edit = {**BAD_SPECS, **NON_FINITE_SPECS, **HUGE_SPECS}[bad]
+        edit = {**BAD_SPECS, **NON_FINITE_SPECS, **HUGE_SPECS, **EMPTY_SPLIT_SPECS}[bad]
         named.write_text(_json_text(edit(spec)))
         argv = ["synth", "--spec", named, "--seed", 1, "--out", d / "synth"]
     else:
@@ -844,6 +854,8 @@ def test_bad_input_per_command(pipeline_dir, capsys, monkeypatch, case, code):
         assert err.startswith(f"SF-SPEC: a: {case[len('synth_'):].rsplit('_', 1)[0]} ")
     if case[len("synth_"):] in HUGE_SPECS:
         assert "query_count" in err and "reference_count" in err
+    if case[len("synth_"):] in EMPTY_SPLIT_SPECS:  # the fraction and the count
+        assert f"fraction {case.rsplit('_', 1)[1]} of 2 queries" in err
     if code == "SF-FORMAT" and named is None:
         assert str(d / "preds.csv") in err and "row 3" in err
     elif code == "SF-FORMAT":

@@ -761,23 +761,42 @@ def test_best_matches_equal_score_then_matches(
         assert 1.0 in signs
 
 
-def test_best_matches_serves_techniques_with_rows_from_them(switching_dataset):
-    """A technique that already has rows is matched from them, as
-    ``matches`` would match it; the others are scored without keeping rows,
-    and an unbound technique fails before anything is read."""
+def _held(runtime) -> dict:
+    """The bytes of what a runtime holds per technique: its row fragments,
+    row index, best matches and kept payloads."""
+    def flat(value):
+        if isinstance(value, np.ndarray):
+            return value.tobytes()
+        return [flat(v) for v in value]
+
+    return {
+        name: {tid: flat(value) for tid, value in getattr(runtime, name).items()}
+        for name in ("_fragments", "_where", "_matches", "_payloads")
+    }
+
+
+def test_best_matches_scores_from_the_files_and_leaves_the_runtime_alone(
+    switching_dataset, monkeypatch
+):
+    """On a runtime that holds a partial fragment and a kept payload of
+    ``b``, ``best_matches`` gives a fresh runtime's columns byte for byte
+    and leaves what the runtime holds as it was; an unbound technique fails
+    before any file is read."""
     manifest = load_manifest(switching_dataset[0])
-    every = range(manifest.query_count)
     runtime = DatasetRuntime(manifest)
     runtime.score(["b"], [4, 0, 2])
-    with pytest.raises(UnknownTechniqueError):
-        runtime.best_matches(["a", "nope"])
-    assert set(runtime._where) == {"b"}
+    assert set(runtime._payloads) == {"b"}
+    before, payload = _held(runtime), runtime._payloads["b"]
+    with monkeypatch.context() as patched:
+        def never(*args, **kwargs):
+            raise AssertionError("a file was read")
+
+        patched.setattr(datasets, "load_descriptor_set", never)
+        with pytest.raises(UnknownTechniqueError):
+            runtime.best_matches(["a", "nope"])
     got = runtime.best_matches(["a", "b", "a"])
     assert list(got) == ["a", "b"]
-    mirror = DatasetRuntime(manifest)
-    mirror.score(["b"], [4, 0, 2])
-    mirror.score(["a", "b"], every)
+    want = DatasetRuntime(manifest).best_matches(["a", "b"])
     for tid in ("a", "b"):
-        want = mirror.matches(tid, every)
-        assert [c.tobytes() for c in got[tid]] == [c.tobytes() for c in want]
-    assert "a" not in runtime._fragments and len(runtime._fragments["b"]) == 2
+        assert [c.tobytes() for c in got[tid]] == [c.tobytes() for c in want[tid]]
+    assert _held(runtime) == before and runtime._payloads["b"] is payload

@@ -536,6 +536,17 @@ def test_ground_truth_names_the_first_bad_query(sets, message):
         GroundTruth.from_sets(sets, 4)
 
 
+def rows_kernel(queries, refs, ref_norms=None, out=None):
+    """A similarity kernel for exported descriptors that hold their rows
+    themselves: the rows minus the padding coordinate, written into ``out``
+    when it is given, as ``similarity_block`` writes."""
+    block = np.array(queries[:, :-1], np.float64)
+    if out is None:
+        return block
+    out[...] = block
+    return out
+
+
 def test_signed_zero_maxima_match_scalar_oracle(tmp_path, monkeypatch):
     """Rows whose maximum 0.0 is held as both -0.0 and +0.0, in either
     order: the match score is the value at the first maximum, so its bin,
@@ -551,15 +562,8 @@ def test_signed_zero_maxima_match_scalar_oracle(tmp_path, monkeypatch):
         rows[3::6, 1], rows[3::6, 4] = 0.0, -0.0
         sims[tid] = rows
     ds = SyntheticDataset(sims, rng.integers(0, r, q))
-    # the exported descriptors hold the rows themselves, so a kernel that
-    # returns them (minus the padding coordinate) serves them
-    monkeypatch.setattr(
-        datasets,
-        "similarity_block",
-        lambda queries, refs, ref_norms=None, out=None: np.array(
-            queries[:, :-1], np.float64
-        ),
-    )
+    # the exported descriptors hold the rows themselves
+    monkeypatch.setattr(datasets, "similarity_block", rows_kernel)
     runtime = exported_runtime(ds, np.arange(q), tmp_path)
     store = build_store(collect_run(runtime, ids), ids, bins=4)
 
@@ -631,13 +635,7 @@ def _row_runtime(directory, monkeypatch, sims) -> datasets.DatasetRuntime:
     divided by the export's one positive scale: the exported descriptors
     hold the rows themselves, so a kernel that returns them (minus the
     padding coordinate) serves them."""
-    monkeypatch.setattr(
-        datasets,
-        "similarity_block",
-        lambda queries, refs, ref_norms=None, out=None: np.array(
-            queries[:, :-1], np.float64
-        ),
-    )
+    monkeypatch.setattr(datasets, "similarity_block", rows_kernel)
     q = len(next(iter(sims.values())))
     ds = SyntheticDataset(sims, np.zeros(q, dtype=np.int64))
     return exported_runtime(ds, np.arange(q), directory)
