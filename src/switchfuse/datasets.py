@@ -3,8 +3,8 @@ matches.
 
 A manifest is a JSON document binding each technique either to a pair of
 SFDESC1 descriptor files (references, queries) or to a built-in descriptor
-computed from listed PGM images, plus a ground-truth source (explicit sets or
-an aligned frame-tolerance window).
+computed from the decoded bytes of listed PGM images, plus a ground-truth
+source (explicit sets or an aligned frame-tolerance window).
 """
 
 from __future__ import annotations
@@ -307,8 +307,10 @@ class DatasetRuntime:
     and of every query image they score.  ``matches`` scores its one
     technique through it, so a lazy request decodes its images again for
     each built-in it reads; ``run`` therefore scores every unit's primary
-    in one call first.  Decoded images are not kept.  Built-in query
-    descriptors are extracted in chunks of at most ``_SCORE_CHUNK`` images.
+    in one call first.  Decoded images are not kept.  A decoded image keeps
+    its 8-bit data, and the built-ins read those bytes directly, so no
+    float64 copy of a whole image is made.  Built-in query descriptors are
+    extracted in chunks of at most ``_SCORE_CHUNK`` images.
 
     A technique's SFDESC1 query payload is read and checked whole on its
     first request, kept as float32 while some of its rows are unscored,
@@ -603,7 +605,8 @@ class DatasetRuntime:
 
     def _builtin_descriptors(self, builtins, images) -> dict[str, np.ndarray]:
         """One matrix per listed built-in descriptor, one row per listed
-        image; each image is decoded once."""
+        image; each image is decoded once, and every built-in reads its
+        decoded bytes."""
         out = {b: np.empty((len(images), BUILTIN_DIMS[b])) for b in builtins}
         for i, rel in enumerate(images):
             image = load_pgm(self.manifest.base_dir / rel)

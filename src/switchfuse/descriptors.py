@@ -37,39 +37,61 @@ _HOG_BINS = 9
 _HOG_BLOCK = 2  # cells per block side
 
 
-@dataclass(frozen=True)
 class ImageGray:
-    """A grayscale image with intensities in [0, 1], row-major."""
+    """A grayscale image with intensities in [0, 1], row-major.
 
-    pixels: np.ndarray  # shape (height, width), float64
+    ``pixels`` is the (height, width) float64 intensity array.  An image
+    decoded from 8-bit data (``pgm.load_pgm``) holds the decoded bytes
+    instead: the built-in descriptors read those directly, and ``pixels``
+    is derived from them on first read, ``raw / 255.0`` bit for bit.
+    Read-only once built.
+    """
 
-    def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
+    __slots__ = ("_pixels", "_raw")
+
+    def __init__(self, pixels):
+        px = np.asarray(pixels, dtype=np.float64)
         if px.ndim != 2:
             raise InvalidInputError("expected a 2-D intensity array")
         if not np.all(np.isfinite(px)):
             raise InvalidInputError("image contains non-finite values")
         if px.size and (px.min() < 0.0 or px.max() > 1.0):
             raise InvalidInputError("image intensities must lie in [0, 1]")
-        object.__setattr__(self, "pixels", px)
+        self._pixels = px
+        self._raw = None
+
+    @classmethod
+    def _from_bytes(cls, raw: np.ndarray) -> "ImageGray":
+        """Wrap a 2-D uint8 array of decoded 8-bit data, whose intensities
+        ``raw / 255.0`` lie in [0, 1] by construction, without scanning it."""
+        if raw.ndim != 2 or raw.dtype != np.uint8:
+            raise InvalidInputError("expected a 2-D uint8 array")
+        image = object.__new__(cls)
+        image._pixels = None
+        image._raw = raw
+        return image
+
+    @property
+    def pixels(self) -> np.ndarray:
+        if self._pixels is None:
+            pixels = self._raw.astype(np.float64)
+            pixels /= 255.0  # bit for bit the values raw / 255.0 gives
+            self._pixels = pixels
+        return self._pixels
+
+    @property
+    def _values(self) -> np.ndarray:
+        """The array the built-ins read: the decoded bytes, or else
+        ``pixels``."""
+        return self._pixels if self._raw is None else self._raw
 
     @property
     def width(self) -> int:
-        return self.pixels.shape[1]
+        return self._values.shape[1]
 
     @property
     def height(self) -> int:
-        return self.pixels.shape[0]
-
-    @classmethod
-    def _from_unit_pixels(cls, pixels: np.ndarray) -> "ImageGray":
-        """Wrap a 2-D float64 array whose values are finite and in [0, 1] by
-        construction, such as decoded 8-bit data, without scanning them."""
-        if pixels.ndim != 2 or pixels.dtype != np.float64:
-            raise InvalidInputError("expected a 2-D float64 intensity array")
-        image = object.__new__(cls)
-        object.__setattr__(image, "pixels", pixels)
-        return image
+        return self._values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -124,9 +146,15 @@ def _resize_plan(in_h: int, in_w: int, out_h: int, out_w: int):
 def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     """Bilinear resize with pixel-center sampling and clamped borders:
     ``(tl * wx0 + tr * wx1) * wy0 + (bl * wx0 + br * wx1) * wy1``, each
-    step evaluated in place on the gathered neighbours."""
+    step evaluated in place on the gathered neighbours.  ``img`` is float64
+    intensities or 8-bit data; of the latter only the gathered neighbours
+    are divided by 255.0, which gives the float64 values ``img / 255.0``
+    holds there bit for bit."""
     index, wx0, wx1, wy0, wy1 = _resize_plan(*img.shape, out_h, out_w)
-    tl, tr, bl, br = np.take(img, index)
+    near = np.take(img, index)
+    if near.dtype == np.uint8:
+        near = np.divide(near, 255.0)
+    tl, tr, bl, br = near
     tl *= wx0
     tr *= wx1
     tl += tr
@@ -178,9 +206,10 @@ def _hog(img: np.ndarray) -> np.ndarray:
     # to the negative angles gives ``% 180.0`` bit for bit without its
     # fmod, except that exactly 180 stays 180 where ``%`` gives 0; both
     # split their vote half and half between the last bin and the first.
+    # -0.0 is not negative, so it stays -0.0.
     pos = np.arctan2(gy, gx)
     np.degrees(pos, out=pos)
-    np.add(pos, 180.0, out=pos, where=pos < 0.0)
+    np.copyto(pos, pos + 180.0, where=pos < 0.0)
     pos /= 180.0 / _HOG_BINS
     pos -= 0.5
     mag = np.hypot(gx, gy, out=gx)
@@ -224,12 +253,24 @@ def _tiny_patch(img: np.ndarray) -> np.ndarray:
 
 
 _HIST_BINS = 64
+# the bin of each 8-bit value b: the float path's bin of the intensity b / 255.0
+_HIST_BIN_OF_BYTE = np.array(
+    [min(int(b / 255.0 * _HIST_BINS), _HIST_BINS - 1) for b in range(256)],
+    dtype=np.intp,
+)
+_HIST_BIN_OF_BYTE.setflags(write=False)
 
 
 def _intensity_hist(img: np.ndarray) -> np.ndarray:
     """64 equal bins over [0, 1], the last one closed, divided by the pixel
     count.  Scaling by 64 is exact and the edges k/64 are exact, so the bin
-    index is the truncated product: the counts ``np.histogram`` gives."""
+    index is the truncated product: the counts ``np.histogram`` gives.
+    8-bit data is counted per byte value and the 256 counts summed into
+    their bins; the sums are exact, so the result has the same bits."""
+    if img.dtype == np.uint8:
+        counts = np.bincount(img.ravel(), minlength=256)
+        hist = np.bincount(_HIST_BIN_OF_BYTE, weights=counts, minlength=_HIST_BINS)
+        return hist / img.size
     index = (img.ravel() * _HIST_BINS).astype(np.intp)
     np.minimum(index, _HIST_BINS - 1, out=index)  # 1.0 joins the last bin
     return np.bincount(index, minlength=_HIST_BINS) / img.size
@@ -249,7 +290,7 @@ def compute_descriptor(image: ImageGray, technique: str) -> np.ndarray:
             f"{_MIN_IMAGE_SIDE}x{_MIN_IMAGE_SIDE}"
         )
     fn = {"hog": _hog, "tiny_patch": _tiny_patch, "intensity_hist": _intensity_hist}
-    return fn[technique](image.pixels)
+    return fn[technique](image._values)
 
 
 def save_descriptor_set(dset: DescriptorSet, path) -> None:

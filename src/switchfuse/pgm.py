@@ -29,6 +29,9 @@ def _read_token(blob: bytes, pos: int) -> tuple[bytes, int]:
 
 
 def load_pgm(path) -> ImageGray:
+    """Decode a P5 file with maxval 255.  The image keeps the checked 8-bit
+    data, which the built-in descriptors read directly; its ``pixels`` are
+    derived only when read."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:2] != b"P5":
@@ -49,12 +52,11 @@ def load_pgm(path) -> ImageGray:
     data = blob[pos : pos + width * height]
     if len(data) != width * height:
         raise FormatError(f"{path}: truncated PGM payload")
-    arr = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
-    pixels = arr.astype(np.float64)
-    pixels /= 255.0  # bit for bit the values arr / 255.0 gives
-    return ImageGray._from_unit_pixels(pixels)
+    raw = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
+    return ImageGray._from_bytes(raw)
 
 
 def save_pgm(image: ImageGray, path) -> None:
-    arr = np.clip(np.round(image.pixels * 255.0), 0, 255).astype(np.uint8)
+    # C order whatever the layout of ``pixels``: the file takes the buffer
+    arr = np.clip(np.round(image.pixels * 255.0), 0, 255).astype(np.uint8, order="C")
     write_atomic(path, f"P5\n{image.width} {image.height}\n255\n", arr)

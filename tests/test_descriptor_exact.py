@@ -18,6 +18,9 @@ from hypothesis.extra.numpy import arrays
 
 from switchfuse import ImageGray, compute_descriptor
 from switchfuse.descriptors import (
+    _HIST_BIN_OF_BYTE,
+    _HIST_BINS,
+    BUILTIN_DIMS,
     _gradients,
     _hog,
     _intensity_hist,
@@ -25,6 +28,7 @@ from switchfuse.descriptors import (
     _resize_plan,
     _tiny_patch,
 )
+from switchfuse.pgm import load_pgm
 from tests.oracle import (
     oracle_gradients,
     oracle_hog,
@@ -226,3 +230,51 @@ def test_in_place_gradients_match_their_expression():
 def test_in_place_tiny_patch_matches_its_expression():
     for img in list(pinned_images()) + list(flat_images()):
         assert_bits_equal(_tiny_patch(img), oracle_tiny_patch(img))
+
+
+# The built-ins read a decoded PGM's 8-bit data directly: they must give the
+# bits they give on the checked float image ``raw / 255.0``.
+
+
+def decode(directory, raw):
+    path = directory / "img.pgm"
+    height, width = raw.shape
+    path.write_bytes(b"P5\n%d %d\n255\n" % (width, height) + raw.tobytes())
+    return load_pgm(path)
+
+
+def assert_bytes_read_as_floats(directory, raw):
+    image = decode(directory, raw)
+    checked = ImageGray(raw / 255.0)
+    for technique in BUILTIN_DIMS:
+        got = compute_descriptor(image, technique)
+        assert_bits_equal(got, compute_descriptor(checked, technique))
+    assert_bits_equal(image.pixels, checked.pixels)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(arrays(np.uint8, st.tuples(st.integers(16, 40), st.integers(16, 40))))
+def test_decoded_bytes_give_the_float_image_bits(tmp_path_factory, raw):
+    assert_bytes_read_as_floats(tmp_path_factory.mktemp("pgm"), raw)
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        np.arange(256, dtype=np.uint8).reshape(16, 16),
+        np.resize(np.arange(256, dtype=np.uint8)[::-1], (23, 37)),
+        np.zeros((16, 16), dtype=np.uint8),
+        np.full((16, 16), 255, dtype=np.uint8),
+    ],
+    ids=["ramp", "ramp-23x37", "all-0", "all-255"],
+)
+def test_decoded_fixed_images_give_the_float_image_bits(tmp_path, raw):
+    assert_bytes_read_as_floats(tmp_path, raw)
+
+
+def test_histogram_bin_of_every_byte_value():
+    for b in range(256):
+        one_hot = np.zeros(_HIST_BINS)
+        one_hot[_HIST_BIN_OF_BYTE[b]] = 1.0
+        assert_bits_equal(_intensity_hist(np.full((1, 1), b / 255.0)), one_hot)
+        assert_bits_equal(_intensity_hist(np.full((1, 1), b, dtype=np.uint8)), one_hot)

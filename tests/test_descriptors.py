@@ -321,6 +321,24 @@ def test_pgm_round_trip(tmp_path):
     assert np.allclose(loaded.pixels, img.pixels, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "layout",
+    [np.asfortranarray, lambda a: a.T.copy().T, lambda a: a[:, ::2]],
+    ids=["fortran", "transposed", "strided"],
+)
+def test_pgm_round_trip_any_memory_layout(tmp_path, layout):
+    from switchfuse.pgm import load_pgm, save_pgm
+    from switchfuse.synthetic import export_image_dataset
+
+    rng = np.random.default_rng(23)
+    img = ImageGray(layout(np.round(rng.uniform(size=(20, 34)) * 255) / 255.0))
+    save_pgm(img, tmp_path / "img.pgm")
+    assert np.array_equal(load_pgm(tmp_path / "img.pgm").pixels, img.pixels)
+    export_image_dataset([img], [img], tmp_path / "set", "s")
+    for rel in ("refs/s_0000.pgm", "queries/s_0000.pgm"):
+        assert np.array_equal(load_pgm(tmp_path / "set" / rel).pixels, img.pixels)
+
+
 def test_pgm_decode_equals_checked_image(tmp_path):
     from switchfuse.pgm import load_pgm
 
