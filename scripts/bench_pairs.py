@@ -24,8 +24,13 @@ metric, the pairs in which the working tree was better in the metric's own direc
 difference of the medians, the base's interquartile range and a
 ``verdict``: ``better`` or ``worse`` when the working tree wins or loses at
 least 90% of the pairs and the medians differ in that direction by more
-than the base's interquartile range, else ``unchanged``.  A run that fails
-any check is recorded with its failures and makes the script exit 1.
+than the base's interquartile range, else ``unchanged``.  After the pairs,
+each side gets one traced run (``--trace 1``) on the first seed, and its
+per-layer metrics, each the median over that run's repetitions, go into the
+side's ``per_layer`` with its exit code, failures and probe median.  They
+are wall times, not divided by the probe: compare them with each side's
+probe median in mind.  A run that fails any check is recorded with its
+failures and makes the script exit 1.
 """
 
 from __future__ import annotations
@@ -43,11 +48,15 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``"3,7,11"`` or ``"101-110"`` (inclusive), or a mix of both."""
+    """``"3,7,11"`` or ``"101-110"`` (inclusive), or a mix of both.  A range
+    that holds no seed, such as ``"5-3"``, is an error."""
     seeds = []
     for part in text.split(","):
         first, _, last = part.partition("-")
-        seeds += range(int(first), int(last or first) + 1)
+        span = range(int(first), int(last or first) + 1)
+        if not span:
+            raise argparse.ArgumentTypeError(f"empty seed range {part!r}")
+        seeds += span
     return seeds
 
 
@@ -65,13 +74,15 @@ CHILD_USAGE = {
 }
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``tree``: its metrics, env line and
-    check results."""
+def run_once(
+    tree: Path, workload: str, seed: int, seconds: float, trace: int = 0
+) -> dict:
+    """One benchmark run in ``tree``, untraced unless ``trace`` is 1: its
+    metrics (end-to-end or per-layer), env line and check results."""
     before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree,
         capture_output=True,
         text=True,
@@ -130,8 +141,12 @@ def verdict(gains: list[float], lead: float, iqr: float) -> str:
     return "unchanged"
 
 
-def summarise(label, workload, seconds, seeds, sides, runs, metrics) -> dict:
-    """The ``BENCH_<label>.json`` document."""
+def summarise(
+    label, workload, seconds, seeds, sides, runs, metrics, traced=None, layers=()
+) -> dict:
+    """The ``BENCH_<label>.json`` document.  ``traced`` holds each side's
+    traced run, whose metrics are named in ``layers``, the per-layer
+    metrics of ``BENCHMARK.json``."""
     doc = {
         "label": label,
         "workload": workload,
@@ -164,6 +179,18 @@ def summarise(label, workload, seconds, seeds, sides, runs, metrics) -> dict:
                 for name, (_, unit) in CHILD_USAGE.items()
             },
         }
+        if traced:
+            run = traced[side]
+            doc["sides"][side]["per_layer"] = {
+                "seed": seeds[0],
+                "exit": run["exit"],
+                "failures": run["failures"],
+                "probe_s": run.get("probe_s"),
+                "metrics": {
+                    m["name"]: {"unit": m["unit"], "value": run["metrics"].get(m["name"])}
+                    for m in layers
+                },
+            }
         for m in metrics:
             values = [r["metrics"][m["name"]] for r in runs[side]]
             doc["sides"][side]["metrics"][m["name"]] = {
@@ -197,7 +224,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics, layers = benchmark["end_to_end"], benchmark["per_layer"]
     dirty = "-dirty" if git("status", "--porcelain", "--untracked-files=no") else ""
     sides = {
         "base": git("rev-parse", args.base),
@@ -228,8 +256,17 @@ def main(argv=None) -> int:
                 ),
                 flush=True,
             )
+        traced = {}
+        for side in sides:
+            try:
+                traced[side] = run_once(
+                    trees[side], args.workload, args.seeds[0], args.seconds, trace=1
+                )
+            except RuntimeError as exc:  # keep the pairs' results all the same
+                traced[side] = {"exit": None, "failures": [str(exc)], "metrics": {}}
     doc = summarise(
-        args.label, args.workload, args.seconds, args.seeds, sides, runs, metrics
+        args.label, args.workload, args.seconds, args.seeds, sides, runs, metrics,
+        traced, layers,
     )
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
@@ -242,6 +279,15 @@ def main(argv=None) -> int:
             f"wins {doc['comparison'][name]['wins']}/{len(args.seeds)}  "
             f"{doc['comparison'][name]['verdict']}"
         )
+    traced_probes = {s: doc["sides"][s]["per_layer"]["probe_s"] for s in sides}
+    print(
+        f"per-layer, one traced run per side on seed {args.seeds[0]} (probe "
+        f"median (s): base {traced_probes['base']}, change {traced_probes['change']}):"
+    )
+    for m in layers:
+        values = [doc["sides"][s]["per_layer"]["metrics"][m["name"]]["value"] for s in sides]
+        b, c = ("-" if v is None else f"{v:.6g}" for v in values)
+        print(f"  {m['name']:<55} base {b:>10}  change {c:>10} {m['unit']}")
     probes = {s: doc["sides"][s]["probe_s"].get("median") for s in sides}
     print(f"probe median (s): base {probes['base']}, change {probes['change']}")
     for name in CHILD_USAGE:
@@ -249,7 +295,7 @@ def main(argv=None) -> int:
         print(f"{name} per op (median): base {b}, change {c}")
     print(f"wrote {out}")
     failed = any(doc["sides"][s]["failures"] for s in sides) or any(
-        r["exit"] != 0 for side in runs.values() for r in side
+        r["exit"] != 0 for side in (*runs.values(), traced.values()) for r in side
     )
     return 1 if failed else 0
 

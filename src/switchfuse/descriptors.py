@@ -151,7 +151,9 @@ def _resize_bilinear(img: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
     are divided by 255.0, which gives the float64 values ``img / 255.0``
     holds there bit for bit."""
     index, wx0, wx1, wy0, wy1 = _resize_plan(*img.shape, out_h, out_w)
-    near = np.take(img, index)
+    # the plan's indices lie in the image, and ``ravel`` lists its pixels in
+    # C order whatever its memory layout, so no bounds check is needed
+    near = img.ravel()[index]
     if near.dtype == np.uint8:
         near = np.divide(near, 255.0)
     tl, tr, bl, br = near
@@ -192,11 +194,22 @@ _HOG_CELL_SLOT = (
     (np.arange(_HOG_RESIZE) // _HOG_CELL)[:, None] * _HOG_CELLS
     + (np.arange(_HOG_RESIZE) // _HOG_CELL)[None, :]
 ) * _HOG_BINS
-# the two bins a pixel votes into, indexed by floor(pos) + 1: pos lies in
-# [-0.5, 8.5], so floor(pos) is -1..8, and only a lower bin of -1 and an
-# upper bin of 9 wrap around
-_HOG_LOWER_BIN = np.arange(-1, _HOG_BINS) % _HOG_BINS
-_HOG_UPPER_BIN = np.arange(_HOG_BINS + 1) % _HOG_BINS
+# the two bins a pixel votes into, indexed by floor(pos): pos lies in
+# [-0.5, 8.5], so floor(pos) is -1..8, and index -1 reads the last entry,
+# which wraps a lower bin of -1 to 8 and an upper bin of 9 to 0
+_HOG_LOWER_BIN = np.arange(_HOG_BINS)
+_HOG_UPPER_BIN = np.roll(_HOG_LOWER_BIN, -1)
+# the histogram slots of each 2x2 block, one row per block: the bins of its
+# four cells (dy, dx) side by side, dy major
+_by, _bx, _dy, _dx, _bin = np.ix_(
+    *map(np.arange, [_HOG_CELLS - 1] * 2 + [_HOG_BLOCK] * 2 + [_HOG_BINS])
+)
+_HOG_BLOCK_SLOTS = (((_by + _dy) * _HOG_CELLS + _bx + _dx) * _HOG_BINS + _bin).reshape(
+    -1, _HOG_BLOCK * _HOG_BLOCK * _HOG_BINS
+)
+del _by, _bx, _dy, _dx, _bin
+# the one multiply ``np.degrees`` does, without its per-element loop
+_DEGREES_PER_RADIAN = 180.0 / np.pi
 
 
 def _hog(img: np.ndarray) -> np.ndarray:
@@ -206,17 +219,17 @@ def _hog(img: np.ndarray) -> np.ndarray:
     # to the negative angles gives ``% 180.0`` bit for bit without its
     # fmod, except that exactly 180 stays 180 where ``%`` gives 0; both
     # split their vote half and half between the last bin and the first.
-    # -0.0 is not negative, so it stays -0.0.
+    # Every other angle gets +0.0, which changes only -0.0 to +0.0; both
+    # map to the same -0.5 once scaled and shifted below.
     pos = np.arctan2(gy, gx)
-    np.degrees(pos, out=pos)
-    np.copyto(pos, pos + 180.0, where=pos < 0.0)
+    pos *= _DEGREES_PER_RADIAN
+    pos += np.less(pos, 0.0) * 180.0
     pos /= 180.0 / _HOG_BINS
     pos -= 0.5
     mag = np.hypot(gx, gy, out=gx)
     floor = np.floor(pos)
     frac = np.subtract(pos, floor, out=pos)
     at = floor.astype(np.intp)
-    at += 1
 
     # all lower-bin votes, then all upper-bin votes, in pixel order: the
     # summation order of two successive np.add.at calls
@@ -230,12 +243,7 @@ def _hog(img: np.ndarray) -> np.ndarray:
     lower *= mag
     np.multiply(mag, frac, out=upper)
     hist = np.bincount(slots, votes, minlength=_HOG_CELLS * _HOG_CELLS * _HOG_BINS)
-    hist = hist.reshape(_HOG_CELLS, _HOG_CELLS, _HOG_BINS)
-
-    # one (dy, dx, bin) row per 2x2 block: its four cells side by side
-    blocks = np.concatenate(
-        [hist[:-1, :-1], hist[:-1, 1:], hist[1:, :-1], hist[1:, 1:]], axis=2
-    ).reshape(-1, _HOG_BLOCK * _HOG_BLOCK * _HOG_BINS)
+    blocks = hist[_HOG_BLOCK_SLOTS]
     # a stacked dot product, summed as np.linalg.norm sums a 1-D vector
     norms = np.sqrt(np.matmul(blocks[:, None, :], blocks[:, :, None]))[:, 0]
     out = np.divide(blocks, norms, out=np.zeros_like(blocks), where=norms > 0)
@@ -244,8 +252,11 @@ def _hog(img: np.ndarray) -> np.ndarray:
 
 def _tiny_patch(img: np.ndarray) -> np.ndarray:
     patch = _resize_bilinear(img, 16, 16).ravel()
-    patch -= patch.mean()
-    norm = np.linalg.norm(patch)
+    # the sum and the division ``patch.mean()`` does, and the dot product
+    # and square root ``np.linalg.norm`` does for a 1-D vector, without
+    # their dispatch
+    patch -= patch.sum() / patch.size
+    norm = np.sqrt(patch.dot(patch))
     if norm > 0:
         patch /= norm
         return patch

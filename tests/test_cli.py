@@ -1235,12 +1235,17 @@ def test_diff_outputs_generates_workload_inputs_per_root(tmp_path):
     assert differing == ["inputs/calib_manifest.json:", "inputs/eval_manifest.json:"]
 
 
-def test_bench_pairs_verdict_needs_nine_of_ten_and_a_lead_beyond_the_iqr():
+def load_bench_pairs():
     spec = importlib.util.spec_from_file_location(
         "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
     )
     bench_pairs = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_pairs)
+    return bench_pairs
+
+
+def test_bench_pairs_verdict_needs_nine_of_ten_and_a_lead_beyond_the_iqr():
+    bench_pairs = load_bench_pairs()
     base = [10.0, 10.5, 11.0, 11.5, 12.0, 10.2, 10.7, 11.2, 11.7, 12.2]
     metrics = [{"name": "m", "unit": "x", "better": "higher"},
                {"name": "t", "unit": "s", "better": "lower"}]
@@ -1269,11 +1274,7 @@ def test_bench_pairs_records_probe_and_raw_throughput(monkeypatch):
     """Each side of a ``BENCH_*.json`` keeps its runs' probe medians, raw
     wall-time throughputs and per-operation child usage (minor faults, user
     and system seconds), a run that recorded none included."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_pairs", ROOT / "scripts" / "bench_pairs.py"
-    )
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
+    bench_pairs = load_bench_pairs()
     metrics = [{"name": "m", "unit": "x", "better": "higher"}]
     probes = {"base": [0.002, 0.001, None], "change": [0.003, 0.001, 0.002]}
     runs = {
@@ -1316,3 +1317,64 @@ def test_bench_pairs_records_probe_and_raw_throughput(monkeypatch):
     run = bench_pairs.run_once(ROOT, "w", 1, 1.0)
     assert run["metrics"] == {"m": 2.0}
     assert run["child_usage"] == {"minor_faults": 200.0, "user_s": 0.5, "system_s": 0.25}
+
+
+def test_bench_pairs_rejects_an_empty_seed_range(monkeypatch, capsys):
+    """A seed range that holds no seed stops at argument parsing, before the
+    base revision is archived or any run starts."""
+    bench_pairs = load_bench_pairs()
+    assert bench_pairs.parse_seeds("3,7,11") == [3, 7, 11]
+    assert bench_pairs.parse_seeds("101-103,5") == [101, 102, 103, 5]
+    assert bench_pairs.parse_seeds("4-4") == [4]
+
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", no_process)
+    for seeds in ("5-3", "1,5-3"):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.main(["--workload", "w", "--label", "l", "--seeds", seeds])
+        assert exc.value.code == 2
+        assert "empty seed range '5-3'" in capsys.readouterr().err
+
+
+def test_bench_pairs_records_one_traced_run_per_side(monkeypatch):
+    """Each side's traced run goes into its ``per_layer`` under the names
+    and units of the per-layer metrics, and ``run_once`` asks the benchmark
+    for a traced run when told to."""
+    bench_pairs = load_bench_pairs()
+    metrics = [{"name": "m", "unit": "x", "better": "higher"}]
+    layers = [{"name": "run.a", "unit": "us", "better": "lower"},
+              {"name": "run.b", "unit": "ms", "better": "lower"}]
+    runs = {side: [{"env": None, "failures": [], "metrics": {"m": 1.0}}]
+            for side in ("base", "change")}
+    traced = {
+        "base": {"exit": 0, "failures": [], "probe_s": 0.002,
+                 "metrics": {"run.a": 2.0, "run.b": 3.0}},
+        "change": {"exit": None, "failures": ["no result"], "metrics": {}},
+    }
+    doc = bench_pairs.summarise(
+        "l", "w", 1.0, [9, 10], {"base": "a", "change": "b"}, runs, metrics,
+        traced, layers,
+    )
+    base, change = (doc["sides"][s]["per_layer"] for s in ("base", "change"))
+    assert base == {
+        "seed": 9, "exit": 0, "failures": [], "probe_s": 0.002,
+        "metrics": {"run.a": {"unit": "us", "value": 2.0},
+                    "run.b": {"unit": "ms", "value": 3.0}},
+    }
+    assert change["exit"] is None and change["failures"] == ["no result"]
+    assert change["probe_s"] is None
+    assert change["metrics"]["run.b"] == {"unit": "ms", "value": None}
+
+    commands = []
+    summary = json.dumps({"attempted": 1, "metrics": {"run.a": {"value": 2.0}}})
+
+    def fake_run(command, **kwargs):
+        commands.append(command)
+        return SimpleNamespace(returncode=0, stdout=summary, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_once(ROOT, "w", 1, 1.0, trace=1)["metrics"] == {"run.a": 2.0}
+    bench_pairs.run_once(ROOT, "w", 1, 1.0)
+    assert [c[c.index("--trace") + 1] for c in commands] == ["1", "0"]

@@ -59,10 +59,48 @@ def flat_images():
             yield np.full(shape, value)
 
 
-@pytest.mark.parametrize("out_shape", [(64, 64), (16, 16), (7, 30), (90, 13)])
-def test_resize_bit_exact(out_shape):
+def byte_images():
+    rng = np.random.default_rng(255)
+    for shape in [(16, 16), (17, 33), (160, 160), (37, 161)]:
+        yield rng.integers(0, 256, size=shape, dtype=np.uint8)
+
+
+# the same values in other memory layouts; ``ImageGray(pixels)`` keeps the
+# caller's layout
+LAYOUTS = {
+    "c-contiguous": lambda a: a,
+    "transposed-view": lambda a: np.ascontiguousarray(a.T).T,
+    "negative-stride-view": lambda a: np.ascontiguousarray(a[::-1, ::-1])[::-1, ::-1],
+    "fortran-copy": np.asfortranarray,
+}
+RESIZE_SHAPES = [(64, 64), (16, 16), (7, 30), (90, 13)]
+
+
+# the C-contiguous cases keep the ids they had before layouts were added
+@pytest.mark.parametrize(
+    "out_shape, layout",
+    [
+        pytest.param(
+            shape,
+            layout,
+            id=f"out_shape{i}" + ("" if layout == "c-contiguous" else f"-{layout}"),
+        )
+        for layout in LAYOUTS
+        for i, shape in enumerate(RESIZE_SHAPES)
+    ],
+)
+def test_resize_bit_exact(out_shape, layout):
+    lay = LAYOUTS[layout]
     for img in list(random_images()) + list(flat_images()):
+        img = lay(img)
+        assert img.flags.c_contiguous == (layout == "c-contiguous")
         assert_bits_equal(_resize_bilinear(img, *out_shape), oracle_resize(img, *out_shape))
+    # 8-bit data: the same bits as the C-contiguous bytes give
+    for raw in byte_images():
+        laid = lay(raw)
+        assert np.array_equal(laid, raw)
+        want = _resize_bilinear(raw, *out_shape)
+        assert_bits_equal(_resize_bilinear(laid, *out_shape), want)
 
 
 def test_resize_plan_is_shared_read_only():
@@ -142,12 +180,19 @@ def test_hog_16_px_images_bit_exact():
         assert_bits_equal(_hog(img), oracle_hog(img))
 
 
-# small images of a few repeated values: flat patches, exact ties between
-# neighbours and signed zeros
+# small images of repeated values (flat patches, exact ties between
+# neighbours, signed zeros and subnormals) mixed with arbitrary floats in
+# [0, 1], so that tiny and signed-zero gradients meet at many angles
 repeated_images = arrays(
     np.float64,
     st.tuples(st.integers(16, 24), st.integers(16, 24)),
-    elements=st.sampled_from([0.0, -0.0, 1 / 255, 0.25, 0.5, 254 / 255, 1.0]),
+    elements=st.one_of(
+        st.sampled_from(
+            [0.0, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1 / 255, 0.25,
+             0.5, 254 / 255, 1.0]
+        ),
+        st.floats(-0.0, 1.0),
+    ),
 )
 
 
