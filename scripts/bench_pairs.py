@@ -27,10 +27,12 @@ least 90% of the pairs and the medians differ in that direction by more
 than the base's interquartile range, else ``unchanged``.  After the pairs,
 each side gets one traced run (``--trace 1``) on the first seed, and its
 per-layer metrics, each the median over that run's repetitions, go into the
-side's ``per_layer`` with its exit code, failures and probe median.  They
-are wall times, not divided by the probe: compare them with each side's
-probe median in mind.  A run that fails any check is recorded with its
-failures and makes the script exit 1.
+side's ``per_layer`` with its exit code, failures and probe median.  Each
+``value`` is a wall time, not divided by the probe; beside every ms and µs
+value goes ``per_probe``, that time divided by the traced run's probe
+median (the time in probes), so two traced runs taken while the machine
+ran at different speeds still compare.  A run that fails any check is
+recorded with its failures and makes the script exit 1.
 """
 
 from __future__ import annotations
@@ -65,6 +67,9 @@ def git(*args: str) -> str:
         ["git", "-C", str(ROOT), *args], check=True, capture_output=True, text=True
     ).stdout.strip()
 
+
+# seconds in one unit of a per-layer time metric
+SECONDS_PER_UNIT = {"ms": 1e-3, "us": 1e-6}
 
 # per-operation usage of the benchmark process: name -> (rusage field, unit)
 CHILD_USAGE = {
@@ -120,6 +125,15 @@ def quartiles(values: list[float]) -> dict:
     else:
         q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
+
+
+def layer_value(unit: str, value, probe_s) -> dict:
+    """A traced run's per-layer metric, with its time in probes when it is a
+    time and the run has a probe median."""
+    entry = {"unit": unit, "value": value}
+    if unit in SECONDS_PER_UNIT and value is not None and probe_s:
+        entry["per_probe"] = value * SECONDS_PER_UNIT[unit] / probe_s
+    return entry
 
 
 def spread(values: list, unit: str) -> dict:
@@ -187,7 +201,9 @@ def summarise(
                 "failures": run["failures"],
                 "probe_s": run.get("probe_s"),
                 "metrics": {
-                    m["name"]: {"unit": m["unit"], "value": run["metrics"].get(m["name"])}
+                    m["name"]: layer_value(
+                        m["unit"], run["metrics"].get(m["name"]), run.get("probe_s")
+                    )
                     for m in layers
                 },
             }
@@ -285,9 +301,13 @@ def main(argv=None) -> int:
         f"median (s): base {traced_probes['base']}, change {traced_probes['change']}):"
     )
     for m in layers:
-        values = [doc["sides"][s]["per_layer"]["metrics"][m["name"]]["value"] for s in sides]
-        b, c = ("-" if v is None else f"{v:.6g}" for v in values)
-        print(f"  {m['name']:<55} base {b:>10}  change {c:>10} {m['unit']}")
+        entries = [doc["sides"][s]["per_layer"]["metrics"][m["name"]] for s in sides]
+        b, c = ("-" if e["value"] is None else f"{e['value']:.6g}" for e in entries)
+        line = f"  {m['name']:<55} base {b:>10}  change {c:>10} {m['unit']}"
+        if m["unit"] in SECONDS_PER_UNIT:
+            b, c = (f"{e['per_probe']:.4g}" if "per_probe" in e else "-" for e in entries)
+            line += f"  per probe: base {b:>8}  change {c:>8}"
+        print(line)
     probes = {s: doc["sides"][s]["probe_s"].get("median") for s in sides}
     print(f"probe median (s): base {probes['base']}, change {probes['change']}")
     for name in CHILD_USAGE:

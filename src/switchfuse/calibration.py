@@ -133,24 +133,35 @@ def _score_range(scores: np.ndarray) -> tuple[float, float]:
     return lo - 0.01 * span, hi + 0.01 * span
 
 
-def _build_histogram(
+def _offsets(flags: np.ndarray, bins: int) -> np.ndarray:
+    """``(2·k + mismatched)·bins`` of every outcome of the (K, Q) flags: the
+    first code of the histogram half that outcome counts in."""
+    return (2 * np.arange(len(flags))[:, None] + ~flags) * bins
+
+
+def _histograms(
     scores: np.ndarray,
-    flags: np.ndarray,
+    offsets: np.ndarray,
     bins: int,
     alpha: float,
-) -> LikelihoodHistogram:
+) -> list[LikelihoodHistogram]:
+    """One histogram of ``scores`` per row of the (K, Q) ``_offsets`` of K
+    outcome columns, all over the scores' range, from one binning and one
+    count: score ``i`` under row ``k`` counts at ``offsets[k, i] + bin``."""
     lo, hi = _score_range(scores)
-    idx = _bin_indices(scores, lo, hi, bins)
-    matched = np.bincount(idx[flags], minlength=bins)
-    mismatched = np.bincount(idx[~flags], minlength=bins)
-    return LikelihoodHistogram(
-        bin_count=bins,
-        lo=lo,
-        hi=hi,
-        counts_matched=matched,
-        counts_mismatched=mismatched,
-        smoothing_alpha=alpha,
-    )
+    codes = offsets + _bin_indices(scores, lo, hi, bins)
+    counts = np.bincount(codes.ravel(), minlength=2 * len(offsets) * bins)
+    return [
+        LikelihoodHistogram(
+            bin_count=bins,
+            lo=lo,
+            hi=hi,
+            counts_matched=matched,
+            counts_mismatched=mismatched,
+            smoothing_alpha=alpha,
+        )
+        for matched, mismatched in counts.reshape(len(offsets), 2, bins)
+    ]
 
 
 def _check_samples(scores, flags, min_samples):
@@ -185,13 +196,16 @@ def calibrate_technique(
     widened by 1% per side.
     """
     scores, flags = _check_samples(scores, correct, min_samples)
-    prior = float(np.clip(flags.mean(), *PRIOR_CLAMP))
-    hist = _build_histogram(scores, flags, bins, alpha)
+    (hist,) = _histograms(scores, _offsets(flags[None], bins), bins, alpha)
+    return _technique(technique_id, flags, hist)
+
+
+def _technique(technique_id, flags, hist) -> TechniqueCalibration:
     return TechniqueCalibration(
         technique_id=technique_id,
-        prior_match=prior,
+        prior_match=float(np.clip(flags.mean(), *PRIOR_CLAMP)),
         histogram=hist,
-        sample_count=len(scores),
+        sample_count=len(flags),
     )
 
 
@@ -207,7 +221,8 @@ def calibrate_pair(
     ``primary_scores[i]`` and ``candidate_correct[i]`` belong to one query.
     """
     scores, flags = _check_samples(primary_scores, candidate_correct, min_samples)
-    return _build_histogram(scores, flags, bins, alpha)
+    (hist,) = _histograms(scores, _offsets(flags[None], bins), bins, alpha)
+    return hist
 
 
 @dataclass
@@ -260,19 +275,18 @@ def build_store(
     lengths = {len(column) for tid in technique_ids for column in run[tid]}
     if len(lengths) > 1:
         raise InvalidInputError("per-technique sample columns must be aligned")
-    for tid in technique_ids:
-        scores, correct = run[tid]
-        store.techniques[tid] = calibrate_technique(
-            scores, correct, tid, bins=bins, alpha=alpha, min_samples=min_samples
-        )
-    for a in technique_ids:
-        for b in technique_ids:
-            if a == b:
-                continue
-            store.pairs[(a, b)] = calibrate_pair(
-                run[a][0], run[b][1],
-                bins=bins, alpha=alpha, min_samples=min_samples,
-            )
+    columns = [_check_samples(*run[tid], min_samples) for tid in technique_ids]
+    # ndmin keeps an empty id list 2-D
+    offsets = _offsets(
+        np.array([flags for _, flags in columns], dtype=bool, ndmin=2), bins
+    )
+    for k, (primary, (scores, flags)) in enumerate(zip(technique_ids, columns)):
+        # row k is the primary's own histogram, row j its pair with j
+        hists = _histograms(scores, offsets, bins, alpha)
+        store.techniques[primary] = _technique(primary, flags, hists[k])
+        for candidate, hist in zip(technique_ids, hists):
+            if candidate != primary:
+                store.pairs[(primary, candidate)] = hist
     return store
 
 

@@ -48,11 +48,12 @@ def load_pgm(path) -> ImageGray:
         raise FormatError(f"{path}: negative PGM size {width}x{height}")
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
-    pos += 1  # single whitespace after maxval
-    data = blob[pos : pos + width * height]
-    if len(data) != width * height:
+    # a single whitespace after maxval; an empty image needs no byte after it
+    pos = min(pos + 1, len(blob))
+    if len(blob) - pos < width * height:
         raise FormatError(f"{path}: truncated PGM payload")
-    raw = np.frombuffer(data, dtype=np.uint8).reshape(height, width)
+    raw = np.frombuffer(blob, np.uint8, count=width * height, offset=pos)
+    raw = raw.reshape(height, width)
     return ImageGray._from_bytes(raw)
 
 

@@ -3,9 +3,10 @@
 Each function here handles one query (or one score) at a time, the way the
 method is stated: cosine similarity of one descriptor, the built-in
 descriptors as their earlier straightforward array forms (``np.ix_``
-gathers, ``np.add.at`` votes, ``np.histogram``), a histogram mass of one
-score, one unit's switching loop with its trace, min-max fusion of one
-query's vectors, and scoring and the PR sweep over per-query records.  The
+gathers, ``np.add.at`` votes, ``np.histogram``), a calibration store built
+one histogram at a time, a histogram mass of one score, one unit's
+switching loop with its trace, min-max fusion of one query's vectors, and
+scoring and the PR sweep over per-query records.  The
 tests hold the block code to these forms decision for decision and bit for
 bit.  The report files have their row-at-a-time forms too: ``csv.writer``
 rows and a predictions reader that parses and checks one row at a time.
@@ -28,7 +29,13 @@ from switchfuse.calibration import (
     TechniqueCalibration,
 )
 from switchfuse.descriptors import DescriptorSet
-from switchfuse.errors import FormatError, InvalidInputError, UndefinedEvidenceError
+from switchfuse.errors import (
+    FormatError,
+    IncompleteCalibrationError,
+    InsufficientDataError,
+    InvalidInputError,
+    UndefinedEvidenceError,
+)
 from switchfuse.evaluation import GroundTruth
 from switchfuse.fusion import EPSILON
 from switchfuse.switching import TripartiteConfig, UnitConfig
@@ -201,6 +208,82 @@ def mass(hist: LikelihoodHistogram, score: float, hypothesis: str) -> float:
     total = int(counts.sum())
     a = hist.smoothing_alpha
     return (counts[idx] + a) / (total + a * hist.bin_count)
+
+
+# -- calibration store ------------------------------------------------------
+
+
+def score_range(scores: np.ndarray) -> tuple[float, float]:
+    lo, hi = float(scores.min()), float(scores.max())
+    if hi == lo:
+        return lo - 0.5, hi + 0.5
+    span = hi - lo
+    return lo - 0.01 * span, hi + 0.01 * span
+
+
+def bin_indices(scores: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
+    with np.errstate(over="ignore"):
+        quotient = bins * (scores - lo) / (hi - lo)
+    return np.clip(quotient, 0, bins - 1).astype(np.int64)
+
+
+def build_histogram(scores, flags, bins: int, alpha: float) -> LikelihoodHistogram:
+    """One histogram: its own range, binning and two masked counts."""
+    lo, hi = score_range(scores)
+    idx = bin_indices(scores, lo, hi, bins)
+    return LikelihoodHistogram(
+        bin_count=bins,
+        lo=lo,
+        hi=hi,
+        counts_matched=np.bincount(idx[flags], minlength=bins),
+        counts_mismatched=np.bincount(idx[~flags], minlength=bins),
+        smoothing_alpha=alpha,
+    )
+
+
+def check_samples(scores, flags, min_samples):
+    scores = np.asarray(scores, dtype=np.float64)
+    flags = np.asarray(flags, dtype=bool)
+    if scores.ndim != 1 or flags.shape != scores.shape:
+        raise InvalidInputError(
+            f"scores {scores.shape} and flags {flags.shape} must be aligned 1-D arrays"
+        )
+    if len(scores) < min_samples:
+        raise InsufficientDataError(
+            f"{len(scores)} samples, need at least {min_samples}"
+        )
+    if not np.all(np.isfinite(scores)):
+        raise InvalidInputError("calibration scores must be finite")
+    return scores, flags
+
+
+def build_store(run, technique_ids, bins=20, alpha=1.0, min_samples=10):
+    """The store built record by record: every technique checked and
+    histogrammed on its own, then every ordered pair of distinct ids
+    checked and histogrammed on its own."""
+    store = CalibrationStore()
+    technique_ids = list(technique_ids)
+    for tid in technique_ids:
+        if tid not in run:
+            raise IncompleteCalibrationError(f"run is missing technique {tid!r}")
+    lengths = {len(column) for tid in technique_ids for column in run[tid]}
+    if len(lengths) > 1:
+        raise InvalidInputError("per-technique sample columns must be aligned")
+    for tid in technique_ids:
+        scores, flags = check_samples(*run[tid], min_samples)
+        prior = float(np.clip(flags.mean(), 0.01, 0.99))
+        store.techniques[tid] = TechniqueCalibration(
+            technique_id=tid,
+            prior_match=prior,
+            histogram=build_histogram(scores, flags, bins, alpha),
+            sample_count=len(scores),
+        )
+    for a in technique_ids:
+        for b in technique_ids:
+            if a != b:
+                scores, flags = check_samples(run[a][0], run[b][1], min_samples)
+                store.pairs[(a, b)] = build_histogram(scores, flags, bins, alpha)
+    return store
 
 
 # -- switching --------------------------------------------------------------

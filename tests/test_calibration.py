@@ -24,6 +24,7 @@ from switchfuse.errors import (
     InvalidInputError,
 )
 from switchfuse.synthetic import SyntheticDataset, TechniqueProfile, generate
+from tests import oracle
 from tests.exported import exported_runtime
 from tests.oracle import (
     MATCH,
@@ -381,3 +382,147 @@ def test_collect_run_keeps_no_rows(tmp_path):
     assert list(run) == ids
     assert runtime._fragments == {}
     assert peak < 3 * q * r * 8
+
+
+# -- the one-count store build against the record-by-record oracle ----------
+
+TECHNIQUE_POOL = ["a", "b", "c", "d", "e"]
+PARITY = settings(max_examples=200, deadline=None, derandomize=True)
+
+
+@st.composite
+def sample_column(draw, q):
+    """A (scores, correct) column of ``q`` samples: constant scores (the
+    ±0.5 fallback range), scores with ties or distinct scores, and
+    all-true, all-false or mixed outcomes."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = draw(st.sampled_from(["constant", "ties", "distinct"]))
+    if shape == "constant":
+        scores = np.full(q, rng.uniform(-1, 1))
+    elif shape == "ties":
+        scores = rng.choice([-0.5, 0.0, 0.25, 1.0], q)
+    else:
+        scores = rng.uniform(-1, 1, q)
+    outcome = draw(st.sampled_from(["true", "false", "mixed"]))
+    if outcome == "mixed":
+        return scores, rng.random(q) < rng.random()
+    return scores, np.full(q, outcome == "true")
+
+
+@st.composite
+def calibration_runs(draw, min_techniques=0):
+    """(run, technique ids, build_store keywords): 0-5 distinct techniques,
+    ids that may repeat, Q from min_samples to 60 and bins from 2 to Q."""
+    min_samples = draw(st.integers(1, 12))
+    q = draw(st.integers(max(min_samples, 2), 60))
+    ids = draw(
+        st.lists(st.sampled_from(TECHNIQUE_POOL), min_size=min_techniques, max_size=7)
+    )
+    run = {tid: draw(sample_column(q)) for tid in dict.fromkeys(ids)}
+    kwargs = {
+        "bins": draw(st.integers(2, q)),
+        "alpha": draw(st.floats(0, 3, exclude_min=True)),
+        "min_samples": min_samples,
+    }
+    return run, ids, kwargs
+
+
+def store_bytes(build, path, run, ids, kwargs):
+    """The SFCAL bytes of ``build(run, ids, **kwargs)``, or the type and
+    message of the exception it raised."""
+    try:
+        store = build(run, ids, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    save_store(store, path)
+    return path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def store_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("stores")
+
+
+@PARITY
+@given(calibration_runs())
+def test_build_store_bytes_match_the_record_by_record_build(store_dir, case):
+    built = store_bytes(build_store, store_dir / "one", *case)
+    assert isinstance(built, bytes), built
+    assert built == store_bytes(oracle.build_store, store_dir / "each", *case)
+
+
+def _nan_score(scores, correct):
+    return np.where(np.arange(len(scores)) == len(scores) // 2, math.nan, scores), correct
+
+
+def _two_d_scores(scores, correct):
+    return scores[:, None], correct
+
+
+def _short_scores(scores, correct):
+    return scores[1:], correct
+
+
+def _short_flags(scores, correct):
+    return scores, correct[1:]
+
+
+# faults in one technique's (scores, correct) columns
+COLUMN_FAULTS = [_nan_score, _two_d_scores, _short_scores, _short_flags]
+
+
+@PARITY
+@given(calibration_runs(min_techniques=1), st.data())
+def test_build_store_raises_todays_errors_in_todays_order(store_dir, case, data):
+    """Faults in the columns of several techniques at once raise the first
+    error the record-by-record build raises; a missing technique, too few
+    samples, a bins below 2, a bad alpha and a range too wide or too narrow
+    to bin each raise its exception too."""
+    run, ids, kwargs = case
+    kind = data.draw(st.sampled_from(
+        ["columns", "missing", "short", "bins", "alpha", "range"]
+    ))
+    if kind == "columns":
+        faults = data.draw(st.lists(
+            st.tuples(st.sampled_from(COLUMN_FAULTS), st.sampled_from(ids)),
+            min_size=1, max_size=3,
+        ))
+        for fault, tid in faults:
+            run[tid] = fault(*run[tid])
+    elif kind == "missing":
+        ids.insert(data.draw(st.integers(0, len(ids))), "absent")
+    elif kind == "short":
+        kwargs["min_samples"] = len(run[ids[0]][0]) + data.draw(st.integers(1, 5))
+    elif kind == "bins":
+        kwargs["bins"] = data.draw(st.sampled_from([1, 0, -1, -7]))
+    elif kind == "alpha":
+        kwargs["alpha"] = data.draw(st.sampled_from([-0.5, math.nan, math.inf]))
+    else:  # a constant 1e17 column's ±0.5 range, or a span past float64's
+        tid = data.draw(st.sampled_from(ids))
+        scores, correct = run[tid]
+        wide = np.where(np.arange(len(scores)) % 2, 1e308, -1e308)
+        run[tid] = data.draw(st.sampled_from([np.full_like(scores, 1e17), wide])), correct
+    with np.errstate(invalid="ignore"):  # a NaN bin quotient cast to int64
+        expected = store_bytes(oracle.build_store, store_dir / "each", *case)
+        assert not isinstance(expected, bytes)
+        assert store_bytes(build_store, store_dir / "one", *case) == expected
+
+
+def test_build_store_peak_memory_is_linear_in_the_columns():
+    """``build_store`` at T = 9 techniques and Q = 1000 queries allocates,
+    beyond the store it returns, less than four T x Q int64 arrays at its
+    peak: the outcome offsets, one primary's codes and NumPy's 64 KB
+    broadcast buffer.  A Q-long mask or index subset kept for each of the
+    T^2 histograms would exceed the bound."""
+    rng = np.random.default_rng(31)
+    t, q = 9, 1000
+    ids = [f"t{i}" for i in range(t)]
+    run = {tid: (rng.uniform(-1, 1, q), rng.random(q) < 0.5) for tid in ids}
+    tracemalloc.start()
+    try:
+        store = build_store(run, ids)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(store.pairs) == t * (t - 1)
+    assert peak - kept < 4 * t * q * 8

@@ -1061,7 +1061,7 @@ def test_calibrate_bounds_bins_before_scoring(pipeline_dir, capsys, monkeypatch)
         raise AssertionError("calibration ran")
 
     monkeypatch.setattr(calibration, "collect_run", never)
-    monkeypatch.setattr(calibration, "_build_histogram", never)
+    monkeypatch.setattr(calibration, "_histograms", never)
     queries = load_manifest(d / "data" / "calib_manifest.json").query_count
     assert queries > 20  # the default bin count, the bound for smaller sets
     for bins in (1, queries + 1, 10**12):
@@ -1340,17 +1340,19 @@ def test_bench_pairs_rejects_an_empty_seed_range(monkeypatch, capsys):
 
 def test_bench_pairs_records_one_traced_run_per_side(monkeypatch):
     """Each side's traced run goes into its ``per_layer`` under the names
-    and units of the per-layer metrics, and ``run_once`` asks the benchmark
-    for a traced run when told to."""
+    and units of the per-layer metrics, every ms and µs value with its time
+    in probes of that run, and ``run_once`` asks the benchmark for a traced
+    run when told to."""
     bench_pairs = load_bench_pairs()
     metrics = [{"name": "m", "unit": "x", "better": "higher"}]
     layers = [{"name": "run.a", "unit": "us", "better": "lower"},
-              {"name": "run.b", "unit": "ms", "better": "lower"}]
+              {"name": "run.b", "unit": "ms", "better": "lower"},
+              {"name": "run.c", "unit": "count", "better": "lower"}]
     runs = {side: [{"env": None, "failures": [], "metrics": {"m": 1.0}}]
             for side in ("base", "change")}
     traced = {
         "base": {"exit": 0, "failures": [], "probe_s": 0.002,
-                 "metrics": {"run.a": 2.0, "run.b": 3.0}},
+                 "metrics": {"run.a": 2.0, "run.b": 3.0, "run.c": 4.0}},
         "change": {"exit": None, "failures": ["no result"], "metrics": {}},
     }
     doc = bench_pairs.summarise(
@@ -1360,8 +1362,11 @@ def test_bench_pairs_records_one_traced_run_per_side(monkeypatch):
     base, change = (doc["sides"][s]["per_layer"] for s in ("base", "change"))
     assert base == {
         "seed": 9, "exit": 0, "failures": [], "probe_s": 0.002,
-        "metrics": {"run.a": {"unit": "us", "value": 2.0},
-                    "run.b": {"unit": "ms", "value": 3.0}},
+        "metrics": {
+            "run.a": {"unit": "us", "value": 2.0, "per_probe": pytest.approx(1e-3)},
+            "run.b": {"unit": "ms", "value": 3.0, "per_probe": pytest.approx(1.5)},
+            "run.c": {"unit": "count", "value": 4.0},
+        },
     }
     assert change["exit"] is None and change["failures"] == ["no result"]
     assert change["probe_s"] is None

@@ -126,3 +126,32 @@ def test_empty_pgm_loads_and_fails_at_extraction(tmp_path):
     for technique in BUILTIN_DIMS:
         with pytest.raises(InvalidInputError):
             compute_descriptor(image, technique)
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        pgm_bytes()[:-1],  # one payload byte short
+        b"P5\n4 2\n255",  # the header ends at maxval, no byte after it
+        b"P5\n4 2\n255\n",  # nothing after the separator
+    ],
+    ids=["short-payload", "no-separator", "no-payload"],
+)
+def test_truncated_pgm_payload_is_format_error(tmp_path, blob):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(blob)
+    with pytest.raises(SwitchFuseError, match="truncated PGM payload") as info:
+        load_pgm(path)
+    assert info.value.code == "SF-FORMAT"
+
+
+@pytest.mark.parametrize(
+    "blob, shape",
+    [(b"P5\n0 0\n255", (0, 0)), (b"P5\n0 3\n255", (3, 0)), (b"P5\n5 0\n255\n", (0, 5))],
+)
+def test_pgm_without_pixels_loads_with_or_without_a_byte_after_maxval(
+    tmp_path, blob, shape
+):
+    path = tmp_path / "empty.pgm"
+    path.write_bytes(blob)
+    assert load_pgm(path).pixels.shape == shape

@@ -7,7 +7,8 @@ Running the commands under it here makes a renamed function or a changed
 result shape that the tracer relies on fail in the tests, not only in a
 traced benchmark run.  ``perfbench/layers.py`` reads the ``evaluate.reports``
 metrics from the ``reports.read_predictions`` and ``reports.write_*``
-spans, so those must exist too.
+spans and ``calibrate.calibration.build_store_ms`` from the
+``calibration.build_store`` span, so those must exist too.
 """
 
 import importlib.util
@@ -72,13 +73,13 @@ REPORT_SPANS = [
 @pytest.mark.parametrize(
     "make, spans",
     [
-        (score_inputs, ["descriptors.load_descriptor_set", "calibration.calibrate_pair"]),
+        (score_inputs, ["descriptors.load_descriptor_set", "calibration.build_store"]),
         (
             image_inputs,
             [
                 "descriptors.compute_descriptor[hog]",
                 "pgm.load_pgm",
-                "calibration.calibrate_pair",
+                "calibration.build_store",
             ],
         ),
     ],
