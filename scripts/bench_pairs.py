@@ -24,7 +24,11 @@ metric, the pairs in which the working tree was better in the metric's own direc
 difference of the medians, the base's interquartile range and a
 ``verdict``: ``better`` or ``worse`` when the working tree wins or loses at
 least 90% of the pairs and the medians differ in that direction by more
-than the base's interquartile range, else ``unchanged``.  After the pairs,
+than the base's interquartile range, else ``unchanged``.  Each
+``*_queries_per_probe`` metric also gets ``raw_wins``, the pairs in which
+the working tree's raw wall-time throughput of that command was higher,
+so that a pair the probe normalisation flips shows in the file; it is
+informational and changes no verdict.  After the pairs,
 each side gets one traced run (``--trace 1``) on the first seed, and its
 per-layer metrics, each the median over that run's repetitions, go into the
 side's ``per_layer`` with its exit code, failures and probe median.  Each
@@ -143,6 +147,24 @@ def spread(values: list, unit: str) -> dict:
     return {"unit": unit, **(quartiles(known) if known else {}), "values": values}
 
 
+def raw_wins(doc: dict, metric: str) -> int | None:
+    """Pairs in which the working tree's raw wall-time throughput of the
+    command a ``<command>_queries_per_probe`` metric measures beat the
+    base's, counting only pairs in which both runs recorded one; None for
+    any other metric."""
+    suffix = "_queries_per_probe"
+    if not metric.endswith(suffix):
+        return None
+    command = metric[: -len(suffix)]
+    base, change = (
+        doc["sides"][s]["raw_qps"].get(command, {}).get("values", [])
+        for s in ("base", "change")
+    )
+    return sum(
+        b is not None and c is not None and c > b for b, c in zip(base, change)
+    )
+
+
 def verdict(gains: list[float], lead: float, iqr: float) -> str:
     """``better`` or ``worse`` when one side wins at least 90% of the pairs
     and leads the medians by more than the base's IQR, else ``unchanged``.
@@ -226,6 +248,9 @@ def summarise(
             "base_iqr": iqr,
             "verdict": verdict(gains, sign * difference, iqr),
         }
+        raw = raw_wins(doc, name)
+        if raw is not None:
+            doc["comparison"][name]["raw_wins"] = raw
     return doc
 
 
@@ -289,11 +314,13 @@ def main(argv=None) -> int:
     for m in metrics:
         name = m["name"]
         b, c = (doc["sides"][s]["metrics"][name] for s in ("base", "change"))
+        comparison = doc["comparison"][name]
+        raw = comparison.get("raw_wins")
         print(
             f"{name:<30} base {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}]  "
             f"change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]  "
-            f"wins {doc['comparison'][name]['wins']}/{len(args.seeds)}  "
-            f"{doc['comparison'][name]['verdict']}"
+            f"wins {comparison['wins']}/{len(args.seeds)}  {comparison['verdict']}"
+            + ("" if raw is None else f"  (raw wall-time wins {raw}/{len(args.seeds)})")
         )
     traced_probes = {s: doc["sides"][s]["per_layer"]["probe_s"] for s in sides}
     print(

@@ -6,8 +6,6 @@ from .calibration import (
     LikelihoodHistogram,
     TechniqueCalibration,
     build_store,
-    calibrate_pair,
-    calibrate_technique,
     load_store,
     save_store,
 )

@@ -125,12 +125,16 @@ class TechniqueCalibration:
             return np.where(den > 0.0, num / den, np.nan)
 
 
-def _score_range(scores: np.ndarray) -> tuple[float, float]:
+def _score_range(technique_id: str, scores: np.ndarray) -> tuple[float, float]:
+    """The scores' range widened by 1% per side, or by 0.5 around one value;
+    a range that rounds to empty or overflows float64 cannot be binned."""
     lo, hi = float(scores.min()), float(scores.max())
-    if hi == lo:
-        return lo - 0.5, hi + 0.5
-    span = hi - lo
-    return lo - 0.01 * span, hi + 0.01 * span
+    pad = 0.5 if hi == lo else 0.01 * (hi - lo)
+    if not 0.0 < (hi + pad) - (lo - pad) < math.inf:
+        raise InvalidInputError(
+            f"{technique_id}: calibration scores from {lo} to {hi} cannot be binned"
+        )
+    return lo - pad, hi + pad
 
 
 def _offsets(flags: np.ndarray, bins: int) -> np.ndarray:
@@ -140,6 +144,7 @@ def _offsets(flags: np.ndarray, bins: int) -> np.ndarray:
 
 
 def _histograms(
+    technique_id: str,
     scores: np.ndarray,
     offsets: np.ndarray,
     bins: int,
@@ -148,7 +153,7 @@ def _histograms(
     """One histogram of ``scores`` per row of the (K, Q) ``_offsets`` of K
     outcome columns, all over the scores' range, from one binning and one
     count: score ``i`` under row ``k`` counts at ``offsets[k, i] + bin``."""
-    lo, hi = _score_range(scores)
+    lo, hi = _score_range(technique_id, scores)
     codes = offsets + _bin_indices(scores, lo, hi, bins)
     counts = np.bincount(codes.ravel(), minlength=2 * len(offsets) * bins)
     return [
@@ -178,51 +183,6 @@ def _check_samples(scores, flags, min_samples):
     if not np.all(np.isfinite(scores)):
         raise InvalidInputError("calibration scores must be finite")
     return scores, flags
-
-
-def calibrate_technique(
-    scores,
-    correct,
-    technique_id: str = "",
-    bins: int = DEFAULT_BINS,
-    alpha: float = DEFAULT_ALPHA,
-    min_samples: int = DEFAULT_MIN_SAMPLES,
-) -> TechniqueCalibration:
-    """Estimate a technique's prior and likelihood histogram.
-
-    ``scores[i]`` and ``correct[i]`` are one observation: a match score and
-    whether that match was correct.  The prior is the matched frequency
-    clamped to [0.01, 0.99]; the histogram spans the observed score range
-    widened by 1% per side.
-    """
-    scores, flags = _check_samples(scores, correct, min_samples)
-    (hist,) = _histograms(scores, _offsets(flags[None], bins), bins, alpha)
-    return _technique(technique_id, flags, hist)
-
-
-def _technique(technique_id, flags, hist) -> TechniqueCalibration:
-    return TechniqueCalibration(
-        technique_id=technique_id,
-        prior_match=float(np.clip(flags.mean(), *PRIOR_CLAMP)),
-        histogram=hist,
-        sample_count=len(flags),
-    )
-
-
-def calibrate_pair(
-    primary_scores,
-    candidate_correct,
-    bins: int = DEFAULT_BINS,
-    alpha: float = DEFAULT_ALPHA,
-    min_samples: int = DEFAULT_MIN_SAMPLES,
-) -> LikelihoodHistogram:
-    """Histogram the primary's scores split by the candidate's outcome.
-
-    ``primary_scores[i]`` and ``candidate_correct[i]`` belong to one query.
-    """
-    scores, flags = _check_samples(primary_scores, candidate_correct, min_samples)
-    (hist,) = _histograms(scores, _offsets(flags[None], bins), bins, alpha)
-    return hist
 
 
 @dataclass
@@ -265,7 +225,9 @@ def build_store(
     ``run`` maps technique id to its (scores, correct) columns, one row per
     query, index-aligned across techniques.  Pair calibrations are built for
     every ordered pair of techniques so any pool composition (per-unit or
-    pooled baselines) finds its pair data.
+    pooled baselines) finds its pair data: pair (a, b) histograms a's scores
+    split by b's outcome.  Every column is checked before ``bins``, and
+    ``bins`` before any score range.
     """
     store = CalibrationStore()
     technique_ids = list(technique_ids)
@@ -276,14 +238,21 @@ def build_store(
     if len(lengths) > 1:
         raise InvalidInputError("per-technique sample columns must be aligned")
     columns = [_check_samples(*run[tid], min_samples) for tid in technique_ids]
+    if bins < 2:
+        raise InvalidInputError("bin_count must be at least 2")
     # ndmin keeps an empty id list 2-D
     offsets = _offsets(
         np.array([flags for _, flags in columns], dtype=bool, ndmin=2), bins
     )
     for k, (primary, (scores, flags)) in enumerate(zip(technique_ids, columns)):
         # row k is the primary's own histogram, row j its pair with j
-        hists = _histograms(scores, offsets, bins, alpha)
-        store.techniques[primary] = _technique(primary, flags, hists[k])
+        hists = _histograms(primary, scores, offsets, bins, alpha)
+        store.techniques[primary] = TechniqueCalibration(
+            technique_id=primary,
+            prior_match=float(np.clip(flags.mean(), *PRIOR_CLAMP)),
+            histogram=hists[k],
+            sample_count=len(flags),
+        )
         for candidate, hist in zip(technique_ids, hists):
             if candidate != primary:
                 store.pairs[(primary, candidate)] = hist

@@ -312,14 +312,13 @@ class DatasetRuntime:
     float64 copy of a whole image is made.  Built-in query descriptors are
     extracted in chunks of at most ``_SCORE_CHUNK`` images.
 
-    A technique's SFDESC1 query payload is read and checked whole on its
-    first request, kept as float32 while some of its rows are unscored,
-    widened to float64 only for the rows being scored, and dropped once
-    every row is scored.  Reference
-    descriptors and their row norms are built once per runtime: a reference
-    file is read once however many techniques bind it, and a built-in
-    descriptor is extracted from the reference images on the first request
-    that scores it.
+    Every request that scores rows of an SFDESC1 technique reads its query
+    payload from the file and checks it whole, widens only the rows being
+    scored to float64 and keeps none of it, so the runtime holds only rows,
+    best matches and references.  Reference descriptors and their row norms
+    are built once per runtime: a reference file is read once however many
+    techniques bind it, and a built-in descriptor is extracted from the
+    reference images on the first request that scores it.
     """
 
     def __init__(self, manifest: DatasetManifest):
@@ -330,7 +329,6 @@ class DatasetRuntime:
         self._where: dict[str, np.ndarray] = {}
         # technique -> (best reference, match score) of each scored query
         self._matches: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        self._payloads: dict[str, np.ndarray] = {}  # SFDESC1 query payloads
         # reference file path or built-in name -> (matrix, row norms)
         self._references: dict[object, tuple[np.ndarray, np.ndarray]] = {}
         # file path -> (count, dim): a file bound by several techniques, such
@@ -422,9 +420,7 @@ class DatasetRuntime:
         Every technique is checked before anything is read.  The blocks come
         from ``_blocks``, as ``score``'s do, but each is scored into one
         reused Q x R buffer and its best matches are read before the next is
-        scored.  Every SFDESC1 payload is read from its file, whatever the
-        runtime holds, and neither the runtime's rows nor its payloads are
-        read, kept or changed.
+        scored.  The runtime's rows are neither read, kept nor changed.
         """
         bindings = self._bindings(technique_ids)
         rows = np.empty((self.query_count, self.reference_count))
@@ -511,8 +507,6 @@ class DatasetRuntime:
         where[0, todo] = len(fragments)
         where[1, todo] = np.arange(len(todo))
         fragments.append(block)
-        if where[0].min() >= 0:
-            self._payloads.pop(technique_id, None)
 
     def _sfdesc_references(self, binding: TechniqueBinding):
         """(float64 matrix, row norms) of a technique's reference file."""
@@ -542,31 +536,24 @@ class DatasetRuntime:
         that many rows, which the caller may reuse once the next block is
         asked for.
 
-        An SFDESC1 technique is one block.  A request for every query reads
-        its payload from the file; a smaller one reads the payload kept by
-        an earlier request, or reads and keeps it until every row is scored.
-        The payload is checked whole against the manifest, widened into one
-        float64 buffer that every technique of the group reuses, and dropped
-        before the product.  Built-ins go in equal chunks of at most
+        An SFDESC1 technique is one block.  Its payload is read from the
+        file on every request and checked whole against the manifest; the
+        rows of ``todo`` are widened into one float64 buffer that every
+        technique of the group reuses, and the payload is dropped before the
+        product.  Built-ins go in equal chunks of at most
         ``_SCORE_CHUNK`` queries, which bound the memory their descriptors
         take at once; each chunk's images are decoded once for the group.
         """
-        whole = len(todo) == self.query_count
         wide = np.empty(0)
         for binding in (b for b in group if b.kind == "sfdesc"):
             tid = binding.technique_id
             refs, ref_norms = self._sfdesc_references(binding)
-            payload = None if whole else self._payloads.get(tid)
-            if payload is None:
-                payload = load_descriptor_set(
-                    self.manifest.base_dir / binding.queries_path, tid
-                ).matrix
-                # the files may have been replaced since their headers were
-                # checked
-                self._check_shapes(tid, payload.shape, refs.shape)
-                if not whole:
-                    self._payloads[tid] = payload
-            if not whole:
+            payload = load_descriptor_set(
+                self.manifest.base_dir / binding.queries_path, tid
+            ).matrix
+            # the files may have been replaced since their headers were checked
+            self._check_shapes(tid, payload.shape, refs.shape)
+            if len(todo) < self.query_count:
                 payload = payload[todo]
             if wide.size < payload.size:
                 wide = np.empty(payload.size)

@@ -213,12 +213,21 @@ def mass(hist: LikelihoodHistogram, score: float, hypothesis: str) -> float:
 # -- calibration store ------------------------------------------------------
 
 
-def score_range(scores: np.ndarray) -> tuple[float, float]:
+def score_range(scores: np.ndarray, technique_id: str) -> tuple[float, float]:
+    """The scores' range widened by 1% per side, or by 0.5 per side around
+    one value; a widened range that is empty or wider than float64 holds
+    cannot be binned."""
     lo, hi = float(scores.min()), float(scores.max())
     if hi == lo:
-        return lo - 0.5, hi + 0.5
-    span = hi - lo
-    return lo - 0.01 * span, hi + 0.01 * span
+        wide_lo, wide_hi = lo - 0.5, hi + 0.5
+    else:
+        span = hi - lo
+        wide_lo, wide_hi = lo - 0.01 * span, hi + 0.01 * span
+    if not (wide_hi > wide_lo and math.isfinite(wide_hi - wide_lo)):
+        raise InvalidInputError(
+            f"{technique_id}: calibration scores from {lo} to {hi} cannot be binned"
+        )
+    return wide_lo, wide_hi
 
 
 def bin_indices(scores: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarray:
@@ -227,9 +236,12 @@ def bin_indices(scores: np.ndarray, lo: float, hi: float, bins: int) -> np.ndarr
     return np.clip(quotient, 0, bins - 1).astype(np.int64)
 
 
-def build_histogram(scores, flags, bins: int, alpha: float) -> LikelihoodHistogram:
-    """One histogram: its own range, binning and two masked counts."""
-    lo, hi = score_range(scores)
+def build_histogram(
+    scores, flags, bins: int, alpha: float, technique_id: str
+) -> LikelihoodHistogram:
+    """One histogram of a technique's scores: its own range, binning and two
+    masked counts."""
+    lo, hi = score_range(scores, technique_id)
     idx = bin_indices(scores, lo, hi, bins)
     return LikelihoodHistogram(
         bin_count=bins,
@@ -258,9 +270,9 @@ def check_samples(scores, flags, min_samples):
 
 
 def build_store(run, technique_ids, bins=20, alpha=1.0, min_samples=10):
-    """The store built record by record: every technique checked and
-    histogrammed on its own, then every ordered pair of distinct ids
-    checked and histogrammed on its own."""
+    """The store built record by record: every technique's columns checked,
+    then ``bins``, then every technique histogrammed on its own, then every
+    ordered pair of distinct ids checked and histogrammed on its own."""
     store = CalibrationStore()
     technique_ids = list(technique_ids)
     for tid in technique_ids:
@@ -269,20 +281,23 @@ def build_store(run, technique_ids, bins=20, alpha=1.0, min_samples=10):
     lengths = {len(column) for tid in technique_ids for column in run[tid]}
     if len(lengths) > 1:
         raise InvalidInputError("per-technique sample columns must be aligned")
+    columns = {tid: check_samples(*run[tid], min_samples) for tid in technique_ids}
+    if bins < 2:
+        raise InvalidInputError("bin_count must be at least 2")
     for tid in technique_ids:
-        scores, flags = check_samples(*run[tid], min_samples)
+        scores, flags = columns[tid]
         prior = float(np.clip(flags.mean(), 0.01, 0.99))
         store.techniques[tid] = TechniqueCalibration(
             technique_id=tid,
             prior_match=prior,
-            histogram=build_histogram(scores, flags, bins, alpha),
+            histogram=build_histogram(scores, flags, bins, alpha, tid),
             sample_count=len(scores),
         )
     for a in technique_ids:
         for b in technique_ids:
             if a != b:
                 scores, flags = check_samples(run[a][0], run[b][1], min_samples)
-                store.pairs[(a, b)] = build_histogram(scores, flags, bins, alpha)
+                store.pairs[(a, b)] = build_histogram(scores, flags, bins, alpha, a)
     return store
 
 

@@ -11,8 +11,6 @@ from switchfuse import (
     LikelihoodHistogram,
     TechniqueCalibration,
     build_store,
-    calibrate_pair,
-    calibrate_technique,
     load_store,
     save_store,
 )
@@ -22,6 +20,7 @@ from switchfuse.errors import (
     IncompleteCalibrationError,
     InsufficientDataError,
     InvalidInputError,
+    SwitchFuseError,
 )
 from switchfuse.synthetic import SyntheticDataset, TechniqueProfile, generate
 from tests import oracle
@@ -35,12 +34,27 @@ from tests.oracle import (
     similarity,
 )
 
+
 def columns(samples):
     """(score, flag) tuples as the (scores, flags) arrays the API takes."""
     return (
         np.array([s for s, _ in samples], dtype=np.float64),
         np.array([bool(m) for _, m in samples]),
     )
+
+
+def technique(samples, **kwargs) -> TechniqueCalibration:
+    """The calibration ``build_store`` makes of a one-technique run."""
+    return build_store({"t": columns(samples)}, ["t"], **kwargs).techniques["t"]
+
+
+def pair(samples, **kwargs) -> LikelihoodHistogram:
+    """The (p, c) histogram ``build_store`` makes of a two-technique run in
+    which technique p scores each sample's score and technique c has each
+    sample's outcome: p's scores split by c's outcomes."""
+    scores, flags = columns(samples)
+    run = {"p": (scores, flags), "c": (np.zeros_like(scores), flags)}
+    return build_store(run, ["p", "c"], **kwargs).pairs[("p", "c")]
 
 
 samples_strategy = st.lists(
@@ -63,22 +77,22 @@ def uniform_hist(bins=20, alpha=1.0):
 
 def test_prior_frequency():
     samples = [(0.5, True)] * 7 + [(0.4, False)] * 3
-    calib = calibrate_technique(*columns(samples), "t")
+    calib = technique(samples)
     assert calib.prior_match == pytest.approx(0.7)
     assert calib.sample_count == 10
 
 
 def test_prior_clamped():
-    calib = calibrate_technique(*columns([(0.5, True)] * 10), "t")
+    calib = technique([(0.5, True)] * 10)
     assert calib.prior_match == 0.99
-    calib = calibrate_technique(*columns([(0.5, False)] * 10), "t")
+    calib = technique([(0.5, False)] * 10)
     assert calib.prior_match == 0.01
 
 
 def test_laplace_smoothing_hand_value():
     # 0.1 mismatched x5, 0.9 matched x5, 2 bins, alpha 1
     samples = [(0.1, False)] * 5 + [(0.9, True)] * 5
-    calib = calibrate_technique(*columns(samples), "t", bins=2, alpha=1.0)
+    calib = technique(samples, bins=2, alpha=1.0)
     hi_bin_mass = mass(calib.histogram, 0.9, MATCH)
     assert hi_bin_mass == pytest.approx(6.0 / 7.0)
     assert mass(calib.histogram, 0.1, MATCH) == pytest.approx(1.0 / 7.0)
@@ -86,33 +100,32 @@ def test_laplace_smoothing_hand_value():
 
 def test_too_few_samples():
     with pytest.raises(InsufficientDataError):
-        calibrate_technique(*columns([(0.5, True)] * 9), "t")
+        technique([(0.5, True)] * 9)
 
 
 def test_degenerate_range_fallback():
-    calib = calibrate_technique(*columns([(0.3, True)] * 10), "t")
+    calib = technique([(0.3, True)] * 10)
     assert calib.histogram.lo == pytest.approx(-0.2)
     assert calib.histogram.hi == pytest.approx(0.8)
 
 
 def test_pair_all_candidate_matched_uniform_mismatch_side():
-    pair = calibrate_pair(*columns([(0.5, True)] * 12), bins=4, alpha=1.0)
-    masses = pair.mismatched_masses
+    masses = pair([(0.5, True)] * 12, bins=4, alpha=1.0).mismatched_masses
     assert np.allclose(masses, 0.25)
 
 
 def test_pair_symmetric_samples():
     samples = [(0.2, True), (0.2, False), (0.8, True), (0.8, False)] * 3
-    pair = calibrate_pair(*columns(samples), bins=2)
-    assert np.allclose(pair.matched_masses, pair.mismatched_masses)
+    hist = pair(samples, bins=2)
+    assert np.allclose(hist.matched_masses, hist.mismatched_masses)
 
 
 def test_pair_hand_values():
     # 0.2 with candidate mismatched x4, 0.8 with candidate matched x4
     samples = [(0.2, False)] * 4 + [(0.8, True)] * 4
-    pair = calibrate_pair(*columns(samples), bins=2, alpha=1.0, min_samples=8)
-    assert mass(pair, 0.8, MATCH) == pytest.approx(5.0 / 6.0)
-    assert mass(pair, 0.8, MISMATCH) == pytest.approx(1.0 / 6.0)
+    hist = pair(samples, bins=2, alpha=1.0, min_samples=8)
+    assert mass(hist, 0.8, MATCH) == pytest.approx(5.0 / 6.0)
+    assert mass(hist, 0.8, MISMATCH) == pytest.approx(1.0 / 6.0)
 
 
 def test_likelihood_uniform_when_empty():
@@ -152,14 +165,14 @@ def test_likelihood_non_finite_rejected():
 
 @given(samples_strategy)
 def test_masses_sum_to_one(samples):
-    calib = calibrate_technique(*columns(samples), "t")
+    calib = technique(samples)
     for masses in (calib.histogram.matched_masses, calib.histogram.mismatched_masses):
         assert masses.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 @given(samples_strategy)
 def test_likelihood_strictly_positive(samples):
-    calib = calibrate_technique(*columns(samples), "t")
+    calib = technique(samples)
     for score in (-10.0, 0.0, 0.5, 10.0):
         assert mass(calib.histogram, score, MATCH) > 0.0
         assert mass(calib.histogram, score, MISMATCH) > 0.0
@@ -169,8 +182,7 @@ def test_likelihood_strictly_positive(samples):
 def test_permutation_invariance(samples, rnd):
     shuffled = list(samples)
     rnd.shuffle(shuffled)
-    a = calibrate_technique(*columns(samples), "t")
-    b = calibrate_technique(*columns(shuffled), "t")
+    a, b = technique(samples), technique(shuffled)
     assert a.prior_match == b.prior_match
     assert np.array_equal(a.histogram.counts_matched, b.histogram.counts_matched)
     assert np.array_equal(
@@ -208,8 +220,8 @@ def test_build_store_missing_technique():
 
 def tuple_list_store(runtime, techniques):
     """The store built the per-query way: (score, correct) tuples from each
-    query's scalar best match, and each pair's tuples zipped from two
-    techniques' lists."""
+    query's scalar best match, histogrammed record by record by the
+    oracle."""
     truth = runtime.ground_truth()
     samples = {}
     for tid in techniques:
@@ -217,15 +229,9 @@ def tuple_list_store(runtime, techniques):
         for q in range(runtime.query_count):
             best = raw_match_score(similarity(runtime, q, tid))
             samples[tid].append((best.value, is_correct(truth, q, best.best_index)))
-    store = CalibrationStore()
-    for tid in techniques:
-        store.techniques[tid] = calibrate_technique(*columns(samples[tid]), tid)
-    for a in techniques:
-        for b in techniques:
-            if a != b:
-                paired = [(s, m) for (s, _), (_, m) in zip(samples[a], samples[b])]
-                store.pairs[(a, b)] = calibrate_pair(*columns(paired))
-    return store
+    return oracle.build_store(
+        {tid: columns(samples[tid]) for tid in techniques}, techniques
+    )
 
 
 def test_collected_store_matches_tuple_list_store(tmp_path):
@@ -247,7 +253,7 @@ def test_collected_store_matches_tuple_list_store(tmp_path):
 )
 def test_sample_columns_must_be_aligned_1d(scores, flags):
     with pytest.raises(InvalidInputError):
-        calibrate_technique(scores, flags, "t")
+        build_store({"t": (scores, flags)}, ["t"])
 
 
 def test_build_store_rejects_misaligned_techniques():
@@ -258,7 +264,7 @@ def test_build_store_rejects_misaligned_techniques():
 
 def test_non_finite_calibration_score_rejected():
     with pytest.raises(InvalidInputError):
-        calibrate_technique([0.5] * 11 + [math.nan], [True] * 12, "t")
+        technique([(0.5, True)] * 11 + [(math.nan, True)])
 
 
 def test_store_lookup_errors():
@@ -477,7 +483,9 @@ def test_build_store_raises_todays_errors_in_todays_order(store_dir, case, data)
     """Faults in the columns of several techniques at once raise the first
     error the record-by-record build raises; a missing technique, too few
     samples, a bins below 2, a bad alpha and a range too wide or too narrow
-    to bin each raise its exception too."""
+    to bin each raise its exception too.  Every one is an ``SF-*`` error:
+    a bins below 2 and a range that cannot be binned raise ``SF-INPUT``,
+    not NumPy's ``ValueError``."""
     run, ids, kwargs = case
     kind = data.draw(st.sampled_from(
         ["columns", "missing", "short", "bins", "alpha", "range"]
@@ -502,10 +510,12 @@ def test_build_store_raises_todays_errors_in_todays_order(store_dir, case, data)
         scores, correct = run[tid]
         wide = np.where(np.arange(len(scores)) % 2, 1e308, -1e308)
         run[tid] = data.draw(st.sampled_from([np.full_like(scores, 1e17), wide])), correct
-    with np.errstate(invalid="ignore"):  # a NaN bin quotient cast to int64
-        expected = store_bytes(oracle.build_store, store_dir / "each", *case)
-        assert not isinstance(expected, bytes)
-        assert store_bytes(build_store, store_dir / "one", *case) == expected
+    expected = store_bytes(oracle.build_store, store_dir / "each", *case)
+    assert not isinstance(expected, bytes)
+    assert issubclass(expected[0], SwitchFuseError), expected
+    if kind in ("bins", "range"):
+        assert expected[0] is InvalidInputError, expected
+    assert store_bytes(build_store, store_dir / "one", *case) == expected
 
 
 def test_build_store_peak_memory_is_linear_in_the_columns():

@@ -1273,13 +1273,18 @@ def test_bench_pairs_verdict_needs_nine_of_ten_and_a_lead_beyond_the_iqr():
 def test_bench_pairs_records_probe_and_raw_throughput(monkeypatch):
     """Each side of a ``BENCH_*.json`` keeps its runs' probe medians, raw
     wall-time throughputs and per-operation child usage (minor faults, user
-    and system seconds), a run that recorded none included."""
+    and system seconds), a run that recorded none included.  A
+    ``<command>_queries_per_probe`` metric's comparison counts the pairs
+    whose raw throughput of that command the working tree won, over the
+    pairs in which both runs recorded one, and leaves its verdict alone."""
     bench_pairs = load_bench_pairs()
-    metrics = [{"name": "m", "unit": "x", "better": "higher"}]
+    metrics = [{"name": "m", "unit": "x", "better": "higher"},
+               {"name": "run_queries_per_probe", "unit": "q/p", "better": "higher"}]
     probes = {"base": [0.002, 0.001, None], "change": [0.003, 0.001, 0.002]}
     runs = {
         side: [
-            {"env": None, "failures": [], "metrics": {"m": 1.0}, "probe_s": probe,
+            {"env": None, "failures": [], "probe_s": probe,
+             "metrics": {"m": 1.0, "run_queries_per_probe": 1.0},
              "raw_qps": {} if probe is None else {"run": 1 / probe},
              **({} if probe is None else {"child_usage": {
                  "minor_faults": probe * 1e6, "user_s": probe, "system_s": probe / 2,
@@ -1302,6 +1307,15 @@ def test_bench_pairs_records_probe_and_raw_throughput(monkeypatch):
     assert change["child_usage"]["user_s"]["median"] == 0.002
     assert change["child_usage"]["system_s"]["median"] == 0.001
     assert change["child_usage"]["system_s"]["unit"] == "s/op"
+    # raw run throughput 500 -> 333, 1000 -> 1000, and no base value in pair 3
+    assert doc["comparison"]["run_queries_per_probe"]["raw_wins"] == 0
+    assert doc["comparison"]["run_queries_per_probe"]["verdict"] == "unchanged"
+    assert "raw_wins" not in doc["comparison"]["m"]
+    runs["change"][0]["raw_qps"]["run"] = 600.0
+    doc = bench_pairs.summarise(
+        "l", "w", 1.0, [1, 2, 3], {"base": "a", "change": "b"}, runs, metrics
+    )
+    assert doc["comparison"]["run_queries_per_probe"]["raw_wins"] == 1
 
     # one run: the children's usage delta around it over its attempted ops
     usage = iter([

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -20,9 +21,15 @@ from switchfuse.descriptors import (
     DescriptorSet,
     ImageGray,
     compute_descriptor,
+    load_descriptor_set,
     save_descriptor_set,
 )
-from switchfuse.errors import FormatError, InvalidInputError, UnknownTechniqueError
+from switchfuse.errors import (
+    DataError,
+    FormatError,
+    InvalidInputError,
+    UnknownTechniqueError,
+)
 from switchfuse.evaluation import run_method
 from switchfuse.pgm import load_pgm
 from switchfuse.switching import TripartiteConfig, UnitConfig
@@ -184,24 +191,89 @@ def test_truncated_sfdesc_fails_at_construction(switching_dataset):
         DatasetRuntime(manifest)
 
 
-def test_each_descriptor_file_is_read_once(switching_dataset, monkeypatch):
-    # every technique binds the same reference file
-    reads = []
+def test_reference_file_is_read_once_and_query_files_once_per_request(
+    switching_dataset, monkeypatch
+):
+    """Across every method, the reference file every technique binds is
+    read once, and each query file once per request that scores rows of
+    its technique: twice for a technique that switch-fuse's hops score in
+    part and fuse-all scores to the end."""
+    reads, requests = Counter(), Counter()
     load = datasets.load_descriptor_set
+    record = DatasetRuntime._record
 
     def counted(path, *args, **kwargs):
-        reads.append(Path(path).name)
+        reads[Path(path).name] += 1
         return load(path, *args, **kwargs)
 
+    def recorded(self, technique_id, *args):
+        requests[f"eval_queries_{technique_id}.sfdesc"] += 1
+        return record(self, technique_id, *args)
+
     monkeypatch.setattr(datasets, "load_descriptor_set", counted)
+    monkeypatch.setattr(DatasetRuntime, "_record", recorded)
     manifest_path, store = switching_dataset
     runtime = DatasetRuntime(load_manifest(manifest_path))
     config = TripartiteConfig(units=(UnitConfig("u0", TECHNIQUES),))
     for method in ["switch-fuse", "fuse-all"] + [f"single:{t}" for t in TECHNIQUES]:
         run_method(method, runtime, config, store)
-    assert sorted(reads) == sorted(
-        ["eval_refs.sfdesc"] + [f"eval_queries_{t}.sfdesc" for t in TECHNIQUES]
+    assert reads.pop("eval_refs.sfdesc") == 1
+    assert reads == requests
+    assert max(requests.values()) > 1
+
+
+def test_switch_fuse_keeps_no_query_payload(tmp_path):
+    """With the runtime alive after a switch-fuse ``run_method`` whose
+    queries hop to two techniques and score them in part, the memory
+    allocated since the runtime was built is its row fragments, row index,
+    match columns and references, and less than 64 KiB more: neither partly
+    scored technique keeps its 500 x 201 float32 query payload (402 KB)."""
+    tids = ("a", "b", "c")
+    ds = generate(
+        [profile(t, r) for t, r in zip(tids, (0.6, 0.5, 0.55))], 1000, 200, seed=23
     )
+    calib_idx, eval_idx = split_calibration_eval(ds, 0.5, seed=23)
+    calib = DatasetRuntime(load_manifest(export_dataset(ds, calib_idx, tmp_path, "calib")))
+    store = build_store(collect_run(calib, tids), list(tids))
+    manifest = load_manifest(export_dataset(ds, eval_idx, tmp_path, "eval"))
+    config = TripartiteConfig(units=(UnitConfig("u0", tids),))
+    tracemalloc.start()
+    try:
+        runtime = DatasetRuntime(manifest)
+        run_method("switch-fuse", runtime, config, store)
+        current = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    scored = [int((runtime._where[t][0] >= 0).sum()) for t in tids]
+    assert scored[0] == len(eval_idx) and all(0 < n < len(eval_idx) for n in scored[1:])
+    held = sum(f.nbytes for fs in runtime._fragments.values() for f in fs)
+    held += sum(w.nbytes for w in runtime._where.values())
+    held += sum(c.nbytes for cs in runtime._matches.values() for c in cs)
+    held += sum(m.nbytes + n.nbytes for m, n in runtime._references.values())
+    assert current < held + 64 * 1024
+
+
+@pytest.mark.parametrize("rewrite", ["rows", "nan"])
+def test_partial_requests_check_the_whole_query_file(switching_dataset, rewrite):
+    """A query file rewritten between two partial requests for its technique
+    fails the second: with another row count as ``SF-INPUT``, and with a
+    NaN in a row the second request does not ask for as ``SF-DATA``."""
+    manifest = load_manifest(switching_dataset[0])
+    runtime = DatasetRuntime(manifest)
+    runtime.score(["b"], [0, 1])
+    path = manifest.base_dir / manifest.bindings["b"].queries_path
+    matrix = np.array(load_descriptor_set(path).matrix)
+    if rewrite == "rows":
+        matrix = matrix[:-1]
+    else:
+        matrix[5, 0] = np.nan
+    save_descriptor_set(DescriptorSet("b", matrix), path)
+    error, message = {
+        "rows": (InvalidInputError, "b: query descriptor count 59 != 60"),
+        "nan": (DataError, "non-finite descriptor values"),
+    }[rewrite]
+    with pytest.raises(error, match=message):
+        runtime.score(["b"], [2, 3])
 
 
 def test_each_descriptor_header_is_read_once(tmp_path, monkeypatch):
@@ -754,7 +826,7 @@ def test_best_matches_equal_score_then_matches(
         assert got[tid][0].tobytes() == best.tobytes()
         assert got[tid][1].tobytes() == score.tobytes()
         signs.update(np.copysign(1.0, score[score == 0.0]).tolist())
-    assert by_best._fragments == {} and by_best._payloads == {}
+    assert by_best._fragments == {}
     if variant == "signed_zero":
         assert signs == {-1.0, 1.0}
     else:  # the zero-norm query scores +0.0 against every reference
@@ -763,7 +835,7 @@ def test_best_matches_equal_score_then_matches(
 
 def _held(runtime) -> dict:
     """The bytes of what a runtime holds per technique: its row fragments,
-    row index, best matches and kept payloads."""
+    row index and best matches."""
     def flat(value):
         if isinstance(value, np.ndarray):
             return value.tobytes()
@@ -771,22 +843,21 @@ def _held(runtime) -> dict:
 
     return {
         name: {tid: flat(value) for tid, value in getattr(runtime, name).items()}
-        for name in ("_fragments", "_where", "_matches", "_payloads")
+        for name in ("_fragments", "_where", "_matches")
     }
 
 
 def test_best_matches_scores_from_the_files_and_leaves_the_runtime_alone(
     switching_dataset, monkeypatch
 ):
-    """On a runtime that holds a partial fragment and a kept payload of
-    ``b``, ``best_matches`` gives a fresh runtime's columns byte for byte
+    """On a runtime that holds a partial fragment of ``b``,
+    ``best_matches`` gives a fresh runtime's columns byte for byte
     and leaves what the runtime holds as it was; an unbound technique fails
     before any file is read."""
     manifest = load_manifest(switching_dataset[0])
     runtime = DatasetRuntime(manifest)
     runtime.score(["b"], [4, 0, 2])
-    assert set(runtime._payloads) == {"b"}
-    before, payload = _held(runtime), runtime._payloads["b"]
+    before = _held(runtime)
     with monkeypatch.context() as patched:
         def never(*args, **kwargs):
             raise AssertionError("a file was read")
@@ -799,4 +870,4 @@ def test_best_matches_scores_from_the_files_and_leaves_the_runtime_alone(
     want = DatasetRuntime(manifest).best_matches(["a", "b"])
     for tid in ("a", "b"):
         assert [c.tobytes() for c in got[tid]] == [c.tobytes() for c in want[tid]]
-    assert _held(runtime) == before and runtime._payloads["b"] is payload
+    assert _held(runtime) == before
