@@ -147,15 +147,10 @@ def spread(values: list, unit: str) -> dict:
     return {"unit": unit, **(quartiles(known) if known else {}), "values": values}
 
 
-def raw_wins(doc: dict, metric: str) -> int | None:
-    """Pairs in which the working tree's raw wall-time throughput of the
-    command a ``<command>_queries_per_probe`` metric measures beat the
-    base's, counting only pairs in which both runs recorded one; None for
-    any other metric."""
-    suffix = "_queries_per_probe"
-    if not metric.endswith(suffix):
-        return None
-    command = metric[: -len(suffix)]
+def raw_wins(doc: dict, command: str) -> int:
+    """Pairs in which the working tree's raw wall-time throughput of
+    ``command`` beat the base's, counting only pairs in which both runs
+    recorded one."""
     base, change = (
         doc["sides"][s]["raw_qps"].get(command, {}).get("values", [])
         for s in ("base", "change")
@@ -248,9 +243,9 @@ def summarise(
             "base_iqr": iqr,
             "verdict": verdict(gains, sign * difference, iqr),
         }
-        raw = raw_wins(doc, name)
-        if raw is not None:
-            doc["comparison"][name]["raw_wins"] = raw
+        command, per_probe, rest = name.partition("_queries_per_probe")
+        if per_probe and not rest:
+            doc["comparison"][name]["raw_wins"] = raw_wins(doc, command)
     return doc
 
 
