@@ -2,13 +2,15 @@
 """Compare the output bytes of two switchfuse source trees on one dataset.
 
 For each ``src`` root, runs ``calibrate -> run -> evaluate -> compare`` with
-``--no-timestamp`` through the real CLI, each command in its own
-``python -m switchfuse.cli`` subprocess with that root on ``PYTHONPATH``;
-``evaluate`` and ``compare`` also get ``--svg``, so the PR points of every
-method are compared.  Then prints ``identical`` or ``differs`` for every
-output file (the SFCAL store, the predictions CSV, the ``evaluate`` CSVs,
-``pr_curve.svg``, ``comparison.csv`` and ``pr_curves.svg``), with the first
-differing byte offset, and exits 1 on any difference or failed command::
+``--no-timestamp`` through the real CLI: one ``python -c`` driver per root,
+with that root on ``PYTHONPATH``, calls ``switchfuse.cli.main`` for each
+command in order and stops at the first that fails, naming it with its exit
+code and stderr.  ``evaluate`` and ``compare`` also get ``--svg``, so the PR
+points of every method are compared.  Then prints ``identical`` or
+``differs`` for every output file (the SFCAL store, the predictions CSV, the
+``evaluate`` CSVs, ``pr_curve.svg``, ``comparison.csv`` and
+``pr_curves.svg``), with the first differing byte offset, and exits 1 on
+any difference or failed command::
 
     python scripts/diff_outputs.py OLD/src NEW/src \\
         --calib-manifest calib_manifest.json \\
@@ -35,8 +37,23 @@ import tempfile
 from pathlib import Path
 
 
+# Runs each argv of the JSON list in argv[1] through the CLI, in order; the
+# first that fails ends the driver with its name, exit code and stderr.
+DRIVER = """
+import contextlib, io, json, sys
+from switchfuse.cli import main
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(argv)
+    if rc != 0:
+        sys.exit(f"{argv[0]} exited {rc}: {err.getvalue().strip()}")
+"""
+
+
 def run_pipeline(src: Path, args, out: Path) -> None:
-    """All four commands against ``src``; raises on a failed command."""
+    """All four commands against ``src`` in one interpreter; raises on a
+    failed command."""
     common = ["--no-timestamp"]
     plots = ["--svg", *common]
     commands = [
@@ -49,18 +66,15 @@ def run_pipeline(src: Path, args, out: Path) -> None:
         ["compare", "--manifest", args.eval_manifest, "--config", args.config,
          "--store", out / "store.sfcal", "--out", out / "compare", *plots],
     ]
-    env = dict(os.environ, PYTHONPATH=str(src.resolve()))
-    for argv in commands:
-        proc = subprocess.run(
-            [sys.executable, "-m", "switchfuse.cli", *map(str, argv)],
-            env=env,
-            capture_output=True,
-            text=True,
-        )
-        if proc.returncode != 0:
-            raise RuntimeError(
-                f"{src}: {argv[0]} exited {proc.returncode}: {proc.stderr.strip()}"
-            )
+    proc = subprocess.run(
+        [sys.executable, "-c", DRIVER,
+         json.dumps([[str(a) for a in argv] for argv in commands])],
+        env=dict(os.environ, PYTHONPATH=str(src.resolve())),
+        capture_output=True,
+        text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{src}: {proc.stderr.strip()}")
 
 
 ROOT = Path(__file__).resolve().parent.parent

@@ -171,11 +171,13 @@ def _histograms(
 
 def _check_samples(scores, flags, min_samples):
     scores = np.asarray(scores, dtype=np.float64)
-    flags = np.asarray(flags, dtype=bool)
+    flags = np.asarray(flags)
     if scores.ndim != 1 or flags.shape != scores.shape:
         raise InvalidInputError(
             f"scores {scores.shape} and flags {flags.shape} must be aligned 1-D arrays"
         )
+    if flags.size and flags.dtype != bool:
+        raise InvalidInputError(f"correct flags must be boolean, not {flags.dtype}")
     if len(scores) < min_samples:
         raise InsufficientDataError(
             f"{len(scores)} samples, need at least {min_samples}"
@@ -227,7 +229,8 @@ def build_store(
     every ordered pair of techniques so any pool composition (per-unit or
     pooled baselines) finds its pair data: pair (a, b) histograms a's scores
     split by b's outcome.  Every column is checked before ``bins``, and
-    ``bins`` before any score range.
+    ``bins`` before any score range; a non-empty correct column must be
+    boolean.
     """
     store = CalibrationStore()
     technique_ids = list(technique_ids)

@@ -255,11 +255,13 @@ def build_histogram(
 
 def check_samples(scores, flags, min_samples):
     scores = np.asarray(scores, dtype=np.float64)
-    flags = np.asarray(flags, dtype=bool)
+    flags = np.asarray(flags)
     if scores.ndim != 1 or flags.shape != scores.shape:
         raise InvalidInputError(
             f"scores {scores.shape} and flags {flags.shape} must be aligned 1-D arrays"
         )
+    if flags.size and flags.dtype != bool:
+        raise InvalidInputError(f"correct flags must be boolean, not {flags.dtype}")
     if len(scores) < min_samples:
         raise InsufficientDataError(
             f"{len(scores)} samples, need at least {min_samples}"

@@ -256,6 +256,20 @@ def test_sample_columns_must_be_aligned_1d(scores, flags):
         build_store({"t": (scores, flags)}, ["t"])
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [np.full(12, 0.5), np.full(12, math.nan), np.arange(12) % 2, ["no"] * 12],
+    ids=["float", "nan", "int", "str"],
+)
+def test_correct_column_must_be_boolean(flags):
+    """A correct column that is not boolean is refused, not cast by truth
+    value; an empty one still has too few samples."""
+    with pytest.raises(InvalidInputError, match="boolean"):
+        build_store({"t": (np.linspace(0, 1, 12), flags)}, ["t"])
+    with pytest.raises(InsufficientDataError):
+        build_store({"t": ([], [])}, ["t"])
+
+
 def test_build_store_rejects_misaligned_techniques():
     run = {"a": columns([(0.5, True)] * 12), "b": columns([(0.5, True)] * 11)}
     with pytest.raises(InvalidInputError):
@@ -473,8 +487,12 @@ def _short_flags(scores, correct):
     return scores, correct[1:]
 
 
+def _int_flags(scores, correct):
+    return scores, correct.astype(np.int64)
+
+
 # faults in one technique's (scores, correct) columns
-COLUMN_FAULTS = [_nan_score, _two_d_scores, _short_scores, _short_flags]
+COLUMN_FAULTS = [_nan_score, _two_d_scores, _short_scores, _short_flags, _int_flags]
 
 
 @PARITY

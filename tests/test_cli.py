@@ -1206,6 +1206,15 @@ def test_diff_outputs_same_root_is_identical(pipeline_dir):
     ]:
         out = subprocess.run([*script, *flags], capture_output=True, text=True)
         assert out.returncode == 2 and message in out.stderr, flags
+    # the first failed command is named with its exit code and stderr
+    out = subprocess.run(
+        [*script, "--calib-manifest", d / "config.json",
+         "--eval-manifest", d / "data" / "eval_manifest.json",
+         "--config", d / "config.json"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 1
+    assert "calibrate exited 1: SF-INPUT: " in out.stderr, out.stderr
     out = subprocess.run(
         [*script, "--workload", "nope", "--seed", "3"], capture_output=True, text=True
     )

@@ -1,81 +1,71 @@
-"""The example scripts under ``scripts/`` run end to end on small inputs."""
+"""The experiment script under ``scripts/`` runs end to end."""
 
 import csv
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from switchfuse.cli import main as cli_main
+from switchfuse.datasets import load_config
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+import workloads  # noqa: E402
+
+sys.path.pop(0)
+
+# the methods whose frozen accuracies a workload's expected seed checks
+BASELINES = ["switch-fuse", "switch-only", "fuse-all"]
 
 
-@pytest.mark.parametrize(
-    "script, args, outputs",
-    [
-        (
-            "run_synthetic_experiment.py",
-            ["--queries", "60", "--references", "20"],
-            ["comparison.csv", "pr_curves.svg"],
-        ),
-        (
-            "run_image_demo.py",
-            ["--places", "12"],
-            ["store.sfcal", "preds.csv", "report/pr_curve.svg"],
-        ),
-    ],
-)
-def test_example_script_runs(tmp_path, script, args, outputs):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def test_experiment_compares_every_method_on_every_workload(tmp_path):
+    """At the acceptance seed the script writes, for every benchmark
+    workload, a comparison of every method and its PR curves; ``calibrate``
+    and ``compare`` on the inputs it wrote reproduce the comparison byte for
+    byte, and the frozen accuracies hold."""
+    seed = workloads.ACCEPTANCE_SEED
     out = subprocess.run(
-        [sys.executable, ROOT / "scripts" / script, *args, "--out", tmp_path / "out"],
-        env=env, capture_output=True, text=True, timeout=300,
+        [sys.executable, ROOT / "scripts" / "run_synthetic_experiment.py",
+         "--seed", str(seed), "--out", tmp_path],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        capture_output=True, text=True, timeout=300,
     )
     assert out.returncode == 0, out.stdout + out.stderr
-    for name in outputs:
-        assert (tmp_path / "out" / name).is_file(), name
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(workloads.WORKLOADS)
+    for name, spec in workloads.WORKLOADS.items():
+        run = tmp_path / name
+        inputs = json.loads((run / "inputs" / "inputs.json").read_text())
+        assert inputs["seed"] == seed
+        lines = (run / "comparison.csv").read_text().splitlines()
+        assert lines[0].startswith("# generated ")
+        header, *rows = csv.reader(lines[1:])
+        assert header == [
+            "method", "accuracy", "correct_count",
+            "accuracy_gain_of_switch-fuse", "correct_gain_of_switch-fuse",
+        ]
+        techniques = load_config(inputs["config"]).all_techniques()
+        assert [row[0] for row in rows] == (
+            BASELINES + [f"single:{tid}" for tid in techniques]
+        ), name
+        assert [float(v) for v in rows[0][3:]] == [0.0, 0.0]
+        assert (run / "pr_curves.svg").is_file()
+        if spec.expected_seed == seed:
+            for method, accuracy, *_ in rows[:3]:
+                expected = spec.expected_accuracy[method]
+                assert abs(float(accuracy) - expected) <= workloads.ACCEPTANCE_TOLERANCE
 
-
-def test_synthetic_experiment_compares_every_method(tmp_path):
-    """The script's comparison holds every method, and ``calibrate`` and
-    ``compare`` on the manifests and config it writes reproduce it byte for
-    byte."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    script = ROOT / "scripts" / "run_synthetic_experiment.py"
-    out = subprocess.run(
-        [sys.executable, script, "--queries", "60", "--references", "20",
-         "--out", tmp_path],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
-    assert out.returncode == 0, out.stdout + out.stderr
-    lines = (tmp_path / "comparison.csv").read_text().splitlines()
-    assert lines[0].startswith("# generated ")
-    header, *rows = csv.reader(lines[1:])
-    assert header == [
-        "method", "accuracy", "correct_count",
-        "accuracy_gain_of_switch-fuse", "correct_gain_of_switch-fuse",
-    ]
-    techniques = [f"{unit}_{i}" for unit in ("seasonal", "illumination", "day-night")
-                  for i in range(3)]
-    assert [row[0] for row in rows] == (
-        ["switch-fuse", "switch-only", "fuse-all"]
-        + [f"single:{tid}" for tid in techniques]
-    )
-    assert [float(v) for v in rows[0][3:]] == [0.0, 0.0]
-
-    config = tmp_path / "config.json"
-    assert cli_main([
-        "calibrate", "--manifest", str(tmp_path / "calib_manifest.json"),
-        "--config", str(config), "--out", str(tmp_path / "store.sfcal"),
-    ]) == 0
-    assert cli_main([
-        "compare", "--manifest", str(tmp_path / "eval_manifest.json"),
-        "--config", str(config), "--store", str(tmp_path / "store.sfcal"),
-        "--out", str(tmp_path / "cli"), "--no-timestamp",
-    ]) == 0
-    # the script's file after its "# generated" line
-    unstamped = (tmp_path / "comparison.csv").read_bytes().split(b"\n", 1)[1]
-    assert (tmp_path / "cli" / "comparison.csv").read_bytes() == unstamped
+        store, again = tmp_path / f"{name}.sfcal", tmp_path / f"{name}-cli"
+        assert cli_main([
+            "calibrate", "--manifest", inputs["calib_manifest"],
+            "--config", inputs["config"], "--out", str(store),
+        ]) == 0
+        assert cli_main([
+            "compare", "--manifest", inputs["eval_manifest"],
+            "--config", inputs["config"], "--store", str(store),
+            "--out", str(again), "--no-timestamp",
+        ]) == 0
+        # the script's file after its "# generated" line
+        unstamped = (run / "comparison.csv").read_bytes().split(b"\n", 1)[1]
+        assert (again / "comparison.csv").read_bytes() == unstamped, name
