@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from switchfuse.cli import main as cli_main
 from switchfuse.datasets import load_config
 
@@ -20,7 +22,30 @@ sys.path.pop(0)
 BASELINES = ["switch-fuse", "switch-only", "fuse-all"]
 
 
-def test_experiment_compares_every_method_on_every_workload(tmp_path):
+@pytest.mark.parametrize(
+    "script, args, outputs",
+    [
+        (
+            "run_synthetic_experiment.py",
+            ["--seed", str(workloads.ACCEPTANCE_SEED)],
+            [f"{name}/{out}" for name in workloads.WORKLOADS
+             for out in ("inputs/inputs.json", "store.sfcal",
+                         "comparison.csv", "pr_curves.svg")],
+        ),
+    ],
+)
+def test_example_script_runs(tmp_path, script, args, outputs):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, ROOT / "scripts" / script, *args, "--out", tmp_path / "out"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stdout + out.stderr
+    for name in outputs:
+        assert (tmp_path / "out" / name).is_file(), name
+
+
+def test_synthetic_experiment_compares_every_method(tmp_path):
     """At the acceptance seed the script writes, for every benchmark
     workload, a comparison of every method and its PR curves; ``calibrate``
     and ``compare`` on the inputs it wrote reproduce the comparison byte for
