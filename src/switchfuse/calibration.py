@@ -339,6 +339,8 @@ def load_store(path) -> CalibrationStore:
         store = CalibrationStore()
         for _ in range(n_tech):
             tid, pos = _unpack_str(blob, pos)
+            if tid in store.techniques:
+                raise FormatError(f"{path}: technique {tid!r} stored twice")
             prior, count = struct.unpack_from("<dI", blob, pos)
             pos += 12
             hist, pos = _unpack_hist(blob, pos)
@@ -353,6 +355,8 @@ def load_store(path) -> CalibrationStore:
         for _ in range(n_pairs):
             a, pos = _unpack_str(blob, pos)
             b, pos = _unpack_str(blob, pos)
+            if (a, b) in store.pairs:
+                raise FormatError(f"{path}: pair ({a!r}, {b!r}) stored twice")
             store.pairs[(a, b)], pos = _unpack_hist(blob, pos)
     except (struct.error, ValueError, UnicodeDecodeError) as exc:
         raise FormatError(f"{path}: truncated calibration store") from exc

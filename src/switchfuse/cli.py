@@ -28,11 +28,6 @@ from .datasets import (
 from .errors import FormatError, InvalidInputError, SwitchFuseError
 
 
-def _load_runtime(args):
-    manifest = load_manifest(args.manifest)
-    return DatasetRuntime(manifest)
-
-
 # numeric fields of a spec profile, in ``TechniqueProfile`` order
 _PROFILE_NUMBERS = ("correct_rate", "mean_m", "sd_m", "mean_mm", "sd_mm")
 
@@ -112,7 +107,7 @@ def cmd_calibrate(args) -> int:
         raise InvalidInputError(f"--alpha must be finite and > 0, got {args.alpha}")
     if args.min_samples < 1:
         raise InvalidInputError(f"--min-samples must be >= 1, got {args.min_samples}")
-    runtime = _load_runtime(args)
+    runtime = DatasetRuntime(load_manifest(args.manifest))
     queries = runtime.query_count
     # each histogram has one sample per calibration query; bounding the bins
     # by that count (or the default, for small sets) keeps a huge --bins from
@@ -161,7 +156,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    runtime = _load_runtime(args)
+    runtime = DatasetRuntime(load_manifest(args.manifest))
     config = load_config(args.config, args.threshold)
     store = cal.load_store(args.store)
     columns = ev.run_method("switch-fuse", runtime, config, store)
@@ -194,7 +189,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    runtime = _load_runtime(args)
+    runtime = DatasetRuntime(load_manifest(args.manifest))
     config = load_config(args.config, args.threshold)
     store = cal.load_store(args.store)
     all_reports = ev.compare_methods(runtime, config, store, runtime.ground_truth())

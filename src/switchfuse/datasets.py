@@ -27,6 +27,7 @@ from .errors import FormatError, InvalidInputError, UnknownTechniqueError
 from .evaluation import GroundTruth
 from .files import write_atomic
 from .pgm import load_pgm
+from .switching import TripartiteConfig, UnitConfig
 
 
 @dataclass(frozen=True)
@@ -183,8 +184,6 @@ def load_config(path, threshold_override: float | None = None):
     technique lists (first entry is the unit's primary) and the acceptance
     threshold (posterior must strictly exceed it).  A document of the wrong
     shape raises ``FormatError`` naming the path."""
-    from .switching import TripartiteConfig, UnitConfig
-
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: config must be a JSON object")
@@ -286,18 +285,22 @@ class DatasetRuntime:
     """Serves similarity rows and best matches for (technique, queries) of
     a manifest.
 
-    SFDESC1 headers are checked on construction.  Rows are scored lazily:
-    a request scores only its queries not yet scored and keeps each
-    technique's new rows as one fragment, the block ``similarity_block``
-    returned with its rows in query order.  Each (query, technique) row is
-    scored once, and only if some request asks for it.  Scoring a fragment
-    also records each row's best match (first-maximum reference and its
-    value) in two query-long columns per technique, which ``matches`` serves
-    without touching the rows: switching and the raw-score baselines read
-    these, and only fusion reads whole rows, which ``copy_rows`` copies out
-    of the fragments a few at a time once they are scored.  Calibration
-    reads ``best_matches``, which scores every query's best match and
-    neither reads nor keeps the runtime's rows.
+    SFDESC1 headers are checked on construction.  Rows are scored lazily: a
+    request scores only its queries not yet scored.  Each technique has one
+    Q x R row buffer, made with ``np.empty`` on its first request and filled
+    from the top in the order rows are scored, and a query-long slot column
+    giving each query's row in the buffer, or -1 if unscored.  A partly
+    scored technique reserves a whole Q x R buffer of address space and
+    touches only the pages its scored rows fill; the rest count in RSS only
+    where the allocator placed the buffer in memory touched before.  Each
+    (query, technique) row is scored once, and only if some request asks for
+    it.  Scoring rows also records each row's best match (first-maximum
+    reference and its value) in two query-long columns per technique, which
+    ``matches`` serves without touching the rows: switching and the
+    raw-score baselines read these, and only fusion reads whole rows, which
+    ``copy_rows`` copies out of the buffer a few at a time once they are
+    scored.  Calibration reads ``best_matches``, which scores every query's
+    best match and neither reads nor keeps the runtime's rows.
 
     One producer, ``_blocks``, scores every block that ``score`` and
     ``best_matches`` use; they differ only in the buffers the blocks go
@@ -323,10 +326,10 @@ class DatasetRuntime:
 
     def __init__(self, manifest: DatasetManifest):
         self.manifest = manifest
-        # technique -> its row fragments, each read-only
-        self._fragments: dict[str, list[np.ndarray]] = {}
-        # technique -> (fragment, row in it) of each query; -1 if unscored
-        self._where: dict[str, np.ndarray] = {}
+        # technique -> Q x R rows, filled from the top in the order scored
+        self._rows: dict[str, np.ndarray] = {}
+        # technique -> each query's row in ``_rows``; -1 if unscored
+        self._slot: dict[str, np.ndarray] = {}
         # technique -> (best reference, match score) of each scored query
         self._matches: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         # reference file path or built-in name -> (matrix, row norms)
@@ -388,10 +391,13 @@ class DatasetRuntime:
 
         Every technique is checked before anything is read.  The techniques
         with the same rows to score go to ``_blocks`` together, so their
-        built-ins share one decode of each query image; the reference images
-        are decoded once for every listed built-in with no reference
-        descriptors yet.  Each technique's new rows become one fragment, and
-        each new row's best match is recorded.
+        built-ins share one decode of each query image.  A built-in with no
+        reference descriptors yet has never been scored, so every such
+        built-in listed has the same rows to score, and the reference images
+        are decoded once for all of them; a request with nothing to score
+        decodes no image.  Each technique's new rows are scored straight
+        into its buffer's next unfilled rows, and each new row's best match
+        is recorded.
         """
         bindings = self._bindings(technique_ids)
         queries = query_positions(query_indices, self.query_count)
@@ -402,14 +408,16 @@ class DatasetRuntime:
             todo = self._unscored(binding.technique_id, queries)
             if len(todo):
                 groups.setdefault(todo.tobytes(), []).append(binding)
-        self._keep_builtin_references(bindings)
         for key, group in groups.items():
             todo = np.frombuffer(key, dtype=np.int64)
-            fragments = {b: np.empty((len(todo), self.reference_count)) for b in group}
-            into = lambda binding, start, stop: fragments[binding][start:stop]
+            # each technique's first unfilled row
+            top = {b: int(self._slot[b.technique_id].max()) + 1 for b in group}
+            into = lambda b, start, stop: self._rows[b.technique_id][
+                top[b] + start : top[b] + stop
+            ]
             for binding, _, stop, _ in self._blocks(group, todo, into):
                 if stop == len(todo):
-                    self._record(binding.technique_id, todo, fragments[binding])
+                    self._record(binding.technique_id, todo, top[binding])
         return queries
 
     def best_matches(self, technique_ids) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -447,30 +455,15 @@ class DatasetRuntime:
         is None.
 
         Nothing is checked or scored, so a caller that scored its rows once
-        with ``score`` can copy them many times, a few at a time.  Rows of
-        one fragment into ``out[j]`` are taken straight into ``out``.  A
-        request spanning fragments is grouped by fragment with one stable
-        sort, so its cost grows with the request and the fragments it
-        touches, not with the fragments held.
+        with ``score`` can copy them many times, a few at a time.  The rows
+        are found through the slot column, whatever request scored them.
         """
-        frag, row = self._where[technique_id][:, queries]
-        fragments = self._fragments[technique_id]
-        if not len(frag):
-            return
-        if (frag == frag[0]).all():
-            if at is None:  # "clip": the default "raise" buffers ``out``
-                np.take(fragments[frag[0]], row, axis=0, out=out, mode="clip")
-            else:
-                out[at] = fragments[frag[0]][row]
-            return
-        if at is None:
-            at = np.arange(len(queries))
-        order = np.argsort(frag, kind="stable")
-        ranked = frag[order]
-        ends = [*(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1).tolist(), len(order)]
-        for a, b in zip([0, *ends], ends):
-            part = order[a:b]
-            out[at[part]] = fragments[frag[part[0]]][row[part]]
+        rows = self._rows[technique_id]
+        slots = self._slot[technique_id][queries]
+        if at is None:  # "clip": the default "raise" buffers ``out``
+            np.take(rows, slots, axis=0, out=out, mode="clip")
+        else:
+            out[at] = rows[slots]
 
     def matches(
         self, technique_id: str, query_indices
@@ -484,29 +477,20 @@ class DatasetRuntime:
 
     def _unscored(self, technique_id: str, queries: np.ndarray) -> np.ndarray:
         """The sorted distinct ``queries`` not yet scored for a technique."""
-        where = self._where.get(technique_id)
-        if where is None:
-            where = self._where[technique_id] = np.full((2, self.query_count), -1)
-            self._fragments[technique_id] = []
-            self._matches[technique_id] = (
-                np.zeros(self.query_count, dtype=np.int64),
-                np.zeros(self.query_count),
-            )
-        return np.unique(queries[where[0, queries] < 0])
+        if technique_id not in self._slot:
+            q = self.query_count
+            self._slot[technique_id] = np.full(q, -1)
+            self._rows[technique_id] = np.empty((q, self.reference_count))
+            self._matches[technique_id] = (np.zeros(q, dtype=np.int64), np.zeros(q))
+        return np.unique(queries[self._slot[technique_id][queries] < 0])
 
-    def _record(self, technique_id: str, todo: np.ndarray, block: np.ndarray) -> None:
-        """Keep ``block``, the rows of the sorted queries ``todo``, as the
-        technique's next fragment and record each row's best match."""
+    def _record(self, technique_id: str, todo: np.ndarray, top: int) -> None:
+        """Give the sorted queries ``todo`` the technique's rows from ``top``
+        on, where they were just scored, and record each row's best match."""
+        stop = top + len(todo)
         best, score = self._matches[technique_id]
-        # matched while ``block`` is writeable: argmax copies a read-only
-        # array whole
-        best[todo], score[todo] = _first_maxima(block)
-        block.setflags(write=False)
-        where = self._where[technique_id]
-        fragments = self._fragments[technique_id]
-        where[0, todo] = len(fragments)
-        where[1, todo] = np.arange(len(todo))
-        fragments.append(block)
+        best[todo], score[todo] = _first_maxima(self._rows[technique_id][top:stop])
+        self._slot[technique_id][todo] = np.arange(top, stop)
 
     def _sfdesc_references(self, binding: TechniqueBinding):
         """(float64 matrix, row norms) of a technique's reference file."""

@@ -24,7 +24,7 @@ def exported_runtime(dataset, indices, directory, name="data") -> DatasetRuntime
 def similarity_rows(runtime, technique_id: str, query_indices) -> np.ndarray:
     """Read-only (len(query_indices), reference_count) block of cosine
     similarities, one row per listed query: scored by ``runtime.score``
-    and copied out of its fragments by ``runtime.copy_rows``."""
+    and copied out of its row buffer by ``runtime.copy_rows``."""
     queries = runtime.score([technique_id], query_indices)
     rows = np.empty((len(queries), runtime.reference_count))
     runtime.copy_rows(technique_id, queries, rows)

@@ -1,4 +1,6 @@
 import math
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -368,6 +370,34 @@ def test_store_truncated(tmp_path):
         load_store(trunc)
 
 
+@pytest.mark.parametrize("kind", ["technique", "pair"])
+def test_store_repeated_record(tmp_path, kind):
+    """A store that lists one technique, or one ordered pair, in two
+    records is refused naming it, whichever record would win."""
+
+    def record(prior) -> bytes:
+        # the one record of a one-entry store, cut from between its counts
+        if kind == "technique":
+            calibration = TechniqueCalibration("a", prior, uniform_hist(), 10)
+            store = CalibrationStore(techniques={"a": calibration})
+        else:
+            store = CalibrationStore(pairs={("a", "b"): uniform_hist(alpha=prior)})
+        save_store(store, tmp_path / "one.sfcal")
+        blob = (tmp_path / "one.sfcal").read_bytes()
+        return blob[12:-4] if kind == "technique" else blob[16:]
+
+    twice, none = struct.pack("<I", 2), struct.pack("<I", 0)
+    twice += record(0.3) + record(0.7)
+    path = tmp_path / "twice.sfcal"
+    path.write_bytes(
+        SFCAL_MAGIC + (twice + none if kind == "technique" else none + twice)
+    )
+    named = "'a'" if kind == "technique" else "('a', 'b')"
+    with pytest.raises(FormatError, match=re.escape(f"{named} stored twice")) as err:
+        load_store(path)
+    assert err.value.code == "SF-FORMAT"
+
+
 def test_histogram_invariants():
     with pytest.raises(InvalidInputError):
         uniform_hist(bins=1)
@@ -400,7 +430,7 @@ def test_collect_run_keeps_no_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert list(run) == ids
-    assert runtime._fragments == {}
+    assert runtime._rows == {}
     assert peak < 3 * q * r * 8
 
 

@@ -176,11 +176,17 @@ def test_sfdesc_fragments_serve_rows_bit_exact(switching_dataset):
         assert rows.shape == (len(request), manifest.reference_count)
         assert not rows.flags.writeable
         assert rows.tobytes() == whole[request].tobytes()
-    # the rows one request scored are kept as one fragment, in query order
+    # the rows one request scored fill the buffer's first rows, in query order
     similarity_rows(runtime, "b", [3, 1, 2])
-    (block,) = runtime._fragments["b"]
-    assert not block.flags.writeable
-    assert similarity_rows(runtime, "b", [1, 2, 3]).tobytes() == block.tobytes()
+    assert runtime._slot["b"].tolist() == [-1, 0, 1, 2] + [-1] * (q - 4)
+    kept = runtime._rows["b"][:3].copy()
+    assert similarity_rows(runtime, "b", [1, 2, 3]).tobytes() == kept.tobytes()
+    # served rows are copies: writing into them leaves later ones unchanged
+    for at in (None, np.array([2, 0, 1])):
+        served = np.empty((3, manifest.reference_count))
+        runtime.copy_rows("b", np.array([1, 2, 3]), served, at)
+        served[...] = np.nan
+        assert similarity_rows(runtime, "b", [1, 2, 3]).tobytes() == kept.tobytes()
 
 
 def test_truncated_sfdesc_fails_at_construction(switching_dataset):
@@ -225,7 +231,7 @@ def test_reference_file_is_read_once_and_query_files_once_per_request(
 def test_switch_fuse_keeps_no_query_payload(tmp_path):
     """With the runtime alive after a switch-fuse ``run_method`` whose
     queries hop to two techniques and score them in part, the memory
-    allocated since the runtime was built is its row fragments, row index,
+    allocated since the runtime was built is its row buffers, slot columns,
     match columns and references, and less than 64 KiB more: neither partly
     scored technique keeps its 500 x 201 float32 query payload (402 KB)."""
     tids = ("a", "b", "c")
@@ -244,10 +250,10 @@ def test_switch_fuse_keeps_no_query_payload(tmp_path):
         current = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    scored = [int((runtime._where[t][0] >= 0).sum()) for t in tids]
+    scored = [int((runtime._slot[t] >= 0).sum()) for t in tids]
     assert scored[0] == len(eval_idx) and all(0 < n < len(eval_idx) for n in scored[1:])
-    held = sum(f.nbytes for fs in runtime._fragments.values() for f in fs)
-    held += sum(w.nbytes for w in runtime._where.values())
+    held = sum(rows.nbytes for rows in runtime._rows.values())
+    held += sum(slot.nbytes for slot in runtime._slot.values())
     held += sum(c.nbytes for cs in runtime._matches.values() for c in cs)
     held += sum(m.nbytes + n.nbytes for m, n in runtime._references.values())
     assert current < held + 64 * 1024
@@ -455,7 +461,7 @@ def test_ground_truth_file_needs_accepted_lists(tmp_path, doc):
 
 
 def _matches_requests(n):
-    # out of order, repeated, empty, then one spanning the fragments so far
+    # out of order, repeated, empty, then one spanning every request so far
     return [[4, 1, 3], [2, 2, 0], [], list(range(n))[::-1]]
 
 
@@ -605,8 +611,8 @@ def test_every_image_decoded_once_per_command(tmp_path, monkeypatch, command):
 
 def test_run_scores_a_later_primary_hopped_to_as_one_fragment(tmp_path, monkeypatch):
     """When queries hop to a technique that a later unit holds as its
-    primary, ``run`` still scores that technique's rows as one fragment of
-    every query, bit for bit the rows ``compare`` scores."""
+    primary, ``run`` still scores that technique's rows of every query in one
+    request, in query order, bit for bit the rows ``compare`` scores."""
     splits, common, calibrate = _two_unit_image_setup(tmp_path)
     assert cli_main([str(a) for a in calibrate]) == 0
     seen = {}
@@ -626,12 +632,11 @@ def test_run_scores_a_later_primary_hopped_to_as_one_fragment(tmp_path, monkeypa
     runtime, (_, _, decisions) = seen["run"]
     hogs = decisions[0]
     assert (hogs.hops > 0).any() and (hogs.selected == 1).any()
-    (fragment,) = runtime._fragments["tiny_patch"]
-    assert fragment.shape == (runtime.query_count, runtime.reference_count)
+    assert runtime._slot["tiny_patch"].tolist() == list(range(runtime.query_count))
     compared = similarity_rows(
         seen["compare"][0], "tiny_patch", range(runtime.query_count)
     )
-    assert fragment.tobytes() == compared.tobytes()
+    assert runtime._rows["tiny_patch"].tobytes() == compared.tobytes()
 
 
 def test_score_over_unequal_scored_sets_matches_scalar_oracle(
@@ -667,6 +672,15 @@ def test_score_over_unequal_scored_sets_matches_scalar_oracle(
         assert np.array_equal(best, rows.argmax(axis=1))
         assert score.tobytes() == rows[np.arange(len(rows)), best].tobytes()
     assert decoded == []  # the oracle's decodes go through pgm.load_pgm
+
+
+def test_empty_request_decodes_no_image(image_manifest, monkeypatch):
+    """A ``score`` with no query to score decodes no image, not even the
+    reference images of built-ins that hold no reference descriptors yet."""
+    runtime = DatasetRuntime(image_manifest)
+    decoded = _count_decodes(monkeypatch)
+    assert runtime.score(["hog", "tiny_patch"], []).tolist() == []
+    assert decoded == []
 
 
 @pytest.mark.parametrize("position", [0, 2])
@@ -826,7 +840,7 @@ def test_best_matches_equal_score_then_matches(
         assert got[tid][0].tobytes() == best.tobytes()
         assert got[tid][1].tobytes() == score.tobytes()
         signs.update(np.copysign(1.0, score[score == 0.0]).tolist())
-    assert by_best._fragments == {}
+    assert by_best._rows == {}
     if variant == "signed_zero":
         assert signs == {-1.0, 1.0}
     else:  # the zero-norm query scores +0.0 against every reference
@@ -834,8 +848,8 @@ def test_best_matches_equal_score_then_matches(
 
 
 def _held(runtime) -> dict:
-    """The bytes of what a runtime holds per technique: its row fragments,
-    row index and best matches."""
+    """The bytes of what a runtime holds per technique: its row buffer,
+    slot column and best matches."""
     def flat(value):
         if isinstance(value, np.ndarray):
             return value.tobytes()
@@ -843,14 +857,14 @@ def _held(runtime) -> dict:
 
     return {
         name: {tid: flat(value) for tid, value in getattr(runtime, name).items()}
-        for name in ("_fragments", "_where", "_matches")
+        for name in ("_rows", "_slot", "_matches")
     }
 
 
 def test_best_matches_scores_from_the_files_and_leaves_the_runtime_alone(
     switching_dataset, monkeypatch
 ):
-    """On a runtime that holds a partial fragment of ``b``,
+    """On a runtime that holds some rows of ``b``,
     ``best_matches`` gives a fresh runtime's columns byte for byte
     and leaves what the runtime holds as it was; an unbound technique fails
     before any file is read."""

@@ -687,23 +687,26 @@ def test_tiled_fusion_skips_pool_techniques_no_query_picks(tmp_path, monkeypatch
         (("b", "c"), np.zeros(q, dtype=np.int64)),
     ]
     assert_fusion_matches_oracle(runtime, picks)
-    assert "c" not in runtime._where  # no request ever named it
+    assert "c" not in runtime._slot  # no request ever named it
 
 
 def test_tiled_fusion_reads_a_tile_from_two_fragments(tmp_path, monkeypatch):
-    """Rows of one technique scored in two requests sit in two fragments,
-    interleaved within each tile."""
+    """Rows of one technique scored in two requests sit in two runs of its
+    row buffer, interleaved within each tile."""
     rng = np.random.default_rng(5)
     q = 300
     sims = {tid: rng.uniform(-1, 1, (q, 8)) for tid in "ab"}
     runtime = _row_runtime(tmp_path, monkeypatch, sims)
-    runtime.score(["a"], np.arange(1, q, 3))
+    first = np.arange(1, q, 3)
+    runtime.score(["a"], first)
     picks = [
         (("a",), np.zeros(q, dtype=np.int64)),
         (("b", "a"), rng.integers(0, 2, q)),
     ]
     assert_fusion_matches_oracle(runtime, picks)
-    assert [len(f) for f in runtime._fragments["a"]] == [q // 3, q - q // 3]
+    slot = runtime._slot["a"]
+    assert slot[first].tolist() == list(range(q // 3))
+    assert np.delete(slot, first).tolist() == list(range(q // 3, q))
 
 
 def test_tiled_fusion_constant_and_signed_zero_rows(tmp_path, monkeypatch):
