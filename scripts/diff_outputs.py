@@ -10,7 +10,10 @@ points of every method are compared.  Then prints ``identical`` or
 ``differs`` for every output file (the SFCAL store, the predictions CSV, the
 ``evaluate`` CSVs, ``pr_curve.svg``, ``comparison.csv`` and
 ``pr_curves.svg``), with the first differing byte offset, and exits 1 on
-any difference or failed command::
+any difference or failed command.  Each command's standard output is
+compared too, listed as ``stdout/<command>.txt``, with the root's output
+directory replaced by ``<out>`` so that the two roots' ``wrote`` lines
+match::
 
     python scripts/diff_outputs.py OLD/src NEW/src \\
         --calib-manifest calib_manifest.json \\
@@ -38,16 +41,23 @@ from pathlib import Path
 
 
 # Runs each argv of the JSON list in argv[1] through the CLI, in order; the
-# first that fails ends the driver with its name, exit code and stderr.
+# first that fails ends the driver with its name, exit code and stderr.  Each
+# command's standard output, with the output directory argv[2] replaced by
+# "<out>", goes to argv[2]/stdout/<command>.txt.
 DRIVER = """
 import contextlib, io, json, sys
+from pathlib import Path
 from switchfuse.cli import main
+out = Path(sys.argv[2])
+(out / "stdout").mkdir()
 for argv in json.loads(sys.argv[1]):
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
+    err, printed = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(printed):
         rc = main(argv)
     if rc != 0:
         sys.exit(f"{argv[0]} exited {rc}: {err.getvalue().strip()}")
+    text = printed.getvalue().replace(str(out), "<out>")
+    (out / "stdout" / f"{argv[0]}.txt").write_text(text)
 """
 
 
@@ -68,7 +78,7 @@ def run_pipeline(src: Path, args, out: Path) -> None:
     ]
     proc = subprocess.run(
         [sys.executable, "-c", DRIVER,
-         json.dumps([[str(a) for a in argv] for argv in commands])],
+         json.dumps([[str(a) for a in argv] for argv in commands]), str(out)],
         env=dict(os.environ, PYTHONPATH=str(src.resolve())),
         capture_output=True,
         text=True,

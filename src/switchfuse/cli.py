@@ -207,77 +207,97 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def build_parser(words) -> argparse.ArgumentParser:
-    """The ``switchfuse`` parser.  Every subcommand is listed, but only
-    those named in ``words`` get their arguments:
-    argparse dispatches to the subcommand its argv names, so ``main``
-    passes that argv's words and builds only what it parses."""
+# subcommand -> (help line, function), in the order ``--help`` lists them
+_COMMANDS = {
+    "synth": ("generate a synthetic dataset", cmd_synth),
+    "calibrate": ("build a calibration store", cmd_calibrate),
+    "run": ("run switch-fuse over a dataset", cmd_run),
+    "evaluate": ("score a predictions file", cmd_evaluate),
+    "compare": ("run all method families and compare", cmd_compare),
+}
+
+
+def _add_arguments(p: argparse.ArgumentParser, name: str) -> None:
+    """Give ``p`` the arguments of subcommand ``name``."""
+    p.set_defaults(fn=_COMMANDS[name][1])
+    if name == "synth":
+        p.add_argument("--spec", required=True, help="synthetic spec JSON")
+        p.add_argument("--seed", type=int, required=True)
+        p.add_argument("--out", required=True, help="output directory")
+        return
+    if name == "evaluate":
+        p.add_argument("--predictions", required=True)
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--svg", action="store_true", help="also emit a PR-curve SVG")
+        p.add_argument("--no-timestamp", action="store_true")
+        return
+    p.add_argument("--manifest", required=True, help="dataset manifest JSON")
+    p.add_argument("--config", required=True, help="tripartite config JSON")
+    if name == "calibrate":
+        p.add_argument("--out", required=True, help="output store path")
+        p.add_argument("--bins", type=int, default=cal.DEFAULT_BINS)
+        p.add_argument("--alpha", type=float, default=cal.DEFAULT_ALPHA)
+        p.add_argument("--min-samples", type=int, default=cal.DEFAULT_MIN_SAMPLES)
+        return
+    # run and compare read a store and switch, so they take the threshold
+    # and write CSVs
+    p.add_argument("--store", required=True, help="calibration store file")
+    p.add_argument(
+        "--threshold",
+        type=float,
+        default=None,
+        help="posterior acceptance threshold; strict comparison "
+        "(posterior must exceed it), overrides the config value",
+    )
+    p.add_argument("--no-timestamp", action="store_true")
+    if name == "run":
+        p.add_argument("--out", required=True, help="predictions CSV path")
+    else:
+        p.add_argument("--out", required=True, help="output directory")
+        p.add_argument("--svg", action="store_true")
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full ``switchfuse`` parser: every subcommand with its arguments."""
     parser = argparse.ArgumentParser(
         prog="switchfuse",
         description="Bayesian technique switching plus similarity-vector "
         "fusion for visual place recognition.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, help_line, fn):
-        """The subparser of ``name`` when it gets its arguments, else None."""
-        p = sub.add_parser(name, help=help_line)
-        if name not in words:
-            return None
-        p.set_defaults(fn=fn)
-        return p
-
-    def common(p, store=False):
-        p.add_argument("--manifest", required=True, help="dataset manifest JSON")
-        p.add_argument("--config", required=True, help="tripartite config JSON")
-        if not store:
-            return
-        # the commands that read a store switch, so they take the threshold
-        # and write CSVs
-        p.add_argument("--store", required=True, help="calibration store file")
-        p.add_argument(
-            "--threshold",
-            type=float,
-            default=None,
-            help="posterior acceptance threshold; strict comparison "
-            "(posterior must exceed it), overrides the config value",
-        )
-        p.add_argument("--no-timestamp", action="store_true")
-
-    if p := command("synth", "generate a synthetic dataset", cmd_synth):
-        p.add_argument("--spec", required=True, help="synthetic spec JSON")
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--out", required=True, help="output directory")
-
-    if p := command("calibrate", "build a calibration store", cmd_calibrate):
-        common(p)
-        p.add_argument("--out", required=True, help="output store path")
-        p.add_argument("--bins", type=int, default=cal.DEFAULT_BINS)
-        p.add_argument("--alpha", type=float, default=cal.DEFAULT_ALPHA)
-        p.add_argument("--min-samples", type=int, default=cal.DEFAULT_MIN_SAMPLES)
-
-    if p := command("run", "run switch-fuse over a dataset", cmd_run):
-        common(p, store=True)
-        p.add_argument("--out", required=True, help="predictions CSV path")
-
-    if p := command("evaluate", "score a predictions file", cmd_evaluate):
-        p.add_argument("--predictions", required=True)
-        p.add_argument("--manifest", required=True)
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--svg", action="store_true", help="also emit a PR-curve SVG")
-        p.add_argument("--no-timestamp", action="store_true")
-
-    if p := command("compare", "run all method families and compare", cmd_compare):
-        common(p, store=True)
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--svg", action="store_true")
-
+    for name, (help_line, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_line), name)
     return parser
+
+
+class _QuietParser(argparse.ArgumentParser):
+    """A parser whose usage errors raise ``argparse.ArgumentError`` instead
+    of printing and exiting."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed as the full parser parses it.  An argv that names a
+    subcommand first goes to a parser of that subcommand alone, as the full
+    parser would hand it on (same prog, same ``--help``); every other argv,
+    and every usage error, goes to the full parser, which prints it."""
+    name = argv[0] if argv else None
+    if name in _COMMANDS:
+        parser = _QuietParser(prog=f"switchfuse {name}")
+        _add_arguments(parser, name)
+        try:
+            return parser.parse_args(argv[1:])
+        except argparse.ArgumentError:
+            pass
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(set(argv)).parse_args(argv)
+    args = _parse_args(argv)
     try:
         return args.fn(args)
     except SwitchFuseError as exc:

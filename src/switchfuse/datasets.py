@@ -287,12 +287,11 @@ class DatasetRuntime:
 
     SFDESC1 headers are checked on construction.  Rows are scored lazily: a
     request scores only its queries not yet scored.  Each technique has one
-    Q x R row buffer, made with ``np.empty`` on its first request and filled
-    from the top in the order rows are scored, and a query-long slot column
-    giving each query's row in the buffer, or -1 if unscored.  A partly
-    scored technique reserves a whole Q x R buffer of address space and
-    touches only the pages its scored rows fill; the rest count in RSS only
-    where the allocator placed the buffer in memory touched before.  Each
+    row buffer holding exactly its scored rows, in the order they were
+    scored, and a query-long slot column giving each query's row in the
+    buffer, or -1 if unscored.  A request that scores new rows copies the
+    buffer once into one that many rows longer, so a request for every
+    query makes one Q x R buffer.  Each
     (query, technique) row is scored once, and only if some request asks for
     it.  Scoring rows also records each row's best match (first-maximum
     reference and its value) in two query-long columns per technique, which
@@ -326,7 +325,7 @@ class DatasetRuntime:
 
     def __init__(self, manifest: DatasetManifest):
         self.manifest = manifest
-        # technique -> Q x R rows, filled from the top in the order scored
+        # technique -> its scored rows, in the order scored
         self._rows: dict[str, np.ndarray] = {}
         # technique -> each query's row in ``_rows``; -1 if unscored
         self._slot: dict[str, np.ndarray] = {}
@@ -395,8 +394,8 @@ class DatasetRuntime:
         reference descriptors yet has never been scored, so every such
         built-in listed has the same rows to score, and the reference images
         are decoded once for all of them; a request with nothing to score
-        decodes no image.  Each technique's new rows are scored straight
-        into its buffer's next unfilled rows, and each new row's best match
+        decodes no image.  Each technique's buffer grows by its new rows,
+        which are scored straight into them, and each new row's best match
         is recorded.
         """
         bindings = self._bindings(technique_ids)
@@ -410,8 +409,8 @@ class DatasetRuntime:
                 groups.setdefault(todo.tobytes(), []).append(binding)
         for key, group in groups.items():
             todo = np.frombuffer(key, dtype=np.int64)
-            # each technique's first unfilled row
-            top = {b: int(self._slot[b.technique_id].max()) + 1 for b in group}
+            # each technique's first new row, after the rows it holds
+            top = {b: self._grow(b.technique_id, len(todo)) for b in group}
             into = lambda b, start, stop: self._rows[b.technique_id][
                 top[b] + start : top[b] + stop
             ]
@@ -480,9 +479,19 @@ class DatasetRuntime:
         if technique_id not in self._slot:
             q = self.query_count
             self._slot[technique_id] = np.full(q, -1)
-            self._rows[technique_id] = np.empty((q, self.reference_count))
+            self._rows[technique_id] = np.empty((0, self.reference_count))
             self._matches[technique_id] = (np.zeros(q, dtype=np.int64), np.zeros(q))
         return np.unique(queries[self._slot[technique_id][queries] < 0])
+
+    def _grow(self, technique_id: str, count: int) -> int:
+        """Make room for ``count`` more rows of a technique: its buffer is
+        copied once into one that many rows longer.  Returns the first new
+        row."""
+        held = self._rows[technique_id]
+        top = len(held)
+        grown = self._rows[technique_id] = np.empty((top + count, held.shape[1]))
+        grown[:top] = held
+        return top
 
     def _record(self, technique_id: str, todo: np.ndarray, top: int) -> None:
         """Give the sorted queries ``todo`` the technique's rows from ``top``

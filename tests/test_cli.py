@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import importlib.util
 import io
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchfuse.calibration import build_store, collect_run, load_store, save_store
+from switchfuse import cli
 from switchfuse.cli import main
 from switchfuse.datasets import DatasetRuntime, load_config, load_manifest
 from switchfuse.descriptors import read_descriptor_header
@@ -265,6 +267,18 @@ switchfuse evaluate: error: the following arguments are required: --predictions,
 """,
     ("run", "--manifest", "m", "--config", "c", "--store", "s", "--out", "o",
      "extra"): _TOP_USAGE + "switchfuse: error: unrecognized arguments: extra\n",
+    ("evaluate", "--predictions", "p", "--manifest", "m", "--out", "o",
+     "--bogus"): _TOP_USAGE + "switchfuse: error: unrecognized arguments: --bogus\n",
+    ("synth", "--spec", "s", "--seed", "x", "--out", "o"): """\
+usage: switchfuse synth [-h] --spec SPEC --seed SEED --out OUT
+switchfuse synth: error: argument --seed: invalid int value: 'x'
+""",
+    ("compare", "--manifest", "m", "--config", "c", "--s", "s", "--out", "o"): """\
+usage: switchfuse compare [-h] --manifest MANIFEST --config CONFIG --store
+                          STORE [--threshold THRESHOLD] [--no-timestamp] --out
+                          OUT [--svg]
+switchfuse compare: error: ambiguous option: --s could match --store, --svg
+""",
 }
 
 
@@ -286,6 +300,37 @@ def test_usage_errors_are_pinned(capsys, monkeypatch, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert capsys.readouterr().err == USAGE_ERRORS[argv]
+
+
+@pytest.mark.parametrize("flag", ["--predictions", "--pred"])
+def test_well_formed_argv_builds_one_subcommand_parser(monkeypatch, flag):
+    """An argv that names its subcommand first and parses is parsed by a
+    parser of that subcommand alone; a unique prefix of an option parses."""
+    built, subcommands = [], []
+    init = argparse.ArgumentParser.__init__
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    def counted_add_parser(self, name, **kwargs):
+        subcommands.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted_add_parser)
+    parsed = []
+    monkeypatch.setitem(
+        cli._COMMANDS, "evaluate", ("", lambda args: parsed.append(vars(args)) or 0)
+    )
+    assert main(["evaluate", flag, "p.csv", "--manifest", "m.json", "--out", "o",
+                 "--svg"]) == 0
+    assert built == ["switchfuse evaluate"] and subcommands == []
+    [args] = parsed
+    del args["fn"]
+    assert args == {"predictions": "p.csv", "manifest": "m.json", "out": "o",
+                    "svg": True, "no_timestamp": False}
 
 
 def test_missing_file_reports_error_code(tmp_path, capsys):
@@ -1181,7 +1226,10 @@ def test_diff_outputs_same_root_is_identical(pipeline_dir):
     )
     assert out.returncode == 0, out.stdout + out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 8 and all(ln.startswith("identical") for ln in lines)
+    assert len(lines) == 12 and all(ln.startswith("identical") for ln in lines)
+    assert [ln.split()[1] for ln in lines if "stdout/" in ln] == [
+        f"stdout/{command}.txt" for command in ("calibrate", "compare", "evaluate", "run")
+    ]
     # the same check on a benchmark workload, whose inputs each root
     # generates and which are compared too
     script = [sys.executable, ROOT / "scripts" / "diff_outputs.py", src, src]
@@ -1242,6 +1290,30 @@ def test_diff_outputs_generates_workload_inputs_per_root(tmp_path):
     differing = [ln.split()[1] for ln in out.stdout.splitlines()
                  if not ln.startswith("identical")]
     assert differing == ["inputs/calib_manifest.json:", "inputs/eval_manifest.json:"]
+
+
+def test_diff_outputs_compares_each_commands_stdout(pipeline_dir, tmp_path):
+    """A root that prints the priors differently, with every file it writes
+    unchanged, differs in ``calibrate``'s standard output alone."""
+    d = pipeline_dir
+    run_cli("synth", "--spec", d / "spec.json", "--seed", 5, "--out", d / "data")
+    other = tmp_path / "other"
+    shutil.copytree(ROOT / "src" / "switchfuse", other / "switchfuse")
+    cli_py = other / "switchfuse" / "cli.py"
+    text = cli_py.read_text()
+    assert text.count("prior_match:.6f") == 1
+    cli_py.write_text(text.replace("prior_match:.6f", "prior_match:.5f"))
+    out = subprocess.run(
+        [sys.executable, ROOT / "scripts" / "diff_outputs.py", ROOT / "src", other,
+         "--calib-manifest", d / "data" / "calib_manifest.json",
+         "--eval-manifest", d / "data" / "eval_manifest.json",
+         "--config", d / "config.json"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 1, out.stdout + out.stderr
+    differing = [ln.split()[1] for ln in out.stdout.splitlines()
+                 if not ln.startswith("identical")]
+    assert differing == ["stdout/calibrate.txt:"]
 
 
 def load_bench_pairs():

@@ -189,6 +189,24 @@ def test_sfdesc_fragments_serve_rows_bit_exact(switching_dataset):
         assert similarity_rows(runtime, "b", [1, 2, 3]).tobytes() == kept.tobytes()
 
 
+def test_row_buffer_holds_exactly_the_scored_rows(switching_dataset):
+    """A technique's buffer is as long as the rows its requests scored, and
+    growing it keeps the rows it held bit for bit."""
+    manifest = load_manifest(switching_dataset[0])
+    runtime = DatasetRuntime(manifest)
+    runtime.score(["a"], [4, 0, 2])
+    assert runtime._rows["a"].shape == (3, manifest.reference_count)
+    kept = runtime._rows["a"].copy()
+    runtime.score(["a"], [2, 6, 1])
+    assert runtime._rows["a"].shape == (5, manifest.reference_count)
+    assert runtime._rows["a"][:3].tobytes() == kept.tobytes()
+    assert runtime._slot["a"][[0, 1, 2, 4, 6]].tolist() == [0, 3, 1, 2, 4]
+    # a request with nothing new to score leaves the buffer as it is
+    held = runtime._rows["a"]
+    runtime.score(["a"], [6, 0])
+    assert runtime._rows["a"] is held
+
+
 def test_truncated_sfdesc_fails_at_construction(switching_dataset):
     manifest = load_manifest(switching_dataset[0])
     path = manifest.base_dir / manifest.bindings["b"].queries_path
