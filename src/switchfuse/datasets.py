@@ -484,13 +484,14 @@ class DatasetRuntime:
         return np.unique(queries[self._slot[technique_id][queries] < 0])
 
     def _grow(self, technique_id: str, count: int) -> int:
-        """Make room for ``count`` more rows of a technique: its buffer is
-        copied once into one that many rows longer.  Returns the first new
-        row."""
+        """Make room for ``count`` more rows of a technique: its scored rows
+        are copied once into a buffer that many rows longer.  Returns the
+        first new row."""
         held = self._rows[technique_id]
-        top = len(held)
+        # rows a failed request left unrecorded are dropped
+        top = int(self._slot[technique_id].max()) + 1
         grown = self._rows[technique_id] = np.empty((top + count, held.shape[1]))
-        grown[:top] = held
+        grown[:top] = held[:top]
         return top
 
     def _record(self, technique_id: str, todo: np.ndarray, top: int) -> None:

@@ -286,7 +286,8 @@ def test_partial_requests_check_the_whole_query_file(switching_dataset, rewrite)
     runtime = DatasetRuntime(manifest)
     runtime.score(["b"], [0, 1])
     path = manifest.base_dir / manifest.bindings["b"].queries_path
-    matrix = np.array(load_descriptor_set(path).matrix)
+    original = np.array(load_descriptor_set(path).matrix)
+    matrix = original.copy()
     if rewrite == "rows":
         matrix = matrix[:-1]
     else:
@@ -298,6 +299,11 @@ def test_partial_requests_check_the_whole_query_file(switching_dataset, rewrite)
     }[rewrite]
     with pytest.raises(error, match=message):
         runtime.score(["b"], [2, 3])
+    # the failed request's rows are not kept: once the file is mended, the
+    # buffer holds the four scored rows alone
+    save_descriptor_set(DescriptorSet("b", original), path)
+    runtime.score(["b"], [2, 3])
+    assert runtime._rows["b"].shape == (4, manifest.reference_count)
 
 
 def test_each_descriptor_header_is_read_once(tmp_path, monkeypatch):
