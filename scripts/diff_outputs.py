@@ -6,9 +6,13 @@ For each ``src`` root, runs ``calibrate -> run -> evaluate -> compare`` with
 with that root on ``PYTHONPATH``, calls ``switchfuse.cli.main`` for each
 command in order and stops at the first that fails, naming it with its exit
 code and stderr.  ``evaluate`` and ``compare`` also get ``--svg``, so the PR
-points of every method are compared.  Then prints ``identical`` or
-``differs`` for every output file (the SFCAL store, the predictions CSV, the
-``evaluate`` CSVs, ``pr_curve.svg``, ``comparison.csv`` and
+points of every method are compared.  After ``run`` the driver also writes
+``preds-quoted.csv``, the predictions with every field quoted and CRLF line
+ends, and evaluates it into ``report-quoted/`` (``evaluate-quoted``), so
+that ``read_predictions``' ``csv.reader`` path is compared as well as the
+split it takes for a plain file.  Then prints ``identical`` or ``differs``
+for every output file (the SFCAL store, the predictions CSVs, both
+``evaluate`` reports' CSVs and ``pr_curve.svg``, ``comparison.csv`` and
 ``pr_curves.svg``), with the first differing byte offset, and exits 1 on
 any difference or failed command.  Each command's standard output is
 compared too, listed as ``stdout/<command>.txt``, with the root's output
@@ -40,45 +44,59 @@ import tempfile
 from pathlib import Path
 
 
-# Runs each argv of the JSON list in argv[1] through the CLI, in order; the
-# first that fails ends the driver with its name, exit code and stderr.  Each
-# command's standard output, with the output directory argv[2] replaced by
-# "<out>", goes to argv[2]/stdout/<command>.txt.
-DRIVER = """
-import contextlib, io, json, sys
+# Runs each (name, argv) step of the JSON list in argv[1] in order.  The
+# step named "quote" rewrites the CSV argv[0] into argv[1] with every field
+# quoted and CRLF line ends; every other step runs argv through the CLI, and
+# the first that fails ends the driver with its name, exit code and stderr.
+# Each command's standard output, with the output directory argv[2] replaced
+# by "<out>", goes to argv[2]/stdout/<name>.txt.
+DRIVER = r"""
+import contextlib, csv, io, json, sys
 from pathlib import Path
 from switchfuse.cli import main
 out = Path(sys.argv[2])
 (out / "stdout").mkdir()
-for argv in json.loads(sys.argv[1]):
+for name, argv in json.loads(sys.argv[1]):
+    if name == "quote":
+        with open(argv[0], newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        with open(argv[1], "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(rows)
+        continue
     err, printed = io.StringIO(), io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(printed):
         rc = main(argv)
     if rc != 0:
-        sys.exit(f"{argv[0]} exited {rc}: {err.getvalue().strip()}")
+        sys.exit(f"{name} exited {rc}: {err.getvalue().strip()}")
     text = printed.getvalue().replace(str(out), "<out>")
-    (out / "stdout" / f"{argv[0]}.txt").write_text(text)
+    (out / "stdout" / f"{name}.txt").write_text(text)
 """
 
 
 def run_pipeline(src: Path, args, out: Path) -> None:
-    """All four commands against ``src`` in one interpreter; raises on a
-    failed command."""
+    """All four commands, and ``evaluate`` of the quoted predictions,
+    against ``src`` in one interpreter; raises on a failed command."""
     common = ["--no-timestamp"]
     plots = ["--svg", *common]
-    commands = [
-        ["calibrate", "--manifest", args.calib_manifest, "--config", args.config,
-         "--out", out / "store.sfcal"],
-        ["run", "--manifest", args.eval_manifest, "--config", args.config,
-         "--store", out / "store.sfcal", "--out", out / "preds.csv", *common],
-        ["evaluate", "--predictions", out / "preds.csv",
-         "--manifest", args.eval_manifest, "--out", out / "report", *plots],
-        ["compare", "--manifest", args.eval_manifest, "--config", args.config,
-         "--store", out / "store.sfcal", "--out", out / "compare", *plots],
+
+    def evaluate(predictions, report):
+        return ["evaluate", "--predictions", out / predictions,
+                "--manifest", args.eval_manifest, "--out", out / report, *plots]
+
+    steps = [
+        ("calibrate", ["calibrate", "--manifest", args.calib_manifest,
+                       "--config", args.config, "--out", out / "store.sfcal"]),
+        ("run", ["run", "--manifest", args.eval_manifest, "--config", args.config,
+                 "--store", out / "store.sfcal", "--out", out / "preds.csv", *common]),
+        ("evaluate", evaluate("preds.csv", "report")),
+        ("quote", [out / "preds.csv", out / "preds-quoted.csv"]),
+        ("evaluate-quoted", evaluate("preds-quoted.csv", "report-quoted")),
+        ("compare", ["compare", "--manifest", args.eval_manifest, "--config", args.config,
+                     "--store", out / "store.sfcal", "--out", out / "compare", *plots]),
     ]
     proc = subprocess.run(
         [sys.executable, "-c", DRIVER,
-         json.dumps([[str(a) for a in argv] for argv in commands]), str(out)],
+         json.dumps([(name, [str(a) for a in argv]) for name, argv in steps]), str(out)],
         env=dict(os.environ, PYTHONPATH=str(src.resolve())),
         capture_output=True,
         text=True,

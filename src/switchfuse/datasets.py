@@ -53,9 +53,10 @@ class DatasetManifest:
 
 
 def read_json(path):
-    """Parse one JSON file; malformed text, or nesting deeper than the
-    parser's recursion limit, raises ``FormatError``."""
-    with open(path) as fh:
+    """Parse one JSON file, UTF-8 text whatever the locale's encoding (as
+    ``files.write_atomic`` writes it); malformed text, or nesting deeper
+    than the parser's recursion limit, raises ``FormatError``."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:

@@ -2,7 +2,8 @@
 
 CSV dialect: comma-separated, header row, ``.`` decimal separator, LF line
 endings.  An optional timestamp comment line (prefixed ``#``) precedes the
-header unless suppressed; readers skip ``#`` lines.  Each CSV and SVG file
+header unless suppressed; readers skip ``#`` lines where a record starts, so
+a quoted field may hold a line that starts with ``#``.  Each CSV and SVG file
 goes through ``files.write_atomic``, the writer of every output: a
 temporary file beside the target, then a rename, with FIFOs and devices
 written in place, so ``--out /dev/stdout`` works.
@@ -58,20 +59,37 @@ def _write_csv(path, header, body: str, timestamp: bool) -> None:
     write_atomic(path, stamp, ",".join(header), "\n", body)
 
 
-def _read_csv_rows(path):
-    with open(path, newline="") as fh:
-        try:
-            lines = [ln for ln in fh if not ln.startswith("#")]
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
-    reader = csv.reader(lines)
+def _read_text(path) -> str:
+    """The whole file as UTF-8 text, whatever the locale's encoding."""
     try:
-        header = next(reader)
-        return header, list(reader)
-    except StopIteration:
-        raise FormatError(f"{path}: empty CSV") from None
+        return Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+
+
+def _read_csv_rows(path, text: str):
+    """The header and rows ``csv.reader`` reads from ``text``, skipping each
+    ``#`` line where a record starts: a line that continues a quoted field
+    is field text whatever its first character."""
+    record_start = True
+
+    def lines():
+        nonlocal record_start
+        for line in io.StringIO(text, newline=""):
+            if not (record_start and line.startswith("#")):
+                record_start = False
+                yield line
+
+    rows = []
+    try:
+        for row in csv.reader(lines()):
+            rows.append(row)
+            record_start = True
     except csv.Error as exc:  # a field over the module's size limit, say
         raise FormatError(f"{path}: malformed CSV: {exc}") from exc
+    if not rows:
+        raise FormatError(f"{path}: empty CSV")
+    return rows[0], rows[1:]
 
 
 def _posterior_texts(posterior: np.ndarray) -> list[str]:
@@ -132,32 +150,82 @@ def _row_fault(row) -> str | None:
     return None
 
 
+def _plain_fields(text: str) -> list[str] | None:
+    """The fields of a predictions CSV's rows from one split of its body,
+    each row's six followed by ``"\\n"``, or None for a file that may need
+    ``csv.reader``'s rules.
+
+    The split reads what ``csv.reader`` reads when ``#`` lines come only
+    before the header, the header is as ``write_predictions`` writes it,
+    and no quote, ``\\r``, NUL (which ``csv.reader`` refuses before Python
+    3.11) or field over ``csv.field_size_limit()`` occurs.  A blank or ``#``
+    line among the rows fails the six-field check or the ``int`` parse of
+    its first field, so it goes to ``csv.reader`` too.
+    """
+    start = 0
+    while text.startswith("#", start):
+        start = text.find("\n", start) + 1
+        if not start:
+            return None
+    header = ",".join(_PREDICTIONS_HEADER) + "\n"
+    if not text.startswith(header, start) or any(c in text for c in '"\r\0'):
+        return None
+    body = text[start + len(header):]
+    if body and body[-1] != "\n":
+        body += "\n"
+    # one "\n" field after every line's fields, and "" after the last line's
+    fields = body.replace("\n", ",\n,").split(",")
+    rows = body.count("\n")
+    if len(fields) != 7 * rows + 1 or fields[6::7].count("\n") != rows:
+        return None
+    limit = csv.field_size_limit()
+    if len(body) > limit and max(map(len, fields)) > limit:
+        return None
+    return fields
+
+
+def _parsed_columns(texts, n: int):
+    """The query, predicted and confidence columns parsed whole from their
+    field texts by ``int``, ``int`` and ``float``, or None if a text fails
+    to parse, an index is past int64 or a confidence is not finite."""
+    try:
+        columns = tuple(
+            np.fromiter(map(parse, column), dtype, n)
+            for column, parse, dtype in zip(
+                texts, (int, int, float), (np.int64, np.int64, np.float64)
+            )
+        )
+    except (ValueError, OverflowError):  # OverflowError: past int64
+        return None
+    return columns if np.isfinite(columns[2]).all() else None
+
+
 def read_predictions(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (query, predicted, confidence) columns of a predictions CSV, in
     file order: int64, int64 and finite float64.
 
-    Each column is parsed whole by ``int`` or ``float``, so a field reads
-    as those read it, and NumPy checks the int64 range and finiteness.  A
-    file that fails is scanned row by row to name its first bad row.
+    The file is read once as UTF-8 text.  A file that needs no quoting
+    rules, as ``run`` writes for plain technique ids, is split whole
+    (``_plain_fields``); any other file, and one whose split fields fail to
+    parse, goes through ``csv.reader``.  Each column is parsed whole by
+    ``int`` or ``float``, so a field reads as those read it, and NumPy
+    checks the int64 range and finiteness.  A file that fails is scanned
+    row by row to name its first bad row.
     """
-    header, rows = _read_csv_rows(path)
+    text = _read_text(path)
+    fields = _plain_fields(text)
+    if fields is not None:
+        columns = _parsed_columns((fields[i::7] for i in range(3)), len(fields) // 7)
+        if columns is not None:
+            return columns
+    header, rows = _read_csv_rows(path, text)
     if header != list(_PREDICTIONS_HEADER):
         raise FormatError(f"{path}: unexpected predictions header {header}")
     n = len(rows)
     if set(map(len, rows)) <= {len(_PREDICTIONS_HEADER)}:
-        texts = islice(zip(*rows), 3) if n else [()] * 3
-        try:
-            columns = tuple(
-                np.fromiter(map(parse, column), dtype, n)
-                for column, parse, dtype in zip(
-                    texts, (int, int, float), (np.int64, np.int64, np.float64)
-                )
-            )
-        except (ValueError, OverflowError):  # OverflowError: past int64
-            pass
-        else:
-            if np.isfinite(columns[2]).all():
-                return columns
+        columns = _parsed_columns(islice(zip(*rows), 3) if n else [()] * 3, n)
+        if columns is not None:
+            return columns
     number, fault = next(
         (i, f) for i, f in enumerate(map(_row_fault, rows), start=1) if f
     )

@@ -20,6 +20,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -635,18 +636,37 @@ def read_predictions(path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The (query, predicted, confidence) columns of a predictions CSV,
     parsed and checked one row at a time: the field count, then ``int``,
     ``int`` and ``float`` of the first three fields, then the int64 range,
-    then finiteness.  The first bad row raises ``FormatError``."""
-    with open(path, newline="") as fh:
-        lines = [ln for ln in fh if not ln.startswith("#")]
-    reader = csv.reader(lines)
+    then finiteness.  The file is UTF-8 text whatever the locale, and a
+    line that starts with ``#`` is a comment only where a record starts,
+    not inside a quoted field.  The first bad row raises ``FormatError``."""
     try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError(f"{path}: empty CSV") from None
+        text = Path(path).read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
+    between_records = True
+
+    def lines():
+        nonlocal between_records
+        for line in io.StringIO(text, newline=""):
+            if between_records and line.startswith("#"):
+                continue
+            between_records = False
+            yield line
+
+    records = []
+    try:
+        for record in csv.reader(lines()):
+            records.append(record)
+            between_records = True
+    except csv.Error as exc:
+        raise FormatError(f"{path}: malformed CSV: {exc}") from exc
+    if not records:
+        raise FormatError(f"{path}: empty CSV")
+    header = records.pop(0)
     if header != PREDICTIONS_HEADER:
         raise FormatError(f"{path}: unexpected predictions header {header}")
     queries, predicted, confidence = [], [], []
-    for number, row in enumerate(reader, start=1):
+    for number, row in enumerate(records, start=1):
         try:
             if len(row) != len(PREDICTIONS_HEADER):
                 raise ValueError(f"{len(row)} fields, expected {len(PREDICTIONS_HEADER)}")

@@ -23,6 +23,8 @@ from switchfuse.cli import main
 from switchfuse.datasets import DatasetRuntime, load_config, load_manifest
 from switchfuse.descriptors import read_descriptor_header
 from switchfuse.errors import FormatError, InvalidInputError, UndefinedEvidenceError
+from switchfuse.reports import write_predictions
+from switchfuse.switching import BlockDecisions
 from tests.oracle import run_tripartite, similarity
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -1213,6 +1215,44 @@ def test_cli_import_leaves_scipy_out(pipeline_dir):
     assert (d / "data" / "eval_manifest.json").exists()
 
 
+def test_utf8_files_read_under_an_ascii_locale(pipeline_dir):
+    """Every file switchfuse writes is UTF-8, and its readers decode UTF-8
+    whatever the locale: under the C locale, without UTF-8 mode, ``run``
+    takes a config whose unit label is a raw UTF-8 "é", and
+    ``read_predictions`` reads a file that names technique "é"."""
+    d = pipeline_dir
+    run_cli("synth", "--spec", d / "spec.json", "--seed", 5, "--out", d / "data")
+    run_cli("calibrate", "--manifest", d / "data" / "calib_manifest.json",
+            "--config", d / "config.json", "--out", d / "store.sfcal")
+    config = json.loads((d / "config.json").read_text())
+    config["units"][0]["label"] = "\u00e9"
+    (d / "config.json").write_bytes(json.dumps(config, ensure_ascii=False).encode())
+    unit = BlockDecisions(("\u00e9",), np.zeros(2, np.int64), np.full(2, 0.5),
+                          np.zeros(2, bool), np.zeros(2, np.int64))
+    write_predictions(np.array([3, 1]), np.array([0.5, 0.25]), (unit,), d / "named.csv")
+    code = (
+        "import sys; from switchfuse.cli import main; "
+        "from switchfuse.reports import read_predictions; "
+        "print(sys.getfilesystemencoding()); "
+        "print(main(sys.argv[2:])); "
+        "print([c.tolist() for c in read_predictions(sys.argv[1])])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), LC_ALL="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(d / "named.csv"), "run",
+         "--manifest", str(d / "data" / "eval_manifest.json"),
+         "--config", str(d / "config.json"), "--store", str(d / "store.sfcal"),
+         "--out", str(d / "preds.csv")],
+        env=env, capture_output=True, text=True,
+    )
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[0] == "ascii"  # the locale really is not UTF-8
+    assert lines[-2:] == ["0", "[[0, 1], [3, 1], [0.5, 0.25]]"]
+    assert (d / "preds.csv").exists()
+
+
 def test_diff_outputs_same_root_is_identical(pipeline_dir):
     d = pipeline_dir
     run_cli("synth", "--spec", d / "spec.json", "--seed", 5, "--out", d / "data")
@@ -1226,10 +1266,14 @@ def test_diff_outputs_same_root_is_identical(pipeline_dir):
     )
     assert out.returncode == 0, out.stdout + out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 12 and all(ln.startswith("identical") for ln in lines)
+    assert len(lines) == 18 and all(ln.startswith("identical") for ln in lines)
     assert [ln.split()[1] for ln in lines if "stdout/" in ln] == [
-        f"stdout/{command}.txt" for command in ("calibrate", "compare", "evaluate", "run")
+        f"stdout/{command}.txt"
+        for command in ("calibrate", "compare", "evaluate-quoted", "evaluate", "run")
     ]
+    # the quoted, CRLF copy of the predictions and its evaluate report
+    assert {"preds-quoted.csv", "report-quoted/switch-fuse_summary.csv",
+            "report-quoted/pr_curve.svg"} <= {ln.split()[1] for ln in lines}
     # the same check on a benchmark workload, whose inputs each root
     # generates and which are compared too
     script = [sys.executable, ROOT / "scripts" / "diff_outputs.py", src, src]

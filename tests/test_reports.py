@@ -26,8 +26,9 @@ from .exported import exported_runtime, scored_run
 from .test_evaluation import query_outcomes
 
 # technique ids that csv.writer must quote (or, for "|", that the joined
-# fields share with their separator)
-AWKWARD_IDS = ("a,b", 'q"t', "p|q", "n\nl")
+# fields share with their separator); in the last, a quoted field's second
+# line starts with "#", which is field text, not a comment
+AWKWARD_IDS = ("a,b", 'q"t', "p|q", "n\nl", "a\n#b")
 
 
 def unit_columns(techniques, decisions) -> BlockDecisions:
@@ -62,7 +63,7 @@ def test_predictions_match_row_formatting_with_shared_decisions(tmp_path):
     predicted = np.array([3, 1, 0, 2, 2, 4, 1, 0])
     confidence = np.array([0.25, -0.125, 1.0, 0.5, 0.5, 2 / 3, 0.0, 1.5])
     path = tmp_path / "p.csv"
-    for t0, t1, t2, _ in (("t0", "t1", "t2", None), AWKWARD_IDS):
+    for t0, t1, t2, *_ in (("t0", "t1", "t2"), AWKWARD_IDS):
         a = (t0, 0.5, False)
         b = (t1, 1 / 3, True)
         c = (t2, 1e-10, False)
@@ -71,7 +72,10 @@ def test_predictions_match_row_formatting_with_shared_decisions(tmp_path):
         units = (
             unit_columns((t0, t2), [a, a, a, a, a, c, a, a]),
             unit_columns((t1, t2), [b, b, c, b, e, c, d, (t2, 2 / 3, True)]),
-            unit_columns((AWKWARD_IDS[3],), [(AWKWARD_IDS[3], 0.25, False)] * 8),
+            unit_columns(
+                AWKWARD_IDS[3:],
+                [(AWKWARD_IDS[3], 0.25, False)] * 4 + [(AWKWARD_IDS[4], 0.5, True)] * 4,
+            ),
         )
         report = EvaluationReport("m", predicted, confidence, np.zeros(8, dtype=bool))
         for decisions in (units, units[:2], None):
@@ -79,7 +83,7 @@ def test_predictions_match_row_formatting_with_shared_decisions(tmp_path):
             assert path.read_text() == oracle_predictions_text(
                 query_outcomes(report, decisions)
             )
-            # quoted ids, one holding a newline, do not shift the columns
+            # quoted ids, two holding a newline, do not shift the columns
             assert [col.tolist() for col in read_predictions(path)] == [
                 col.tolist() for col in oracle.read_predictions(path)
             ]
@@ -269,6 +273,123 @@ def test_columnar_reader_matches_the_per_row_reader(fuzz_dir, rows):
     assert _read_outcome(read_predictions, path) == _read_outcome(
         oracle.read_predictions, path
     )
+
+
+HEADER_LINE = ",".join(oracle.PREDICTIONS_HEADER)
+# field texts written raw, each as it stands between two commas: quoted
+# numbers, NUL, a quoted "#" line, a doubled quote and a stray one
+RAW_FIELDS = ["0", "7", "-3", "0.25", "", "t0|t1", '"7"', '"0.5"', "\0", "1\x002",
+              "#c", '"a\n#b"', '"x""y"', 'a"b', "nan", "1e999"]
+plain_row = st.tuples(
+    st.integers(0, 99), st.integers(0, 99), st.floats(0, 1), st.sampled_from(["", "t0|t1"])
+).map(lambda r: f"{r[0]},{r[1]},{r[2]!r},{r[3]},0.5|0.25,0|1")
+raw_line = st.one_of(
+    plain_row,
+    # rows of five, six and seven raw fields
+    st.lists(st.sampled_from(RAW_FIELDS), min_size=5, max_size=7).map(",".join),
+    st.sampled_from(["", "# c", "#", "#,1,2,3,4,5"]),
+)
+raw_file = st.fixed_dictionaries({
+    "comments": st.lists(st.sampled_from(["# generated x", "#", '# "q']), max_size=2),
+    "header": st.sampled_from(
+        [HEADER_LINE] * 3 + [None, "\ufeff" + HEADER_LINE, '"query"' + HEADER_LINE[5:],
+                             HEADER_LINE + ",extra", "query,predicted"]
+    ),
+    "lines": st.lists(raw_line, max_size=6),
+    "end": st.sampled_from(["\n", "\r", "\r\n"]),
+    "final_end": st.booleans(),
+    # a byte that is not UTF-8, at this offset into the file
+    "bad_byte_at": st.one_of(st.none(), st.integers(0, 400)),
+})
+# files as run writes them, now and then with one row that cannot be split
+# or parsed: a blank line, a "#" line, a bad confidence, 5 or 7 fields
+plain_file = st.fixed_dictionaries({
+    "comments": st.lists(st.just("# generated x"), max_size=1),
+    "header": st.just(HEADER_LINE),
+    "lines": st.lists(st.one_of(plain_row, plain_row, plain_row, st.sampled_from(
+        ["", "#,1,2,3,4,5", "0,1,nan,,,", "0,1,x,,,", "1,2,3,4,5", "0,1,0.5,,,,"]
+    )), max_size=6),
+    "end": st.just("\n"),
+    "final_end": st.booleans(),
+    "bad_byte_at": st.none(),
+})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(raw=st.one_of(plain_file, raw_file))
+@example(raw=dict(comments=[], header=None, lines=[], end="\n", final_end=False,
+                  bad_byte_at=None))  # an empty file
+@example(raw=dict(comments=["# generated x"], header=HEADER_LINE, lines=[], end="\n",
+                  final_end=True, bad_byte_at=None))  # header only
+# LF files that a split misreads unless it checks quotes, "\r" and the
+# place of every line end: a quoted field over two lines, a "\r" that ends
+# a record inside a line, and 5 + 7 fields, 12 in all
+@example(raw=dict(comments=[], header=HEADER_LINE, lines=['0,1,0.5,",,', '1,2,0.25,",,'],
+                  end="\n", final_end=True, bad_byte_at=None))
+@example(raw=dict(comments=[], header=HEADER_LINE, lines=["0\r,1,0.5,,,"], end="\n",
+                  final_end=True, bad_byte_at=None))
+@example(raw=dict(comments=[], header=HEADER_LINE, lines=["1,2,3,4,5", "0,1,2,3,4,5,6"],
+                  end="\n", final_end=False, bad_byte_at=None))
+def test_reader_matches_the_per_row_reader_on_raw_text(fuzz_dir, raw):
+    """Raw text, not only ``csv.writer`` output, reads as the per-row
+    oracle reads it: the same columns bit for bit, or the same
+    ``FormatError`` message."""
+    lines = raw["comments"] + [raw["header"]] * (raw["header"] is not None) + raw["lines"]
+    text = raw["end"].join(lines) + (raw["end"] if lines and raw["final_end"] else "")
+    blob = text.encode()
+    if raw["bad_byte_at"] is not None:
+        at = raw["bad_byte_at"] % (len(blob) + 1)
+        blob = blob[:at] + b"\xff" + blob[at:]
+    path = fuzz_dir / "raw.csv"
+    path.write_bytes(blob)
+    assert _read_outcome(read_predictions, path) == _read_outcome(
+        oracle.read_predictions, path
+    )
+
+
+@pytest.mark.parametrize("rows", [8, 7000], ids=["short", "over-field-limit"])
+@pytest.mark.parametrize("timestamp", [True, False], ids=["stamped", "plain"])
+@pytest.mark.parametrize("switching", [True, False], ids=["units", "single"])
+def test_written_predictions_are_read_without_csv_reader(
+    tmp_path, monkeypatch, rows, timestamp, switching
+):
+    """``write_predictions``' output for plain technique ids, with or
+    without its ``# generated`` line, and a file longer than
+    ``csv.field_size_limit()`` made of short fields, are split whole."""
+    rng = np.random.default_rng(rows)
+    predicted = rng.integers(0, 200, size=rows)
+    confidence = rng.random(rows)
+    units = None
+    if switching:
+        units = tuple(
+            unit_columns(ids, [(ids[k], p, f) for k, p, f in zip(
+                rng.integers(0, 2, rows), rng.random(rows), rng.random(rows) < 0.1
+            )])
+            for ids in (("t0", "t1"), ("t1", "t2"))
+        )
+    path = tmp_path / "p.csv"
+    write_predictions(predicted, confidence, units, path, timestamp=timestamp)
+    assert (len(path.read_text()) > csv.field_size_limit()) == (rows > 8)
+    expected = [(col.dtype.str, col.tobytes()) for col in oracle.read_predictions(path)]
+    monkeypatch.setattr(csv, "reader", lambda *a, **k: pytest.fail("csv.reader called"))
+    assert _read_outcome(read_predictions, path) == expected
+    # and so is the same file without its final line end
+    path.write_bytes(path.read_bytes()[:-1])
+    assert _read_outcome(read_predictions, path) == expected
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-limit", "over-limit"])
+def test_field_size_limit_holds_on_both_paths(tmp_path, over):
+    """A field of ``csv.field_size_limit()`` characters reads; one more is
+    refused as ``csv.reader`` refuses it, as malformed CSV."""
+    long_field = "x" * (csv.field_size_limit() + over)
+    path = tmp_path / "p.csv"
+    path.write_text(f"{HEADER_LINE}\n0,1,0.5,{long_field},,\n")
+    outcome = _read_outcome(read_predictions, path)
+    assert outcome == _read_outcome(oracle.read_predictions, path)
+    assert isinstance(outcome, str) == bool(over)
+    if over:
+        assert "malformed CSV: field larger than field limit" in outcome
 
 
 def test_svg_labels_are_escaped():
